@@ -20,7 +20,6 @@ import json
 import sys
 
 from . import an as an_mod
-from . import d4 as d4_mod
 from . import graphs
 from . import jets
 from .groebner import (
@@ -293,7 +292,9 @@ def _cmd_an_verify(args) -> int:
 
 
 def _cmd_d4_ideals(args) -> int:
-    fam = d4_mod.d4_ideals(args.m)
+    from .d4 import d4_ideals
+
+    fam = d4_ideals(args.m)
     named = [fam.l322, fam.charts[1], fam.charts[2], fam.charts[3], fam.i0] + [
         fam.j[i] for i in (1, 2, 3)
     ]
@@ -316,9 +317,11 @@ def _cmd_d4_ideals(args) -> int:
 
 
 def _cmd_d4_verify(args) -> int:
+    from .d4 import verify_suite
+
     budget = _budget(args)
     with_saturation = True if args.saturate else None
-    reports = d4_mod.verify_suite(args.m, budget, with_saturation)
+    reports = verify_suite(args.m, budget, with_saturation)
     fiber = graphs.build_graph(
         [f"Z{i}" for i in range(4)],
         [("Z0", "Z1"), ("Z0", "Z2"), ("Z0", "Z3")],

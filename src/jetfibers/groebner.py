@@ -7,6 +7,12 @@ elimination-based intersections, saturation, and a coordinate-variable
 presolve that collapses the very sparse ideals showing up in jet-space
 computations down to a handful of effective variables.
 
+The pending S-pairs live in a binary heap ordered by (lcm degree, order key
+of the lcm, pair index), so choosing the next pair costs a logarithmic pop
+rather than a scan of every pending pair.  dense_order_key turns a kernel
+order (kind, split) into a key function that sorts exactly as the kernel's
+mono_cmp does; the heap and the final sorting of a basis both use it.
+
 Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
 always produce identical bases and reports.
@@ -17,6 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
+from operator import neg
 
 from .kernel import impl as _K
 from .poly import (
@@ -384,14 +392,41 @@ class GroebnerBasis:
         return [ring.sparsify(q) for q in quotients], ring.sparsify(tail)
 
 
+def dense_order_key(kind: int, split: int):
+    """Key function on dense exponent tuples that sorts exactly as
+    _K.mono_cmp(a, b, kind, split): a ranks above b iff key(a) > key(b)."""
+    if kind == _K.LEX:
+        return _lex_key
+    if kind == _K.GREVLEX:
+        return _grevlex_key
+
+    def block_key(a):
+        return _grevlex_key(a[:split]) + _grevlex_key(a[split:])
+
+    return block_key
+
+
+def _lex_key(a):
+    return a
+
+
+def _grevlex_key(a):
+    # higher degree first; on a tie the rightmost differing slot decides,
+    # the smaller exponent ranking higher
+    return (sum(a), tuple(map(neg, reversed(a))))
+
+
 def buchberger(
     ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
-    Normal selection strategy (smallest lcm degree, ties by the order on the
-    lcm and then by pair index); Buchberger's coprimality and chain criteria
-    prune pairs.  Raises BudgetExhausted when the budget runs out.
+    Normal selection strategy: pending pairs sit in a binary heap keyed on
+    (lcm degree, order key of the lcm, i, j), so each pop takes the pair of
+    smallest lcm degree, ties broken by the order on the lcm and then by pair
+    index.  Buchberger's coprimality and chain criteria prune pairs; the
+    chain criterion reads the pending (i, j) from a set.  The budget is
+    checked after each pop; BudgetExhausted is raised when it runs out.
     """
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
@@ -402,6 +437,7 @@ def buchberger(
         order,
     )
     kind, split = ring.kind, ring.split
+    order_key = dense_order_key(kind, split)
 
     basis: list[dict] = []
     leads: list[tuple] = []
@@ -419,43 +455,33 @@ def buchberger(
         return h
 
     lcs = []
+    queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
+    pending: set[tuple[int, int]] = set()
 
     def add_poly(h: dict):
         h = normalize(h)
         lm, _ = _K.lead_term(h, kind, split)
-        for k in range(len(basis)):
-            pairs[(k, len(basis))] = _K.mono_lcm(leads[k], lm)
+        j = len(basis)
+        for i in range(j):
+            lcm = _K.mono_lcm(leads[i], lm)
+            heappush(queue, (sum(lcm), order_key(lcm), i, j))
+            pending.add((i, j))
         basis.append(h)
         leads.append(lm)
         lcs.append(_ONE)
 
-    pairs: dict[tuple[int, int], tuple] = {}
     for g in ideal.generators:
         h = _K.normal_form(ring.densify(g), basis, leads, lcs, kind, split)
         if h:
             add_poly(h)
 
-    while pairs:
-        best_key = None
-        best_pair = None
-        for (i, j), lcm in pairs.items():
-            key_deg = _K.mono_deg(lcm)
-            if best_key is None:
-                best_key, best_pair = (key_deg, lcm, i, j), (i, j)
-                continue
-            bd, bl, bi, bj = best_key
-            if key_deg != bd:
-                better = key_deg < bd
-            else:
-                c = _K.mono_cmp(lcm, bl, kind, split)
-                better = c < 0 or (c == 0 and (i, j) < (bi, bj))
-            if better:
-                best_key, best_pair = (key_deg, lcm, i, j), (i, j)
-        i, j = best_pair
-        lcm = pairs.pop(best_pair)
+    while queue:
+        _, _, i, j = heappop(queue)
+        pending.remove((i, j))
         spairs += 1
         check_budget()
 
+        lcm = _K.mono_lcm(leads[i], leads[j])
         # coprime leads: the S-polynomial reduces to zero
         if lcm == _K.mono_mul(leads[i], leads[j]):
             continue
@@ -467,7 +493,7 @@ def buchberger(
             if _K.mono_div(lcm, leads[k]) is not None:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
-                if a not in pairs and b not in pairs:
+                if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:
@@ -485,7 +511,7 @@ def buchberger(
             add_poly(h)
 
     # minimalize: drop elements whose lead another lead divides
-    ordered = sorted(range(len(basis)), key=lambda k: _DenseKey(leads[k], kind, split))
+    ordered = sorted(range(len(basis)), key=lambda k: order_key(leads[k]))
     kept: list[int] = []
     for k in ordered:
         if not any(_K.mono_div(leads[k], leads[t]) is not None for t in kept):
@@ -502,7 +528,7 @@ def buchberger(
         final_leads[idx] = _K.lead_term(final[idx], kind, split)[0]
 
     by_lead = sorted(
-        range(len(final)), key=lambda k: _DenseKey(final_leads[k], kind, split), reverse=True
+        range(len(final)), key=lambda k: order_key(final_leads[k]), reverse=True
     )
     final = [final[k] for k in by_lead]
     final_leads = [final_leads[k] for k in by_lead]
@@ -516,21 +542,6 @@ def buchberger(
         final,
         final_leads,
     )
-
-
-class _DenseKey:
-    __slots__ = ("mono", "kind", "split")
-
-    def __init__(self, mono, kind, split):
-        self.mono = mono
-        self.kind = kind
-        self.split = split
-
-    def __lt__(self, other):
-        return _K.mono_cmp(self.mono, other.mono, self.kind, self.split) < 0
-
-    def __eq__(self, other):
-        return self.mono == other.mono
 
 
 def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:

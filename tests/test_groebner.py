@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, strategies as st
 
 from jetfibers.groebner import (
     BUDGET_EXHAUSTED,
@@ -13,6 +15,7 @@ from jetfibers.groebner import (
     VERIFIED,
     block_order,
     buchberger,
+    dense_order_key,
     ideal_intersect_elim,
     krull_dim,
     linear_presolve,
@@ -24,6 +27,7 @@ from jetfibers.groebner import (
     restrict_to_residual,
     saturate,
 )
+from jetfibers.kernel import BLOCK, GREVLEX, LEX, impl as _K
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
 
 
@@ -72,6 +76,24 @@ def test_order_antisymmetry_on_samples():
         for a in monos:
             for b in monos:
                 assert order.compare(a, b) == -order.compare(b, a)
+
+
+@st.composite
+def _dense_monos_and_order(draw):
+    width = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([GREVLEX, LEX, BLOCK]))
+    split = draw(st.integers(0, width)) if kind == BLOCK else 0
+    mono = st.tuples(*[st.integers(0, 2)] * width)
+    monos = draw(st.lists(mono, max_size=12))
+    # repeat a prefix so equal monomials always occur
+    return monos + monos[: draw(st.integers(0, len(monos)))], kind, split
+
+
+@given(_dense_monos_and_order())
+def test_dense_order_key_sorts_as_mono_cmp(case):
+    monos, kind, split = case
+    by_cmp = sorted(monos, key=cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split)))
+    assert sorted(monos, key=dense_order_key(kind, split)) == by_cmp
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +175,26 @@ def test_determinism_byte_identical():
         gb = buchberger(ideal("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0"))
         runs.append([str(g) for g in gb.polys])
     assert runs[0] == runs[1]
+
+
+_QUADRICS = ("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0")
+_CUBICS = ("x0^3 - y0*z0", "y0^2 - x0*z0", "z0^2 - x0^2*y0")
+_PINNED_SELECTION = [
+    (_QUADRICS, GREVLEX_ORDER, 4, 21),
+    (_CUBICS, GREVLEX_ORDER, 3, 3),
+    (_QUADRICS, LEX_ORDER, 3, 28),
+    (_CUBICS, LEX_ORDER, 5, 10),
+    (_QUADRICS, block_order([var_code("x", 0)]), 4, 21),
+    (_CUBICS, block_order([var_code("x", 0)]), 5, 10),
+]
+
+
+@pytest.mark.parametrize("gens, order, size, spairs", _PINNED_SELECTION)
+def test_pair_selection_pinned(gens, order, size, spairs):
+    # spairs_processed counts every popped pair, pruned ones too, so it moves
+    # whenever the selection order or a criterion changes
+    gb = buchberger(Ideal([P(t) for t in gens]), order)
+    assert (len(gb), gb.spairs_processed) == (size, spairs)
 
 
 def test_budget_exhaustion_raises():
