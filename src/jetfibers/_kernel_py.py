@@ -6,9 +6,9 @@ value is a dict mapping dense exponent tuples (one slot per ring variable,
 the variable list is fixed by the caller) to nonzero Fraction coefficients.
 Slot 0 holds the highest-ranked variable.
 
-The compiled extension ``_kernel`` implements the same API; ``kernel`` picks
-whichever is importable.  Both backends must stay behaviourally identical,
-which tests/test_kernel_backends.py enforces on random inputs.
+Callers reach these functions through ``jetfibers.kernel.impl``.  mono_cmp is
+the reference comparison: ``groebner.dense_order_key`` builds sort keys that
+must order exponent tuples exactly as it does, and the tests check that.
 
 Monomial orders are encoded as (kind, split):
 

@@ -334,11 +334,11 @@ def verify_decomposition(
                 y_w = Polynomial.variable(var_code(Y, m - j - u1))
             pieces = [
                 gb.member(x_w, comps[u2], budget, claim=f"{x_w} in {dec.components[u2].label}"),
-                _expect_refuted(
+                gb.expect_refuted(
                     gb.member(x_w, comps[u1], budget, claim=f"{x_w} not in {dec.components[u1].label}")
                 ),
                 gb.member(y_w, comps[u1], budget, claim=f"{y_w} in {dec.components[u1].label}"),
-                _expect_refuted(
+                gb.expect_refuted(
                     gb.member(y_w, comps[u2], budget, claim=f"{y_w} not in {dec.components[u2].label}")
                 ),
             ]
@@ -368,23 +368,6 @@ def verify_decomposition(
             )
 
     return gb.merge_reports(f"decomposition of {J.label}", reports)
-
-
-def _expect_refuted(report: gb.VerificationReport) -> gb.VerificationReport:
-    """Invert a membership report: non-membership is the claim here."""
-    if report.outcome == gb.REFUTED:
-        outcome = gb.VERIFIED
-    elif report.outcome == gb.VERIFIED:
-        outcome = gb.REFUTED
-    else:
-        outcome = report.outcome
-    return gb.VerificationReport(
-        claim=report.claim,
-        outcome=outcome,
-        certificate=report.certificate,
-        spairs_processed=report.spairs_processed,
-        seconds=report.seconds,
-    )
 
 
 def verify_containment_criterion(

@@ -322,14 +322,17 @@ def _cmd_d4_verify(args) -> int:
     budget = _budget(args)
     with_saturation = True if args.saturate else None
     reports = verify_suite(args.m, budget, with_saturation)
+    # the graph claim stands on the maximal-pair theorem: it takes that
+    # report's outcome, or is refuted when its pairs do not give the star
+    (theorem,) = [r for r in reports if r.claim == f"maximal pairs at m{args.m}"]
     fiber = graphs.build_graph(
         [f"Z{i}" for i in range(4)],
-        [("Z0", "Z1"), ("Z0", "Z2"), ("Z0", "Z3")],
+        [(f"Z{i}", f"Z{j}") for i, j in theorem.certificate["pairs"]],
     )
     reports.append(
         VerificationReport(
             claim=f"fiber graph matches the resolution graph (m{args.m})",
-            outcome=VERIFIED
+            outcome=theorem.outcome
             if graphs.isomorphic(fiber, graphs.resolution_graph("D4"))
             else REFUTED,
             certificate=fiber.to_json_dict(),

@@ -623,7 +623,7 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
                 gb.radical_member(y2, u2, budget, claim=f"y2 in sqrt {u2.label}")
             )
             reports.append(
-                _expect_refuted(
+                gb.expect_refuted(
                     gb.radical_member(
                         y2, u1, budget, claim=f"y2 avoids sqrt {u1.label}"
                     )
@@ -641,22 +641,6 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
                 )
             )
     return gb.merge_reports(f"strictness witnesses at m{m}", reports)
-
-
-def _expect_refuted(report: gb.VerificationReport) -> gb.VerificationReport:
-    if report.outcome == gb.REFUTED:
-        outcome = gb.VERIFIED
-    elif report.outcome == gb.VERIFIED:
-        outcome = gb.REFUTED
-    else:
-        outcome = report.outcome
-    return gb.VerificationReport(
-        claim=report.claim,
-        outcome=outcome,
-        certificate=report.certificate,
-        spairs_processed=report.spairs_processed,
-        seconds=report.seconds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +685,7 @@ def verify_component_ideals(m: int = 5, budget: gb.Budget | None = None) -> gb.V
     y1 = Polynomial.variable(var_code(Y, 1))
     for ideal in (i1, i2, i3):
         reports.append(
-            _expect_refuted(
+            gb.expect_refuted(
                 gb.radical_member(y1, ideal, budget, claim=f"y1 avoids sqrt {ideal.label}")
             )
         )

@@ -9,9 +9,13 @@ computations down to a handful of effective variables.
 
 The pending S-pairs live in a binary heap ordered by (lcm degree, order key
 of the lcm, pair index), so choosing the next pair costs a logarithmic pop
-rather than a scan of every pending pair.  dense_order_key turns a kernel
-order (kind, split) into a key function that sorts exactly as the kernel's
-mono_cmp does; the heap and the final sorting of a basis both use it.
+rather than a scan of every pending pair.
+
+Monomial orders live in one place.  _make_ring encodes a MonomialOrder over
+a variable set as dense exponent tuples plus a kernel order (kind, split),
+and dense_order_key turns that into a key function that sorts exactly as the
+kernel's mono_cmp does.  The pair heap, the final sorting of a basis and the
+monomial-ideal intersection all compare monomials through it.
 
 Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
@@ -21,7 +25,7 @@ always produce identical bases and reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import neg
@@ -29,9 +33,7 @@ from operator import neg
 from .kernel import impl as _K
 from .poly import (
     AUX,
-    Monomial,
     Polynomial,
-    mono_degree,
     var_code,
     var_family,
     var_index,
@@ -48,7 +50,9 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class MonomialOrder:
     """grevlex, lex, or a block elimination order (the named variables rank
-    above everything else, grevlex inside each block)."""
+    above everything else, grevlex inside each block).  Comparisons happen on
+    dense exponent tuples: _make_ring encodes the order for a variable set and
+    dense_order_key turns that encoding into a sort key."""
 
     kind: str
     eliminate: tuple[int, ...] = ()
@@ -60,76 +64,6 @@ class MonomialOrder:
             raise ValueError("block orders need a nonempty eliminated set")
         if self.kind != "block" and self.eliminate:
             raise ValueError("only block orders eliminate variables")
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """Total comparison on sparse monomials; 1 when a ranks above b."""
-        if self.kind == "lex":
-            return _lex_cmp(a, b)
-        if self.kind == "grevlex":
-            return _grevlex_cmp(a, b)
-        elim = set(self.eliminate)
-        c = _grevlex_cmp(_restrict(a, elim, True), _restrict(b, elim, True))
-        if c:
-            return c
-        return _grevlex_cmp(_restrict(a, elim, False), _restrict(b, elim, False))
-
-    def sort_polynomials(self, polys) -> tuple[Polynomial, ...]:
-        """Deterministic descending sort by lead monomial, then term count."""
-
-        def key(p: Polynomial):
-            return (_LeadKey(self, _lead_mono(p, self)), len(p))
-
-        return tuple(sorted(polys, key=key))
-
-
-class _LeadKey:
-    __slots__ = ("order", "mono")
-
-    def __init__(self, order, mono):
-        self.order = order
-        self.mono = mono
-
-    def __lt__(self, other):
-        return self.order.compare(self.mono, other.mono) > 0
-
-    def __eq__(self, other):
-        return self.mono == other.mono
-
-
-def _restrict(mono: Monomial, codes: set, inside: bool) -> Monomial:
-    return tuple((c, e) for c, e in mono if (c in codes) == inside)
-
-
-def _lex_cmp(a: Monomial, b: Monomial) -> int:
-    ea, eb = dict(a), dict(b)
-    for code in sorted(set(ea) | set(eb), reverse=True):
-        xa, xb = ea.get(code, 0), eb.get(code, 0)
-        if xa != xb:
-            return 1 if xa > xb else -1
-    return 0
-
-
-def _grevlex_cmp(a: Monomial, b: Monomial) -> int:
-    da, db = mono_degree(a), mono_degree(b)
-    if da != db:
-        return 1 if da > db else -1
-    ea, eb = dict(a), dict(b)
-    for code in sorted(set(ea) | set(eb)):
-        xa, xb = ea.get(code, 0), eb.get(code, 0)
-        if xa != xb:
-            return 1 if xa < xb else -1
-    return 0
-
-
-def _lead_mono(p: Polynomial, order: MonomialOrder) -> Monomial:
-    best = None
-    for mono in p.items():
-        mono = mono[0]
-        if best is None or order.compare(mono, best) > 0:
-            best = mono
-    if best is None:
-        raise ValueError("the zero polynomial has no lead monomial")
-    return best
 
 
 GREVLEX_ORDER = MonomialOrder("grevlex")
@@ -216,6 +150,23 @@ def merge_reports(claim: str, reports) -> VerificationReport:
         },
         spairs_processed=sum(r.spairs_processed for r in reports),
         seconds=sum(r.seconds for r in reports),
+    )
+
+
+def expect_refuted(report: VerificationReport) -> VerificationReport:
+    """Invert a membership report: non-membership is the claim here."""
+    if report.outcome == REFUTED:
+        outcome = VERIFIED
+    elif report.outcome == VERIFIED:
+        outcome = REFUTED
+    else:
+        outcome = report.outcome
+    return VerificationReport(
+        claim=report.claim,
+        outcome=outcome,
+        certificate=report.certificate,
+        spairs_processed=report.spairs_processed,
+        seconds=report.seconds,
     )
 
 
@@ -544,11 +495,6 @@ def buchberger(
     )
 
 
-def normal_form(p: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Complete reduction of p modulo a Groebner basis."""
-    return basis.reduce(p)
-
-
 # ---------------------------------------------------------------------------
 # coordinate presolve
 
@@ -725,51 +671,39 @@ def radical_member(
 # intersections and saturation
 
 
-def _as_monomial(g: Polynomial) -> Monomial:
-    if len(g) != 1:
-        raise ValueError(f"non-monomial generator: {g}")
-    ((mono, _),) = g.items()
-    return mono
-
-
-def _sparse_lcm(a: Monomial, b: Monomial) -> Monomial:
-    ea = dict(a)
-    for code, exp in b:
-        if ea.get(code, 0) < exp:
-            ea[code] = exp
-    return tuple(sorted(ea.items(), reverse=True))
-
-
-def _minimalize(monos) -> list[Monomial]:
-    uniq = sorted(set(monos), key=lambda m: _LeadKey(GREVLEX_ORDER, m))
-    kept: list[Monomial] = []
-    for m in reversed(uniq):  # ascending order: divisors come first
-        if not any(_sparse_divides(k, m) for k in kept):
-            kept.append(m)
-    return kept
-
-
-def _sparse_divides(a: Monomial, b: Monomial) -> bool:
-    eb = dict(b)
-    return all(eb.get(c, 0) >= e for c, e in a)
-
-
 def monomial_ideal_intersect(ideals) -> Ideal:
-    """Intersection of monomial ideals via pairwise lcms, minimalized."""
+    """Intersection of monomial ideals via pairwise lcms, minimalized.  The
+    generators come out in descending grevlex order."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    current = _minimalize([_as_monomial(g) for g in ideals[0].generators])
-    for nxt in ideals[1:]:
-        gens = _minimalize([_as_monomial(g) for g in nxt.generators])
-        current = _minimalize(
-            [_sparse_lcm(a, b) for a in current for b in gens]
-        )
     variables = frozenset().union(*(i.variables for i in ideals))
-    polys = [Polynomial({m: _ONE}) for m in current]
+    ring = _make_ring(variables, GREVLEX_ORDER)
+    order_key = dense_order_key(ring.kind, ring.split)
+
+    def exponents(ideal: Ideal) -> list[tuple]:
+        out = []
+        for g in ideal.generators:
+            if len(g) != 1:
+                raise ValueError(f"non-monomial generator: {g}")
+            (vec,) = ring.densify(g)
+            out.append(vec)
+        return out
+
+    def minimalize(monos) -> list[tuple]:
+        kept: list[tuple] = []
+        for m in sorted(set(monos), key=order_key):  # divisors come first
+            if all(_K.mono_div(m, k) is None for k in kept):
+                kept.append(m)
+        return kept
+
+    current = minimalize(exponents(ideals[0]))
+    for nxt in ideals[1:]:
+        gens = minimalize(exponents(nxt))
+        current = minimalize([_K.mono_lcm(a, b) for a in current for b in gens])
     labels = [i.label or "?" for i in ideals]
     return Ideal(
-        GREVLEX_ORDER.sort_polynomials(polys),
+        [ring.sparsify({m: _ONE}) for m in reversed(current)],
         variables=variables,
         label="(" + " ^ ".join(labels) + ")",
     )
@@ -850,8 +784,9 @@ def krull_dim(ideal: Ideal, budget: Budget | None = None) -> int:
     if gb.is_unit:
         return -1
     ambient = sorted(ideal.variables - set(eliminated))
+    codes = gb._ring.codes
     supports = [
-        frozenset(code for code, _ in _lead_mono(g, gb.order)) for g in gb.polys
+        frozenset(code for code, e in zip(codes, lead) if e) for lead in gb._leads
     ]
     supports = tuple(
         sorted(set(supports), key=lambda s: (len(s), sorted(s)))

@@ -1,25 +1,14 @@
-"""Kernel backend selection.
+"""The dense-term kernel used throughout the package.
 
-The compiled extension is used when it was built; otherwise the pure-Python
-kernels take over transparently.  Set JETFIBERS_PURE=1 to force the fallback
-(useful for benchmarking and for debugging the extension).
+There is one kernel, the pure-Python ``_kernel_py``.  This module stays as the
+single binding point that callers and the benchmark harness (which wraps
+``impl.normal_form``, ``impl.mul_terms`` and the monomial helpers, and records
+``BACKEND``) go through.
 """
 
-import os
+from . import _kernel_py as impl
 
-if os.environ.get("JETFIBERS_PURE"):
-    from . import _kernel_py as impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel as impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as impl  # type: ignore[no-redef]
-
-        BACKEND = "python"
+BACKEND = "python"
 
 GREVLEX = impl.GREVLEX
 LEX = impl.LEX

@@ -151,12 +151,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when monomial a divides monomial b."""
-    pos = {c: e for c, e in b}
-    return all(pos.get(c, 0) >= e for c, e in a)
-
-
 def _display_key(code: int):
     # ascending display rank: family low to high, then index high to low
     return (code >> _INDEX_BITS, -(code & _INDEX_MASK))
@@ -686,26 +680,43 @@ class JetPoint:
         return JetPoint(self.xs[:k], self.ys[:k], self.zs[:k])
 
 
-def _series_mul(a, b, cap: int):
-    out = [Fraction(0)] * (cap + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            if k > cap:
-                break
-            if bj:
-                out[k] += ai * bj
-    return out
-
-
 def _check_ambient(f: Polynomial):
     allowed = {var_code(X, 0), var_code(Y, 0), var_code(Z, 0)}
     bad = f.variables() - allowed
     if bad:
         names = ", ".join(sorted(var_name(c) for c in bad))
         raise ValueError(f"not an ambient polynomial (uses {names})")
+
+
+def _expand_dense(f: Polynomial, series: dict, width: int, m: int) -> dict:
+    """Dense terms of f(X(t), Y(t), Z(t)) modulo t^(m+1).
+
+    series maps each ambient family to its dense series: exponent tuples of
+    the given width whose slot 0 holds the power of t.  Powers of a series
+    are built once and reused; every product drops t powers above m as it
+    forms them.
+    """
+    powers: dict[tuple[str, int], dict] = {}
+
+    def family_power(family: str, exp: int):
+        key = (family, exp)
+        got = powers.get(key)
+        if got is None:
+            if exp == 1:
+                got = series[family]
+            else:
+                got = _K.mul_terms(family_power(family, exp - 1), series[family], 0, m)
+            powers[key] = got
+        return got
+
+    zero_mono = (0,) * width
+    acc: dict = {}
+    for mono, coeff in f.items():
+        cur = {zero_mono: coeff}
+        for code, exp in mono:
+            cur = _K.mul_terms(cur, family_power(var_family(code), exp), 0, m)
+        acc = _K.add_scaled(acc, cur, Fraction(1)) if acc else cur
+    return acc
 
 
 def t_order(point: JetPoint, g: Polynomial):
@@ -716,31 +727,12 @@ def t_order(point: JetPoint, g: Polynomial):
     """
     _check_ambient(g)
     m = point.order
-    one = [Fraction(1)] + [Fraction(0)] * m
-    powers: dict[tuple[str, int], list] = {}
-
-    def family_power(family: str, exp: int):
-        key = (family, exp)
-        got = powers.get(key)
-        if got is None:
-            if exp == 1:
-                got = list(point.family(family))
-            else:
-                got = _series_mul(family_power(family, exp - 1), point.family(family), m)
-            powers[key] = got
-        return got
-
-    acc = [Fraction(0)] * (m + 1)
-    for mono, coeff in g.items():
-        cur = list(one)
-        for code, exp in mono:
-            cur = _series_mul(cur, family_power(var_family(code), exp), m)
-        for k in range(m + 1):
-            acc[k] += coeff * cur[k]
-    for k, value in enumerate(acc):
-        if value:
-            return k
-    return None
+    # single-slot dense series: {(k,): c} is c*t^k
+    series = {
+        family: {(k,): c for k, c in enumerate(point.family(family)) if c}
+        for family in (X, Y, Z)
+    }
+    return min((k for (k,) in _expand_dense(g, series, 1, m)), default=None)
 
 
 def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
@@ -802,7 +794,6 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
     ring = (T_CODE,) + tuple(sorted(codes, reverse=True))
     pos = {code: k for k, code in enumerate(ring)}
     width = len(ring)
-    zero_mono = (0,) * width
 
     def densify(p: Polynomial, t_exp: int):
         out = {}
@@ -822,26 +813,7 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
                 acc.update(densify(c, i))
         dense_series[family] = acc
 
-    one = {zero_mono: Fraction(1)}
-    powers: dict[tuple[str, int], dict] = {}
-
-    def family_power(family: str, exp: int):
-        key = (family, exp)
-        got = powers.get(key)
-        if got is None:
-            if exp == 1:
-                got = dense_series[family]
-            else:
-                got = _K.mul_terms(family_power(family, exp - 1), dense_series[family], 0, m)
-            powers[key] = got
-        return got
-
-    acc: dict = {}
-    for mono, coeff in f.items():
-        cur = {zero_mono: coeff}
-        for code, exp in mono:
-            cur = _K.mul_terms(cur, family_power(var_family(code), exp), 0, m)
-        acc = _K.add_scaled(acc, cur, Fraction(1)) if acc else cur
+    acc = _expand_dense(f, dense_series, width, m)
 
     buckets: list[dict] = [dict() for _ in range(m + 1)]
     for vec, coeff in acc.items():

@@ -144,6 +144,50 @@ def test_d4_verify_json_carries_witness_value(capsys):
     assert '"value": "-32"' in out
 
 
+def _stub_d4_suite(monkeypatch, outcome, pairs):
+    from jetfibers import d4
+    from jetfibers.groebner import VerificationReport
+
+    def verify_suite(m, budget=None, with_saturation=None):
+        return [
+            VerificationReport(
+                claim=f"maximal pairs at m{m}",
+                outcome=outcome,
+                certificate={"pairs": [list(p) for p in pairs]},
+            )
+        ]
+
+    monkeypatch.setattr(d4, "verify_suite", verify_suite)
+
+
+def _graph_report(out, m):
+    payload = json.loads(out)
+    claim = f"fiber graph matches the resolution graph (m{m})"
+    (report,) = [r for r in payload["reports"] if r["claim"] == claim]
+    return report
+
+
+def test_d4_verify_graph_claim_follows_the_pairs_theorem(capsys, monkeypatch):
+    star = ((0, 1), (0, 2), (0, 3))
+    _stub_d4_suite(monkeypatch, "budget-exhausted", star)
+    code, out, _ = run(capsys, "d4", "verify", "--m", "5", "--format", "json")
+    assert code == 3
+    report = _graph_report(out, 5)
+    assert report["outcome"] == "budget-exhausted"
+    assert report["certificate"]["edges"] == [["Z0", "Z1"], ["Z0", "Z2"], ["Z0", "Z3"]]
+    assert report["spairs_processed"] == 0
+
+
+def test_d4_verify_graph_claim_refuted_by_wrong_pairs(capsys, monkeypatch):
+    path = ((0, 1), (1, 2), (2, 3))
+    _stub_d4_suite(monkeypatch, "verified", path)
+    code, out, _ = run(capsys, "d4", "verify", "--m", "5", "--format", "json")
+    assert code == 2
+    report = _graph_report(out, 5)
+    assert report["outcome"] == "refuted"
+    assert report["certificate"]["edges"] == [["Z0", "Z1"], ["Z1", "Z2"], ["Z2", "Z3"]]
+
+
 def test_d4_graph_dot(capsys):
     code, out, _ = run(capsys, "d4", "graph", "--m", "6")
     assert code == 0

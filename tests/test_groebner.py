@@ -13,6 +13,7 @@ from jetfibers.groebner import (
     Ideal,
     LEX_ORDER,
     VERIFIED,
+    _make_ring,
     block_order,
     buchberger,
     dense_order_key,
@@ -22,7 +23,6 @@ from jetfibers.groebner import (
     member,
     merge_reports,
     monomial_ideal_intersect,
-    normal_form,
     radical_member,
     restrict_to_residual,
     saturate,
@@ -43,11 +43,26 @@ def ideal(*texts, **kw) -> Ideal:
 # monomial orders
 
 
+def _cmp(order, a, b) -> int:
+    """Compare sparse monomials the way the engine does: densify over their
+    variables with _make_ring, then compare dense_order_key values."""
+    ring = _make_ring({c for c, _ in a + b}, order)
+    key = dense_order_key(ring.kind, ring.split)
+    (da,), (db,) = (ring.densify(Polynomial({m: Fraction(1)})) for m in (a, b))
+    return (key(da) > key(db)) - (key(da) < key(db))
+
+
+def _lead_mono(p: Polynomial, order=GREVLEX_ORDER):
+    ring = _make_ring(p.variables(), order)
+    top = max(ring.densify(p), key=dense_order_key(ring.kind, ring.split))
+    return mono_from_pairs(zip(ring.codes, top))
+
+
 def test_grevlex_degree_first():
     a = mono_from_pairs([(var_code("x", 0), 1)])
     b = mono_from_pairs([(var_code("z", 0), 2)])
-    assert GREVLEX_ORDER.compare(b, a) > 0
-    assert LEX_ORDER.compare(a, b) > 0
+    assert _cmp(GREVLEX_ORDER, b, a) > 0
+    assert _cmp(LEX_ORDER, a, b) > 0
 
 
 def test_block_order_eliminates_first():
@@ -56,26 +71,46 @@ def test_block_order_eliminates_first():
     carrying = mono_from_pairs([(w, 1)])
     heavy = mono_from_pairs([(var_code("x", 0), 9), (var_code("y", 3), 9)])
     # any monomial containing the eliminated variable outranks any without
-    assert order.compare(carrying, heavy) > 0
-    assert order.compare(heavy, carrying) < 0
-    assert order.compare(carrying, carrying) == 0
+    assert _cmp(order, carrying, heavy) > 0
+    assert _cmp(order, heavy, carrying) < 0
+    assert _cmp(order, carrying, carrying) == 0
+
+
+_SAMPLE_MONOS = [
+    mono_from_pairs(pairs)
+    for pairs in (
+        [],
+        [(var_code("x", 1), 1)],
+        [(var_code("y", 0), 2)],
+        [(var_code("x", 0), 1), (var_code("z", 2), 1)],
+        [(var_code("w", 1), 1), (var_code("z", 0), 3)],
+    )
+]
+_SAMPLE_ORDERS = (GREVLEX_ORDER, LEX_ORDER, block_order([var_code("w", 1)]))
 
 
 def test_order_antisymmetry_on_samples():
-    monos = [
-        mono_from_pairs(pairs)
-        for pairs in (
-            [],
-            [(var_code("x", 1), 1)],
-            [(var_code("y", 0), 2)],
-            [(var_code("x", 0), 1), (var_code("z", 2), 1)],
-            [(var_code("w", 1), 1), (var_code("z", 0), 3)],
-        )
-    ]
-    for order in (GREVLEX_ORDER, LEX_ORDER, block_order([var_code("w", 1)])):
-        for a in monos:
-            for b in monos:
-                assert order.compare(a, b) == -order.compare(b, a)
+    for order in _SAMPLE_ORDERS:
+        for a in _SAMPLE_MONOS:
+            for b in _SAMPLE_MONOS:
+                assert _cmp(order, a, b) == -_cmp(order, b, a)
+
+
+def test_order_ignores_unused_ring_variables():
+    # monomial_ideal_intersect densifies over the union of all variables;
+    # slots that are zero in both monomials must not change a comparison
+    codes = {c for m in _SAMPLE_MONOS for c, _ in m}
+    for order in _SAMPLE_ORDERS:
+        ring = _make_ring(codes, order)
+        key = dense_order_key(ring.kind, ring.split)
+        dense = {
+            m: next(iter(ring.densify(Polynomial({m: Fraction(1)}))))
+            for m in _SAMPLE_MONOS
+        }
+        for a in _SAMPLE_MONOS:
+            for b in _SAMPLE_MONOS:
+                wide = (key(dense[a]) > key(dense[b])) - (key(dense[a]) < key(dense[b]))
+                assert wide == _cmp(order, a, b)
 
 
 @st.composite
@@ -122,8 +157,6 @@ def test_unit_ideal():
 
 def _spoly(f, g):
     # independent textbook S-polynomial for the post-hoc check
-    from jetfibers.groebner import _lead_mono
-
     lf, lg = _lead_mono(f, GREVLEX_ORDER), _lead_mono(g, GREVLEX_ORDER)
     ef, eg = dict(lf), dict(lg)
     lcm = {c: max(ef.get(c, 0), eg.get(c, 0)) for c in set(ef) | set(eg)}
@@ -153,8 +186,6 @@ def test_spolynomials_reduce_to_zero(gens):
 
 @pytest.mark.parametrize("gens", FIXTURES)
 def test_reduced_basis_invariants(gens):
-    from jetfibers.groebner import _lead_mono
-
     gb = buchberger(Ideal([P(t) for t in gens]))
     leads = [_lead_mono(g, GREVLEX_ORDER) for g in gb.polys]
     for i, g in enumerate(gb.polys):
@@ -220,18 +251,18 @@ def test_budget_surfaces_in_reports():
 
 def test_normal_form_of_member_is_zero():
     gb = buchberger(ideal("x0 - y0", "y0 - z0"))
-    assert normal_form(P("x0 - y0"), gb).is_zero
+    assert gb.reduce(P("x0 - y0")).is_zero
 
 
 def test_normal_form_idempotent():
     gb = buchberger(ideal("x0^2 + y0", "x0*y0 + 1"))
-    r = normal_form(P("x0^3 + x0*y0 + y0^2 + 5"), gb)
-    assert normal_form(r, gb) == r
+    r = gb.reduce(P("x0^3 + x0*y0 + y0^2 + 5"))
+    assert gb.reduce(r) == r
 
 
 def test_normal_form_of_one_vs_monomial_ideal():
     gb = buchberger(ideal("x0^2", "y0*z0"))
-    assert normal_form(Polynomial.one(), gb) == Polynomial.one()
+    assert gb.reduce(Polynomial.one()) == Polynomial.one()
 
 
 def test_member_verified_and_refuted():
@@ -321,14 +352,36 @@ def _random_monomial_ideal(rng, codes):
 def test_elimination_intersection_matches_monomial_path():
     rng = random.Random(7)
     codes = [var_code("x", 0), var_code("y", 0), var_code("z", 1)]
-    for _ in range(10):
+    for _ in range(40):
         a = _random_monomial_ideal(rng, codes)
         b = _random_monomial_ideal(rng, codes)
-        via_mono = monomial_ideal_intersect([a, b])
-        via_elim = ideal_intersect_elim(a, b)
-        gb_mono = buchberger(via_mono)
-        gb_elim = buchberger(via_elim)
-        assert [str(g) for g in gb_mono.polys] == [str(g) for g in gb_elim.polys]
+        gb_mono = buchberger(monomial_ideal_intersect([a, b]))
+        gb_elim = buchberger(ideal_intersect_elim(a, b))
+        assert gb_mono.polys == gb_elim.polys
+
+
+def test_monomial_intersection_generator_order_pinned():
+    # generators come out minimal and in descending grevlex order
+    meet = monomial_ideal_intersect([_ladder_ideal(2, 4, 2), _ladder_ideal(3, 3, 2)])
+    assert [str(g) for g in meet.generators] == [
+        "x2*y3", "x1", "x0", "y2", "y1", "y0", "z1", "z0"
+    ]
+    meet = monomial_ideal_intersect(
+        [
+            ideal("x0^2", "y0*z1", "z0^3"),
+            ideal("x0*y0", "z1^2", "y0^2"),
+            ideal("x0", "z0*z1"),
+        ]
+    )
+    assert [str(g) for g in meet.generators] == [
+        "x0*y0*z0^3",
+        "z0^3*z1^2",
+        "x0^2*z1^2",
+        "y0^2*z0*z1",
+        "y0*z0*z1^2",
+        "x0^2*y0",
+        "x0*y0*z1",
+    ]
 
 
 def test_elimination_intersection_with_unit():
@@ -441,3 +494,10 @@ def test_krull_dim_counts_free_variables():
     ambient = [var_code("x", 0), var_code("y", 0), var_code("z", 0), var_code("z", 1)]
     i = Ideal([P("x0^2")], variables=ambient)
     assert krull_dim(i) == 3
+
+
+def test_krull_dim_reads_each_lead_support():
+    # leads x0^2 and y0*z0 need two hitting variables, not one
+    ambient = [var_code("x", 0), var_code("y", 0), var_code("z", 0), var_code("z", 1)]
+    assert krull_dim(Ideal([P("x0^2"), P("y0*z0")], variables=ambient)) == 2
+    assert krull_dim(Ideal([P("x0^2 - y0*z1"), P("y0*z0")], variables=ambient)) == 2
