@@ -729,58 +729,65 @@ def verify_complete_intersection_remark(m: int = 5) -> gb.VerificationReport:
     )
 
 
-def d4_maximal_intersections(m: int, budget: gb.Budget | None = None):
-    """The maximal pairwise intersections are the three against the
-    distinguished component.  Returns (pairs, report); the report records
-    which facts were engine-verified directly and which were transported by
-    the symmetries."""
-    reports = [
+MAXIMAL_PAIRS = ((0, 1), (0, 2), (0, 3))
+CHART_PAIRS = ((1, 2), (1, 3), (2, 3))
+
+
+def _theorem_facts(m: int, budget: gb.Budget | None):
+    """The checks the maximal-pair theorem stands on, in two groups: the
+    symmetries and the certificate identities, then the coordinate lemma on
+    every chart pair and the strictness witnesses."""
+    identities = [
         verify_automorphism_algebra(),
         verify_phi_invariance(max(m, 8)),
         verify_chart_transport(m),
         verify_g1_identity(m),
         verify_g2_identity(),
-        verify_coordinate_lemma(m, 1, 2, budget),
-        gb.VerificationReport(
-            claim="coordinate lemma transports to (1,3) and (2,3)",
-            outcome=gb.VERIFIED,
-            certificate={
-                "via": "y-flip and yz-rotation permute the charts; x-variables are fixed"
-            },
-        ),
+    ]
+    separation = [
+        *(verify_coordinate_lemma(m, i, j, budget) for i, j in CHART_PAIRS),
         witness_checks(m, budget),
     ]
-    merged = gb.merge_reports(f"maximal intersections at m{m}", reports)
-    pairs = ((0, 1), (0, 2), (0, 3))
-    return pairs, merged
+    return identities, separation
+
+
+def _maximal_theorem(m: int, identities, separation) -> gb.VerificationReport:
+    return gb.merge_reports(f"maximal intersections at m{m}", identities + separation)
+
+
+def d4_maximal_intersections(m: int, budget: gb.Budget | None = None):
+    """The maximal pairwise intersections are the three against the
+    distinguished component.  Returns (pairs, report); the report folds the
+    checks of _theorem_facts, run under one shared_bases() scope, so the
+    three coordinate lemmas share their chart-sum bases."""
+    with gb.shared_bases():
+        identities, separation = _theorem_facts(m, budget)
+    return MAXIMAL_PAIRS, _maximal_theorem(m, identities, separation)
 
 
 def verify_suite(
     m: int, budget: gb.Budget | None = None, with_saturation: bool | None = None
 ) -> list[gb.VerificationReport]:
-    """Everything checkable at one jet order, as a flat report list."""
+    """Everything checkable at one jet order, as a flat report list.
+
+    Every check runs once, under one shared_bases() scope: the closing
+    "maximal pairs" report folds the suite's own reports the way
+    d4_maximal_intersections folds its, so it agrees with that function in
+    outcome and S-pair count without running any check again.
+    """
     if with_saturation is None:
         with_saturation = m == 5
-    reports = [
-        verify_automorphism_algebra(),
-        verify_phi_invariance(max(m, 8)),
-        verify_chart_transport(m),
-        verify_g1_identity(m),
-        verify_g2_identity(),
-        verify_complete_intersection_remark(m),
-        verify_coordinate_lemma(m, 1, 2, budget),
-        verify_coordinate_lemma(m, 1, 3, budget),
-        verify_coordinate_lemma(m, 2, 3, budget),
-        witness_checks(m, budget),
-    ]
-    if with_saturation:
-        reports.append(verify_component_ideals(m, budget))
-    pairs, theorem = d4_maximal_intersections(m, budget)
+    with gb.shared_bases():
+        identities, separation = _theorem_facts(m, budget)
+        reports = identities + [verify_complete_intersection_remark(m)] + separation
+        if with_saturation:
+            reports.append(verify_component_ideals(m, budget))
+    theorem = _maximal_theorem(m, identities, separation)
     reports.append(
         gb.VerificationReport(
             claim=f"maximal pairs at m{m}",
             outcome=theorem.outcome,
-            certificate={"pairs": [list(p) for p in pairs]},
+            certificate={"pairs": [list(p) for p in MAXIMAL_PAIRS]},
             spairs_processed=theorem.spairs_processed,
             seconds=theorem.seconds,
         )

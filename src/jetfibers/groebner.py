@@ -20,11 +20,23 @@ monomial-ideal intersection all compare monomials through it.
 Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
 always produce identical bases and reports.
+
+A verification bundle that builds the same ideals again and again (fresh
+ideal families, fresh radical-trick ideals) opens shared_bases(): while it
+is open, buchberger keeps one basis per (generators, order) and serves a
+repeated input from that memo.  The basis depends on nothing else, since
+the ring is built from the generators' variables.  A served basis, like a
+hit in an Ideal's own per-order cache, replays the pair budget: it raises
+exactly the BudgetExhausted a fresh run under that budget would raise.  The
+time limit is not replayed, because serving a stored basis does no work.
+The memo is dropped when the outermost shared_bases() block exits.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -262,9 +274,10 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None):
         got = self._gb_cache.get(order)
-        if got is None:
-            got = buchberger(self, order, budget)
-            self._gb_cache[order] = got
+        if got is not None:
+            return _replay_budget(got, budget)
+        got = buchberger(self, order, budget)
+        self._gb_cache[order] = got
         return got
 
     def presolved(self):
@@ -367,6 +380,38 @@ def _grevlex_key(a):
     return (sum(a), tuple(map(neg, reversed(a))))
 
 
+# the open shared_bases() memo, (generators, order) -> GroebnerBasis; a
+# context variable, so a thread never sees a memo another thread opened
+_shared: ContextVar[dict | None] = ContextVar("shared_bases", default=None)
+
+
+@contextmanager
+def shared_bases():
+    """Share bases between the buchberger calls made inside the block.
+
+    A block entered while another is open reuses that one's memo; the memo
+    is dropped when the outermost block exits, so nothing outlives it.
+    """
+    if _shared.get() is not None:
+        yield
+        return
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _replay_budget(basis: GroebnerBasis, budget: Budget | None) -> GroebnerBasis:
+    """Serve a stored basis under a new budget.  A fresh run pops the same
+    pairs and checks the count after each pop, so it would raise at the
+    first count above max_spairs if it ever reaches that count."""
+    first_over = max((budget or DEFAULT_BUDGET).max_spairs + 1, 1)
+    if basis.spairs_processed >= first_over:
+        raise BudgetExhausted("buchberger", first_over, 0.0)
+    return basis
+
+
 def buchberger(
     ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None
 ) -> GroebnerBasis:
@@ -378,7 +423,19 @@ def buchberger(
     index.  Buchberger's coprimality and chain criteria prune pairs; the
     chain criterion reads the pending (i, j) from a set.  The budget is
     checked after each pop; BudgetExhausted is raised when it runs out.
+
+    Inside shared_bases() the result is stored under (ideal.generators,
+    order), and a later call with equal generators and order returns the
+    stored basis itself after replaying the pair budget (_replay_budget);
+    the time limit is not replayed.  A run that exhausts its budget stores
+    nothing.
     """
+    memo = _shared.get()
+    if memo is not None:
+        key = (ideal.generators, order)
+        got = memo.get(key)
+        if got is not None:
+            return _replay_budget(got, budget)
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
     ring = _make_ring(
@@ -484,7 +541,7 @@ def buchberger(
     final = [final[k] for k in by_lead]
     final_leads = [final_leads[k] for k in by_lead]
     polys = tuple(ring.sparsify(d) for d in final)
-    return GroebnerBasis(
+    result = GroebnerBasis(
         polys,
         order,
         spairs,
@@ -493,6 +550,9 @@ def buchberger(
         final,
         final_leads,
     )
+    if memo is not None:
+        memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -347,3 +347,74 @@ def test_suite_all_verified():
         assert all(r.outcome == gb.VERIFIED for r in reports), [
             (r.claim, r.outcome) for r in reports if r.outcome != gb.VERIFIED
         ]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_suite_runs_each_check_once(monkeypatch, m):
+    from jetfibers import d4
+
+    calls = {}
+
+    def counted(name):
+        original = getattr(d4, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(d4, name, wrapper)
+
+    for name in (
+        "witness_checks",
+        "verify_chart_transport",
+        "verify_g1_identity",
+        "verify_coordinate_lemma",
+        "d4_maximal_intersections",
+    ):
+        counted(name)
+    reports = d4.verify_suite(m)
+    assert calls == {
+        "witness_checks": 1,
+        "verify_chart_transport": 1,
+        "verify_g1_identity": 1,
+        "verify_coordinate_lemma": 3,
+    }
+    (theorem,) = [r for r in reports if r.claim == f"maximal pairs at m{m}"]
+    pairs, report = d4_maximal_intersections(m)
+    assert theorem.certificate == {"pairs": [list(p) for p in pairs]}
+    assert (theorem.outcome, theorem.spairs_processed) == (
+        report.outcome,
+        report.spairs_processed,
+    )
+
+
+def test_maximal_intersections_cite_every_coordinate_lemma():
+    _, report = d4_maximal_intersections(6)
+    claims = [sub["claim"] for sub in report.certificate["subchecks"]]
+    lemmas = [c for c in claims if c.startswith("distinguished ideal inside")]
+    assert lemmas == [
+        f"distinguished ideal inside sqrt(J{i}+J{j}) at m6" for i, j in ((1, 2), (1, 3), (2, 3))
+    ]
+    assert not [c for c in claims if "transports" in c]
+    lemma_spairs = sum(
+        verify_coordinate_lemma(6, i, j).spairs_processed for i, j in ((1, 3), (2, 3))
+    )
+    assert lemma_spairs == 39 + 216
+
+
+def test_maximal_intersections_take_a_failed_lemma(monkeypatch):
+    from jetfibers import d4
+
+    original = d4.verify_coordinate_lemma
+
+    def failing_on_23(m, i, j, budget=None):
+        report = original(m, i, j, budget)
+        if (i, j) == (2, 3):
+            report.outcome = gb.REFUTED
+        return report
+
+    monkeypatch.setattr(d4, "verify_coordinate_lemma", failing_on_23)
+    _, report = d4_maximal_intersections(5)
+    assert report.outcome == gb.REFUTED
+    (theorem,) = [r for r in d4.verify_suite(5) if r.claim == "maximal pairs at m5"]
+    assert theorem.outcome == gb.REFUTED

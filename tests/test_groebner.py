@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -26,6 +27,7 @@ from jetfibers.groebner import (
     radical_member,
     restrict_to_residual,
     saturate,
+    shared_bases,
 )
 from jetfibers.kernel import BLOCK, GREVLEX, LEX, impl as _K
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
@@ -243,6 +245,102 @@ def test_budget_surfaces_in_reports():
         budget=Budget(max_spairs=1, max_seconds=300),
     )
     assert rep.outcome == BUDGET_EXHAUSTED
+
+
+def _uncached_exhaustion(gens, order, max_spairs) -> int:
+    with pytest.raises(BudgetExhausted) as exc:
+        buchberger(Ideal([P(t) for t in gens]), order, Budget(max_spairs=max_spairs))
+    return exc.value.spairs
+
+
+def _counting_normal_form(monkeypatch) -> list:
+    calls = []
+    original = _K.normal_form
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(_K, "normal_form", counted)
+    return calls
+
+
+def test_shared_bases_serves_repeats_without_reducing(monkeypatch):
+    calls = _counting_normal_form(monkeypatch)
+    with shared_bases():
+        first = buchberger(ideal(*_QUADRICS))
+        computed = len(calls)
+        again = buchberger(ideal(*_QUADRICS))  # a fresh Ideal, equal generators
+        assert again is first
+        assert len(calls) == computed > 0
+        other = buchberger(ideal(*_QUADRICS), LEX_ORDER)  # the order is in the key
+        assert other is not first and len(calls) > computed
+
+
+def test_shared_bases_memo_gone_after_block(monkeypatch):
+    with shared_bases():
+        inside = buchberger(ideal(*_QUADRICS))
+    calls = _counting_normal_form(monkeypatch)
+    after = buchberger(ideal(*_QUADRICS))
+    assert after is not inside and after.polys == inside.polys
+    assert calls
+
+
+def test_shared_bases_nested_scopes_share_one_memo(monkeypatch):
+    with shared_bases():
+        with shared_bases():
+            inner = buchberger(ideal(*_QUADRICS))
+        # leaving the inner block keeps the outer memo
+        calls = _counting_normal_form(monkeypatch)
+        assert buchberger(ideal(*_QUADRICS)) is inner
+        with shared_bases():
+            assert buchberger(ideal(*_QUADRICS)) is inner
+        assert not calls
+
+
+def test_shared_bases_memo_is_not_seen_by_other_threads():
+    seen = []
+    with shared_bases():
+        mine = buchberger(ideal(*_QUADRICS))
+        worker = threading.Thread(target=lambda: seen.append(buchberger(ideal(*_QUADRICS))))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert len(seen) == 1 and seen[0] is not mine and seen[0].polys == mine.polys
+
+
+def test_shared_bases_replays_the_pair_budget():
+    full = buchberger(ideal(*_QUADRICS), LEX_ORDER)
+    assert full.spairs_processed == 28
+    with shared_bases():
+        assert buchberger(ideal(*_QUADRICS), LEX_ORDER).polys == full.polys
+        for limit in (-1, 0, 1, 5, 13, 27):
+            with pytest.raises(BudgetExhausted) as exc:
+                buchberger(ideal(*_QUADRICS), LEX_ORDER, Budget(max_spairs=limit))
+            assert exc.value.spairs == _uncached_exhaustion(_QUADRICS, LEX_ORDER, limit)
+        served = buchberger(ideal(*_QUADRICS), LEX_ORDER, Budget(max_spairs=28))
+        assert served.polys == full.polys
+
+
+def test_shared_bases_never_stores_exhausted_runs(monkeypatch):
+    with shared_bases():
+        with pytest.raises(BudgetExhausted):
+            buchberger(ideal(*_QUADRICS), budget=Budget(max_spairs=3))
+        calls = _counting_normal_form(monkeypatch)
+        assert len(buchberger(ideal(*_QUADRICS))) == 4
+        assert calls
+
+
+def test_ideal_groebner_cache_hit_replays_the_pair_budget():
+    cached = ideal(*_QUADRICS)
+    full = cached.groebner(LEX_ORDER)
+    assert cached.groebner(LEX_ORDER, Budget(max_spairs=28)) is full
+    for limit in (1, 27):
+        with pytest.raises(BudgetExhausted) as exc:
+            cached.groebner(LEX_ORDER, Budget(max_spairs=limit))
+        assert exc.value.spairs == _uncached_exhaustion(_QUADRICS, LEX_ORDER, limit)
+    # a refusal evicts nothing
+    assert cached.groebner(LEX_ORDER) is full
 
 
 # ---------------------------------------------------------------------------

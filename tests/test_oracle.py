@@ -1,20 +1,28 @@
 """Differential test of the Groebner engine against sympy, an independent
-implementation: on random small ideals both must return the same reduced
-basis, element for element."""
+implementation: on random small ideals and on the presolved jet ideals the
+verifiers build, both must return the same reduced basis, element for
+element."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetfibers.groebner import GREVLEX_ORDER, LEX_ORDER, Ideal, buchberger
-from jetfibers.poly import Polynomial, var_code, var_name
+from jetfibers import an, d4
+from jetfibers.groebner import (
+    GREVLEX_ORDER,
+    LEX_ORDER,
+    Ideal,
+    _fresh_aux,
+    buchberger,
+    restrict_to_residual,
+)
+from jetfibers.poly import X, Polynomial, var_code, var_name
 
 sympy = pytest.importorskip("sympy")
 
 # the engine ranks higher variable codes first; sympy ranks gens left to right
 CODES = sorted((var_code(f, 0) for f in "xyz"), reverse=True)
-GENS = [sympy.Symbol(var_name(c)) for c in CODES]
 
 
 def _random_poly(rng) -> Polynomial:
@@ -31,15 +39,27 @@ def _random_poly(rng) -> Polynomial:
             return p
 
 
-def _to_sympy(p: Polynomial):
-    sym = dict(zip(CODES, GENS))
+def _to_sympy(p: Polynomial, codes):
+    gens = [sympy.Symbol(var_name(c)) for c in codes]
+    sym = dict(zip(codes, gens))
     expr = sympy.Integer(0)
     for mono, coeff in p.items():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
         for code, exp in mono:
             term *= sym[code] ** exp
         expr += term
-    return sympy.Poly(expr, *GENS, domain=sympy.QQ)
+    return sympy.Poly(expr, *gens, domain=sympy.QQ)
+
+
+def _assert_matches_sympy(gens, order, sympy_order, codes):
+    ours = [_to_sympy(g, codes) for g in buchberger(Ideal(gens), order).polys]
+    theirs = sympy.groebner(
+        [_to_sympy(g, codes).as_expr() for g in gens],
+        *[sympy.Symbol(var_name(c)) for c in codes],
+        order=sympy_order,
+        domain=sympy.QQ,
+    )
+    assert ours == list(theirs.polys), [str(g) for g in gens]
 
 
 @pytest.mark.parametrize(
@@ -49,11 +69,30 @@ def test_buchberger_matches_sympy_groebner(order, sympy_order):
     rng = random.Random(8144)
     for _ in range(60):
         gens = [_random_poly(rng) for _ in range(rng.randint(1, 3))]
-        ours = [_to_sympy(g) for g in buchberger(Ideal(gens), order).polys]
-        theirs = sympy.groebner(
-            [_to_sympy(g).as_expr() for g in gens],
-            *GENS,
-            order=sympy_order,
-            domain=sympy.QQ,
-        )
-        assert ours == list(theirs.polys), [str(g) for g in gens]
+        _assert_matches_sympy(gens, order, sympy_order, CODES)
+
+
+def _jet_ideals():
+    """The presolved chart sums J_i+J_j of the D4 coordinate lemma, with the
+    radical-trick ideal of its x2 query, and one presolved A_n pair ideal."""
+    for m in (5, 6, 7):
+        fam = d4.d4_ideals(m)
+        for i, j in d4.CHART_PAIRS:
+            pair = fam.j[i] + fam.j[j]
+            residual, eliminated = pair.presolved()
+            residual.label = f"J{i}+J{j}(m{m})/presolved"
+            yield residual
+            x2 = restrict_to_residual(Polynomial.variable(var_code(X, 2)), eliminated)
+            w = _fresh_aux(pair.variables, x2.variables())
+            yield Ideal(
+                residual.generators + (Polynomial.one() - Polynomial.variable(w) * x2,),
+                label=f"J{i}+J{j}(m{m})/presolved+(1-w*x2)",
+            )
+    residual, _ = an.pair_ideal(2, 5, 1, 2).presolved()
+    yield residual
+
+
+@pytest.mark.parametrize("ideal", list(_jet_ideals()), ids=lambda i: i.label)
+def test_presolved_jet_ideals_match_sympy_groebner(ideal):
+    codes = sorted(frozenset().union(*(g.variables() for g in ideal.generators)), reverse=True)
+    _assert_matches_sympy(ideal.generators, GREVLEX_ORDER, "grevlex", codes)
