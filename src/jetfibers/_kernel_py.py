@@ -4,11 +4,22 @@ These functions are the hot loops of the whole package: truncated series
 products and complete reduction of a polynomial against a basis.  A "terms"
 value is a dict mapping dense exponent tuples (one slot per ring variable,
 the variable list is fixed by the caller) to nonzero Fraction coefficients.
-Slot 0 holds the highest-ranked variable.
+Slot 0 holds the highest-ranked variable.  The monomial loops run through
+C-level builtins (map with operator.add/sub/ge, max), and a yes/no
+divisibility test is all(map(ge, a, b)), which builds no quotient.
 
-Callers reach these functions through ``jetfibers.kernel.impl``.  mono_cmp is
-the reference comparison: ``groebner.dense_order_key`` builds sort keys that
-must order exponent tuples exactly as it does, and the tests check that.
+Callers reach these functions through ``jetfibers.kernel.impl``.  The one
+order implementation lives here: mono_cmp is the reference comparison, and
+dense_order_key (ascending) and descending_order_key build sort keys that
+order exponent tuples exactly as it does; the tests check that.
+
+normal_form reduces against monic generators.  It keeps the terms still to
+be reduced in a dict plus a binary heap on the descending key, so each step
+pops the largest remaining monomial instead of scanning for it, skips heap
+entries whose monomial has cancelled, and pushes only the monomials a
+reduction newly creates (heap division, after Monagan & Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).
 
 Monomial orders are encoded as (kind, split):
 
@@ -18,28 +29,27 @@ Monomial orders are encoded as (kind, split):
   grevlex on slots [split, n).
 """
 
+from heapq import heapify, heappop, heappush
+from operator import add, ge, neg, sub
+
 GREVLEX = 0
 LEX = 1
 BLOCK = 2
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a, b):
     """a / b as an exponent tuple, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
+    if all(map(ge, a, b)):
+        return tuple(map(sub, a, b))
+    return None
 
 
 def mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a):
@@ -73,6 +83,54 @@ def mono_cmp(a, b, kind, split):
     if c:
         return c
     return _grevlex_cmp(a, b, split, len(a))
+
+
+def dense_order_key(kind, split):
+    """Key function on dense exponent tuples that sorts exactly as
+    mono_cmp(a, b, kind, split): a ranks above b iff key(a) > key(b)."""
+    if kind == LEX:
+        return _lex_key
+    if kind == GREVLEX:
+        return _grevlex_key
+
+    def block_key(a):
+        return _grevlex_key(a[:split]) + _grevlex_key(a[split:])
+
+    return block_key
+
+
+def descending_order_key(kind, split):
+    """Key function on dense exponent tuples that sorts opposite to
+    mono_cmp(a, b, kind, split): a ranks above b iff key(a) < key(b), so a
+    min-heap on it pops the largest monomial first."""
+    if kind == LEX:
+        return _lex_descending_key
+    if kind == GREVLEX:
+        return _grevlex_descending_key
+
+    def block_key(a):
+        return _grevlex_descending_key(a[:split]) + _grevlex_descending_key(a[split:])
+
+    return block_key
+
+
+def _lex_key(a):
+    return a
+
+
+def _grevlex_key(a):
+    # higher degree first; on a tie the rightmost differing slot decides,
+    # the smaller exponent ranking higher
+    return (sum(a), tuple(map(neg, reversed(a))))
+
+
+def _lex_descending_key(a):
+    return tuple(map(neg, a))
+
+
+def _grevlex_descending_key(a):
+    # the negation of _grevlex_key
+    return (-sum(a), a[::-1])
 
 
 def lead_term(terms, kind, split):
@@ -111,7 +169,7 @@ def mul_terms(a, b, cap_index=-1, cap=0):
         for mb, cb in b.items():
             if cap_index >= 0 and ma[cap_index] + mb[cap_index] > cap:
                 continue
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             v = out.get(m)
             if v is None:
                 out[m] = ca * cb
@@ -128,43 +186,48 @@ def term_mul(coeff, mono, g):
     """coeff * x^mono * g for nonzero coeff; g stays canonical."""
     out = {}
     for m, c in g.items():
-        out[mono_mul(mono, m)] = coeff * c
+        out[tuple(map(add, mono, m))] = coeff * c
     return out
 
 
-def normal_form(p, gens, leads, lcs, kind, split):
+def normal_form(p, gens, leads, kind, split):
     """Complete reduction of p modulo the list gens.
 
-    leads/lcs are the precomputed lead monomials and lead coefficients of
-    gens under (kind, split).  Every term of the result is divisible by no
-    lead monomial, so for a Groebner basis this is the unique normal form.
+    gens must be monic; leads are their precomputed lead monomials under
+    (kind, split).  Each step takes the largest remaining monomial off a
+    heap and reduces it by the first generator whose lead divides it, or
+    moves it to the tail.  Every term of the result is divisible by no lead
+    monomial, so for a Groebner basis this is the unique normal form; its
+    terms come in descending order.
     """
+    key = descending_order_key(kind, split)
     work = dict(p)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     tail = {}
-    ngens = len(gens)
-    while work:
-        lm, lc = lead_term(work, kind, split)
-        reduced = False
-        for i in range(ngens):
-            q = mono_div(lm, leads[i])
-            if q is not None:
-                s = lc / lcs[i]
-                for mg, cg in gens[i].items():
-                    key = mono_mul(q, mg)
-                    v = work.get(key)
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.get(lm)
+        if lc is None:  # cancelled since it was pushed
+            continue
+        for lead, g in zip(leads, gens):
+            if all(map(ge, lm, lead)):
+                q = tuple(map(sub, lm, lead))
+                # the lead term cancels lm itself; the rest are smaller
+                for mg, cg in g.items():
+                    m = tuple(map(add, q, mg))
+                    v = work.get(m)
                     if v is None:
-                        nv = -s * cg
-                        if nv:
-                            work[key] = nv
+                        work[m] = -lc * cg
+                        heappush(heap, (key(m), m))
                     else:
-                        nv = v - s * cg
-                        if nv:
-                            work[key] = nv
+                        v = v - lc * cg
+                        if v:
+                            work[m] = v
                         else:
-                            del work[key]
-                reduced = True
+                            del work[m]
                 break
-        if not reduced:
+        else:
             tail[lm] = lc
             del work[lm]
     return tail

@@ -11,11 +11,16 @@ The pending S-pairs live in a binary heap ordered by (lcm degree, order key
 of the lcm, pair index), so choosing the next pair costs a logarithmic pop
 rather than a scan of every pending pair.
 
-Monomial orders live in one place.  _make_ring encodes a MonomialOrder over
-a variable set as dense exponent tuples plus a kernel order (kind, split),
-and dense_order_key turns that into a key function that sorts exactly as the
-kernel's mono_cmp does.  The pair heap, the final sorting of a basis and the
-monomial-ideal intersection all compare monomials through it.
+Monomial orders live in one place, the kernel.  _make_ring encodes a
+MonomialOrder over a variable set as dense exponent tuples plus a kernel
+order (kind, split), and the kernel's dense_order_key turns that into a key
+function that sorts exactly as its mono_cmp does.  The pair heap, the final
+sorting of a basis and the monomial-ideal intersection all compare monomials
+through it; the kernel's normal_form pops terms off a heap on the matching
+descending key.  Every basis element is monic before anything reduces
+against it, as normal_form requires.  Yes/no divisibility tests (the chain
+criterion, minimalizing leads and monomial generators) are all(map(ge, a, b))
+and build no quotient.
 
 Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
@@ -40,7 +45,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import neg
+from operator import ge
 
 from .kernel import impl as _K
 from .poly import (
@@ -64,7 +69,7 @@ class MonomialOrder:
     """grevlex, lex, or a block elimination order (the named variables rank
     above everything else, grevlex inside each block).  Comparisons happen on
     dense exponent tuples: _make_ring encodes the order for a variable set and
-    dense_order_key turns that encoding into a sort key."""
+    the kernel's dense_order_key turns that encoding into a sort key."""
 
     kind: str
     eliminate: tuple[int, ...] = ()
@@ -323,9 +328,7 @@ class GroebnerBasis:
             ring = _make_ring(set(ring.codes) | p.variables(), self.order)
             dense = [ring.densify(g) for g in self.polys]
             leads = [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
-        tail = _K.normal_form(
-            ring.densify(p), dense, leads, [_ONE] * len(dense), ring.kind, ring.split
-        )
+        tail = _K.normal_form(ring.densify(p), dense, leads, ring.kind, ring.split)
         return ring.sparsify(tail)
 
     def contains(self, p: Polynomial) -> bool:
@@ -354,30 +357,6 @@ class GroebnerBasis:
                 work = dict(work)
                 del work[lm]
         return [ring.sparsify(q) for q in quotients], ring.sparsify(tail)
-
-
-def dense_order_key(kind: int, split: int):
-    """Key function on dense exponent tuples that sorts exactly as
-    _K.mono_cmp(a, b, kind, split): a ranks above b iff key(a) > key(b)."""
-    if kind == _K.LEX:
-        return _lex_key
-    if kind == _K.GREVLEX:
-        return _grevlex_key
-
-    def block_key(a):
-        return _grevlex_key(a[:split]) + _grevlex_key(a[split:])
-
-    return block_key
-
-
-def _lex_key(a):
-    return a
-
-
-def _grevlex_key(a):
-    # higher degree first; on a tie the rightmost differing slot decides,
-    # the smaller exponent ranking higher
-    return (sum(a), tuple(map(neg, reversed(a))))
 
 
 # the open shared_bases() memo, (generators, order) -> GroebnerBasis; a
@@ -445,7 +424,7 @@ def buchberger(
         order,
     )
     kind, split = ring.kind, ring.split
-    order_key = dense_order_key(kind, split)
+    order_key = _K.dense_order_key(kind, split)
 
     basis: list[dict] = []
     leads: list[tuple] = []
@@ -462,7 +441,6 @@ def buchberger(
             h = {m: c / lc for m, c in h.items()}
         return h
 
-    lcs = []
     queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
     pending: set[tuple[int, int]] = set()
 
@@ -476,10 +454,9 @@ def buchberger(
             pending.add((i, j))
         basis.append(h)
         leads.append(lm)
-        lcs.append(_ONE)
 
     for g in ideal.generators:
-        h = _K.normal_form(ring.densify(g), basis, leads, lcs, kind, split)
+        h = _K.normal_form(ring.densify(g), basis, leads, kind, split)
         if h:
             add_poly(h)
 
@@ -498,7 +475,7 @@ def buchberger(
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _K.mono_div(lcm, leads[k]) is not None:
+            if all(map(ge, lcm, leads[k])):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -514,7 +491,7 @@ def buchberger(
             _K.term_mul(_ONE, qj, basis[j]),
             Fraction(-1),
         )
-        h = _K.normal_form(s, basis, leads, lcs, kind, split)
+        h = _K.normal_form(s, basis, leads, kind, split)
         if h:
             add_poly(h)
 
@@ -522,7 +499,7 @@ def buchberger(
     ordered = sorted(range(len(basis)), key=lambda k: order_key(leads[k]))
     kept: list[int] = []
     for k in ordered:
-        if not any(_K.mono_div(leads[k], leads[t]) is not None for t in kept):
+        if not any(all(map(ge, leads[k], leads[t])) for t in kept):
             kept.append(k)
     # interreduce tails
     final: list[dict] = [basis[k] for k in kept]
@@ -531,7 +508,7 @@ def buchberger(
         others = final[:idx] + final[idx + 1 :]
         other_leads = final_leads[:idx] + final_leads[idx + 1 :]
         final[idx] = normalize(
-            _K.normal_form(final[idx], others, other_leads, [_ONE] * len(others), kind, split)
+            _K.normal_form(final[idx], others, other_leads, kind, split)
         )
         final_leads[idx] = _K.lead_term(final[idx], kind, split)[0]
 
@@ -739,7 +716,7 @@ def monomial_ideal_intersect(ideals) -> Ideal:
         raise ValueError("need at least one ideal")
     variables = frozenset().union(*(i.variables for i in ideals))
     ring = _make_ring(variables, GREVLEX_ORDER)
-    order_key = dense_order_key(ring.kind, ring.split)
+    order_key = _K.dense_order_key(ring.kind, ring.split)
 
     def exponents(ideal: Ideal) -> list[tuple]:
         out = []
@@ -753,7 +730,7 @@ def monomial_ideal_intersect(ideals) -> Ideal:
     def minimalize(monos) -> list[tuple]:
         kept: list[tuple] = []
         for m in sorted(set(monos), key=order_key):  # divisors come first
-            if all(_K.mono_div(m, k) is None for k in kept):
+            if not any(all(map(ge, m, k)) for k in kept):
                 kept.append(m)
         return kept
 

@@ -3,7 +3,11 @@
 There is one kernel, the pure-Python ``_kernel_py``.  This module stays as the
 single binding point that callers and the benchmark harness (which wraps
 ``impl.normal_form``, ``impl.mul_terms`` and the monomial helpers, and records
-``BACKEND``) go through.
+``BACKEND``) go through.  The kernel also holds the one order implementation:
+``impl.mono_cmp`` and the sort keys ``impl.dense_order_key`` and
+``impl.descending_order_key`` that the engine uses.  ``impl.normal_form``
+reduces against monic generators, taking the largest remaining monomial
+off a heap at each step.
 """
 
 from . import _kernel_py as impl

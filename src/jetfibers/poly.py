@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 from .kernel import impl as _K
 
@@ -156,19 +155,17 @@ def _display_key(code: int):
     return (code >> _INDEX_BITS, -(code & _INDEX_MASK))
 
 
-def _display_term_cmp(a: Monomial, b: Monomial) -> int:
-    """Ungraded reverse-lex comparison under the display ranking."""
-    ea = dict(a)
-    eb = dict(b)
-    for code in sorted(set(ea) | set(eb), key=_display_key):
-        xa = ea.get(code, 0)
-        xb = eb.get(code, 0)
-        if xa != xb:
-            return 1 if xa < xb else -1
-    return 0
+# ranks after every (family, -index, -exponent) entry of a display key
+_DISPLAY_KEY_END = (len(_RANK_TO_FAMILY),)
 
 
-_DISPLAY_SORT_KEY = cmp_to_key(_display_term_cmp)
+def _display_term_key(mono: Monomial) -> tuple:
+    """Sort key of the ungraded reverse-lex display order: a monomial's
+    variables in ascending display rank, each with its negated exponent,
+    then _DISPLAY_KEY_END.  At the first variable where two monomials
+    differ, the smaller exponent ranks higher (an absent variable has
+    exponent 0, which is why the end marker outranks every entry)."""
+    return tuple(sorted(_display_key(c) + (-e,) for c, e in mono)) + (_DISPLAY_KEY_END,)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +439,7 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical textual form; parse_polynomial inverts it bit-exactly."""
     if p.is_zero:
         return "0"
-    monos = sorted(p._terms, key=_DISPLAY_SORT_KEY, reverse=True)
+    monos = sorted(p._terms, key=_display_term_key, reverse=True)
     first = monos[0]
     coeff = p._terms[first]
     chunks = ["-" if coeff < 0 else ""]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jetfibers.groebner import (
     BUDGET_EXHAUSTED,
@@ -17,7 +17,6 @@ from jetfibers.groebner import (
     _make_ring,
     block_order,
     buchberger,
-    dense_order_key,
     ideal_intersect_elim,
     krull_dim,
     linear_presolve,
@@ -30,6 +29,7 @@ from jetfibers.groebner import (
     shared_bases,
 )
 from jetfibers.kernel import BLOCK, GREVLEX, LEX, impl as _K
+from jetfibers._kernel_py import dense_order_key, descending_order_key
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
 
 
@@ -131,6 +131,87 @@ def test_dense_order_key_sorts_as_mono_cmp(case):
     monos, kind, split = case
     by_cmp = sorted(monos, key=cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split)))
     assert sorted(monos, key=dense_order_key(kind, split)) == by_cmp
+    # the heap key of normal_form: largest monomial first
+    assert sorted(monos, key=descending_order_key(kind, split)) == by_cmp[::-1]
+
+
+def _linear_scan_normal_form(p, gens, leads, lcs, kind, split):
+    """Reference reduction, the kernel's before its heap: rescan for the lead
+    term at every step and divide by the generator's lead coefficient."""
+    work = dict(p)
+    tail = {}
+    ngens = len(gens)
+    while work:
+        lm, lc = _K.lead_term(work, kind, split)
+        reduced = False
+        for i in range(ngens):
+            q = _K.mono_div(lm, leads[i])
+            if q is not None:
+                s = lc / lcs[i]
+                for mg, cg in gens[i].items():
+                    key = _K.mono_mul(q, mg)
+                    v = work.get(key)
+                    if v is None:
+                        nv = -s * cg
+                        if nv:
+                            work[key] = nv
+                    else:
+                        nv = v - s * cg
+                        if nv:
+                            work[key] = nv
+                        else:
+                            del work[key]
+                reduced = True
+                break
+        if not reduced:
+            tail[lm] = lc
+            del work[lm]
+    return tail
+
+
+@st.composite
+def _reduction_case(draw):
+    width = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([GREVLEX, LEX, BLOCK]))
+    split = draw(st.integers(0, width)) if kind == BLOCK else 0
+    mono = st.tuples(*[st.integers(0, 3)] * width)
+    coeff = st.integers(-3, 3).filter(bool).map(Fraction)
+
+    def terms(max_size):
+        return draw(st.dictionaries(mono, coeff, min_size=1, max_size=max_size))
+
+    gens, leads = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        g = terms(4)
+        lm, lc = _K.lead_term(g, kind, split)
+        gens.append({m: c / lc for m, c in g.items()})  # monic
+        leads.append(lm)
+    return terms(8), gens, leads, kind, split
+
+
+# x^2 -> x*y - y^2 cancels the y^2 of p; then x*y -> y - y^2 creates y^2
+# again after its heap entry went stale
+_X2, _XY, _Y2, _Y, _ONE_MONO = (2, 0), (1, 1), (0, 2), (0, 1), (0, 0)
+_RECREATED = (
+    {_X2: Fraction(1), _Y2: Fraction(1), _ONE_MONO: Fraction(5)},
+    [
+        {_X2: Fraction(1), _XY: Fraction(-1), _Y2: Fraction(1)},
+        {_XY: Fraction(1), _Y2: Fraction(1), _Y: Fraction(-1)},
+    ],
+    [_X2, _XY],
+)
+
+
+@given(_reduction_case())
+@example(_RECREATED + (GREVLEX, 0))
+@example(_RECREATED + (LEX, 0))
+def test_heap_normal_form_matches_linear_scan(case):
+    p, gens, leads, kind, split = case
+    tail = _K.normal_form(p, gens, leads, kind, split)
+    expected = _linear_scan_normal_form(p, gens, leads, [Fraction(1)] * len(gens), kind, split)
+    assert tail == expected
+    by_cmp = cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split))
+    assert list(tail) == list(expected) == sorted(tail, key=by_cmp, reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +26,7 @@ from jetfibers.poly import (
     zvar,
     auxvar,
 )
+from jetfibers.poly import _display_key, _display_term_key, mono_from_pairs
 
 
 def P(text: str) -> Polynomial:
@@ -140,6 +142,41 @@ def test_display_matches_worked_example():
         "x2*y0 + x1*y1 + x0*y2 - z1^2 - 2*z0*z2"
     )
     assert str(P("x0^2 - y0^2*z0 + z0^3")) == "x0^2 - y0^2*z0 + z0^3"
+
+
+def _display_term_cmp(a, b) -> int:
+    """Reference display comparison: ungraded reverse lex under the display
+    ranking (the first variable where the exponents differ decides, the
+    smaller exponent ranking higher)."""
+    ea = dict(a)
+    eb = dict(b)
+    for code in sorted(set(ea) | set(eb), key=_display_key):
+        xa = ea.get(code, 0)
+        xb = eb.get(code, 0)
+        if xa != xb:
+            return 1 if xa < xb else -1
+    return 0
+
+
+_DISPLAY_CODES = _CODES + [var_code("w", 1), var_code("x", 11)]
+_monomials = st.lists(
+    st.tuples(st.sampled_from(_DISPLAY_CODES), st.integers(1, 3)), max_size=4
+).map(mono_from_pairs)
+
+
+@given(st.lists(_monomials, max_size=12))
+def test_display_key_sorts_as_display_comparison(monos):
+    # the constant monomial and its prefixes always take part
+    monos = monos + [()] + [m[:1] for m in monos]
+    expected = sorted(monos, key=cmp_to_key(_display_term_cmp), reverse=True)
+    assert sorted(monos, key=_display_term_key, reverse=True) == expected
+
+
+def test_display_key_ranks_an_absent_variable_above_any_power():
+    z0, w0 = var_code("z", 0), var_code("w", 0)
+    for shorter, longer in [((), ((z0, 1),)), (((w0, 2),), ((w0, 2), (z0, 1)))]:
+        assert _display_term_cmp(shorter, longer) == 1
+        assert _display_term_key(shorter) > _display_term_key(longer)
 
 
 def test_display_zero_and_constants():
