@@ -19,7 +19,9 @@ pops the largest remaining monomial instead of scanning for it, skips heap
 entries whose monomial has cancelled, and pushes only the monomials a
 reduction newly creates (heap division, after Monagan & Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
-vectors", CASC 2007).
+vectors", CASC 2007).  Given a list of quotient dicts, it also records the
+cofactor of every step, so the same loop is the textbook division algorithm
+(Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", section 2.3).
 
 Monomial orders are encoded as (kind, split):
 
@@ -30,6 +32,7 @@ Monomial orders are encoded as (kind, split):
 """
 
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import add, ge, neg, sub
 
 GREVLEX = 0
@@ -190,7 +193,7 @@ def term_mul(coeff, mono, g):
     return out
 
 
-def normal_form(p, gens, leads, kind, split):
+def normal_form(p, gens, leads, kind, split, quotients=None):
     """Complete reduction of p modulo the list gens.
 
     gens must be monic; leads are their precomputed lead monomials under
@@ -199,8 +202,13 @@ def normal_form(p, gens, leads, kind, split):
     moves it to the tail.  Every term of the result is divisible by no lead
     monomial, so for a Groebner basis this is the unique normal form; its
     terms come in descending order.
+
+    quotients, when given, is a list of dicts parallel to gens.  A step that
+    reduces the term lc*x^lm by gens[i] stores lc at x^(lm - leads[i]) in
+    quotients[i], so that p = sum(quotients[i] * gens[i]) + result.
     """
     key = descending_order_key(kind, split)
+    cofactors = repeat(None) if quotients is None else quotients
     work = dict(p)
     heap = [(key(m), m) for m in work]
     heapify(heap)
@@ -210,9 +218,12 @@ def normal_form(p, gens, leads, kind, split):
         lc = work.get(lm)
         if lc is None:  # cancelled since it was pushed
             continue
-        for lead, g in zip(leads, gens):
+        for lead, g, cofactor in zip(leads, gens, cofactors):
             if all(map(ge, lm, lead)):
                 q = tuple(map(sub, lm, lead))
+                if cofactor is not None:
+                    # lm falls from step to step, so q is new to cofactor
+                    cofactor[q] = lc
                 # the lead term cancels lm itself; the rest are smaller
                 for mg, cg in g.items():
                     m = tuple(map(add, q, mg))

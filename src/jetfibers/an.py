@@ -286,6 +286,30 @@ def _intersect_descriptors(
     )
 
 
+def _case_guard(dec: IntersectionDecomposition) -> gb.VerificationReport:
+    """The regime's components are distinct and each has the closed-form
+    dimension of the intersection, as components of an equidimensional
+    intersection must."""
+    n, m, i, j = dec.n, dec.m, dec.i, dec.j
+    expected = intersection_dimension(n, m, i, j)
+    certificate = {"case": dec.case, "count": dec.count}
+    seen = set()
+    for desc in dec.components:
+        got = desc.dimension(m)
+        if got != expected:
+            certificate["witness"] = f"dim {desc.label} = {got}, closed form {expected}"
+            break
+        if desc in seen:
+            certificate["witness"] = f"{desc.label} listed twice"
+            break
+        seen.add(desc)
+    return gb.VerificationReport(
+        claim=f"case guard {dec.case} for (n{n},m{m};{i},{j})",
+        outcome=gb.REFUTED if "witness" in certificate else gb.VERIFIED,
+        certificate=certificate,
+    )
+
+
 def verify_decomposition(
     n: int, m: int, i: int, j: int, budget: gb.Budget | None = None
 ) -> gb.VerificationReport:
@@ -303,13 +327,7 @@ def verify_decomposition(
     comps = [d.ideal(n, m) for d in dec.components]
     reports: list[gb.VerificationReport] = []
 
-    reports.append(
-        gb.VerificationReport(
-            claim=f"case guard {dec.case} for (n{n},m{m};{i},{j})",
-            outcome=gb.VERIFIED,
-            certificate={"case": dec.case, "count": dec.count},
-        )
-    )
+    reports.append(_case_guard(dec))
 
     for desc, comp in zip(dec.components, comps):
         subs = [

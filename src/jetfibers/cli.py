@@ -43,9 +43,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative(kind):
+    """argparse type: a number of the given kind that is not negative."""
+
+    def parse(text):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the kind in its messages
+    return parse
+
+
 def _add_budget_flags(p):
-    p.add_argument("--budget-spairs", type=int, default=None, metavar="N")
-    p.add_argument("--budget-seconds", type=float, default=None, metavar="S")
+    p.add_argument("--budget-spairs", type=_nonnegative(int), default=None, metavar="N")
+    p.add_argument("--budget-seconds", type=_nonnegative(float), default=None, metavar="S")
     p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
 
 
@@ -125,8 +138,8 @@ def _budget(args) -> Budget | None:
         return None
     base = Budget()
     return Budget(
-        max_spairs=args.budget_spairs or base.max_spairs,
-        max_seconds=args.budget_seconds or base.max_seconds,
+        max_spairs=base.max_spairs if args.budget_spairs is None else args.budget_spairs,
+        max_seconds=base.max_seconds if args.budget_seconds is None else args.budget_seconds,
     )
 
 

@@ -231,8 +231,9 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
     fam = d4_ideals(m)
     chart_codes = [g.variables() for g in fam.charts[1].generators]
     chart_vars = set().union(*chart_codes)
-    congruent = _in_variable_span(_fk(m, 4) - f4, chart_vars) and _in_variable_span(
-        _fk(m, 5) - f5, chart_vars
+    congruent = not (
+        gb.restrict_to_residual(_fk(m, 4) - f4, chart_vars)
+        or gb.restrict_to_residual(_fk(m, 5) - f5, chart_vars)
     )
     subideal = gb.Ideal(
         fam.charts[1].generators + (_fk(m, 4), _fk(m, 5)),
@@ -311,12 +312,6 @@ def verify_automorphism_algebra() -> gb.VerificationReport:
     )
 
 
-def _in_variable_span(p: Polynomial, codes) -> bool:
-    """Every term of p contains one of the given variables."""
-    codes = set(codes)
-    return all(any(c in codes for c, _ in mono) for mono, _ in p.items())
-
-
 def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
     """The symmetries permute the chart ideals the way the component
     permutation requires: phi1 swaps charts 2 and 3, phi2 cycles 1->3->2->1
@@ -359,20 +354,20 @@ def _linear_span_member(target: Polynomial, gens) -> list[Polynomial] | None:
         combo = {k: Fraction(1)}
         for b, c in zip(basis, combos):
             lead = _linear_lead(b)
-            coeff = _coeff_of(row, lead)
+            coeff = row.coefficient(lead)
             if coeff:
                 row = row - coeff * b
                 for idx, val in c.items():
                     combo[idx] = combo.get(idx, Fraction(0)) - coeff * val
         if row:
-            scale = Fraction(1) / _lead_coeff(row)
+            scale = Fraction(1) / row.coefficient(_linear_lead(row))
             basis.append(scale * row)
             combos.append({i: scale * v for i, v in combo.items()})
     residue = target
     taken: dict[int, Fraction] = {}
     for b, c in zip(basis, combos):
         lead = _linear_lead(b)
-        coeff = _coeff_of(residue, lead)
+        coeff = residue.coefficient(lead)
         if coeff:
             residue = residue - coeff * b
             for idx, val in c.items():
@@ -387,17 +382,6 @@ def _linear_span_member(target: Polynomial, gens) -> list[Polynomial] | None:
 
 def _linear_lead(p: Polynomial) -> tuple:
     return max(mono for mono, _ in p.items())
-
-
-def _coeff_of(p: Polynomial, mono) -> Fraction:
-    for m, c in p.items():
-        if m == mono:
-            return c
-    return Fraction(0)
-
-
-def _lead_coeff(p: Polynomial) -> Fraction:
-    return dict(p.items())[_linear_lead(p)]
 
 
 def verify_coordinate_lemma(
@@ -435,7 +419,7 @@ def verify_coordinate_lemma(
     # x2^2 agrees with the order-4 jet coefficient modulo the double ladder
     x2 = Polynomial.variable(var_code(X, 2))
     l222 = Ladder(2, 2, 2)
-    congruence = _in_variable_span(x2**2 - _fk(m, 4), l222.codes())
+    congruence = not gb.restrict_to_residual(x2**2 - _fk(m, 4), l222.codes())
     reports.append(
         gb.VerificationReport(
             claim="x2^2 matches f^(4) modulo L(2,2,2)",
@@ -589,9 +573,9 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
         x3 = Polynomial.variable(var_code(X, 3))
         y2 = Polynomial.variable(var_code(Y, 2))
         l322_codes = Ladder(3, 2, 2).codes()
-        c1 = _in_variable_span(4 * z2**4 - (4 * z2 * f6 - g1()), l322_codes)
-        c2 = _in_variable_span(f6 - x3**2, l322_codes + (var_code(Z, 2),))
-        c3 = _in_variable_span(
+        c1 = not gb.restrict_to_residual(4 * z2**4 - (4 * z2 * f6 - g1()), l322_codes)
+        c2 = not gb.restrict_to_residual(f6 - x3**2, l322_codes + (var_code(Z, 2),))
+        c3 = not gb.restrict_to_residual(
             g2() + y2**4, l322_codes + (var_code(Z, 2), var_code(X, 3))
         )
         reports.append(
@@ -719,8 +703,9 @@ def verify_complete_intersection_remark(m: int = 5) -> gb.VerificationReport:
     order two on: the first two coefficients already lie in the coordinate
     ideal."""
     fam_vars = (var_code(X, 0), var_code(Y, 0), var_code(Z, 0))
-    ok = _in_variable_span(_fk(m, 0), fam_vars) and _in_variable_span(
-        _fk(m, 1), fam_vars
+    ok = not (
+        gb.restrict_to_residual(_fk(m, 0), fam_vars)
+        or gb.restrict_to_residual(_fk(m, 1), fam_vars)
     )
     return gb.VerificationReport(
         claim="fiber is cut by m+2 equations",

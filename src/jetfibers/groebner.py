@@ -18,9 +18,10 @@ function that sorts exactly as its mono_cmp does.  The pair heap, the final
 sorting of a basis and the monomial-ideal intersection all compare monomials
 through it; the kernel's normal_form pops terms off a heap on the matching
 descending key.  Every basis element is monic before anything reduces
-against it, as normal_form requires.  Yes/no divisibility tests (the chain
-criterion, minimalizing leads and monomial generators) are all(map(ge, a, b))
-and build no quotient.
+against it, as normal_form requires.  Division with cofactors, for the
+membership certificates, is the same kernel call given quotient dicts.
+Yes/no divisibility tests (the chain criterion, minimalizing leads and
+monomial generators) are all(map(ge, a, b)) and build no quotient.
 
 Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
@@ -319,15 +320,21 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return self.polys == (Polynomial.one(),)
 
+    def _divisors(self, p: Polynomial):
+        """(ring, dense basis, leads) to divide p by: the stored ones, or the
+        basis re-encoded in a ring that also holds the variables of p."""
+        ring = self._ring
+        if p.variables() <= set(ring.pos):
+            return ring, self._dense, self._leads
+        ring = _make_ring(set(ring.codes) | p.variables(), self.order)
+        dense = [ring.densify(g) for g in self.polys]
+        return ring, dense, [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
+
     def reduce(self, p: Polynomial) -> Polynomial:
         """The normal form of p: unique, and zero exactly on ideal members."""
         if not p:
             return p
-        ring, dense, leads = self._ring, self._dense, self._leads
-        if not p.variables() <= set(ring.pos):
-            ring = _make_ring(set(ring.codes) | p.variables(), self.order)
-            dense = [ring.densify(g) for g in self.polys]
-            leads = [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
+        ring, dense, leads = self._divisors(p)
         tail = _K.normal_form(ring.densify(p), dense, leads, ring.kind, ring.split)
         return ring.sparsify(tail)
 
@@ -335,27 +342,13 @@ class GroebnerBasis:
         return not self.reduce(p)
 
     def reduce_with_quotients(self, p: Polynomial):
-        """Slow-path division tracking the cofactors: p = sum q_i g_i + r."""
-        ring = self._ring
-        if p and not p.variables() <= set(ring.pos):
-            ring = _make_ring(set(ring.codes) | p.variables(), self.order)
-        dense = [ring.densify(g) for g in self.polys]
-        leads = [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
-        work = ring.densify(p)
-        tail: dict = {}
-        quotients: list[dict] = [dict() for _ in dense]
-        while work:
-            lm, lc = _K.lead_term(work, ring.kind, ring.split)
-            for i, lead in enumerate(leads):
-                q = _K.mono_div(lm, lead)
-                if q is not None:
-                    quotients[i] = _K.add_scaled(quotients[i], {q: lc}, _ONE)
-                    work = _K.add_scaled(work, _K.term_mul(lc, q, dense[i]), Fraction(-1))
-                    break
-            else:
-                tail[lm] = lc
-                work = dict(work)
-                del work[lm]
+        """Division with cofactors: (quotients, r) with p = sum q_i g_i + r,
+        where r is the normal form of p and q_i goes with self.polys[i]."""
+        ring, dense, leads = self._divisors(p)
+        quotients: list[dict] = [{} for _ in dense]
+        tail = _K.normal_form(
+            ring.densify(p), dense, leads, ring.kind, ring.split, quotients
+        )
         return [ring.sparsify(q) for q in quotients], ring.sparsify(tail)
 
 
@@ -536,12 +529,6 @@ def buchberger(
 # coordinate presolve
 
 
-def _drop_variable(p: Polynomial, code: int) -> Polynomial:
-    return Polynomial(
-        {mono: c for mono, c in p.items() if all(v != code for v, _ in mono)}
-    )
-
-
 def linear_presolve(ideal: Ideal):
     """Split off generators that are single variables.
 
@@ -561,7 +548,7 @@ def linear_presolve(ideal: Ideal):
         if code is None:
             break
         eliminated.append(code)
-        gens = [h for g in gens if (h := _drop_variable(g, code))]
+        gens = [h for g in gens if (h := restrict_to_residual(g, (code,)))]
     label = f"{ideal.label}/presolved" if ideal.label else None
     residual = Ideal(
         gens, variables=ideal.variables - set(eliminated), label=label
@@ -570,10 +557,12 @@ def linear_presolve(ideal: Ideal):
 
 
 def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
-    """Image of p after setting the eliminated coordinates to zero."""
-    for code in eliminated:
-        p = _drop_variable(p, code)
-    return p
+    """Image of p after setting the eliminated coordinates to zero: the terms
+    of p that contain none of them."""
+    gone = set(eliminated)
+    return Polynomial(
+        {mono: c for mono, c in p.items() if not any(v in gone for v, _ in mono)}
+    )
 
 
 # ---------------------------------------------------------------------------

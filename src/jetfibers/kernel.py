@@ -7,7 +7,8 @@ single binding point that callers and the benchmark harness (which wraps
 ``impl.mono_cmp`` and the sort keys ``impl.dense_order_key`` and
 ``impl.descending_order_key`` that the engine uses.  ``impl.normal_form``
 reduces against monic generators, taking the largest remaining monomial
-off a heap at each step.
+off a heap at each step; given quotient dicts, it also records the cofactor
+of each step, which is how the engine divides with quotients.
 """
 
 from . import _kernel_py as impl

@@ -70,28 +70,6 @@ def var_name(code: int) -> str:
     return f"{var_family(code)}{var_index(code)}"
 
 
-@dataclass(frozen=True)
-class VariableId:
-    """Public face of a variable; ordering matches the packed code."""
-
-    family: str
-    index: int
-
-    @property
-    def code(self) -> int:
-        return var_code(self.family, self.index)
-
-    @classmethod
-    def from_code(cls, code: int) -> "VariableId":
-        return cls(var_family(code), var_index(code))
-
-    def __lt__(self, other: "VariableId") -> bool:
-        return self.code < other.code
-
-    def __str__(self) -> str:
-        return var_name(self.code)
-
-
 def jet_variables(m: int) -> tuple[int, ...]:
     """Codes of x0..xm, y0..ym, z0..zm: the ambient ring of the m-jet space."""
     out = []
@@ -172,6 +150,24 @@ def _display_term_key(mono: Monomial) -> tuple:
 # polynomials
 
 
+def _accumulate(terms, out=None) -> dict:
+    """Add the (monomial, nonzero coefficient) pairs into out, a new dict by
+    default, merging equal monomials and dropping any that cancel."""
+    if out is None:
+        out = {}
+    for mono, c in terms:
+        v = out.get(mono)
+        if v is None:
+            out[mono] = c
+        else:
+            v = v + c
+            if v:
+                out[mono] = v
+            else:
+                del out[mono]
+    return out
+
+
 class Polynomial:
     """Immutable sparse polynomial; the term dict never stores a zero."""
 
@@ -186,22 +182,10 @@ class Polynomial:
     @classmethod
     def from_terms(cls, items) -> "Polynomial":
         """Build from (monomial, coefficient) pairs, merging and dropping zeros."""
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coeff in items if not isinstance(items, dict) else items.items():
-            c = Fraction(coeff)
-            if not c:
-                continue
-            mono = mono_from_pairs(mono)
-            v = acc.get(mono)
-            if v is None:
-                acc[mono] = c
-            else:
-                v = v + c
-                if v:
-                    acc[mono] = v
-                else:
-                    del acc[mono]
-        return cls(acc)
+        if isinstance(items, dict):
+            items = items.items()
+        pairs = ((mono, Fraction(coeff)) for mono, coeff in items)
+        return cls(_accumulate((mono_from_pairs(mono), c) for mono, c in pairs if c))
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -245,9 +229,6 @@ class Polynomial:
     def coefficient(self, mono) -> Fraction:
         return self._terms.get(mono_from_pairs(mono), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(MONO_ONE, Fraction(0))
-
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
         if not self._terms:
@@ -260,9 +241,6 @@ class Polynomial:
             for code, _ in mono:
                 out.add(code)
         return frozenset(out)
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
 
     def is_variable(self) -> bool:
         """True for c*v with a single variable to the first power."""
@@ -281,18 +259,7 @@ class Polynomial:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            v = out.get(mono)
-            if v is None:
-                out[mono] = c
-            else:
-                v = v + c
-                if v:
-                    out[mono] = v
-                else:
-                    del out[mono]
-        return Polynomial(out)
+        return Polynomial(_accumulate(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -319,20 +286,13 @@ class Polynomial:
             return Polynomial({m: c * v for m, v in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                m = mono_mul(ma, mb)
-                v = out.get(m)
-                if v is None:
-                    out[m] = ca * cb
-                else:
-                    v = v + ca * cb
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
-        return Polynomial(out)
+        return Polynomial(
+            _accumulate(
+                (mono_mul(ma, mb), ca * cb)
+                for ma, ca in self._terms.items()
+                for mb, cb in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -368,19 +328,12 @@ class Polynomial:
 
     def reindex(self, code_map) -> "Polynomial":
         """Apply a variable-to-variable map (callable on codes)."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self._terms.items():
-            new = mono_from_pairs((code_map(code), e) for code, e in mono)
-            v = out.get(new)
-            if v is None:
-                out[new] = c
-            else:
-                v = v + c
-                if v:
-                    out[new] = v
-                else:
-                    del out[new]
-        return Polynomial(out)
+        return Polynomial(
+            _accumulate(
+                (mono_from_pairs((code_map(code), e) for code, e in mono), c)
+                for mono, c in self._terms.items()
+            )
+        )
 
     def __str__(self) -> str:
         return format_polynomial(self)

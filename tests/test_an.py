@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from jetfibers.an import (
+    ComponentDescriptor,
     Ladder,
+    _case_guard,
     an_table,
     component_dimension,
     component_ideal,
@@ -254,6 +257,37 @@ def test_verify_case_d_small():
     ]
     assert len(tails) == 3
     assert all(t["outcome"] == gb.VERIFIED for t in tails)
+
+
+def _case_guard_report(rep):
+    (guard,) = [s for s in rep.certificate["subchecks"] if s["claim"].startswith("case guard")]
+    return guard
+
+
+def test_case_guard_checks_dimensions_and_distinctness():
+    for n, m, i, j in [(2, 2, 1, 2), (3, 4, 1, 3), (3, 5, 1, 2), (2, 6, 1, 2)]:
+        dec = decompose_intersection(n, m, i, j)
+        guard = _case_guard(dec)
+        assert guard.outcome == gb.VERIFIED
+        assert guard.certificate == {"case": dec.case, "count": dec.count}
+
+
+def test_case_guard_refutes_a_wrong_dimension(monkeypatch):
+    monkeypatch.setattr(ComponentDescriptor, "dimension", lambda self, m: 3 * (m + 1))
+    rep = verify_decomposition(2, 2, 1, 2)
+    guard = _case_guard_report(rep)
+    assert guard["outcome"] == gb.REFUTED
+    assert guard["certificate"]["witness"] == "dim L(2,2,1) = 9, closed form 4"
+    assert rep.outcome == gb.REFUTED
+
+
+def test_case_guard_refutes_a_repeated_component():
+    dec = decompose_intersection(3, 5, 1, 2)
+    assert dec.count == 2
+    twice = dataclasses.replace(dec, components=(dec.components[0],) * 2)
+    guard = _case_guard(twice)
+    assert guard.outcome == gb.REFUTED
+    assert guard.certificate["witness"] == f"{dec.components[0].label} listed twice"
 
 
 def test_pair_ideal_shape():

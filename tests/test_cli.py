@@ -221,3 +221,22 @@ def test_budget_flags_accepted(capsys):
         "--budget-spairs", "50000", "--budget-seconds", "60",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("flag", ["--budget-spairs", "--budget-seconds"])
+def test_zero_budget_is_a_budget(capsys, flag):
+    code, out, _ = run(
+        capsys, "an", "verify", "--n", "2", "--m", "5", flag, "0", "--format", "json"
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["config"][flag[2:].replace("-", "_")] == 0
+    assert any(r["outcome"] == "budget-exhausted" for r in payload["reports"])
+
+
+@pytest.mark.parametrize("flag", ["--budget-spairs", "--budget-seconds"])
+def test_negative_budget_is_a_usage_error(capsys, flag):
+    code, out, err = run(capsys, "an", "verify", "--n", "2", "--m", "5", flag, "-1")
+    assert code == 1
+    assert out == ""
+    assert "must be nonnegative" in err

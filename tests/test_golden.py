@@ -17,8 +17,12 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = [
     ("d4_verify_m5.json", ["d4", "verify", "--m", "5", "--format", "json"]),
     ("d4_verify_m6.json", ["d4", "verify", "--m", "6", "--format", "json"]),
+    ("d4_verify_m7.json", ["d4", "verify", "--m", "7", "--format", "json"]),
+    ("d4_verify_m8.json", ["d4", "verify", "--m", "8", "--format", "json"]),
     ("an_verify_n2_m5.json", ["an", "verify", "--n", "2", "--m", "5", "--format", "json"]),
     ("an_verify_n3_m6.json", ["an", "verify", "--n", "3", "--m", "6", "--format", "json"]),
+    ("an_verify_n2_m7.json", ["an", "verify", "--n", "2", "--m", "7", "--format", "json"]),
+    ("an_verify_n4_m7.json", ["an", "verify", "--n", "4", "--m", "7", "--format", "json"]),
     ("expand_xy_z5_m12.json", ["expand", "x*y-z^5", "--m", "12", "--format", "json"]),
     ("expand_x2_y2z_z3_m10.json", ["expand", "x^2-y^2*z+z^3", "--m", "10", "--format", "json"]),
 ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
 from jetfibers.groebner import (
     BUDGET_EXHAUSTED,
@@ -14,6 +14,7 @@ from jetfibers.groebner import (
     Ideal,
     LEX_ORDER,
     VERIFIED,
+    _Ring,
     _make_ring,
     block_order,
     buchberger,
@@ -212,6 +213,75 @@ def test_heap_normal_form_matches_linear_scan(case):
     assert tail == expected
     by_cmp = cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split))
     assert list(tail) == list(expected) == sorted(tail, key=by_cmp, reverse=True)
+
+
+def _reference_division(p, gens, leads, kind, split):
+    """Reference division with cofactors, the engine's before the kernel kept
+    them: rescan for the lead term and rebuild the work dict at every step."""
+    work = dict(p)
+    tail: dict = {}
+    quotients: list[dict] = [dict() for _ in gens]
+    while work:
+        lm, lc = _K.lead_term(work, kind, split)
+        for i, lead in enumerate(leads):
+            q = _K.mono_div(lm, lead)
+            if q is not None:
+                quotients[i] = _K.add_scaled(quotients[i], {q: lc}, Fraction(1))
+                work = _K.add_scaled(work, _K.term_mul(lc, q, gens[i]), Fraction(-1))
+                break
+        else:
+            tail[lm] = lc
+            work = dict(work)
+            del work[lm]
+    return quotients, tail
+
+
+def _dense_groebner(gens, kind, split):
+    """The reduced basis of the ideal of gens under (kind, split), as monic
+    dense terms over the same slots, with its leads.  Inputs whose basis
+    takes more than a few S-pairs are skipped, to keep the test fast."""
+    width = len(next(iter(gens[0])))
+    codes = tuple(var_code("x", width - 1 - k) for k in range(width))  # descending
+    if kind == LEX:
+        order = LEX_ORDER
+    elif kind == BLOCK and split:
+        order = block_order(codes[:split])
+    else:  # grevlex, which a block order with an empty first block is too
+        order = GREVLEX_ORDER
+    ring = _Ring(codes, kind, split)
+    try:
+        basis = buchberger(
+            Ideal([ring.sparsify(g) for g in gens]), order, Budget(max_spairs=40)
+        )
+    except BudgetExhausted:
+        reject()
+    dense = [ring.densify(g) for g in basis.polys]
+    return dense, [_K.lead_term(g, kind, split)[0] for g in dense]
+
+
+@given(_reduction_case(), st.booleans())
+@example(_RECREATED + (GREVLEX, 0), False)
+def test_kernel_division_matches_reference(case, groebner):
+    p, gens, leads, kind, split = case
+    if groebner and gens:
+        gens, leads = _dense_groebner(gens, kind, split)
+    quotients = [{} for _ in gens]
+    tail = _K.normal_form(p, gens, leads, kind, split, quotients)
+    assert (quotients, tail) == _reference_division(p, gens, leads, kind, split)
+    assert tail == _K.normal_form(p, gens, leads, kind, split)
+    # p = sum q_i g_i + r, exactly
+    total = dict(tail)
+    for q, g in zip(quotients, gens):
+        total = _K.add_scaled(total, _K.mul_terms(q, g), Fraction(1))
+    assert total == p
+
+
+def test_reduce_with_quotients_in_a_wider_ring():
+    gb = buchberger(ideal("x0^2 + y0", "x0*y0 + 1"))
+    p = P("x0^3*z0 + x0*y0 + z0^2 + 5")  # z0 is not a variable of the basis
+    quotients, r = gb.reduce_with_quotients(p)
+    assert r == gb.reduce(p) and r
+    assert sum((q * g for q, g in zip(quotients, gb.polys)), r) == p
 
 
 # ---------------------------------------------------------------------------
@@ -652,6 +722,28 @@ def test_presolve_soundness_random():
 def test_restrict_to_residual():
     p = P("x0*y1 + z0^2 + y1^2")
     assert restrict_to_residual(p, [var_code("x", 0), var_code("z", 0)]) == P("y1^2")
+
+
+def _restrict_per_code(p, eliminated):
+    """Reference restriction: one pass over the terms per eliminated code."""
+    for code in eliminated:
+        p = Polynomial({mono: c for mono, c in p.items() if all(v != code for v, _ in mono)})
+    return p
+
+
+_CODES = [var_code(f, i) for f in "xyz" for i in range(2)]
+_sparse_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_CODES), st.integers(1, 2)), max_size=3),
+        st.integers(-3, 3),
+    ),
+    max_size=6,
+).map(Polynomial.from_terms)
+
+
+@given(_sparse_polys, st.lists(st.sampled_from(_CODES), max_size=4))
+def test_restrict_to_residual_matches_per_code_loop(p, eliminated):
+    assert restrict_to_residual(p, eliminated) == _restrict_per_code(p, eliminated)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from jetfibers.poly import (
     JetPoint,
     Polynomial,
     PolynomialParseError,
-    VariableId,
     evaluate,
     format_polynomial,
     jet_point_values,
@@ -46,7 +45,6 @@ def test_variable_order_families():
 
 def test_variable_order_within_family():
     assert var_code("x", 3) > var_code("x", 2)
-    assert VariableId("z", 5) > VariableId("z", 4)
 
 
 def test_variable_roundtrip():
