@@ -8,6 +8,16 @@ Slot 0 holds the highest-ranked variable.  The monomial loops run through
 C-level builtins (map with operator.add/sub/ge, max), and a yes/no
 divisibility test is all(map(ge, a, b)), which builds no quotient.
 
+The series product mul_terms works on packed monomials instead: one int
+per monomial with a fixed-width field per ring slot, the power of t in the
+lowest field, so a monomial product is one int addition, and its
+coefficients may be ints.  A field is field_bits(bound) wide, the narrowest
+of 8, 16, 32 and 64 bits that holds bound, where bound is an exponent no
+field of any product can exceed; the series expansion uses max(m, deg f *
+the largest exponent in a series coefficient).  No field then carries into
+the next, and exponent_reader unpacks a monomial with int.to_bytes and
+memoryview.cast.
+
 Callers reach these functions through ``jetfibers.kernel.impl``.  The one
 order implementation lives here: mono_cmp is the reference comparison, and
 dense_order_key (ascending) and descending_order_key build sort keys that
@@ -31,13 +41,18 @@ Monomial orders are encoded as (kind, split):
   grevlex on slots [split, n).
 """
 
+import sys
+from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import repeat
-from operator import add, ge, neg, sub
+from operator import add, ge, mul, neg, sub
 
 GREVLEX = 0
 LEX = 1
 BLOCK = 2
+
+# memoryview.cast formats of the packed field widths
+_FIELD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 def mono_mul(a, b):
@@ -163,26 +178,42 @@ def add_scaled(a, b, c):
     return out
 
 
-def mul_terms(a, b, cap_index=-1, cap=0):
-    """a * b.  With cap_index >= 0, product monomials whose exponent in that
-    slot exceeds cap are dropped before they are ever built (eager series
-    truncation)."""
+def mul_terms(a, b, mask, cap):
+    """a * b on packed monomials, keeping only the products whose t field
+    (monomial & mask) is at most cap.  b is sorted by its t field, so each
+    term of a pairs with the prefix of b that fits under the cap: a dropped
+    product is never formed."""
+    monos = sorted(b, key=mask.__and__)
+    coeffs = [b[m] for m in monos]
+    ts = [m & mask for m in monos]
     out = {}
+    get = out.get
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            if cap_index >= 0 and ma[cap_index] + mb[cap_index] > cap:
-                continue
-            m = tuple(map(add, ma, mb))
-            v = out.get(m)
-            if v is None:
-                out[m] = ca * cb
-            else:
-                v = v + ca * cb
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-    return out
+        n = bisect_right(ts, cap - (ma & mask))
+        for m, c in zip(map(add, repeat(ma, n), monos), map(mul, repeat(ca, n), coeffs)):
+            out[m] = get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def field_bits(bound):
+    """Width of one packed field: the narrowest of 8, 16, 32 and 64 bits
+    that holds every exponent from 0 to bound."""
+    for bits in (8, 16, 32, 64):
+        if bound >> bits == 0:
+            return bits
+    raise OverflowError(f"exponent bound {bound} does not fit a 64-bit field")
+
+
+def exponent_reader(bits, slots):
+    """Function from a packed monomial of `slots` fields of `bits` each to
+    the sequence of its exponents, slot 0 first, read by int.to_bytes and
+    memoryview.cast without a per-slot loop."""
+    nbytes = bits // 8 * slots
+    fmt = _FIELD_FORMATS[bits]
+    if sys.byteorder == "little":
+        return lambda mono: memoryview(mono.to_bytes(nbytes, "little")).cast(fmt)
+    # big-endian fields come out last slot first
+    return lambda mono: memoryview(mono.to_bytes(nbytes, "big")).cast(fmt)[::-1]
 
 
 def term_mul(coeff, mono, g):
@@ -190,6 +221,24 @@ def term_mul(coeff, mono, g):
     out = {}
     for m, c in g.items():
         out[tuple(map(add, mono, m))] = coeff * c
+    return out
+
+
+def s_polynomial(qa, a, qb, b):
+    """x^qa*a - x^qb*b for monic a and b: both shifted, then subtracted,
+    with no coefficient product."""
+    out = {tuple(map(add, qa, m)): c for m, c in a.items()}
+    for mb, cb in b.items():
+        m = tuple(map(add, qb, mb))
+        v = out.get(m)
+        if v is None:
+            out[m] = -cb
+        else:
+            v = v - cb
+            if v:
+                out[m] = v
+            else:
+                del out[m]
     return out
 
 

@@ -330,12 +330,19 @@ class GroebnerBasis:
         dense = [ring.densify(g) for g in self.polys]
         return ring, dense, [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
 
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """The normal form of p: unique, and zero exactly on ideal members."""
-        if not p:
-            return p
+    def reduce(self, p: Polynomial, quotients: list | None = None) -> Polynomial:
+        """The normal form of p: unique, and zero exactly on ideal members.
+
+        quotients, when given, is an empty list that receives one cofactor
+        q_i per element of self.polys, so that p = sum q_i g_i + the normal
+        form; the division that finds the normal form also finds them."""
         ring, dense, leads = self._divisors(p)
-        tail = _K.normal_form(ring.densify(p), dense, leads, ring.kind, ring.split)
+        cofactors = None if quotients is None else [{} for _ in dense]
+        tail = _K.normal_form(
+            ring.densify(p), dense, leads, ring.kind, ring.split, cofactors
+        )
+        if cofactors is not None:
+            quotients.extend(map(ring.sparsify, cofactors))
         return ring.sparsify(tail)
 
     def contains(self, p: Polynomial) -> bool:
@@ -344,12 +351,9 @@ class GroebnerBasis:
     def reduce_with_quotients(self, p: Polynomial):
         """Division with cofactors: (quotients, r) with p = sum q_i g_i + r,
         where r is the normal form of p and q_i goes with self.polys[i]."""
-        ring, dense, leads = self._divisors(p)
-        quotients: list[dict] = [{} for _ in dense]
-        tail = _K.normal_form(
-            ring.densify(p), dense, leads, ring.kind, ring.split, quotients
-        )
-        return [ring.sparsify(q) for q in quotients], ring.sparsify(tail)
+        quotients: list[Polynomial] = []
+        r = self.reduce(p, quotients)
+        return quotients, r
 
 
 # the open shared_bases() memo, (generators, order) -> GroebnerBasis; a
@@ -479,11 +483,7 @@ def buchberger(
 
         qi = _K.mono_div(lcm, leads[i])
         qj = _K.mono_div(lcm, leads[j])
-        s = _K.add_scaled(
-            _K.term_mul(_ONE, qi, basis[i]),
-            _K.term_mul(_ONE, qj, basis[j]),
-            Fraction(-1),
-        )
+        s = _K.s_polynomial(qi, basis[i], qj, basis[j])
         h = _K.normal_form(s, basis, leads, kind, split)
         if h:
             add_poly(h)
@@ -569,15 +569,19 @@ def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
 # membership
 
 
-def _certificate_for_member(gb: GroebnerBasis, p: Polynomial) -> dict:
+def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
+    """(remainder, certificate if p is a member) from one division of p.  A
+    small enough basis and p divide with quotients, which the certificate
+    lists as cofactors when there are few of them."""
     cert: dict = {"kind": "normal-form", "remainder": "0", "basis_size": len(gb)}
-    if len(gb) <= 12 and len(p) <= 40:
-        quotients, tail = gb.reduce_with_quotients(p)
-        if not tail and sum(len(q) for q in quotients) <= 80:
-            cert["cofactors"] = {
-                str(gb.polys[i]): str(q) for i, q in enumerate(quotients) if q
-            }
-    return cert
+    if len(gb) > 12 or len(p) > 40:
+        return gb.reduce(p), cert
+    quotients, remainder = gb.reduce_with_quotients(p)
+    if not remainder and sum(len(q) for q in quotients) <= 80:
+        cert["cofactors"] = {
+            str(gb.polys[i]): str(q) for i, q in enumerate(quotients) if q
+        }
+    return remainder, cert
 
 
 def member(
@@ -607,9 +611,8 @@ def member(
                 time.monotonic() - start,
             )
         gb = residual.groebner(GREVLEX_ORDER, budget)
-        remainder = gb.reduce(p0)
+        remainder, cert = _divide_for_member(gb, p0)
         if not remainder:
-            cert = _certificate_for_member(gb, p0)
             return VerificationReport(
                 claim, VERIFIED, cert, gb.spairs_processed, time.monotonic() - start
             )

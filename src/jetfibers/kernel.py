@@ -9,6 +9,7 @@ single binding point that callers and the benchmark harness (which wraps
 reduces against monic generators, taking the largest remaining monomial
 off a heap at each step; given quotient dicts, it also records the cofactor
 of each step, which is how the engine divides with quotients.
+``impl.mul_terms`` is the truncated series product on packed monomials.
 """
 
 from . import _kernel_py as impl

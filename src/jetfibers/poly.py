@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Everything downstream (jet equations, Groebner computations, certificate
-checks) is built on the types here.  Coefficients are ``fractions.Fraction``
-throughout, so every identity in the package is decided by exact equality,
-never by a tolerance.
+checks) is built on the types here.  A Polynomial's coefficients are
+``fractions.Fraction``, so every identity in the package is decided by
+exact equality, never by a tolerance.  The truncated series expansion
+behind ``substitute_series`` and ``t_order`` works on ``int`` coefficients
+wherever its inputs are whole numbers (a non-integral coefficient stays a
+Fraction, and mixed arithmetic is exact) and converts back to Fraction
+when it builds the Polynomials it returns.
 
 Variables
 ---------
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .kernel import impl as _K
 
@@ -638,13 +643,20 @@ def _check_ambient(f: Polynomial):
         raise ValueError(f"not an ambient polynomial (uses {names})")
 
 
-def _expand_dense(f: Polynomial, series: dict, width: int, m: int) -> dict:
-    """Dense terms of f(X(t), Y(t), Z(t)) modulo t^(m+1).
+def _integral(c):
+    """c as an int when it is a whole number, else unchanged: the series
+    expansion multiplies ints wherever it can and Fractions only where it must."""
+    return c.numerator if c.denominator == 1 else c
 
-    series maps each ambient family to its dense series: exponent tuples of
-    the given width whose slot 0 holds the power of t.  Powers of a series
-    are built once and reused; every product drops t powers above m as it
-    forms them.
+
+def _expand_packed(f: Polynomial, series: dict, mask: int, m: int) -> dict:
+    """Packed terms of f(X(t), Y(t), Z(t)) modulo t^(m+1).
+
+    series maps each ambient family to its series on packed monomials whose
+    lowest field, selected by mask, holds the power of t.  Powers of a
+    series are built once and reused; every product drops t powers above m
+    before it forms them.  Each coefficient of f is applied once, when its
+    term is added to the sum.
     """
     powers: dict[tuple[str, int], dict] = {}
 
@@ -655,17 +667,16 @@ def _expand_dense(f: Polynomial, series: dict, width: int, m: int) -> dict:
             if exp == 1:
                 got = series[family]
             else:
-                got = _K.mul_terms(family_power(family, exp - 1), series[family], 0, m)
+                got = _K.mul_terms(family_power(family, exp - 1), series[family], mask, m)
             powers[key] = got
         return got
 
-    zero_mono = (0,) * width
     acc: dict = {}
     for mono, coeff in f.items():
-        cur = {zero_mono: coeff}
+        cur = {0: 1}  # the monomial 1
         for code, exp in mono:
-            cur = _K.mul_terms(cur, family_power(var_family(code), exp), 0, m)
-        acc = _K.add_scaled(acc, cur, Fraction(1)) if acc else cur
+            cur = _K.mul_terms(cur, family_power(var_family(code), exp), mask, m)
+        acc = _K.add_scaled(acc, cur, _integral(coeff))
     return acc
 
 
@@ -677,12 +688,13 @@ def t_order(point: JetPoint, g: Polynomial):
     """
     _check_ambient(g)
     m = point.order
-    # single-slot dense series: {(k,): c} is c*t^k
+    # a packed monomial with the t field alone: {k: c} is c*t^k
     series = {
-        family: {(k,): c for k, c in enumerate(point.family(family)) if c}
+        family: {k: _integral(c) for k, c in enumerate(point.family(family)) if c}
         for family in (X, Y, Z)
     }
-    return min((k for (k,) in _expand_dense(g, series, 1, m)), default=None)
+    mask = (1 << _K.field_bits(m)) - 1
+    return min(_expand_packed(g, series, mask, m), default=None)
 
 
 def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
@@ -719,9 +731,10 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
 
     f must be ambient (variables x0, y0, z0 only); each series argument is a
     sequence of m+1 coefficient polynomials.  Returns the list of the m+1
-    coefficient polynomials of t^0..t^m.  Work happens on dense exponent
-    tuples with an explicit t slot so products can drop unneeded high t
-    powers as they arise.
+    coefficient polynomials of t^0..t^m.  Work happens on packed monomials
+    with an explicit t field so products can drop unneeded high t powers
+    before they form them, and on int coefficients wherever the inputs are
+    whole numbers; the results are Fraction-valued Polynomials as usual.
     """
     if m < 0:
         raise ValueError("series order must be nonnegative")
@@ -736,46 +749,36 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
         series[family] = lifted
 
     codes: set[int] = set()
+    top = 0  # the largest exponent in any series coefficient
     for lifted in series.values():
         for c in lifted:
             codes.update(c.variables())
+            top = max(top, max((e for mono, _ in c.items() for _, e in mono), default=0))
     if T_CODE in codes:
         raise ValueError("series coefficients may not use the reserved t slot")
-    ring = (T_CODE,) + tuple(sorted(codes, reverse=True))
-    pos = {code: k for k, code in enumerate(ring)}
-    width = len(ring)
+    # field 0 holds t, field k the k-th code in descending order.  No field
+    # of a product carries: t stops at m, and a variable's exponent in a
+    # product of at most deg f series terms is at most deg f * top.
+    ring = tuple(sorted(codes, reverse=True))
+    bits = _K.field_bits(max(m, f.total_degree() * top))
+    mask = (1 << bits) - 1
+    shift = {code: bits * k for k, code in enumerate(ring, 1)}
 
-    def densify(p: Polynomial, t_exp: int):
-        out = {}
-        for mono, coeff in p.items():
-            vec = [0] * width
-            vec[0] = t_exp
-            for code, exp in mono:
-                vec[pos[code]] = exp
-            out[tuple(vec)] = coeff
-        return out
-
-    dense_series = {}
+    packed_series = {}
     for family, lifted in series.items():
-        acc: dict = {}
-        for i, c in enumerate(lifted):
-            if c:
-                acc.update(densify(c, i))
-        dense_series[family] = acc
+        packed_series[family] = {
+            sum(e << shift[code] for code, e in mono) + i: _integral(coeff)
+            for i, c in enumerate(lifted)
+            for mono, coeff in c.items()
+        }
 
-    acc = _expand_dense(f, dense_series, width, m)
+    acc = _expand_packed(f, packed_series, mask, m)
 
-    buckets: list[dict] = [dict() for _ in range(m + 1)]
-    for vec, coeff in acc.items():
-        buckets[vec[0]][vec] = coeff
-
-    out = []
-    for bucket in buckets:
-        terms = {}
-        for vec, coeff in bucket.items():
-            mono = tuple(
-                (ring[k], vec[k]) for k in range(1, width) if vec[k]
-            )
-            terms[mono] = coeff
-        out.append(Polynomial(terms))
-    return out
+    exponents = _K.exponent_reader(bits, len(ring))
+    buckets: list[dict] = [{} for _ in range(m + 1)]
+    for mono, coeff in acc.items():
+        exps = exponents(mono >> bits)
+        buckets[mono & mask][tuple(zip(compress(ring, exps), compress(exps, exps)))] = (
+            coeff if type(coeff) is Fraction else Fraction(coeff)
+        )
+    return [Polynomial(terms) for terms in buckets]

@@ -6,6 +6,7 @@ passing unchanged; a change that moves an output on purpose edits the file
 and says which field moved and why.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,17 @@ def test_canonical_json_matches_golden(capsys, name, argv):
     assert main(argv) == 0
     expected = (GOLDEN / name).read_bytes().decode("utf-8")
     assert capsys.readouterr().out == expected
+
+
+# The benchmark's own jet-expand command, pinned by digest: its 360 kB output
+# is too large to keep as a golden file, and a digest catches any byte moved.
+EXPAND_XY_Z5_M40 = (
+    "6e25467276af3e851f0b16d11a6b42056c865fb92491b9b21ebf2e8712b7497b",
+    359610,
+)
+
+
+def test_benchmark_expand_m40_matches_pin(capsys):
+    assert main(["expand", "x*y-z^5", "--m", "40", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == EXPAND_XY_Z5_M40

@@ -272,7 +272,8 @@ def test_kernel_division_matches_reference(case, groebner):
     # p = sum q_i g_i + r, exactly
     total = dict(tail)
     for q, g in zip(quotients, gens):
-        total = _K.add_scaled(total, _K.mul_terms(q, g), Fraction(1))
+        for mono, c in q.items():
+            total = _K.add_scaled(total, _K.term_mul(c, mono, g), Fraction(1))
     assert total == p
 
 

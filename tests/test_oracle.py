@@ -1,7 +1,9 @@
-"""Differential test of the Groebner engine against sympy, an independent
-implementation: on random small ideals and on the presolved jet ideals the
-verifiers build, both must return the same reduced basis, element for
-element."""
+"""Differential tests against sympy, an independent implementation.
+
+On random small ideals and on the presolved jet ideals the verifiers
+build, both must return the same reduced Groebner basis, element for
+element.  On the A_2 and D_4 surfaces, and on a shifted D_4 chart, the jet
+expansion must equal sympy's truncated power series product."""
 
 import random
 from fractions import Fraction
@@ -9,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from jetfibers import an, d4
+from jetfibers.jets import an_surface, d4_surface, expand_ambient
 from jetfibers.groebner import (
     GREVLEX_ORDER,
     LEX_ORDER,
@@ -17,7 +20,7 @@ from jetfibers.groebner import (
     buchberger,
     restrict_to_residual,
 )
-from jetfibers.poly import X, Polynomial, var_code, var_name
+from jetfibers.poly import X, Polynomial, var_code, var_family, var_name
 
 sympy = pytest.importorskip("sympy")
 
@@ -96,3 +99,44 @@ def _jet_ideals():
 def test_presolved_jet_ideals_match_sympy_groebner(ideal):
     codes = sorted(frozenset().union(*(g.variables() for g in ideal.generators)), reverse=True)
     _assert_matches_sympy(ideal.generators, GREVLEX_ORDER, "grevlex", codes)
+
+
+@pytest.mark.parametrize(
+    "surface, shifts",
+    [(an_surface(2), (0, 0, 0)), (d4_surface(), (0, 0, 0)), (d4_surface(), (2, 1, 2))],
+    ids=["A2", "D4", "D4-chart-2,1,2"],
+)
+def test_expand_ambient_matches_sympy_truncated_series(surface, shifts):
+    from sympy.polys.ring_series import rs_mul, rs_pow
+    from sympy.polys.rings import ring
+
+    m = 15
+    names = ["t"] + [f"{fam}{i}" for fam in "xyz" for i in range(m + 1)]
+    R, t, *jet = ring(names, sympy.QQ)
+    gen = dict(zip(names[1:], jet))
+
+    def to_ring(p: Polynomial):
+        out = R.zero
+        for mono, coeff in p.items():
+            term = R(sympy.QQ(coeff.numerator, coeff.denominator))
+            for code, exp in mono:
+                term *= gen[var_name(code)] ** exp
+            out += term
+        return out
+
+    # the generic jet: each series starts at its shift
+    series = {
+        fam: sum((gen[f"{fam}{i}"] * t**i for i in range(start, m + 1)), R.zero)
+        for fam, start in zip("xyz", shifts)
+    }
+    f = surface.ambient_polynomial()
+    theirs = R.zero
+    for mono, coeff in f.items():
+        term = R(sympy.QQ(coeff.numerator, coeff.denominator))
+        for code, exp in mono:
+            term = rs_mul(term, rs_pow(series[var_family(code)], exp, t, m + 1), t, m + 1)
+        theirs += term
+
+    coefficients = expand_ambient(f, m, shifts)
+    assert len(coefficients) == m + 1
+    assert sum((to_ring(c) * t**k for k, c in enumerate(coefficients)), R.zero) == theirs

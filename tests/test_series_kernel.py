@@ -1,0 +1,247 @@
+"""The packed series expansion against a dense-tuple reference.
+
+substitute_series and t_order expand on packed monomials (one int per
+monomial, the t power in the lowest field) with int coefficients wherever
+the inputs are whole numbers.  The reference below is the straightforward
+expansion on dense exponent tuples with Fraction coefficients: every
+product is formed and the ones past t^m are skipped.  Both must give the
+same Polynomials, with Fraction coefficients, on random inputs and at the
+edges of the packing: a field filled to its last value, a t power past one
+byte, and a product landing exactly on t^m.
+"""
+
+from fractions import Fraction
+from operator import add
+
+from hypothesis import given, strategies as st
+
+from jetfibers.kernel import impl as _K
+from jetfibers.poly import (
+    JetPoint,
+    Polynomial,
+    T_CODE,
+    X,
+    Y,
+    Z,
+    substitute_series,
+    t_order,
+    var_code,
+    var_family,
+    xvar,
+    yvar,
+    zvar,
+)
+
+AMBIENT = (var_code(X, 0), var_code(Y, 0), var_code(Z, 0))
+
+# ---------------------------------------------------------------------------
+# dense-tuple reference
+
+
+def _ref_mul(a, b, m):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma[0] + mb[0] > m:
+                continue
+            mono = tuple(map(add, ma, mb))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_expand(f, series, width, m):
+    acc = {}
+    for mono, coeff in f.items():
+        cur = {(0,) * width: coeff}
+        for code, exp in mono:
+            for _ in range(exp):
+                cur = _ref_mul(cur, series[var_family(code)], m)
+        for vec, c in cur.items():
+            acc[vec] = acc.get(vec, 0) + c
+    return {vec: c for vec, c in acc.items() if c}
+
+
+def _ref_substitute_series(f, xs, ys, zs, m):
+    series = {X: xs, Y: ys, Z: zs}
+    codes = set()
+    for coeffs in series.values():
+        for c in coeffs:
+            codes |= c.variables()
+    ring = (T_CODE,) + tuple(sorted(codes, reverse=True))
+    pos = {code: k for k, code in enumerate(ring)}
+    dense = {}
+    for family, coeffs in series.items():
+        dense[family] = {}
+        for i, c in enumerate(coeffs):
+            for mono, coeff in c.items():
+                vec = [0] * len(ring)
+                vec[0] = i
+                for code, exp in mono:
+                    vec[pos[code]] = exp
+                dense[family][tuple(vec)] = coeff
+    out = [{} for _ in range(m + 1)]
+    for vec, coeff in _ref_expand(f, dense, len(ring), m).items():
+        mono = tuple((ring[k], vec[k]) for k in range(1, len(ring)) if vec[k])
+        out[vec[0]][mono] = coeff
+    return [Polynomial(terms) for terms in out]
+
+
+def _ref_t_order(point, g):
+    series = {
+        family: {(k,): c for k, c in enumerate(point.family(family)) if c}
+        for family in (X, Y, Z)
+    }
+    return min((k for (k,) in _ref_expand(g, series, 1, point.order)), default=None)
+
+
+def _assert_same_expansion(f, xs, ys, zs, m):
+    got = substitute_series(f, xs, ys, zs, m)
+    assert got == _ref_substitute_series(f, xs, ys, zs, m)
+    # the Polynomial contract: Fraction coefficients, none of them zero
+    assert all(type(c) is Fraction and c for p in got for _, c in p.items())
+    return got
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _ambient_polys(draw):
+    """Ambient f of degree at most 5 with rational coefficients."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(0, 5)] * 3).filter(lambda e: sum(e) <= 5),
+                _RATIONALS,
+            ),
+            max_size=5,
+        )
+    )
+    return Polynomial.from_terms(
+        [(list(zip(AMBIENT, exps)), coeff) for exps, coeff in terms]
+    )
+
+
+@st.composite
+def _coefficient(draw, family, i):
+    """A series coefficient: the generic jet variable, a non-monic multiple
+    of it, a rational constant, or a small nonlinear polynomial."""
+    kind = draw(st.sampled_from(["generic", "scaled", "constant", "nonlinear"]))
+    v = Polynomial.variable(var_code(family, i))
+    if kind == "generic":
+        return v
+    if kind == "scaled":
+        return v * draw(_RATIONALS)
+    if kind == "constant":
+        return Polynomial.constant(draw(_RATIONALS))
+    codes = [var_code(fam, k) for fam in (X, Y, Z) for k in range(3)]
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.sampled_from(codes), st.integers(1, 3)), max_size=2),
+                _RATIONALS,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return Polynomial.from_terms(terms)
+
+
+@st.composite
+def _series_cases(draw):
+    m = draw(st.integers(0, 10))
+    shifts = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    series = [
+        [
+            Polynomial.zero() if i < start else draw(_coefficient(family, i))
+            for i in range(m + 1)
+        ]
+        for family, start in zip((X, Y, Z), shifts)
+    ]
+    return draw(_ambient_polys()), series, m
+
+
+@given(_series_cases())
+def test_packed_expansion_matches_dense_reference(case):
+    f, (xs, ys, zs), m = case
+    _assert_same_expansion(f, xs, ys, zs, m)
+
+
+@st.composite
+def _points(draw):
+    m = draw(st.integers(0, 10))
+    values = st.lists(st.one_of(st.just(0), _RATIONALS), min_size=m + 1, max_size=m + 1)
+    return JetPoint.make(m, draw(values), draw(values), draw(values))
+
+
+@given(_points(), _ambient_polys())
+def test_t_order_matches_dense_reference(point, g):
+    assert t_order(point, g) == _ref_t_order(point, g)
+
+
+# ---------------------------------------------------------------------------
+# edges of the packing
+
+
+def _zeros(m):
+    return [Polynomial.zero()] * (m + 1)
+
+
+def test_field_width_edge_exponent_255_and_256():
+    # z^3 at z = z1^e*t: the product z1^(3e) fills an 8-bit field at e = 85
+    # and needs 16 bits at e = 86
+    assert (_K.field_bits(255), _K.field_bits(256)) == (8, 16)
+    f = Polynomial.variable(AMBIENT[2]) ** 3
+    for e in (85, 86):
+        zs = [Polynomial.zero(), zvar(1) ** e, xvar(0), Polynomial.zero()]
+        got = _assert_same_expansion(f, _zeros(3), _zeros(3), zs, 3)
+        assert got[3] == zvar(1) ** (3 * e)
+
+
+def test_t_power_past_one_byte_with_linear_f():
+    m = 256
+    f = Polynomial.variable(AMBIENT[0]) + 2 * Polynomial.variable(AMBIENT[1])
+    xs = [xvar(i) for i in range(m + 1)]
+    ys = [yvar(i) for i in range(m + 1)]
+    got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
+    assert got == [xvar(i) + 2 * yvar(i) for i in range(m + 1)]
+
+
+def test_t_order_past_one_byte():
+    m = 300
+    f = Polynomial.variable(AMBIENT[0]) * Polynomial.variable(AMBIENT[1])
+    # t^140 * t^150 lands inside the cap; t^250 * t^260 does not
+    assert t_order(JetPoint.make(m, x={140: 1}, y={150: 3}), f) == 290
+    assert t_order(JetPoint.make(m, x={250: 1}, y={260: 3}), f) is None
+
+
+def test_product_landing_exactly_on_the_cap():
+    # x and y start at t^2: at m = 4 the only surviving product is x2*y2*t^4
+    m = 4
+    xs = _zeros(1) + [xvar(i) for i in range(2, m + 1)]
+    ys = _zeros(1) + [yvar(i) for i in range(2, m + 1)]
+    f = Polynomial.variable(AMBIENT[0]) * Polynomial.variable(AMBIENT[1])
+    got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
+    assert got == _zeros(3) + [xvar(2) * yvar(2)]
+    point = JetPoint.make(m, x={2: 1}, y={2: 5})
+    assert t_order(point, f) == 4
+    assert t_order(point.truncate(3), f) is None
+
+
+def test_non_integral_coefficients_stay_exact():
+    m = 2
+    f = Polynomial.from_terms([([(AMBIENT[0], 1), (AMBIENT[1], 1)], Fraction(1, 3))])
+    xs = [Polynomial.constant(Fraction(3, 2)), xvar(1), Polynomial.zero()]
+    ys = [Polynomial.constant(Fraction(1, 2)), Polynomial.constant(2), yvar(2)]
+    got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
+    assert got == [
+        Polynomial.constant(Fraction(1, 4)),
+        1 + Fraction(1, 6) * xvar(1),
+        Fraction(1, 2) * yvar(2) + Fraction(2, 3) * xvar(1),
+    ]
+    point = JetPoint.make(m, x=[Fraction(1, 2), 0, 0], y=[2, 0, 0])
+    assert t_order(point, f - Polynomial.constant(Fraction(1, 3))) is None
