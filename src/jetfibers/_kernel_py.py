@@ -216,14 +216,6 @@ def exponent_reader(bits, slots):
     return lambda mono: memoryview(mono.to_bytes(nbytes, "big")).cast(fmt)[::-1]
 
 
-def term_mul(coeff, mono, g):
-    """coeff * x^mono * g for nonzero coeff; g stays canonical."""
-    out = {}
-    for m, c in g.items():
-        out[tuple(map(add, mono, m))] = coeff * c
-    return out
-
-
 def s_polynomial(qa, a, qb, b):
     """x^qa*a - x^qb*b for monic a and b: both shifted, then subtracted,
     with no coefficient product."""

@@ -87,7 +87,7 @@ class AnComponent:
 
 
 def component_ideal(
-    n: int, m: int, l: int, budget: gb.Budget | None = None, check: bool = True
+    n: int, m: int, l: int, budget: gb.Budget | None = None
 ) -> AnComponent:
     if not 1 <= l <= n <= m:
         raise ValueError(f"need 1 <= l <= n <= m, got l={l}, n={n}, m={m}")
@@ -103,13 +103,9 @@ def component_ideal(
         variables=jet_variables(m),
         label=f"I(n{n},m{m};{l})/reduced",
     )
-    if check:
-        for g in defining.generators:
-            rep = gb.member(g, reduced, budget)
-            if not rep.verified:
-                raise AssertionError(f"presentation mismatch: {rep.claim}")
-        for g in reduced.generators:
-            rep = gb.member(g, defining, budget)
+    for source, target in ((defining, reduced), (reduced, defining)):
+        for g in source.generators:
+            rep = gb.member(g, target, budget)
             if not rep.verified:
                 raise AssertionError(f"presentation mismatch: {rep.claim}")
     return AnComponent(n, m, l, defining, reduced)
@@ -162,6 +158,11 @@ class IntersectionDecomposition:
     @property
     def count(self) -> int:
         return len(self.components)
+
+    @property
+    def meet_label(self) -> str:
+        """Label of the intersection of the listed components."""
+        return "(" + " ^ ".join(d.label for d in self.components) + ")"
 
     def to_json_dict(self) -> dict:
         return {
@@ -282,7 +283,7 @@ def _intersect_descriptors(
     return gb.Ideal(
         coordinate + current.generators,
         variables=jet_variables(m),
-        label="(" + " ^ ".join(d.label for d in dec.components) + ")",
+        label=dec.meet_label,
     )
 
 
@@ -303,10 +304,10 @@ def _case_guard(dec: IntersectionDecomposition) -> gb.VerificationReport:
             certificate["witness"] = f"{desc.label} listed twice"
             break
         seen.add(desc)
-    return gb.VerificationReport(
-        claim=f"case guard {dec.case} for (n{n},m{m};{i},{j})",
-        outcome=gb.REFUTED if "witness" in certificate else gb.VERIFIED,
-        certificate=certificate,
+    return gb.check(
+        f"case guard {dec.case} for (n{n},m{m};{i},{j})",
+        "witness" not in certificate,
+        certificate,
     )
 
 
@@ -336,12 +337,17 @@ def verify_decomposition(
         ]
         reports.append(gb.merge_reports(f"{J.label} subset {desc.label}", subs))
 
-    meet = _intersect_descriptors(dec, budget)
-    subs = [
-        gb.radical_member(g, J, budget, claim=f"{meet.label} gen#{k} in sqrt {J.label}")
-        for k, g in enumerate(meet.generators)
-    ]
-    reports.append(gb.merge_reports(f"{meet.label} subset sqrt {J.label}", subs))
+    claim = f"{dec.meet_label} subset sqrt {J.label}"
+    try:
+        meet = _intersect_descriptors(dec, budget)
+    except gb.BudgetExhausted as exc:
+        reports.append(gb.exhausted(claim, exc, exc.seconds))
+    else:
+        subs = [
+            gb.radical_member(g, J, budget, claim=f"{meet.label} gen#{k} in sqrt {J.label}")
+            for k, g in enumerate(meet.generators)
+        ]
+        reports.append(gb.merge_reports(claim, subs))
 
     for u1 in range(dec.count):
         for u2 in range(u1 + 1, dec.count):
@@ -375,10 +381,10 @@ def verify_decomposition(
                 not (g.variables() & ladder_codes) for g in expected
             )
             reports.append(
-                gb.VerificationReport(
-                    claim=f"tail of {desc.label} is the reindexed jet ideal",
-                    outcome=gb.VERIFIED if structure_ok else gb.REFUTED,
-                    certificate={
+                gb.check(
+                    f"tail of {desc.label} is the reindexed jet ideal",
+                    structure_ok,
+                    {
                         "eliminated": [var_name(c) for c in eliminated],
                         "residual": [str(g) for g in residual.generators],
                     },
@@ -412,12 +418,11 @@ def verify_containment_criterion(
                     break
             if engine is None:
                 continue
-            agree = engine == predicted
             reports.append(
-                gb.VerificationReport(
-                    claim=f"criterion agrees at (({i},{j}),({k},{l})) n{n} m{m}",
-                    outcome=gb.VERIFIED if agree else gb.REFUTED,
-                    certificate={"criterion": predicted, "engine": engine},
+                gb.check(
+                    f"criterion agrees at (({i},{j}),({k},{l})) n{n} m{m}",
+                    engine == predicted,
+                    {"criterion": predicted, "engine": engine},
                 )
             )
     return gb.merge_reports(f"containment criterion n{n} m{m}", reports)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import an as an_mod
 from . import graphs
@@ -28,6 +29,7 @@ from .groebner import (
     REFUTED,
     VERIFIED,
     VerificationReport,
+    check,
 )
 from .poly import PolynomialParseError, parse_polynomial
 
@@ -134,26 +136,23 @@ def build_parser() -> _Parser:
 
 
 def _budget(args) -> Budget | None:
-    if args.budget_spairs is None and args.budget_seconds is None:
-        return None
-    base = Budget()
-    return Budget(
-        max_spairs=base.max_spairs if args.budget_spairs is None else args.budget_spairs,
-        max_seconds=base.max_seconds if args.budget_seconds is None else args.budget_seconds,
-    )
+    """The budget the --budget-* flags set, defaults filling the other
+    limit; None when neither flag is given."""
+    limits = {"max_spairs": args.budget_spairs, "max_seconds": args.budget_seconds}
+    limits = {k: v for k, v in limits.items() if v is not None}
+    return Budget(**limits) if limits else None
 
 
 def _config(args, **extra) -> dict:
-    cfg = {
+    return {
         "command": args.command,
         "subcommand": getattr(args, "subcommand", None),
         "format": getattr(args, "format", None),
         "budget_spairs": getattr(args, "budget_spairs", None),
         "budget_seconds": getattr(args, "budget_seconds", None),
         "timings": getattr(args, "timings", False),
+        **extra,
     }
-    cfg.update(extra)
-    return cfg
 
 
 def _emit(args, text: str) -> None:
@@ -164,8 +163,12 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_result(args, fields: dict, text: str, **config) -> None:
+    """With --format json, emit {schema, config, **fields}; otherwise text."""
+    if args.format == "json":
+        payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit(args, text)
 
 
 def _parse_m_range(spec: str) -> list[int]:
@@ -179,15 +182,11 @@ def _parse_m_range(spec: str) -> list[int]:
 
 
 def _report_lines(reports: list[VerificationReport]) -> str:
-    lines = []
-    counts = {VERIFIED: 0, REFUTED: 0, BUDGET_EXHAUSTED: 0}
-    for r in reports:
-        counts[r.outcome] += 1
-        lines.append(f"{r.outcome.upper():<17} {r.claim}")
+    counts = Counter(r.outcome for r in reports)
+    lines = [f"{r.outcome.upper():<17} {r.claim}" for r in reports]
     lines.append(
-        "summary: {v} verified, {r} refuted, {b} budget-exhausted".format(
-            v=counts[VERIFIED], r=counts[REFUTED], b=counts[BUDGET_EXHAUSTED]
-        )
+        f"summary: {counts[VERIFIED]} verified, {counts[REFUTED]} refuted,"
+        f" {counts[BUDGET_EXHAUSTED]} budget-exhausted"
     )
     return "\n".join(lines) + "\n"
 
@@ -201,6 +200,26 @@ def _verify_exit(reports: list[VerificationReport]) -> int:
     return 0
 
 
+def _emit_reports(args, reports: list[VerificationReport], **config) -> int:
+    """Emit the reports as JSON or one line each; return the exit code."""
+    _emit_result(
+        args,
+        {"reports": [r.to_json_dict(args.timings) for r in reports]},
+        _report_lines(reports),
+        **config,
+    )
+    return _verify_exit(reports)
+
+
+def _graph_claim(tag: str, fiber, resolution, premises=()) -> VerificationReport:
+    return check(
+        f"fiber graph matches the resolution graph ({tag})",
+        graphs.isomorphic(fiber, resolution),
+        fiber.to_json_dict(),
+        premises=premises,
+    )
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
@@ -209,35 +228,27 @@ def _cmd_expand(args) -> int:
     f = parse_polynomial(args.f, ambient=True)
     if args.m < 0:
         raise ValueError("--m must be nonnegative")
-    coeffs = jets.expand_ambient(f, args.m)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, f=args.f, m=args.m),
-            "coefficients": [str(c) for c in coeffs],
-        }
-        _emit(args, _json_text(payload))
-    else:
-        lines = [f"f^({j}) = {c}" for j, c in enumerate(coeffs)]
-        _emit(args, "\n".join(lines) + "\n")
+    coeffs = [str(c) for c in jets.expand_ambient(f, args.m)]
+    _emit_result(
+        args,
+        {"coefficients": coeffs},
+        "".join(f"f^({j}) = {c}\n" for j, c in enumerate(coeffs)),
+        f=args.f,
+        m=args.m,
+    )
     return 0
 
 
 def _cmd_an_decompose(args) -> int:
     dec = an_mod.decompose_intersection(args.n, args.m, args.i, args.j)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, n=args.n, m=args.m, i=args.i, j=args.j),
-            "decomposition": dec.to_json_dict(),
-        }
-        _emit(args, _json_text(payload))
-    else:
-        lines = [
-            f"case {dec.case}: {dec.count} component(s), dimension {dec.dimension}"
-        ]
-        lines += [f"  {d.label}" for d in dec.components]
-        _emit(args, "\n".join(lines) + "\n")
+    lines = [f"case {dec.case}: {dec.count} component(s), dimension {dec.dimension}"]
+    lines += [f"  {d.label}" for d in dec.components]
+    _emit_result(
+        args,
+        {"decomposition": dec.to_json_dict()},
+        "\n".join(lines) + "\n",
+        n=args.n, m=args.m, i=args.i, j=args.j,
+    )
     return 0
 
 
@@ -246,33 +257,26 @@ def _cmd_an_table(args) -> int:
     if min(m_values) < args.n:
         raise ValueError(f"table orders must satisfy m >= n = {args.n}")
     rows = an_mod.an_table(args.n, m_values)
-    if args.format == "csv":
-        _emit(args, an_mod.table_csv(args.n, rows))
-    elif args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, n=args.n, m=args.m),
+    table = an_mod.table_csv if args.format == "csv" else an_mod.table_text
+    _emit_result(
+        args,
+        {
             "header": list(an_mod.table_header(args.n)),
             "rows": [list(r.cells()) for r in rows],
-        }
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, an_mod.table_text(args.n, rows))
+        },
+        table(args.n, rows),
+        n=args.n, m=args.m,
+    )
+    return 0
+
+
+def _emit_graph(args, g, **config) -> int:
+    _emit_result(args, {"graph": g.to_json_dict()}, graphs.to_dot(g), **config)
     return 0
 
 
 def _cmd_an_graph(args) -> int:
-    g = graphs.an_fiber_graph(args.n, args.m)
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, n=args.n, m=args.m),
-            "graph": g.to_json_dict(),
-        }
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, graphs.to_dot(g))
-    return 0
+    return _emit_graph(args, graphs.an_fiber_graph(args.n, args.m), n=args.n, m=args.m)
 
 
 def _cmd_an_verify(args) -> int:
@@ -283,25 +287,14 @@ def _cmd_an_verify(args) -> int:
         reports = [an_mod.verify_decomposition(args.n, args.m, args.i, args.j, budget)]
     else:
         reports = an_mod.verify_all_pairs(args.n, args.m, budget)
-        fiber = graphs.an_fiber_graph(args.n, args.m)
-        resolution = graphs.resolution_graph("An", args.n)
         reports.append(
-            VerificationReport(
-                claim=f"fiber graph matches the resolution graph (n{args.n})",
-                outcome=VERIFIED if graphs.isomorphic(fiber, resolution) else REFUTED,
-                certificate=fiber.to_json_dict(),
+            _graph_claim(
+                f"n{args.n}",
+                graphs.an_fiber_graph(args.n, args.m),
+                graphs.resolution_graph("An", args.n),
             )
         )
-    payload = {
-        "schema": SCHEMA,
-        "config": _config(args, n=args.n, m=args.m, i=args.i, j=args.j),
-        "reports": [r.to_json_dict(args.timings) for r in reports],
-    }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, _report_lines(reports))
-    return _verify_exit(reports)
+    return _emit_reports(args, reports, n=args.n, m=args.m, i=args.i, j=args.j)
 
 
 def _cmd_d4_ideals(args) -> int:
@@ -311,70 +304,44 @@ def _cmd_d4_ideals(args) -> int:
     named = [fam.l322, fam.charts[1], fam.charts[2], fam.charts[3], fam.i0] + [
         fam.j[i] for i in (1, 2, 3)
     ]
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, m=args.m),
-            "ideals": {
-                ideal.label: [str(g) for g in ideal.generators] for ideal in named
-            },
-        }
-        _emit(args, _json_text(payload))
-    else:
-        lines = []
-        for ideal in named:
-            lines.append(f"{ideal.label}:")
-            lines += [f"  {g}" for g in ideal.generators]
-        _emit(args, "\n".join(lines) + "\n")
+    lines = []
+    for ideal in named:
+        lines.append(f"{ideal.label}:")
+        lines += [f"  {g}" for g in ideal.generators]
+    _emit_result(
+        args,
+        {"ideals": {ideal.label: [str(g) for g in ideal.generators] for ideal in named}},
+        "\n".join(lines) + "\n",
+        m=args.m,
+    )
     return 0
 
 
 def _cmd_d4_verify(args) -> int:
     from .d4 import verify_suite
 
-    budget = _budget(args)
-    with_saturation = True if args.saturate else None
-    reports = verify_suite(args.m, budget, with_saturation)
+    reports = verify_suite(args.m, _budget(args), args.saturate)
     # the graph claim stands on the maximal-pair theorem: it takes that
     # report's outcome, or is refuted when its pairs do not give the star
     (theorem,) = [r for r in reports if r.claim == f"maximal pairs at m{args.m}"]
-    fiber = graphs.build_graph(
-        [f"Z{i}" for i in range(4)],
-        [(f"Z{i}", f"Z{j}") for i, j in theorem.certificate["pairs"]],
-    )
     reports.append(
-        VerificationReport(
-            claim=f"fiber graph matches the resolution graph (m{args.m})",
-            outcome=theorem.outcome
-            if graphs.isomorphic(fiber, graphs.resolution_graph("D4"))
-            else REFUTED,
-            certificate=fiber.to_json_dict(),
+        _graph_claim(
+            f"m{args.m}",
+            graphs.component_graph(range(4), theorem.certificate["pairs"]),
+            graphs.resolution_graph("D4"),
+            premises=[theorem],
         )
     )
-    payload = {
-        "schema": SCHEMA,
-        "config": _config(args, m=args.m, saturate=args.saturate),
-        "reports": [r.to_json_dict(args.timings) for r in reports],
-    }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, _report_lines(reports))
-    return _verify_exit(reports)
+    return _emit_reports(args, reports, m=args.m, saturate=args.saturate)
 
 
 def _cmd_d4_graph(args) -> int:
-    g = graphs.d4_fiber_graph(args.m, _budget(args))
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "config": _config(args, m=args.m),
-            "graph": g.to_json_dict(),
-        }
-        _emit(args, _json_text(payload))
-    else:
-        _emit(args, graphs.to_dot(g))
-    return 0
+    try:
+        g = graphs.d4_fiber_graph(args.m, _budget(args))
+    except graphs.UnverifiedGraph as exc:
+        print(f"jetfibers: error: {exc}", file=sys.stderr)
+        return _verify_exit([exc.report])
+    return _emit_graph(args, g, m=args.m)
 
 
 _HANDLERS = {

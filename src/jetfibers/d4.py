@@ -208,7 +208,9 @@ def shifted_chart_coeffs(m: int = 5):
     return jet_coeffs_shifted(d4_surface(), m, 2, 1, 2)
 
 
-def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
+def verify_g1_identity(
+    m: int = M_MIN, budget: gb.Budget | None = None
+) -> gb.VerificationReport:
     """y1^2*g1 equals F5^2 - 4*x3^2*F4 + 4*y1*y2*z2*F5 exactly, where F4, F5
     are the chart-shifted jet coefficients; hence y1^2*g1 lies in J^1 and g1
     in the contraction I^1.
@@ -240,12 +242,11 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
         variables=fam.i0.variables,
         label=f"L1+(f4,f5)(m{m})",
     )
-    consequence = gb.member(lhs, subideal, claim=f"y1^2*g1 in {subideal.label}")
-    ok = identity and congruent and consequence.verified
-    return gb.VerificationReport(
-        claim=f"g1 certificate identity (m{m})",
-        outcome=gb.VERIFIED if ok else gb.REFUTED,
-        certificate={
+    consequence = gb.member(lhs, subideal, budget, claim=f"y1^2*g1 in {subideal.label}")
+    return gb.check(
+        f"g1 certificate identity (m{m})",
+        identity and congruent,
+        {
             "identity": "y1^2*g1 = F5^2 - 4*x3^2*F4 + 4*y1*y2*z2*F5",
             "F4": str(f4),
             "F5": str(f5),
@@ -253,8 +254,9 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
             "F4,F5 match f^(4),f^(5) mod chart": congruent,
             "membership": consequence.to_json_dict(),
         },
-        spairs_processed=consequence.spairs_processed,
-        seconds=consequence.seconds,
+        consequence.spairs_processed,
+        consequence.seconds,
+        premises=[consequence],
     )
 
 
@@ -270,11 +272,10 @@ def verify_g2_identity() -> gb.VerificationReport:
     # without the trade the difference is a nonzero multiple of y1 - z1
     difference = pulled - target
     vanishes_on_diagonal = linear_substitute(difference, {y1c: z1}).is_zero
-    ok = identity and (not difference.is_zero) and vanishes_on_diagonal
-    return gb.VerificationReport(
-        claim="g2 certificate identity",
-        outcome=gb.VERIFIED if ok else gb.REFUTED,
-        certificate={
+    return gb.check(
+        "g2 certificate identity",
+        identity and (not difference.is_zero) and vanishes_on_diagonal,
+        {
             "identity": "phi2_inv(g1)|y1->z1 = g2/4",
             "difference_multiple_of_y1_minus_z1": vanishes_on_diagonal,
         },
@@ -289,10 +290,10 @@ def verify_phi_invariance(max_j: int = 8) -> gb.VerificationReport:
         for j in range(max_j + 1):
             if auto.on_polynomial(coeffs[j]) != coeffs[j]:
                 bad.append((auto.name, j))
-    return gb.VerificationReport(
-        claim=f"symmetries fix jet coefficients up to order {max_j}",
-        outcome=gb.REFUTED if bad else gb.VERIFIED,
-        certificate={"failures": bad} if bad else {"orders": max_j + 1},
+    return gb.check(
+        f"symmetries fix jet coefficients up to order {max_j}",
+        not bad,
+        {"failures": bad} if bad else {"orders": max_j + 1},
     )
 
 
@@ -305,14 +306,16 @@ def verify_automorphism_algebra() -> gb.VerificationReport:
         and PHI2_INV.compose(PHI2).is_identity
         and not PHI2.compose(PHI2).is_identity
     )
-    return gb.VerificationReport(
-        claim="automorphism algebra",
-        outcome=gb.VERIFIED if ok else gb.REFUTED,
-        certificate={"phi1^2": "id", "phi2^3": "id", "phi2*phi2_inv": "id"},
+    return gb.check(
+        "automorphism algebra",
+        ok,
+        {"phi1^2": "id", "phi2^3": "id", "phi2*phi2_inv": "id"},
     )
 
 
-def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
+def verify_chart_transport(
+    m: int = M_MIN, budget: gb.Budget | None = None
+) -> gb.VerificationReport:
     """The symmetries permute the chart ideals the way the component
     permutation requires: phi1 swaps charts 2 and 3, phi2 cycles 1->3->2->1
     on ideals, and both fix the distinguished ideal."""
@@ -327,13 +330,16 @@ def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
             dst = expect[(auto.name, src)]
             mapped = auto.on_ideal(fam.charts[src])
             subs = [
-                gb.member(g, fam.charts[dst], claim=f"{auto.name}(L{src}) gen#{k} in L{dst}")
+                gb.member(
+                    g, fam.charts[dst], budget,
+                    claim=f"{auto.name}(L{src}) gen#{k} in L{dst}",
+                )
                 for k, g in enumerate(mapped.generators)
             ]
             reports.append(gb.merge_reports(f"{auto.name}(L{src}) subset L{dst}", subs))
         mapped0 = auto.on_ideal(fam.i0)
         subs = [
-            gb.member(g, fam.i0, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
+            gb.member(g, fam.i0, budget, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
             for k, g in enumerate(mapped0.generators)
         ]
         reports.append(gb.merge_reports(f"{auto.name}(I0) subset I0(m{m})", subs))
@@ -403,10 +409,10 @@ def verify_coordinate_lemma(
     for name, target in (("y1", var_code(Y, 1)), ("z1", var_code(Z, 1))):
         combo = _linear_span_member(Polynomial.variable(target), linear_gens)
         reports.append(
-            gb.VerificationReport(
-                claim=f"{name} in span of chart generators ({i},{j})",
-                outcome=gb.VERIFIED if combo is not None else gb.REFUTED,
-                certificate=None
+            gb.check(
+                f"{name} in span of chart generators ({i},{j})",
+                combo is not None,
+                None
                 if combo is None
                 else {
                     "combination": {
@@ -421,10 +427,8 @@ def verify_coordinate_lemma(
     l222 = Ladder(2, 2, 2)
     congruence = not gb.restrict_to_residual(x2**2 - _fk(m, 4), l222.codes())
     reports.append(
-        gb.VerificationReport(
-            claim="x2^2 matches f^(4) modulo L(2,2,2)",
-            outcome=gb.VERIFIED if congruence else gb.REFUTED,
-            certificate={"modulus": l222.label},
+        gb.check(
+            "x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label}
         )
     )
     reports.append(
@@ -432,16 +436,11 @@ def verify_coordinate_lemma(
     )
 
     for k, g in enumerate(fam.i0.generators):
+        rep = None
         if g.total_degree() == 1 or g in set(fam.j[i].generators):
             rep = gb.member(g, pair, budget, claim=f"I0 gen#{k} in {pair.label}")
-            if not rep.verified:
-                rep = gb.radical_member(
-                    g, pair, budget, claim=f"I0 gen#{k} in sqrt {pair.label}"
-                )
-        else:
-            rep = gb.radical_member(
-                g, pair, budget, claim=f"I0 gen#{k} in sqrt {pair.label}"
-            )
+        if rep is None or not rep.verified:
+            rep = gb.radical_member(g, pair, budget, claim=f"I0 gen#{k} in sqrt {pair.label}")
         reports.append(rep)
     return gb.merge_reports(f"distinguished ideal inside sqrt(J{i}+J{j}) at m{m}", reports)
 
@@ -472,10 +471,10 @@ WITNESS_SCALES = (Fraction(1), Fraction(2), Fraction(-1))
 def _vanishing_report(claim: str, ideal: gb.Ideal, pt: JetPoint) -> gb.VerificationReport:
     values = jet_point_values(pt)
     bad = [str(g) for g in ideal.generators if evaluate(g, values)]
-    return gb.VerificationReport(
-        claim=claim,
-        outcome=gb.REFUTED if bad else gb.VERIFIED,
-        certificate={"nonvanishing": bad} if bad else {"generators": len(ideal.generators)},
+    return gb.check(
+        claim,
+        not bad,
+        {"nonvanishing": bad} if bad else {"generators": len(ideal.generators)},
     )
 
 
@@ -492,81 +491,47 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
         raise ValueError(f"need m >= {M_MIN}")
     fam = d4_ideals(m)
     reports = []
-    y1c = var_code(Y, 1)
 
     if m == 5:
-        q = point_q(m)
-        ord_claim = t_order(point_q(7), d4_surface().ambient_polynomial())
+        name, base, moved = "Q", point_q(m), point_q_prime
+        order = t_order(point_q(7), d4_surface().ambient_polynomial())
         reports.append(
-            gb.VerificationReport(
-                claim="surface order along Q is 6",
-                outcome=gb.VERIFIED if ord_claim == 6 else gb.REFUTED,
-                certificate={"order": ord_claim, "truncated_at_5": "vanishes"},
+            gb.check(
+                "surface order along Q is 6",
+                order == 6,
+                {"order": order, "truncated_at_5": "vanishes"},
             )
         )
-        reports.append(_vanishing_report("I0 vanishes at Q", fam.i0, q))
-        for s in WITNESS_SCALES:
-            qp = point_q_prime(m, s)
-            reports.append(
-                _vanishing_report(f"J1 vanishes at Q'({s})", fam.j[1], qp)
-            )
-            y1val = jet_point_values(qp)[y1c]
-            reports.append(
-                gb.VerificationReport(
-                    claim=f"Q'({s}) lies in the y1 chart",
-                    outcome=gb.VERIFIED if y1val == s != 0 else gb.REFUTED,
-                    certificate={"y1": str(y1val)},
-                )
-            )
-        limit_ok = point_q_prime(m, 0) == q
+        reports.append(_vanishing_report("I0 vanishes at Q", fam.i0, base))
+    else:
+        name, base, moved = "P", point_p(m), point_p_prime
+        reports.append(_vanishing_report("I0 vanishes at P", fam.i0, base))
+        y2val = jet_point_values(base)[var_code(Y, 2)]
+        reports.append(gb.check("y2 equals 1 at P", y2val == 1, {"y2": str(y2val)}))
+    for s in WITNESS_SCALES:
+        pt = moved(m, s)
+        reports.append(_vanishing_report(f"J1 vanishes at {name}'({s})", fam.j[1], pt))
+        y1val = jet_point_values(pt)[var_code(Y, 1)]
         reports.append(
-            gb.VerificationReport(
-                claim="Q'(s) degenerates to Q at s=0",
-                outcome=gb.VERIFIED if limit_ok else gb.REFUTED,
+            gb.check(
+                f"{name}'({s}) lies in the y1 chart", y1val == s != 0, {"y1": str(y1val)}
             )
         )
+    reports.append(
+        gb.check(f"{name}'(s) degenerates to {name} at s=0", moved(m, 0) == base)
+    )
+
+    if m == 5:
         h = gb.restrict_to_residual(g2(), Ladder(3, 2, 2).codes())
-        value = evaluate(h, jet_point_values(q))
+        value = evaluate(h, jet_point_values(base))
         reports.append(
-            gb.VerificationReport(
-                claim="reduced g2 takes the value -32 at Q",
-                outcome=gb.VERIFIED if value == -32 else gb.REFUTED,
-                certificate={"h": str(h), "value": str(value)},
+            gb.check(
+                "reduced g2 takes the value -32 at Q",
+                value == -32,
+                {"h": str(h), "value": str(value)},
             )
         )
     else:
-        p = point_p(m)
-        reports.append(_vanishing_report("I0 vanishes at P", fam.i0, p))
-        values = jet_point_values(p)
-        y2val = values[var_code(Y, 2)]
-        reports.append(
-            gb.VerificationReport(
-                claim="y2 equals 1 at P",
-                outcome=gb.VERIFIED if y2val == 1 else gb.REFUTED,
-                certificate={"y2": str(y2val)},
-            )
-        )
-        for s in WITNESS_SCALES:
-            pp = point_p_prime(m, s)
-            reports.append(
-                _vanishing_report(f"J1 vanishes at P'({s})", fam.j[1], pp)
-            )
-            y1val = jet_point_values(pp)[y1c]
-            reports.append(
-                gb.VerificationReport(
-                    claim=f"P'({s}) lies in the y1 chart",
-                    outcome=gb.VERIFIED if y1val == s != 0 else gb.REFUTED,
-                    certificate={"y1": str(y1val)},
-                )
-            )
-        limit_ok = point_p_prime(m, 0) == p
-        reports.append(
-            gb.VerificationReport(
-                claim="P'(s) degenerates to P at s=0",
-                outcome=gb.VERIFIED if limit_ok else gb.REFUTED,
-            )
-        )
-
         # the certificate chain: z2, then x3, then y2
         f6 = _fk(m, 6)
         z2 = Polynomial.variable(var_code(Z, 2))
@@ -579,10 +544,10 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
             g2() + y2**4, l322_codes + (var_code(Z, 2), var_code(X, 3))
         )
         reports.append(
-            gb.VerificationReport(
-                claim="certificate congruences for the z2/x3/y2 chain",
-                outcome=gb.VERIFIED if (c1 and c2 and c3) else gb.REFUTED,
-                certificate={
+            gb.check(
+                "certificate congruences for the z2/x3/y2 chain",
+                c1 and c2 and c3,
+                {
                     "4*z2^4 = 4*z2*f^(6) - g1 mod L(3,2,2)": c1,
                     "f^(6) = x3^2 mod L(3,2,3)": c2,
                     "g2 = -y2^4 mod L(3,2,3)+x3": c3,
@@ -597,33 +562,14 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
             u1.label = f"I0+J1+(g1) m{m}"
             u2 = u1 + fam.j[2] + gb.Ideal([g2()], label="(g2)")
             u2.label = f"I0+J1+J2+(g1,g2) m{m}"
-            reports.append(
-                gb.radical_member(z2, u1, budget, claim=f"z2 in sqrt {u1.label}")
-            )
-            reports.append(
-                gb.radical_member(x3, u1, budget, claim=f"x3 in sqrt {u1.label}")
-            )
-            reports.append(
-                gb.radical_member(y2, u2, budget, claim=f"y2 in sqrt {u2.label}")
-            )
-            reports.append(
+            reports += [
+                gb.radical_member(z2, u1, budget, claim=f"z2 in sqrt {u1.label}"),
+                gb.radical_member(x3, u1, budget, claim=f"x3 in sqrt {u1.label}"),
+                gb.radical_member(y2, u2, budget, claim=f"y2 in sqrt {u2.label}"),
                 gb.expect_refuted(
-                    gb.radical_member(
-                        y2, u1, budget, claim=f"y2 avoids sqrt {u1.label}"
-                    )
-                )
-            )
-        else:
-            reports.append(
-                gb.VerificationReport(
-                    claim=f"engine radical corroboration deferred at m{m}",
-                    outcome=gb.VERIFIED,
-                    certificate={
-                        "note": "certificate congruences above prove the chain;"
-                        " engine radicals run at orders 6 and 7"
-                    },
-                )
-            )
+                    gb.radical_member(y2, u1, budget, claim=f"y2 avoids sqrt {u1.label}")
+                ),
+            ]
     return gb.merge_reports(f"strictness witnesses at m{m}", reports)
 
 
@@ -654,15 +600,7 @@ def verify_component_ideals(m: int = 5, budget: gb.Budget | None = None) -> gb.V
         )
         return gb.merge_reports(
             f"component ideals at m{m} (saturation budget exhausted; chart-level fallback)",
-            [
-                gb.VerificationReport(
-                    claim=f"saturation of J-ideals at m{m}",
-                    outcome=gb.BUDGET_EXHAUSTED,
-                    certificate={"context": exc.context},
-                    spairs_processed=exc.spairs,
-                ),
-                fallback,
-            ],
+            [gb.exhausted(f"saturation of J-ideals at m{m}", exc, exc.seconds), fallback],
         )
     reports.append(gb.member(g1(), i1, budget, claim=f"g1 in {i1.label}"))
     reports.append(gb.member(g2(), i2, budget, claim=f"g2 in {i2.label}"))
@@ -687,12 +625,11 @@ def verify_component_ideals(m: int = 5, budget: gb.Budget | None = None) -> gb.V
         "I0": gb.krull_dim(fam.i0, budget),
         "I1": gb.krull_dim(i1, budget),
     }
-    dim_ok = all(d == 2 * m + 1 for d in dims.values())
     reports.append(
-        gb.VerificationReport(
-            claim=f"component dimensions equal {2 * m + 1} at m{m}",
-            outcome=gb.VERIFIED if dim_ok else gb.REFUTED,
-            certificate={k: v for k, v in dims.items()},
+        gb.check(
+            f"component dimensions equal {2 * m + 1} at m{m}",
+            all(d == 2 * m + 1 for d in dims.values()),
+            dims,
         )
     )
     return gb.merge_reports(f"component ideals at m{m}", reports)
@@ -707,10 +644,10 @@ def verify_complete_intersection_remark(m: int = 5) -> gb.VerificationReport:
         gb.restrict_to_residual(_fk(m, 0), fam_vars)
         or gb.restrict_to_residual(_fk(m, 1), fam_vars)
     )
-    return gb.VerificationReport(
-        claim="fiber is cut by m+2 equations",
-        outcome=gb.VERIFIED if ok else gb.REFUTED,
-        certificate={"f0,f1 in (x0,y0,z0)": ok, "generators": m + 2},
+    return gb.check(
+        "fiber is cut by m+2 equations",
+        ok,
+        {"f0,f1 in (x0,y0,z0)": ok, "generators": m + 2},
     )
 
 
@@ -725,8 +662,8 @@ def _theorem_facts(m: int, budget: gb.Budget | None):
     identities = [
         verify_automorphism_algebra(),
         verify_phi_invariance(max(m, 8)),
-        verify_chart_transport(m),
-        verify_g1_identity(m),
+        verify_chart_transport(m, budget),
+        verify_g1_identity(m, budget),
         verify_g2_identity(),
     ]
     separation = [
@@ -751,21 +688,20 @@ def d4_maximal_intersections(m: int, budget: gb.Budget | None = None):
 
 
 def verify_suite(
-    m: int, budget: gb.Budget | None = None, with_saturation: bool | None = None
+    m: int, budget: gb.Budget | None = None, saturate: bool = False
 ) -> list[gb.VerificationReport]:
-    """Everything checkable at one jet order, as a flat report list.
+    """Everything checkable at one jet order, as a flat report list; the
+    saturation-level component checks run at m = 5 or when asked for.
 
     Every check runs once, under one shared_bases() scope: the closing
     "maximal pairs" report folds the suite's own reports the way
     d4_maximal_intersections folds its, so it agrees with that function in
     outcome and S-pair count without running any check again.
     """
-    if with_saturation is None:
-        with_saturation = m == 5
     with gb.shared_bases():
         identities, separation = _theorem_facts(m, budget)
         reports = identities + [verify_complete_intersection_remark(m)] + separation
-        if with_saturation:
+        if saturate or m == 5:
             reports.append(verify_component_ideals(m, budget))
     theorem = _maximal_theorem(m, identities, separation)
     reports.append(

@@ -119,6 +119,20 @@ def to_dot(g: IntersectionGraph) -> str:
 # builders wired to the two surfaces
 
 
+class UnverifiedGraph(RuntimeError):
+    """The check behind a graph's edges did not come out verified; report
+    is that check's report."""
+
+    def __init__(self, report):
+        super().__init__(f"maximal-intersection verification {report.outcome}")
+        self.report = report
+
+
+def component_graph(indices, pairs) -> IntersectionGraph:
+    """Graph on the components Z<i>, i in indices, with one edge per pair."""
+    return build_graph([f"Z{i}" for i in indices], [(f"Z{i}", f"Z{j}") for i, j in pairs])
+
+
 def an_fiber_graph(n: int, m: int | None = None) -> IntersectionGraph:
     """Intersection graph of the A-series fiber components.  The maximal
     pairs come from the containment criterion and do not depend on m; m is
@@ -127,17 +141,16 @@ def an_fiber_graph(n: int, m: int | None = None) -> IntersectionGraph:
 
     if m is not None and m < n:
         raise ValueError(f"need m >= n, got m={m}, n={n}")
-    labels = [f"Z{i}" for i in range(1, n + 1)]
-    return build_graph(labels, [(f"Z{i}", f"Z{j}") for i, j in maximal_pairs(n)])
+    return component_graph(range(1, n + 1), maximal_pairs(n))
 
 
 def d4_fiber_graph(m: int, budget=None) -> IntersectionGraph:
     """Intersection graph of the D4 fiber components at order m; runs the
-    verification bundle behind the maximal-pair set."""
+    verification bundle behind the maximal-pair set and raises
+    UnverifiedGraph unless it comes out verified."""
     from .d4 import d4_maximal_intersections
 
     pairs, report = d4_maximal_intersections(m, budget)
-    if report.outcome != "verified":
-        raise RuntimeError(f"maximal-intersection verification {report.outcome}")
-    labels = [f"Z{i}" for i in range(4)]
-    return build_graph(labels, [(f"Z{i}", f"Z{j}") for i, j in pairs])
+    if not report.verified:
+        raise UnverifiedGraph(report)
+    return component_graph(range(4), pairs)

@@ -27,6 +27,12 @@ Every potentially expensive computation takes a Budget; exceeding it raises
 BudgetExhausted rather than returning anything partial.  Identical inputs
 always produce identical bases and reports.
 
+check is the one rule that turns a decided claim into an outcome: verified
+when the check held, refuted when it failed, and never better than the
+reports the claim stands on.  member and radical_member decide through one
+query wrapper (_query) that owns the presolve, the trivial case, the timing
+and the budget-exhausted report; exhausted builds that report.
+
 A verification bundle that builds the same ideals again and again (fresh
 ideal families, fresh radical-trick ideals) opens shared_bases(): while it
 is open, buchberger keeps one basis per (generators, order) and serves a
@@ -43,7 +49,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import ge
@@ -150,42 +156,53 @@ class VerificationReport:
         }
 
 
+def _worst(outcomes) -> str:
+    return max(outcomes, key=_OUTCOME_RANK.__getitem__, default=VERIFIED)
+
+
+def check(
+    claim: str,
+    ok: bool,
+    certificate=None,
+    spairs_processed: int = 0,
+    seconds: float = 0.0,
+    premises=(),
+) -> VerificationReport:
+    """The report of a decided check: verified when ok, refuted otherwise.
+    A claim that stands on premise reports takes the worst of its own
+    outcome and theirs, so an undecided premise leaves it undecided."""
+    outcome = _worst([VERIFIED if ok else REFUTED] + [r.outcome for r in premises])
+    return VerificationReport(claim, outcome, certificate, spairs_processed, seconds)
+
+
+def exhausted(claim: str, exc: BudgetExhausted, seconds: float) -> VerificationReport:
+    """The report of a check whose computation ran out of budget."""
+    return VerificationReport(
+        claim, BUDGET_EXHAUSTED, {"kind": "budget", "context": exc.context},
+        exc.spairs, seconds,
+    )
+
+
 def merge_reports(claim: str, reports) -> VerificationReport:
     """Fold sub-reports into one; the worst sub-outcome wins."""
     reports = list(reports)
-    outcome = VERIFIED
-    for r in reports:
-        if _OUTCOME_RANK[r.outcome] > _OUTCOME_RANK[outcome]:
-            outcome = r.outcome
+    subchecks = [
+        {"claim": r.claim, "outcome": r.outcome, "certificate": r.certificate}
+        for r in reports
+    ]
     return VerificationReport(
-        claim=claim,
-        outcome=outcome,
-        certificate={
-            "subchecks": [
-                {"claim": r.claim, "outcome": r.outcome, "certificate": r.certificate}
-                for r in reports
-            ]
-        },
-        spairs_processed=sum(r.spairs_processed for r in reports),
-        seconds=sum(r.seconds for r in reports),
+        claim,
+        _worst(r.outcome for r in reports),
+        {"subchecks": subchecks},
+        sum(r.spairs_processed for r in reports),
+        sum(r.seconds for r in reports),
     )
 
 
 def expect_refuted(report: VerificationReport) -> VerificationReport:
     """Invert a membership report: non-membership is the claim here."""
-    if report.outcome == REFUTED:
-        outcome = VERIFIED
-    elif report.outcome == VERIFIED:
-        outcome = REFUTED
-    else:
-        outcome = report.outcome
-    return VerificationReport(
-        claim=report.claim,
-        outcome=outcome,
-        certificate=report.certificate,
-        spairs_processed=report.spairs_processed,
-        seconds=report.seconds,
-    )
+    swapped = {VERIFIED: REFUTED, REFUTED: VERIFIED}.get(report.outcome, report.outcome)
+    return replace(report, outcome=swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +361,6 @@ class GroebnerBasis:
         if cofactors is not None:
             quotients.extend(map(ring.sparsify, cofactors))
         return ring.sparsify(tail)
-
-    def contains(self, p: Polynomial) -> bool:
-        return not self.reduce(p)
-
-    def reduce_with_quotients(self, p: Polynomial):
-        """Division with cofactors: (quotients, r) with p = sum q_i g_i + r,
-        where r is the normal form of p and q_i goes with self.polys[i]."""
-        quotients: list[Polynomial] = []
-        r = self.reduce(p, quotients)
-        return quotients, r
 
 
 # the open shared_bases() memo, (generators, order) -> GroebnerBasis; a
@@ -570,18 +577,39 @@ def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
 
 
 def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
-    """(remainder, certificate if p is a member) from one division of p.  A
-    small enough basis and p divide with quotients, which the certificate
+    """(remainder, certificate) from one division of p.  A small enough
+    basis and p divide with quotients, which the certificate of a member
     lists as cofactors when there are few of them."""
-    cert: dict = {"kind": "normal-form", "remainder": "0", "basis_size": len(gb)}
-    if len(gb) > 12 or len(p) > 40:
-        return gb.reduce(p), cert
-    quotients, remainder = gb.reduce_with_quotients(p)
-    if not remainder and sum(len(q) for q in quotients) <= 80:
+    quotients = None if len(gb) > 12 or len(p) > 40 else []
+    remainder = gb.reduce(p, quotients)
+    cert: dict = {"kind": "normal-form", "remainder": str(remainder), "basis_size": len(gb)}
+    if quotients and not remainder and sum(len(q) for q in quotients) <= 80:
         cert["cofactors"] = {
             str(gb.polys[i]): str(q) for i, q in enumerate(quotients) if q
         }
     return remainder, cert
+
+
+def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
+    """Run one engine query on p and the ideal: restrict both to the
+    coordinate presolve's residual (unless presolve is off), report a p that
+    restricts to zero as verified with the trivial certificate, and
+    otherwise report decide(residual, p0) -> (ok, certificate, S-pairs).
+    Time runs from the call; running out of budget gives exhausted's
+    report."""
+    start = time.monotonic()
+    try:
+        if presolve:
+            residual, eliminated = ideal.presolved()
+            p0 = restrict_to_residual(p, eliminated)
+        else:
+            residual, p0 = ideal, p
+        if not p0:
+            return check(claim, True, trivial, 0, time.monotonic() - start)
+        ok, cert, spairs = decide(residual, p0)
+        return check(claim, ok, cert, spairs, time.monotonic() - start)
+    except BudgetExhausted as exc:
+        return exhausted(claim, exc, time.monotonic() - start)
 
 
 def member(
@@ -594,40 +622,16 @@ def member(
 ) -> VerificationReport:
     """Is p in the ideal?  Verified/refuted by normal form against a reduced
     basis; a refutation's witness is the nonzero remainder."""
-    claim = claim or f"member: {p} in {ideal.describe()}"
-    start = time.monotonic()
-    try:
-        if presolve:
-            residual, eliminated = ideal.presolved()
-            p0 = restrict_to_residual(p, eliminated)
-        else:
-            residual, p0 = ideal, p
-        if not p0:
-            return VerificationReport(
-                claim,
-                VERIFIED,
-                {"kind": "normal-form", "remainder": "0", "basis_size": 0},
-                0,
-                time.monotonic() - start,
-            )
+
+    def decide(residual, p0):
         gb = residual.groebner(GREVLEX_ORDER, budget)
         remainder, cert = _divide_for_member(gb, p0)
-        if not remainder:
-            return VerificationReport(
-                claim, VERIFIED, cert, gb.spairs_processed, time.monotonic() - start
-            )
-        return VerificationReport(
-            claim,
-            REFUTED,
-            {"kind": "normal-form", "remainder": str(remainder), "basis_size": len(gb)},
-            gb.spairs_processed,
-            time.monotonic() - start,
-        )
-    except BudgetExhausted as exc:
-        return VerificationReport(
-            claim, BUDGET_EXHAUSTED, {"kind": "budget", "context": exc.context},
-            exc.spairs, time.monotonic() - start,
-        )
+        return not remainder, cert, gb.spairs_processed
+
+    return _query(
+        claim or f"member: {p} in {ideal.describe()}", p, ideal, presolve,
+        {"kind": "normal-form", "remainder": "0", "basis_size": 0}, decide,
+    )
 
 
 def _fresh_aux(*var_sets) -> int:
@@ -649,19 +653,8 @@ def radical_member(
 ) -> VerificationReport:
     """Is p in the radical?  Decided by adjoining 1 - w*p for a fresh
     auxiliary variable and testing whether the ideal becomes the unit ideal."""
-    claim = claim or f"radical-member: {p} in sqrt {ideal.describe()}"
-    start = time.monotonic()
-    try:
-        if presolve:
-            residual, eliminated = ideal.presolved()
-            p0 = restrict_to_residual(p, eliminated)
-        else:
-            residual, p0 = ideal, p
-        if not p0:
-            return VerificationReport(
-                claim, VERIFIED, {"kind": "radical-trick", "trivial": True},
-                0, time.monotonic() - start,
-            )
+
+    def decide(residual, p0):
         w = _fresh_aux(ideal.variables, p.variables())
         trick = Polynomial.one() - Polynomial.variable(w) * p0
         extended = Ideal(
@@ -669,31 +662,15 @@ def radical_member(
             variables=residual.variables | p0.variables() | {w},
         )
         gb = buchberger(extended, GREVLEX_ORDER, budget)
-        if gb.is_unit:
-            return VerificationReport(
-                claim,
-                VERIFIED,
-                {"kind": "radical-trick", "aux": var_name(w)},
-                gb.spairs_processed,
-                time.monotonic() - start,
-            )
-        return VerificationReport(
-            claim,
-            REFUTED,
-            {
-                "kind": "radical-trick",
-                "aux": var_name(w),
-                "witness": "normal form of 1 is 1",
-                "basis_size": len(gb),
-            },
-            gb.spairs_processed,
-            time.monotonic() - start,
-        )
-    except BudgetExhausted as exc:
-        return VerificationReport(
-            claim, BUDGET_EXHAUSTED, {"kind": "budget", "context": exc.context},
-            exc.spairs, time.monotonic() - start,
-        )
+        cert = {"kind": "radical-trick", "aux": var_name(w)}
+        if not gb.is_unit:
+            cert.update(witness="normal form of 1 is 1", basis_size=len(gb))
+        return gb.is_unit, cert, gb.spairs_processed
+
+    return _query(
+        claim or f"radical-member: {p} in sqrt {ideal.describe()}", p, ideal,
+        presolve, {"kind": "radical-trick", "trivial": True}, decide,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -240,3 +240,47 @@ def test_negative_budget_is_a_usage_error(capsys, flag):
     assert code == 1
     assert out == ""
     assert "must be nonnegative" in err
+
+
+BUDGETED = [
+    ["an", "verify", "--n", "2", "--m", "6"],
+    ["an", "verify", "--n", "3", "--m", "8", "--i", "1", "--j", "2"],
+    ["d4", "verify", "--m", "5"],
+    ["d4", "verify", "--m", "6", "--saturate"],
+    ["d4", "graph", "--m", "5"],
+]
+BUDGETS = [
+    ["--budget-spairs", "0"],
+    ["--budget-spairs", "5"],
+    ["--budget-seconds", "0"],
+]
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=[" ".join(b) for b in BUDGETS])
+@pytest.mark.parametrize("argv", BUDGETED, ids=[" ".join(a) for a in BUDGETED])
+def test_budgeted_commands_report_instead_of_crashing(capsys, argv, budget):
+    code, _, _ = run(capsys, *argv, *budget)
+    # a budget leaves checks undecided; it never refutes one
+    assert code in (0, 3)
+
+
+def test_exhausted_intersection_is_a_budget_report(capsys):
+    code, out, _ = run(
+        capsys, "an", "verify", "--n", "2", "--m", "6", "--budget-spairs", "0",
+        "--format", "json",
+    )
+    assert code == 3
+    (report,) = [r for r in json.loads(out)["reports"] if r["claim"].endswith(";1,2)")]
+    (meet,) = [
+        s for s in report["certificate"]["subchecks"]
+        if s["claim"].endswith("subset sqrt J(n2,m6;1,2)")
+    ]
+    assert meet["outcome"] == "budget-exhausted"
+    assert meet["certificate"] == {"kind": "budget", "context": "buchberger"}
+
+
+def test_d4_graph_budget_is_an_error(capsys):
+    code, out, err = run(capsys, "d4", "graph", "--m", "5", "--budget-spairs", "5")
+    assert code == 3
+    assert out == ""
+    assert "maximal-intersection verification budget-exhausted" in err

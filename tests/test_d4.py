@@ -171,6 +171,13 @@ def test_g1_identity_report():
         assert verify_g1_identity(m).outcome == gb.VERIFIED
 
 
+def test_budget_reaches_chart_transport_and_g1():
+    zero = gb.Budget(max_spairs=0)
+    assert verify_chart_transport(8, zero).outcome == gb.BUDGET_EXHAUSTED
+    # the identity holds; only the membership it stands on is undecided
+    assert verify_g1_identity(5, zero).outcome == gb.BUDGET_EXHAUSTED
+
+
 def test_g2_identity_report():
     rep = verify_g2_identity()
     assert rep.outcome == gb.VERIFIED

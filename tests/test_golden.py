@@ -48,3 +48,65 @@ def test_benchmark_expand_m40_matches_pin(capsys):
     assert main(["expand", "x*y-z^5", "--m", "40", "--format", "json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert (hashlib.sha256(out).hexdigest(), len(out)) == EXPAND_XY_Z5_M40
+
+
+# Text, csv and dot output of every subcommand, the JSON of the subcommands
+# no golden file covers, budgeted runs and an error exit, pinned by
+# (exit code, sha256 of stdout, byte length).
+PINS = [
+    (["expand", "x*y-z^5", "--m", "12"], 0,
+     "1e10311635f7243051671a14492da17cfc6d428e97c428759c1f1e05ffe935ba", 4090),
+    (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3"], 0,
+     "66f121a68e504df5b168d19394640e346e380804432503e94265411472a6127c", 94),
+    (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3", "--format", "json"], 0,
+     "689dc62d2c9e7ba4afae72c73b9ce62ffc02a9ea01a66d152a87b5346214e5de", 730),
+    (["an", "table", "--n", "3", "--m", "3..9"], 0,
+     "354d973becb8a91dc173b7f91493c44a8c07684379e3494e963c4ac7aee90163", 544),
+    (["an", "table", "--n", "3", "--m", "3..9", "--format", "csv"], 0,
+     "bd0518f423a8e51955671c1d8d3429b1f70dc15a7ddf3c5d4393d9adc5b65d75", 209),
+    (["an", "table", "--n", "2", "--m", "2..6", "--format", "json"], 0,
+     "d82d0c4ac0c603ca35965462f72b3bbdc7b0c4bf9c142f87a50074c6257d007b", 660),
+    (["an", "graph", "--n", "4"], 0,
+     "95ba753f6bf62766a18ce6ce7edd983a3d94f673841545b4528127b8310f6226", 90),
+    (["an", "graph", "--n", "4", "--m", "6", "--format", "json"], 0,
+     "eb90e6e5db1d620b669d893d43c0e8895191a48bebc07ab78db0e330d28cf3ce", 449),
+    (["an", "verify", "--n", "3", "--m", "6"], 0,
+     "85d83f3ec8651eb017b04ca607b90ae765b4ff5537041e76712887318ea3450d", 259),
+    (["an", "verify", "--n", "3", "--m", "6", "--i", "1", "--j", "3"], 0,
+     "e3e94bd4e86503d611a32d9e7ec8958f9228bc12505a3bbc6a0632cdc134cb1e", 99),
+    (["an", "verify", "--n", "3", "--m", "6", "--budget-spairs", "5"], 3,
+     "8b5044cdd16560dc5a2aed42cb5358a80e819c361133ff44316ea7c43207c7a8", 259),
+    (["an", "verify", "--n", "2", "--m", "5", "--budget-spairs", "0", "--format", "json"], 3,
+     "cadcb1060caf11e09b26bd24856af282998c6d0eb64836d7a24261bc09b8c11c", 19067),
+    (["an", "verify", "--n", "3", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
+     "f9b117a24b7721f44acd863fde661307f19aa51e706d5691adb36046cb733093", 55780),
+    (["an", "verify", "--n", "4", "--m", "7", "--budget-spairs", "20", "--format", "json"], 3,
+     "894778672730a60bb33ccdab61f13b5c17757e2b667b8472bfbcae573bd2fcaa", 108890),
+    (["d4", "ideals", "--m", "5"], 0,
+     "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
+    (["d4", "ideals", "--m", "5", "--format", "json"], 0,
+     "eb3ba611a9b18f6d15aaba84fd63c3b4d331fdab5e76d22508abc8f51473f9b6", 3908),
+    (["d4", "verify", "--m", "5"], 0,
+     "3add15e46952631fda2b2bb22add9c9f2956152d20239a341f37f18ec4163d7d", 722),
+    (["d4", "verify", "--m", "5", "--saturate"], 0,
+     "3add15e46952631fda2b2bb22add9c9f2956152d20239a341f37f18ec4163d7d", 722),
+    (["d4", "verify", "--m", "8"], 0,
+     "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
+    (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
+     "9932c43c4bc2a4526238cdbff0429acc9b44a3dbc76403cfd2276ddf0b4d4d73", 41005),
+    (["d4", "graph", "--m", "6"], 0,
+     "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
+    (["d4", "graph", "--m", "5", "--format", "json"], 0,
+     "9a2cbb855eccc776516cec738fede168b0cfd59a4275ca4391a44b22f6974d39", 437),
+    (["d4", "verify", "--m", "4"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest, length", PINS, ids=[" ".join(argv) for argv, *_ in PINS]
+)
+def test_output_matches_pin(capsys, argv, code, digest, length):
+    assert main(argv) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, length)
