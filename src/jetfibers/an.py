@@ -86,9 +86,11 @@ class AnComponent:
     reduced: gb.Ideal
 
 
-def component_ideal(
-    n: int, m: int, l: int, budget: gb.Budget | None = None
-) -> AnComponent:
+def component_ideal(n: int, m: int, l: int) -> AnComponent:
+    """Both presentations of component l, checked to generate the same ideal
+    inside one engine session, so the checks share their bases.  A check the
+    budget leaves undecided raises BudgetExhausted; a refuted one raises
+    AssertionError."""
     if not 1 <= l <= n <= m:
         raise ValueError(f"need 1 <= l <= n <= m, got l={l}, n={n}, m={m}")
     lad = Ladder(l, n + 1 - l, 1)
@@ -103,11 +105,15 @@ def component_ideal(
         variables=jet_variables(m),
         label=f"I(n{n},m{m};{l})/reduced",
     )
-    for source, target in ((defining, reduced), (reduced, defining)):
-        for g in source.generators:
-            rep = gb.member(g, target, budget)
-            if not rep.verified:
-                raise AssertionError(f"presentation mismatch: {rep.claim}")
+    with gb.session():
+        for source, target in ((defining, reduced), (reduced, defining)):
+            for g in source.generators:
+                rep = gb.member(g, target)
+                if rep.outcome == gb.BUDGET_EXHAUSTED:
+                    context = rep.certificate["context"]
+                    raise gb.BudgetExhausted(context, rep.spairs_processed, rep.seconds)
+                if not rep.verified:
+                    raise AssertionError(f"presentation mismatch: {rep.claim}")
     return AnComponent(n, m, l, defining, reduced)
 
 
@@ -258,9 +264,7 @@ def maximal_pairs(n: int) -> tuple[tuple[int, int], ...]:
 # engine verification
 
 
-def _intersect_descriptors(
-    dec: IntersectionDecomposition, budget: gb.Budget | None
-) -> gb.Ideal:
+def _intersect_descriptors(dec: IntersectionDecomposition) -> gb.Ideal:
     """Exact intersection of the listed component ideals.
 
     Pure ladders intersect as monomial ideals.  With jet tails present, the
@@ -278,7 +282,7 @@ def _intersect_descriptors(
         residuals.append(gb.Ideal([g for g in gens if g], label=ideal.label))
     current = residuals[0]
     for nxt in residuals[1:]:
-        current = gb.ideal_intersect_elim(current, nxt, budget)
+        current = gb.ideal_intersect_elim(current, nxt)
     coordinate = tuple(Polynomial.variable(c) for c in sorted(common, reverse=True))
     return gb.Ideal(
         coordinate + current.generators,
@@ -311,9 +315,7 @@ def _case_guard(dec: IntersectionDecomposition) -> gb.VerificationReport:
     )
 
 
-def verify_decomposition(
-    n: int, m: int, i: int, j: int, budget: gb.Budget | None = None
-) -> gb.VerificationReport:
+def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationReport:
     """Engine certification of the decomposition of one pairwise intersection.
 
     Checks, after the coordinate presolve: the pair ideal sits inside every
@@ -332,19 +334,19 @@ def verify_decomposition(
 
     for desc, comp in zip(dec.components, comps):
         subs = [
-            gb.member(g, comp, budget, claim=f"{J.label} gen#{k} in {desc.label}")
+            gb.member(g, comp, claim=f"{J.label} gen#{k} in {desc.label}")
             for k, g in enumerate(J.generators)
         ]
         reports.append(gb.merge_reports(f"{J.label} subset {desc.label}", subs))
 
     claim = f"{dec.meet_label} subset sqrt {J.label}"
     try:
-        meet = _intersect_descriptors(dec, budget)
+        meet = _intersect_descriptors(dec)
     except gb.BudgetExhausted as exc:
         reports.append(gb.exhausted(claim, exc, exc.seconds))
     else:
         subs = [
-            gb.radical_member(g, J, budget, claim=f"{meet.label} gen#{k} in sqrt {J.label}")
+            gb.radical_member(g, J, claim=f"{meet.label} gen#{k} in sqrt {J.label}")
             for k, g in enumerate(meet.generators)
         ]
         reports.append(gb.merge_reports(claim, subs))
@@ -357,13 +359,13 @@ def verify_decomposition(
             else:
                 y_w = Polynomial.variable(var_code(Y, m - j - u1))
             pieces = [
-                gb.member(x_w, comps[u2], budget, claim=f"{x_w} in {dec.components[u2].label}"),
+                gb.member(x_w, comps[u2], claim=f"{x_w} in {dec.components[u2].label}"),
                 gb.expect_refuted(
-                    gb.member(x_w, comps[u1], budget, claim=f"{x_w} not in {dec.components[u1].label}")
+                    gb.member(x_w, comps[u1], claim=f"{x_w} not in {dec.components[u1].label}")
                 ),
-                gb.member(y_w, comps[u1], budget, claim=f"{y_w} in {dec.components[u1].label}"),
+                gb.member(y_w, comps[u1], claim=f"{y_w} in {dec.components[u1].label}"),
                 gb.expect_refuted(
-                    gb.member(y_w, comps[u2], budget, claim=f"{y_w} not in {dec.components[u2].label}")
+                    gb.member(y_w, comps[u2], claim=f"{y_w} not in {dec.components[u2].label}")
                 ),
             ]
             reports.append(
@@ -394,9 +396,7 @@ def verify_decomposition(
     return gb.merge_reports(f"decomposition of {J.label}", reports)
 
 
-def verify_containment_criterion(
-    n: int, m: int, budget: gb.Budget | None = None
-) -> gb.VerificationReport:
+def verify_containment_criterion(n: int, m: int) -> gb.VerificationReport:
     """Cross-check the index criterion against engine-decided containment on
     every pair of pairs at (n, m)."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -408,7 +408,7 @@ def verify_containment_criterion(
             lad = Ladder(l, n + 1 - k, 1)
             engine = True
             for code in lad.codes():
-                rep = gb.radical_member(Polynomial.variable(code), J_ij, budget)
+                rep = gb.radical_member(Polynomial.variable(code), J_ij)
                 if rep.outcome == gb.BUDGET_EXHAUSTED:
                     reports.append(rep)
                     engine = None
@@ -428,11 +428,9 @@ def verify_containment_criterion(
     return gb.merge_reports(f"containment criterion n{n} m{m}", reports)
 
 
-def verify_all_pairs(
-    n: int, m: int, budget: gb.Budget | None = None
-) -> list[gb.VerificationReport]:
+def verify_all_pairs(n: int, m: int) -> list[gb.VerificationReport]:
     return [
-        verify_decomposition(n, m, i, j, budget)
+        verify_decomposition(n, m, i, j)
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     ]
@@ -471,6 +469,8 @@ class TableRow:
 
 def an_table(n: int, m_values) -> list[TableRow]:
     """Dimension/codimension/component-count summary rows, one per m."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     pairs = table_pairs(n)
     rows = []
     for m in m_values:

@@ -30,6 +30,7 @@ from .groebner import (
     VERIFIED,
     VerificationReport,
     check,
+    session,
 )
 from .poly import PolynomialParseError, parse_polynomial
 
@@ -137,8 +138,11 @@ def build_parser() -> _Parser:
 
 def _budget(args) -> Budget | None:
     """The budget the --budget-* flags set, defaults filling the other
-    limit; None when neither flag is given."""
-    limits = {"max_spairs": args.budget_spairs, "max_seconds": args.budget_seconds}
+    limit; None when neither flag is given or the command takes none."""
+    limits = {
+        "max_spairs": getattr(args, "budget_spairs", None),
+        "max_seconds": getattr(args, "budget_seconds", None),
+    }
     limits = {k: v for k, v in limits.items() if v is not None}
     return Budget(**limits) if limits else None
 
@@ -280,13 +284,12 @@ def _cmd_an_graph(args) -> int:
 
 
 def _cmd_an_verify(args) -> int:
-    budget = _budget(args)
     if (args.i is None) != (args.j is None):
         raise ValueError("--i and --j go together")
     if args.i is not None:
-        reports = [an_mod.verify_decomposition(args.n, args.m, args.i, args.j, budget)]
+        reports = [an_mod.verify_decomposition(args.n, args.m, args.i, args.j)]
     else:
-        reports = an_mod.verify_all_pairs(args.n, args.m, budget)
+        reports = an_mod.verify_all_pairs(args.n, args.m)
         reports.append(
             _graph_claim(
                 f"n{args.n}",
@@ -320,7 +323,7 @@ def _cmd_d4_ideals(args) -> int:
 def _cmd_d4_verify(args) -> int:
     from .d4 import verify_suite
 
-    reports = verify_suite(args.m, _budget(args), args.saturate)
+    reports = verify_suite(args.m, args.saturate)
     # the graph claim stands on the maximal-pair theorem: it takes that
     # report's outcome, or is refuted when its pairs do not give the star
     (theorem,) = [r for r in reports if r.claim == f"maximal pairs at m{args.m}"]
@@ -337,7 +340,7 @@ def _cmd_d4_verify(args) -> int:
 
 def _cmd_d4_graph(args) -> int:
     try:
-        g = graphs.d4_fiber_graph(args.m, _budget(args))
+        g = graphs.d4_fiber_graph(args.m)
     except graphs.UnverifiedGraph as exc:
         print(f"jetfibers: error: {exc}", file=sys.stderr)
         return _verify_exit([exc.report])
@@ -364,7 +367,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args)
+        # one engine session per command: the budget of its flags bounds
+        # every basis, and a basis is computed once per command
+        with session(_budget(args)):
+            return handler(args)
     except PolynomialParseError as exc:
         print(f"jetfibers: parse error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ meeting the distinguished component, so the intersection graph is a star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groebner as gb
@@ -55,17 +55,14 @@ class D4IdealFamily:
     charts: dict[int, gb.Ideal]  # L^1, L^2, L^3
     i0: gb.Ideal
     j: dict[int, gb.Ideal]  # J^i = L^i + jet equations
-    _components: dict[int, gb.Ideal] = field(default_factory=dict)
 
-    def component_ideal(self, i: int, budget: gb.Budget | None = None) -> gb.Ideal:
-        """I^i = J^i : y1^inf, the contraction of the chart ideal; cached."""
+    def component_ideal(self, i: int) -> gb.Ideal:
+        """I^i = J^i : y1^inf, the contraction of the chart ideal.  Its
+        elimination basis is served from the open session's memo."""
         if i not in (1, 2, 3):
             raise ValueError("chart index must be 1, 2 or 3")
-        got = self._components.get(i)
-        if got is None:
-            got = gb.saturate(self.j[i], Polynomial.variable(var_code(Y, 1)), budget)
-            got.label = f"I{i}(m{self.m})"
-            self._components[i] = got
+        got = gb.saturate(self.j[i], Polynomial.variable(var_code(Y, 1)))
+        got.label = f"I{i}(m{self.m})"
         return got
 
 
@@ -208,9 +205,7 @@ def shifted_chart_coeffs(m: int = 5):
     return jet_coeffs_shifted(d4_surface(), m, 2, 1, 2)
 
 
-def verify_g1_identity(
-    m: int = M_MIN, budget: gb.Budget | None = None
-) -> gb.VerificationReport:
+def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
     """y1^2*g1 equals F5^2 - 4*x3^2*F4 + 4*y1*y2*z2*F5 exactly, where F4, F5
     are the chart-shifted jet coefficients; hence y1^2*g1 lies in J^1 and g1
     in the contraction I^1.
@@ -242,7 +237,7 @@ def verify_g1_identity(
         variables=fam.i0.variables,
         label=f"L1+(f4,f5)(m{m})",
     )
-    consequence = gb.member(lhs, subideal, budget, claim=f"y1^2*g1 in {subideal.label}")
+    consequence = gb.member(lhs, subideal, claim=f"y1^2*g1 in {subideal.label}")
     return gb.check(
         f"g1 certificate identity (m{m})",
         identity and congruent,
@@ -313,9 +308,7 @@ def verify_automorphism_algebra() -> gb.VerificationReport:
     )
 
 
-def verify_chart_transport(
-    m: int = M_MIN, budget: gb.Budget | None = None
-) -> gb.VerificationReport:
+def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
     """The symmetries permute the chart ideals the way the component
     permutation requires: phi1 swaps charts 2 and 3, phi2 cycles 1->3->2->1
     on ideals, and both fix the distinguished ideal."""
@@ -330,16 +323,13 @@ def verify_chart_transport(
             dst = expect[(auto.name, src)]
             mapped = auto.on_ideal(fam.charts[src])
             subs = [
-                gb.member(
-                    g, fam.charts[dst], budget,
-                    claim=f"{auto.name}(L{src}) gen#{k} in L{dst}",
-                )
+                gb.member(g, fam.charts[dst], claim=f"{auto.name}(L{src}) gen#{k} in L{dst}")
                 for k, g in enumerate(mapped.generators)
             ]
             reports.append(gb.merge_reports(f"{auto.name}(L{src}) subset L{dst}", subs))
         mapped0 = auto.on_ideal(fam.i0)
         subs = [
-            gb.member(g, fam.i0, budget, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
+            gb.member(g, fam.i0, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
             for k, g in enumerate(mapped0.generators)
         ]
         reports.append(gb.merge_reports(f"{auto.name}(I0) subset I0(m{m})", subs))
@@ -390,9 +380,7 @@ def _linear_lead(p: Polynomial) -> tuple:
     return max(mono for mono, _ in p.items())
 
 
-def verify_coordinate_lemma(
-    m: int, i: int, j: int, budget: gb.Budget | None = None
-) -> gb.VerificationReport:
+def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     """y1, z1 and x2 lie in the radical of any two distinct chart sums, so
     the distinguished ideal sits inside it: the pairwise intersections of the
     contracted components land in the distinguished component."""
@@ -431,16 +419,14 @@ def verify_coordinate_lemma(
             "x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label}
         )
     )
-    reports.append(
-        gb.radical_member(x2, pair, budget, claim=f"x2 in sqrt {pair.label}")
-    )
+    reports.append(gb.radical_member(x2, pair, claim=f"x2 in sqrt {pair.label}"))
 
     for k, g in enumerate(fam.i0.generators):
         rep = None
         if g.total_degree() == 1 or g in set(fam.j[i].generators):
-            rep = gb.member(g, pair, budget, claim=f"I0 gen#{k} in {pair.label}")
+            rep = gb.member(g, pair, claim=f"I0 gen#{k} in {pair.label}")
         if rep is None or not rep.verified:
-            rep = gb.radical_member(g, pair, budget, claim=f"I0 gen#{k} in sqrt {pair.label}")
+            rep = gb.radical_member(g, pair, claim=f"I0 gen#{k} in sqrt {pair.label}")
         reports.append(rep)
     return gb.merge_reports(f"distinguished ideal inside sqrt(J{i}+J{j}) at m{m}", reports)
 
@@ -478,7 +464,7 @@ def _vanishing_report(claim: str, ideal: gb.Ideal, pt: JetPoint) -> gb.Verificat
     )
 
 
-def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationReport:
+def witness_checks(m: int) -> gb.VerificationReport:
     """Strictness witnesses: the distinguished-component intersections are
     strictly bigger than the triple intersections.
 
@@ -563,11 +549,11 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
             u2 = u1 + fam.j[2] + gb.Ideal([g2()], label="(g2)")
             u2.label = f"I0+J1+J2+(g1,g2) m{m}"
             reports += [
-                gb.radical_member(z2, u1, budget, claim=f"z2 in sqrt {u1.label}"),
-                gb.radical_member(x3, u1, budget, claim=f"x3 in sqrt {u1.label}"),
-                gb.radical_member(y2, u2, budget, claim=f"y2 in sqrt {u2.label}"),
+                gb.radical_member(z2, u1, claim=f"z2 in sqrt {u1.label}"),
+                gb.radical_member(x3, u1, claim=f"x3 in sqrt {u1.label}"),
+                gb.radical_member(y2, u2, claim=f"y2 in sqrt {u2.label}"),
                 gb.expect_refuted(
-                    gb.radical_member(y2, u1, budget, claim=f"y2 avoids sqrt {u1.label}")
+                    gb.radical_member(y2, u1, claim=f"y2 avoids sqrt {u1.label}")
                 ),
             ]
     return gb.merge_reports(f"strictness witnesses at m{m}", reports)
@@ -577,53 +563,52 @@ def witness_checks(m: int, budget: gb.Budget | None = None) -> gb.VerificationRe
 # component ideals and the main theorem
 
 
-def d4_component_ideal(m: int, i: int, budget: gb.Budget | None = None) -> gb.Ideal:
-    return d4_ideals(m).component_ideal(i, budget)
+def d4_component_ideal(m: int, i: int) -> gb.Ideal:
+    return d4_ideals(m).component_ideal(i)
 
 
-def verify_component_ideals(m: int = 5, budget: gb.Budget | None = None) -> gb.VerificationReport:
+def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
     """Saturation-level facts at small order: the certificates g1, g2 land in
     the contracted ideals, y1 stays outside their radicals, the y-flip swaps
     components 2 and 3, and the dimensions come out at 2m+1."""
     fam = d4_ideals(m)
     reports = []
     try:
-        i1 = fam.component_ideal(1, budget)
-        i2 = fam.component_ideal(2, budget)
-        i3 = fam.component_ideal(3, budget)
+        i1 = fam.component_ideal(1)
+        i2 = fam.component_ideal(2)
+        i3 = fam.component_ideal(3)
     except gb.BudgetExhausted as exc:
         fallback = gb.member(
             Polynomial.variable(var_code(Y, 1)) ** 2 * g1(),
             fam.j[1],
-            budget,
             claim=f"fallback: y1^2*g1 in J1(m{m})",
         )
         return gb.merge_reports(
             f"component ideals at m{m} (saturation budget exhausted; chart-level fallback)",
             [gb.exhausted(f"saturation of J-ideals at m{m}", exc, exc.seconds), fallback],
         )
-    reports.append(gb.member(g1(), i1, budget, claim=f"g1 in {i1.label}"))
-    reports.append(gb.member(g2(), i2, budget, claim=f"g2 in {i2.label}"))
+    reports.append(gb.member(g1(), i1, claim=f"g1 in {i1.label}"))
+    reports.append(gb.member(g2(), i2, claim=f"g2 in {i2.label}"))
     y1 = Polynomial.variable(var_code(Y, 1))
     for ideal in (i1, i2, i3):
         reports.append(
             gb.expect_refuted(
-                gb.radical_member(y1, ideal, budget, claim=f"y1 avoids sqrt {ideal.label}")
+                gb.radical_member(y1, ideal, claim=f"y1 avoids sqrt {ideal.label}")
             )
         )
     mapped = PHI1.on_ideal(i2)
     subs = [
-        gb.member(g, i3, budget, claim=f"phi1(I2) gen#{k} in I3") for k, g in enumerate(mapped.generators)
+        gb.member(g, i3, claim=f"phi1(I2) gen#{k} in I3") for k, g in enumerate(mapped.generators)
     ]
     back = PHI1.on_ideal(i3)
     subs += [
-        gb.member(g, i2, budget, claim=f"phi1(I3) gen#{k} in I2") for k, g in enumerate(back.generators)
+        gb.member(g, i2, claim=f"phi1(I3) gen#{k} in I2") for k, g in enumerate(back.generators)
     ]
     reports.append(gb.merge_reports(f"y-flip swaps components 2 and 3 (m{m})", subs))
 
     dims = {
-        "I0": gb.krull_dim(fam.i0, budget),
-        "I1": gb.krull_dim(i1, budget),
+        "I0": gb.krull_dim(fam.i0),
+        "I1": gb.krull_dim(i1),
     }
     reports.append(
         gb.check(
@@ -655,20 +640,20 @@ MAXIMAL_PAIRS = ((0, 1), (0, 2), (0, 3))
 CHART_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-def _theorem_facts(m: int, budget: gb.Budget | None):
+def _theorem_facts(m: int):
     """The checks the maximal-pair theorem stands on, in two groups: the
     symmetries and the certificate identities, then the coordinate lemma on
     every chart pair and the strictness witnesses."""
     identities = [
         verify_automorphism_algebra(),
         verify_phi_invariance(max(m, 8)),
-        verify_chart_transport(m, budget),
-        verify_g1_identity(m, budget),
+        verify_chart_transport(m),
+        verify_g1_identity(m),
         verify_g2_identity(),
     ]
     separation = [
-        *(verify_coordinate_lemma(m, i, j, budget) for i, j in CHART_PAIRS),
-        witness_checks(m, budget),
+        *(verify_coordinate_lemma(m, i, j) for i, j in CHART_PAIRS),
+        witness_checks(m),
     ]
     return identities, separation
 
@@ -677,32 +662,30 @@ def _maximal_theorem(m: int, identities, separation) -> gb.VerificationReport:
     return gb.merge_reports(f"maximal intersections at m{m}", identities + separation)
 
 
-def d4_maximal_intersections(m: int, budget: gb.Budget | None = None):
+def d4_maximal_intersections(m: int):
     """The maximal pairwise intersections are the three against the
     distinguished component.  Returns (pairs, report); the report folds the
-    checks of _theorem_facts, run under one shared_bases() scope, so the
-    three coordinate lemmas share their chart-sum bases."""
-    with gb.shared_bases():
-        identities, separation = _theorem_facts(m, budget)
+    checks of _theorem_facts, run in one engine session, so the three
+    coordinate lemmas share their chart-sum bases."""
+    with gb.session():
+        identities, separation = _theorem_facts(m)
     return MAXIMAL_PAIRS, _maximal_theorem(m, identities, separation)
 
 
-def verify_suite(
-    m: int, budget: gb.Budget | None = None, saturate: bool = False
-) -> list[gb.VerificationReport]:
+def verify_suite(m: int, saturate: bool = False) -> list[gb.VerificationReport]:
     """Everything checkable at one jet order, as a flat report list; the
     saturation-level component checks run at m = 5 or when asked for.
 
-    Every check runs once, under one shared_bases() scope: the closing
+    Every check runs once, in one engine session: the closing
     "maximal pairs" report folds the suite's own reports the way
     d4_maximal_intersections folds its, so it agrees with that function in
     outcome and S-pair count without running any check again.
     """
-    with gb.shared_bases():
-        identities, separation = _theorem_facts(m, budget)
+    with gb.session():
+        identities, separation = _theorem_facts(m)
         reports = identities + [verify_complete_intersection_remark(m)] + separation
         if saturate or m == 5:
-            reports.append(verify_component_ideals(m, budget))
+            reports.append(verify_component_ideals(m))
     theorem = _maximal_theorem(m, identities, separation)
     reports.append(
         gb.VerificationReport(

@@ -144,13 +144,13 @@ def an_fiber_graph(n: int, m: int | None = None) -> IntersectionGraph:
     return component_graph(range(1, n + 1), maximal_pairs(n))
 
 
-def d4_fiber_graph(m: int, budget=None) -> IntersectionGraph:
+def d4_fiber_graph(m: int) -> IntersectionGraph:
     """Intersection graph of the D4 fiber components at order m; runs the
     verification bundle behind the maximal-pair set and raises
     UnverifiedGraph unless it comes out verified."""
     from .d4 import d4_maximal_intersections
 
-    pairs, report = d4_maximal_intersections(m, budget)
+    pairs, report = d4_maximal_intersections(m)
     if not report.verified:
         raise UnverifiedGraph(report)
     return component_graph(range(4), pairs)

@@ -23,25 +23,25 @@ membership certificates, is the same kernel call given quotient dicts.
 Yes/no divisibility tests (the chain criterion, minimalizing leads and
 monomial generators) are all(map(ge, a, b)) and build no quotient.
 
-Every potentially expensive computation takes a Budget; exceeding it raises
-BudgetExhausted rather than returning anything partial.  Identical inputs
-always produce identical bases and reports.
+One command runs in one engine session (session()): a ContextVar scope that
+holds the command's Budget and a memo of every reduced basis computed in it,
+keyed on (generators, order).  Ideal.groebner is the one path to a basis: it
+serves a repeated input from the memo and computes a missing one with
+buchberger under the session budget.  buchberger is a pure computation and
+the one place a budget is applied; exceeding it raises BudgetExhausted rather
+than returning anything partial, and an exhausted run stores nothing.  Every
+basis in the memo was computed under the session's one budget, so serving it
+can never exceed that budget.  The basis depends on nothing but its key,
+since the ring is built from the generators' variables; identical inputs
+always produce identical bases and reports.  A session opened inside another
+joins it, and the memo is dropped when the outermost one exits.  Outside a
+session a basis is computed afresh under the default budget.
 
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
 reports the claim stands on.  member and radical_member decide through one
 query wrapper (_query) that owns the presolve, the trivial case, the timing
 and the budget-exhausted report; exhausted builds that report.
-
-A verification bundle that builds the same ideals again and again (fresh
-ideal families, fresh radical-trick ideals) opens shared_bases(): while it
-is open, buchberger keeps one basis per (generators, order) and serves a
-repeated input from that memo.  The basis depends on nothing else, since
-the ring is built from the generators' variables.  A served basis, like a
-hit in an Ideal's own per-order cache, replays the pair budget: it raises
-exactly the BudgetExhausted a fresh run under that budget would raise.  The
-time limit is not replayed, because serving a stored basis does no work.
-The memo is dropped when the outermost shared_bases() block exits.
 """
 
 from __future__ import annotations
@@ -112,6 +112,30 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+
+# the open session: (budget, memo of (generators, order) -> GroebnerBasis); a
+# context variable, so a thread never sees a session another thread opened
+_session: ContextVar[tuple | None] = ContextVar("session", default=None)
+
+
+@contextmanager
+def session(budget: Budget | None = None):
+    """One engine session: every basis computed inside the block runs under
+    this budget (the default when None) and is served again from the
+    session's memo.  A session opened inside another joins it and may not set
+    a budget of its own; the memo is dropped when the outermost one exits.
+    """
+    if _session.get() is not None:
+        if budget is not None:
+            raise ValueError("a nested session cannot set its own budget")
+        yield
+        return
+    token = _session.set((budget, {}))
+    try:
+        yield
+    finally:
+        _session.reset(token)
 
 
 class BudgetExhausted(RuntimeError):
@@ -258,9 +282,9 @@ def _make_ring(codes, order: MonomialOrder) -> _Ring:
 
 class Ideal:
     """A generator list with an explicit ambient variable set (needed for
-    dimension counts) and a per-order cache of reduced bases."""
+    dimension counts)."""
 
-    __slots__ = ("generators", "variables", "label", "_gb_cache", "_presolved")
+    __slots__ = ("generators", "variables", "label", "_presolved")
 
     def __init__(self, generators, variables=None, label: str | None = None):
         gens = []
@@ -275,7 +299,6 @@ class Ideal:
         used = frozenset().union(*(g.variables() for g in gens)) if gens else frozenset()
         self.variables = used | frozenset(variables or ())
         self.label = label
-        self._gb_cache: dict[MonomialOrder, GroebnerBasis] = {}
         self._presolved = None
 
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -295,12 +318,17 @@ class Ideal:
     def describe(self) -> str:
         return self.label or "ideal"
 
-    def groebner(self, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None):
-        got = self._gb_cache.get(order)
-        if got is not None:
-            return _replay_budget(got, budget)
-        got = buchberger(self, order, budget)
-        self._gb_cache[order] = got
+    def groebner(self, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBasis:
+        """The reduced basis under order: served from the open session's memo,
+        or computed under the session budget and stored there."""
+        open_session = _session.get()
+        if open_session is None:
+            return buchberger(self, order)
+        budget, memo = open_session
+        key = (self.generators, order)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = buchberger(self, order, budget)
         return got
 
     def presolved(self):
@@ -363,38 +391,6 @@ class GroebnerBasis:
         return ring.sparsify(tail)
 
 
-# the open shared_bases() memo, (generators, order) -> GroebnerBasis; a
-# context variable, so a thread never sees a memo another thread opened
-_shared: ContextVar[dict | None] = ContextVar("shared_bases", default=None)
-
-
-@contextmanager
-def shared_bases():
-    """Share bases between the buchberger calls made inside the block.
-
-    A block entered while another is open reuses that one's memo; the memo
-    is dropped when the outermost block exits, so nothing outlives it.
-    """
-    if _shared.get() is not None:
-        yield
-        return
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def _replay_budget(basis: GroebnerBasis, budget: Budget | None) -> GroebnerBasis:
-    """Serve a stored basis under a new budget.  A fresh run pops the same
-    pairs and checks the count after each pop, so it would raise at the
-    first count above max_spairs if it ever reaches that count."""
-    first_over = max((budget or DEFAULT_BUDGET).max_spairs + 1, 1)
-    if basis.spairs_processed >= first_over:
-        raise BudgetExhausted("buchberger", first_over, 0.0)
-    return basis
-
-
 def buchberger(
     ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None
 ) -> GroebnerBasis:
@@ -406,19 +402,8 @@ def buchberger(
     index.  Buchberger's coprimality and chain criteria prune pairs; the
     chain criterion reads the pending (i, j) from a set.  The budget is
     checked after each pop; BudgetExhausted is raised when it runs out.
-
-    Inside shared_bases() the result is stored under (ideal.generators,
-    order), and a later call with equal generators and order returns the
-    stored basis itself after replaying the pair budget (_replay_budget);
-    the time limit is not replayed.  A run that exhausts its budget stores
-    nothing.
+    Nothing is stored: Ideal.groebner memoizes within a session.
     """
-    memo = _shared.get()
-    if memo is not None:
-        key = (ideal.generators, order)
-        got = memo.get(key)
-        if got is not None:
-            return _replay_budget(got, budget)
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
     ring = _make_ring(
@@ -518,7 +503,7 @@ def buchberger(
     final = [final[k] for k in by_lead]
     final_leads = [final_leads[k] for k in by_lead]
     polys = tuple(ring.sparsify(d) for d in final)
-    result = GroebnerBasis(
+    return GroebnerBasis(
         polys,
         order,
         spairs,
@@ -527,9 +512,6 @@ def buchberger(
         final,
         final_leads,
     )
-    if memo is not None:
-        memo[key] = result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +597,6 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
 def member(
     p: Polynomial,
     ideal: Ideal,
-    budget: Budget | None = None,
     *,
     claim: str | None = None,
     presolve: bool = True,
@@ -624,7 +605,7 @@ def member(
     basis; a refutation's witness is the nonzero remainder."""
 
     def decide(residual, p0):
-        gb = residual.groebner(GREVLEX_ORDER, budget)
+        gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed
 
@@ -646,7 +627,6 @@ def _fresh_aux(*var_sets) -> int:
 def radical_member(
     p: Polynomial,
     ideal: Ideal,
-    budget: Budget | None = None,
     *,
     claim: str | None = None,
     presolve: bool = True,
@@ -661,7 +641,7 @@ def radical_member(
             residual.generators + (trick,),
             variables=residual.variables | p0.variables() | {w},
         )
-        gb = buchberger(extended, GREVLEX_ORDER, budget)
+        gb = extended.groebner(GREVLEX_ORDER)
         cert = {"kind": "radical-trick", "aux": var_name(w)}
         if not gb.is_unit:
             cert.update(witness="normal form of 1 is 1", basis_size=len(gb))
@@ -715,14 +695,14 @@ def monomial_ideal_intersect(ideals) -> Ideal:
     )
 
 
-def _eliminate_aux(gens, w: int, variables, budget, label) -> Ideal:
+def _eliminate_aux(gens, w: int, variables, label) -> Ideal:
     helper = Ideal(gens, variables=variables | {w})
-    gb = buchberger(helper, block_order([w]), budget)
+    gb = helper.groebner(block_order([w]))
     retained = tuple(g for g in gb.polys if w not in g.variables())
     return Ideal(retained, variables=variables, label=label)
 
 
-def ideal_intersect_elim(a: Ideal, b: Ideal, budget: Budget | None = None) -> Ideal:
+def ideal_intersect_elim(a: Ideal, b: Ideal) -> Ideal:
     """a ^ b computed from <w*a, (1-w)*b> by eliminating the fresh slot w."""
     w = _fresh_aux(a.variables, b.variables)
     wp = Polynomial.variable(w)
@@ -731,10 +711,10 @@ def ideal_intersect_elim(a: Ideal, b: Ideal, budget: Budget | None = None) -> Id
     label = None
     if a.label and b.label:
         label = f"({a.label} ^ {b.label})"
-    return _eliminate_aux(gens, w, a.variables | b.variables, budget, label)
+    return _eliminate_aux(gens, w, a.variables | b.variables, label)
 
 
-def saturate(ideal: Ideal, p: Polynomial, budget: Budget | None = None) -> Ideal:
+def saturate(ideal: Ideal, p: Polynomial) -> Ideal:
     """ideal : p^infinity, the contraction of the localization at p.
 
     Runs after the coordinate presolve; the split-off variables are put back
@@ -751,7 +731,6 @@ def saturate(ideal: Ideal, p: Polynomial, budget: Budget | None = None) -> Ideal
         residual.generators + (trick,),
         w,
         residual.variables | p0.variables(),
-        budget,
         None,
     )
     coordinate_gens = tuple(Polynomial.variable(c) for c in sorted(eliminated, reverse=True))
@@ -781,12 +760,12 @@ def _min_hitting(supports: tuple[frozenset, ...], memo: dict) -> int:
     return best
 
 
-def krull_dim(ideal: Ideal, budget: Budget | None = None) -> int:
+def krull_dim(ideal: Ideal) -> int:
     """Dimension of the vanishing locus inside the ambient affine space of
     ideal.variables; -1 for the empty locus.  Uses the lead-term ideal of a
     reduced basis plus a maximum-independent-set search."""
     residual, eliminated = ideal.presolved()
-    gb = residual.groebner(GREVLEX_ORDER, budget)
+    gb = residual.groebner(GREVLEX_ORDER)
     if gb.is_unit:
         return -1
     ambient = sorted(ideal.variables - set(eliminated))

@@ -218,19 +218,15 @@ def test_criterion_09_graph_corollaries(capsys):
 
 
 def test_criterion_10_saturation_check(capsys):
-    budget = gb.Budget(max_spairs=100_000, max_seconds=300.0)
     downgraded = False
-    try:
-        component = gb.saturate(
-            d4_mod.d4_ideals(5).j[1], P("y1"), budget
-        )
-        ok = gb.member(d4_mod.g1(), component, budget).verified
-    except gb.BudgetExhausted:
-        downgraded = True
-        fallback = gb.member(
-            P("y1^2") * d4_mod.g1(), d4_mod.d4_ideals(5).j[1], budget
-        )
-        ok = fallback.verified
+    with gb.session(gb.Budget(max_spairs=100_000, max_seconds=300.0)):
+        try:
+            component = gb.saturate(d4_mod.d4_ideals(5).j[1], P("y1"))
+            ok = gb.member(d4_mod.g1(), component).verified
+        except gb.BudgetExhausted:
+            downgraded = True
+            fallback = gb.member(P("y1^2") * d4_mod.g1(), d4_mod.d4_ideals(5).j[1])
+            ok = fallback.verified
     with capsys.disabled():
         _report(
             10,

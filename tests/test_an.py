@@ -89,6 +89,18 @@ def test_component_presentations_agree_small_grid():
                 component_ideal(n, m, l)
 
 
+@pytest.mark.parametrize(
+    "budget", [gb.Budget(max_spairs=0), gb.Budget(max_seconds=0)], ids=["spairs", "seconds"]
+)
+def test_component_ideal_reports_a_budget_as_exhausted(budget):
+    with gb.session(budget):
+        with pytest.raises(gb.BudgetExhausted) as exc:
+            component_ideal(2, 6, 1)
+    assert exc.value.context == "buchberger"
+    if budget.max_spairs == 0:
+        assert exc.value.spairs == 1
+
+
 def test_component_bounds():
     with pytest.raises(ValueError):
         component_ideal(2, 4, 0)

@@ -1,0 +1,67 @@
+"""The engine budget lives in one place: the session a command opens.
+
+Every public check, run inside session(Budget(max_spairs=0)), must come out
+budget-exhausted whenever it needs any S-pair, and no check may be refuted
+by a budget.  No function below the session takes a budget of its own.
+"""
+
+import inspect
+
+import pytest
+
+from jetfibers import an, d4, graphs
+from jetfibers import groebner as gb
+
+
+def _suite(m):
+    return gb.merge_reports(f"suite m{m}", d4.verify_suite(m))
+
+
+CHECKS = {
+    "an.verify_decomposition(2,7,1,2)": lambda: an.verify_decomposition(2, 7, 1, 2),
+    "an.verify_decomposition(3,6,1,3)": lambda: an.verify_decomposition(3, 6, 1, 3),
+    "an.verify_all_pairs(3,5)": lambda: gb.merge_reports("pairs", an.verify_all_pairs(3, 5)),
+    "an.verify_containment_criterion(3,4)": lambda: an.verify_containment_criterion(3, 4),
+    "d4.verify_g1_identity(6)": lambda: d4.verify_g1_identity(6),
+    "d4.verify_g2_identity()": d4.verify_g2_identity,
+    "d4.verify_phi_invariance()": d4.verify_phi_invariance,
+    "d4.verify_automorphism_algebra()": d4.verify_automorphism_algebra,
+    "d4.verify_complete_intersection_remark(5)": lambda: d4.verify_complete_intersection_remark(5),
+    "d4.verify_chart_transport(8)": lambda: d4.verify_chart_transport(8),
+    "d4.verify_coordinate_lemma(5,1,2)": lambda: d4.verify_coordinate_lemma(5, 1, 2),
+    "d4.verify_coordinate_lemma(6,2,3)": lambda: d4.verify_coordinate_lemma(6, 2, 3),
+    "d4.witness_checks(6)": lambda: d4.witness_checks(6),
+    "d4.verify_component_ideals(5)": lambda: d4.verify_component_ideals(5),
+    "d4.d4_maximal_intersections(6)": lambda: d4.d4_maximal_intersections(6)[1],
+    "d4.verify_suite(5)": lambda: _suite(5),
+}
+
+
+@pytest.mark.parametrize("run", CHECKS.values(), ids=CHECKS.keys())
+def test_zero_pair_budget_reaches_every_check(run):
+    unbudgeted = run()
+    with gb.session(gb.Budget(max_spairs=0)):
+        budgeted = run()
+    assert budgeted.outcome != gb.REFUTED
+    if unbudgeted.spairs_processed > 0:
+        assert budgeted.outcome == gb.BUDGET_EXHAUSTED
+
+
+def _budget_takers(module) -> set[str]:
+    """Names of the functions and methods defined in module that take a
+    parameter called budget."""
+    found = set()
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+        for attr, fn in members:
+            if inspect.isfunction(fn) and "budget" in inspect.signature(fn).parameters:
+                found.add(name if attr is None else f"{name}.{attr}")
+    return found
+
+
+def test_only_the_session_and_buchberger_take_a_budget():
+    for module in (an, d4, graphs):
+        assert _budget_takers(module) == set(), module.__name__
+    assert _budget_takers(gb) == {"session", "buchberger"}

@@ -72,6 +72,12 @@ def test_an_table_rejects_small_m(capsys):
     assert code == 1 and "m >= n" in err
 
 
+@pytest.mark.parametrize("command", ["table --m 1", "graph", "verify --m 1"])
+def test_an_commands_reject_n_zero(capsys, command):
+    code, out, err = run(capsys, "an", *command.split(), "--n", "0")
+    assert code == 1 and not out and "need n >= 1" in err
+
+
 def test_an_decompose_json(capsys):
     code, out, _ = run(
         capsys,
@@ -148,7 +154,7 @@ def _stub_d4_suite(monkeypatch, outcome, pairs):
     from jetfibers import d4
     from jetfibers.groebner import VerificationReport
 
-    def verify_suite(m, budget=None, with_saturation=None):
+    def verify_suite(m, saturate=False):
         return [
             VerificationReport(
                 claim=f"maximal pairs at m{m}",

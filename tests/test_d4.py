@@ -172,10 +172,10 @@ def test_g1_identity_report():
 
 
 def test_budget_reaches_chart_transport_and_g1():
-    zero = gb.Budget(max_spairs=0)
-    assert verify_chart_transport(8, zero).outcome == gb.BUDGET_EXHAUSTED
-    # the identity holds; only the membership it stands on is undecided
-    assert verify_g1_identity(5, zero).outcome == gb.BUDGET_EXHAUSTED
+    with gb.session(gb.Budget(max_spairs=0)):
+        assert verify_chart_transport(8).outcome == gb.BUDGET_EXHAUSTED
+        # the identity holds; only the membership it stands on is undecided
+        assert verify_g1_identity(5).outcome == gb.BUDGET_EXHAUSTED
 
 
 def test_g2_identity_report():
@@ -414,8 +414,8 @@ def test_maximal_intersections_take_a_failed_lemma(monkeypatch):
 
     original = d4.verify_coordinate_lemma
 
-    def failing_on_23(m, i, j, budget=None):
-        report = original(m, i, j, budget)
+    def failing_on_23(m, i, j):
+        report = original(m, i, j)
         if (i, j) == (2, 3):
             report.outcome = gb.REFUTED
         return report

@@ -28,7 +28,7 @@ from jetfibers.groebner import (
     radical_member,
     restrict_to_residual,
     saturate,
-    shared_bases,
+    session,
 )
 from jetfibers.kernel import BLOCK, GREVLEX, LEX, impl as _K
 from jetfibers._kernel_py import dense_order_key, descending_order_key
@@ -398,18 +398,9 @@ def test_budget_exhaustion_raises():
 
 
 def test_budget_surfaces_in_reports():
-    rep = member(
-        P("z0"),
-        ideal("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0"),
-        budget=Budget(max_spairs=1, max_seconds=300),
-    )
+    with session(Budget(max_spairs=1, max_seconds=300)):
+        rep = member(P("z0"), ideal("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0"))
     assert rep.outcome == BUDGET_EXHAUSTED
-
-
-def _uncached_exhaustion(gens, order, max_spairs) -> int:
-    with pytest.raises(BudgetExhausted) as exc:
-        buchberger(Ideal([P(t) for t in gens]), order, Budget(max_spairs=max_spairs))
-    return exc.value.spairs
 
 
 def _counting_normal_form(monkeypatch) -> list:
@@ -424,82 +415,84 @@ def _counting_normal_form(monkeypatch) -> list:
     return calls
 
 
+# "shared bases": the bases an engine session shares between its queries
+
+
 def test_shared_bases_serves_repeats_without_reducing(monkeypatch):
     calls = _counting_normal_form(monkeypatch)
-    with shared_bases():
-        first = buchberger(ideal(*_QUADRICS))
+    with session():
+        first = ideal(*_QUADRICS).groebner()
         computed = len(calls)
-        again = buchberger(ideal(*_QUADRICS))  # a fresh Ideal, equal generators
+        again = ideal(*_QUADRICS).groebner()  # a fresh Ideal, equal generators
         assert again is first
         assert len(calls) == computed > 0
-        other = buchberger(ideal(*_QUADRICS), LEX_ORDER)  # the order is in the key
+        other = ideal(*_QUADRICS).groebner(LEX_ORDER)  # the order is in the key
         assert other is not first and len(calls) > computed
 
 
 def test_shared_bases_memo_gone_after_block(monkeypatch):
-    with shared_bases():
-        inside = buchberger(ideal(*_QUADRICS))
+    with session():
+        inside = ideal(*_QUADRICS).groebner()
     calls = _counting_normal_form(monkeypatch)
-    after = buchberger(ideal(*_QUADRICS))
+    after = ideal(*_QUADRICS).groebner()
     assert after is not inside and after.polys == inside.polys
     assert calls
+    # outside a session nothing is kept, not even on the Ideal itself
+    cached = ideal(*_QUADRICS)
+    assert cached.groebner() is not cached.groebner()
 
 
 def test_shared_bases_nested_scopes_share_one_memo(monkeypatch):
-    with shared_bases():
-        with shared_bases():
-            inner = buchberger(ideal(*_QUADRICS))
+    with session():
+        with session():
+            inner = ideal(*_QUADRICS).groebner()
         # leaving the inner block keeps the outer memo
         calls = _counting_normal_form(monkeypatch)
-        assert buchberger(ideal(*_QUADRICS)) is inner
-        with shared_bases():
-            assert buchberger(ideal(*_QUADRICS)) is inner
+        assert ideal(*_QUADRICS).groebner() is inner
+        with session():
+            assert ideal(*_QUADRICS).groebner() is inner
         assert not calls
 
 
 def test_shared_bases_memo_is_not_seen_by_other_threads():
     seen = []
-    with shared_bases():
-        mine = buchberger(ideal(*_QUADRICS))
-        worker = threading.Thread(target=lambda: seen.append(buchberger(ideal(*_QUADRICS))))
+    with session():
+        mine = ideal(*_QUADRICS).groebner()
+        worker = threading.Thread(target=lambda: seen.append(ideal(*_QUADRICS).groebner()))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
     assert len(seen) == 1 and seen[0] is not mine and seen[0].polys == mine.polys
 
 
-def test_shared_bases_replays_the_pair_budget():
-    full = buchberger(ideal(*_QUADRICS), LEX_ORDER)
-    assert full.spairs_processed == 28
-    with shared_bases():
-        assert buchberger(ideal(*_QUADRICS), LEX_ORDER).polys == full.polys
-        for limit in (-1, 0, 1, 5, 13, 27):
-            with pytest.raises(BudgetExhausted) as exc:
-                buchberger(ideal(*_QUADRICS), LEX_ORDER, Budget(max_spairs=limit))
-            assert exc.value.spairs == _uncached_exhaustion(_QUADRICS, LEX_ORDER, limit)
-        served = buchberger(ideal(*_QUADRICS), LEX_ORDER, Budget(max_spairs=28))
-        assert served.polys == full.polys
-
-
 def test_shared_bases_never_stores_exhausted_runs(monkeypatch):
-    with shared_bases():
-        with pytest.raises(BudgetExhausted):
-            buchberger(ideal(*_QUADRICS), budget=Budget(max_spairs=3))
-        calls = _counting_normal_form(monkeypatch)
-        assert len(buchberger(ideal(*_QUADRICS))) == 4
-        assert calls
+    calls = _counting_normal_form(monkeypatch)
+    with session(Budget(max_spairs=3)):
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(BudgetExhausted):
+                ideal(*_QUADRICS).groebner()
+            assert calls  # computed again, not served
 
 
-def test_ideal_groebner_cache_hit_replays_the_pair_budget():
-    cached = ideal(*_QUADRICS)
-    full = cached.groebner(LEX_ORDER)
-    assert cached.groebner(LEX_ORDER, Budget(max_spairs=28)) is full
-    for limit in (1, 27):
+def test_nested_session_cannot_set_a_budget():
+    for outer in (None, Budget(max_spairs=5)):
+        with session(outer):
+            with pytest.raises(ValueError):
+                with session(Budget(max_spairs=5)):
+                    pass
+            with session():  # joining without a budget is fine
+                pass
+
+
+def test_session_budget_bounds_every_basis():
+    assert buchberger(ideal(*_QUADRICS), LEX_ORDER).spairs_processed == 28
+    with session(Budget(max_spairs=27)):
         with pytest.raises(BudgetExhausted) as exc:
-            cached.groebner(LEX_ORDER, Budget(max_spairs=limit))
-        assert exc.value.spairs == _uncached_exhaustion(_QUADRICS, LEX_ORDER, limit)
-    # a refusal evicts nothing
-    assert cached.groebner(LEX_ORDER) is full
+            ideal(*_QUADRICS).groebner(LEX_ORDER)
+    assert exc.value.spairs == 28
+    with session(Budget(max_spairs=28)):
+        assert ideal(*_QUADRICS).groebner(LEX_ORDER).spairs_processed == 28
 
 
 # ---------------------------------------------------------------------------
