@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import groebner as gb
 from .jets import an_surface, g_shift, jet_coeffs
-from .poly import Polynomial, jet_variables, var_code, var_name, X, Y, Z
+from .poly import Polynomial, var_code, var_name, X, Y, Z
 
 # ---------------------------------------------------------------------------
 # ladders
@@ -47,12 +47,12 @@ class Ladder:
     def generators(self) -> tuple[Polynomial, ...]:
         return tuple(Polynomial.variable(c) for c in self.codes())
 
-    def ideal(self, variables=None) -> gb.Ideal:
-        return gb.Ideal(self.generators(), variables=variables, label=self.label)
+    def ideal(self) -> gb.Ideal:
+        return gb.Ideal(self.generators(), label=self.label)
 
 
-def ladder(p: int, q: int, r: int, variables=None) -> gb.Ideal:
-    return Ladder(p, q, r).ideal(variables)
+def ladder(p: int, q: int, r: int) -> gb.Ideal:
+    return Ladder(p, q, r).ideal()
 
 
 def _fk(n: int, m: int, k: int) -> Polynomial:
@@ -64,9 +64,7 @@ def pair_ideal(n: int, m: int, i: int, j: int) -> gb.Ideal:
     ladder plus all jet equations."""
     lad = Ladder(j, n + 1 - i, 1)
     gens = lad.generators() + tuple(_fk(n, m, k) for k in range(m + 1))
-    return gb.Ideal(
-        gens, variables=jet_variables(m), label=f"J(n{n},m{m};{i},{j})"
-    )
+    return gb.Ideal(gens, label=f"J(n{n},m{m};{i},{j})")
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +94,10 @@ def component_ideal(n: int, m: int, l: int) -> AnComponent:
     lad = Ladder(l, n + 1 - l, 1)
     defining = gb.Ideal(
         lad.generators() + tuple(_fk(n, m, k) for k in range(m + 1)),
-        variables=jet_variables(m),
         label=f"I(n{n},m{m};{l})",
     )
     tail = tuple(g_shift(n, l, 1, v) for v in range(m - n))  # empty when m = n
-    reduced = gb.Ideal(
-        lad.generators() + tail,
-        variables=jet_variables(m),
-        label=f"I(n{n},m{m};{l})/reduced",
-    )
+    reduced = gb.Ideal(lad.generators() + tail, label=f"I(n{n},m{m};{l})/reduced")
     with gb.session():
         for source, target in ((defining, reduced), (reduced, defining)):
             for g in source.generators:
@@ -140,7 +133,7 @@ class ComponentDescriptor:
         if self.f_tail is not None:
             first, last = self.f_tail
             gens += [_fk(n, m, k) for k in range(first, last + 1)]
-        return gb.Ideal(gens, variables=jet_variables(m), label=self.label)
+        return gb.Ideal(gens, label=self.label)
 
     def dimension(self, m: int) -> int:
         lad = self.ladder
@@ -279,16 +272,12 @@ def _intersect_descriptors(dec: IntersectionDecomposition) -> gb.Ideal:
     residuals = []
     for ideal in ideals:
         gens = [gb.restrict_to_residual(g, sorted(common)) for g in ideal.generators]
-        residuals.append(gb.Ideal([g for g in gens if g], label=ideal.label))
+        residuals.append(gb.Ideal(gens))
     current = residuals[0]
     for nxt in residuals[1:]:
         current = gb.ideal_intersect_elim(current, nxt)
     coordinate = tuple(Polynomial.variable(c) for c in sorted(common, reverse=True))
-    return gb.Ideal(
-        coordinate + current.generators,
-        variables=jet_variables(m),
-        label=dec.meet_label,
-    )
+    return gb.Ideal(coordinate + current.generators)
 
 
 def _case_guard(dec: IntersectionDecomposition) -> gb.VerificationReport:
@@ -346,7 +335,7 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
         reports.append(gb.exhausted(claim, exc, exc.seconds))
     else:
         subs = [
-            gb.radical_member(g, J, claim=f"{meet.label} gen#{k} in sqrt {J.label}")
+            gb.radical_member(g, J, claim=f"{dec.meet_label} gen#{k} in sqrt {J.label}")
             for k, g in enumerate(meet.generators)
         ]
         reports.append(gb.merge_reports(claim, subs))
@@ -405,24 +394,22 @@ def verify_containment_criterion(n: int, m: int) -> gb.VerificationReport:
         J_ij = pair_ideal(n, m, i, j)
         for k, l in pairs:
             predicted = containment(n, m, i, j, k, l)
-            lad = Ladder(l, n + 1 - k, 1)
-            engine = True
-            for code in lad.codes():
-                rep = gb.radical_member(Polynomial.variable(code), J_ij)
-                if rep.outcome == gb.BUDGET_EXHAUSTED:
-                    reports.append(rep)
-                    engine = None
+            queries = []
+            for code in Ladder(l, n + 1 - k, 1).codes():
+                queries.append(gb.radical_member(Polynomial.variable(code), J_ij))
+                if not queries[-1].verified:
                     break
-                if not rep.verified:
-                    engine = False
-                    break
-            if engine is None:
+            if queries[-1].outcome == gb.BUDGET_EXHAUSTED:
+                reports.append(queries[-1])
                 continue
+            engine = all(r.verified for r in queries)
             reports.append(
                 gb.check(
                     f"criterion agrees at (({i},{j}),({k},{l})) n{n} m{m}",
                     engine == predicted,
                     {"criterion": predicted, "engine": engine},
+                    sum(r.spairs_processed for r in queries),
+                    sum(r.seconds for r in queries),
                 )
             )
     return gb.merge_reports(f"containment criterion n{n} m{m}", reports)

@@ -69,9 +69,8 @@ class D4IdealFamily:
 def d4_ideals(m: int) -> D4IdealFamily:
     if m < M_MIN:
         raise ValueError(f"need m >= {M_MIN}, got {m}")
-    ambient = jet_variables(m)
     jet_tail = tuple(_fk(m, k) for k in range(m + 1))
-    l322 = Ladder(3, 2, 2).ideal(ambient)
+    l322 = Ladder(3, 2, 2).ideal()
     base = [
         Polynomial.variable(var_code(X, 0)),
         Polynomial.variable(var_code(X, 1)),
@@ -81,21 +80,12 @@ def d4_ideals(m: int) -> D4IdealFamily:
     y1 = Polynomial.variable(var_code(Y, 1))
     z1 = Polynomial.variable(var_code(Z, 1))
     charts = {
-        1: gb.Ideal(base + [z1], variables=ambient, label="L1"),
-        2: gb.Ideal(base + [y1 - z1], variables=ambient, label="L2"),
-        3: gb.Ideal(base + [y1 + z1], variables=ambient, label="L3"),
+        1: gb.Ideal(base + [z1], label="L1"),
+        2: gb.Ideal(base + [y1 - z1], label="L2"),
+        3: gb.Ideal(base + [y1 + z1], label="L3"),
     }
-    i0 = gb.Ideal(
-        l322.generators + jet_tail, variables=ambient, label=f"I0(m{m})"
-    )
-    j = {
-        i: gb.Ideal(
-            charts[i].generators + jet_tail,
-            variables=ambient,
-            label=f"J{i}(m{m})",
-        )
-        for i in (1, 2, 3)
-    }
+    i0 = gb.Ideal(l322.generators + jet_tail, label=f"I0(m{m})")
+    j = {i: gb.Ideal(charts[i].generators + jet_tail, label=f"J{i}(m{m})") for i in (1, 2, 3)}
     return D4IdealFamily(m=m, l322=l322, charts=charts, i0=i0, j=j)
 
 
@@ -133,12 +123,7 @@ class Automorphism:
         return linear_substitute(p, self._images(sorted(p.variables())))
 
     def on_ideal(self, ideal: gb.Ideal) -> gb.Ideal:
-        label = f"{self.name}({ideal.label})" if ideal.label else None
-        return gb.Ideal(
-            tuple(self.on_polynomial(g) for g in ideal.generators),
-            variables=ideal.variables,
-            label=label,
-        )
+        return gb.Ideal(self.on_polynomial(g) for g in ideal.generators)
 
     def on_point(self, pt: JetPoint) -> JetPoint:
         ys = tuple(self.yy * y + self.yz * z for y, z in zip(pt.ys, pt.zs))
@@ -233,9 +218,7 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
         or gb.restrict_to_residual(_fk(m, 5) - f5, chart_vars)
     )
     subideal = gb.Ideal(
-        fam.charts[1].generators + (_fk(m, 4), _fk(m, 5)),
-        variables=fam.i0.variables,
-        label=f"L1+(f4,f5)(m{m})",
+        fam.charts[1].generators + (_fk(m, 4), _fk(m, 5)), label=f"L1+(f4,f5)(m{m})"
     )
     consequence = gb.member(lhs, subideal, claim=f"y1^2*g1 in {subideal.label}")
     return gb.check(
@@ -544,9 +527,9 @@ def witness_checks(m: int) -> gb.VerificationReport:
         # jet ideals grow quickly with m, so run it at small orders only
         # (the congruence certificates above stand at every order)
         if m <= 7:
-            u1 = fam.i0 + fam.j[1] + gb.Ideal([g1()], label="(g1)")
+            u1 = fam.i0 + fam.j[1] + gb.Ideal([g1()])
             u1.label = f"I0+J1+(g1) m{m}"
-            u2 = u1 + fam.j[2] + gb.Ideal([g2()], label="(g2)")
+            u2 = u1 + fam.j[2] + gb.Ideal([g2()])
             u2.label = f"I0+J1+J2+(g1,g2) m{m}"
             reports += [
                 gb.radical_member(z2, u1, claim=f"z2 in sqrt {u1.label}"),
@@ -606,10 +589,8 @@ def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
     ]
     reports.append(gb.merge_reports(f"y-flip swaps components 2 and 3 (m{m})", subs))
 
-    dims = {
-        "I0": gb.krull_dim(fam.i0),
-        "I1": gb.krull_dim(i1),
-    }
+    ambient = jet_variables(m)
+    dims = {"I0": gb.krull_dim(fam.i0, ambient), "I1": gb.krull_dim(i1, ambient)}
     reports.append(
         gb.check(
             f"component dimensions equal {2 * m + 1} at m{m}",

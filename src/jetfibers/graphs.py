@@ -10,7 +10,6 @@ graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ The pending S-pairs live in a binary heap ordered by (lcm degree, order key
 of the lcm, pair index), so choosing the next pair costs a logarithmic pop
 rather than a scan of every pending pair.
 
+An Ideal is its generators plus the label its caller names it by: sums,
+the presolve, saturation and both intersections return unlabelled ideals,
+and a caller that prints a name sets it.  No ideal carries an ambient ring;
+krull_dim, the one answer that depends on one, takes the ambient variable
+codes as an argument.
+
 Monomial orders live in one place, the kernel.  _make_ring encodes a
 MonomialOrder over a variable set as dense exponent tuples plus a kernel
 order (kind, split), and the kernel's dense_order_key turns that into a key
@@ -266,6 +272,11 @@ class _Ring:
         return Polynomial(out)
 
 
+def _codes(polys) -> set[int]:
+    """Every variable code the polynomials use."""
+    return set().union(*(p.variables() for p in polys))
+
+
 def _make_ring(codes, order: MonomialOrder) -> _Ring:
     codes = set(codes)
     if order.kind == "block":
@@ -281,12 +292,13 @@ def _make_ring(codes, order: MonomialOrder) -> _Ring:
 
 
 class Ideal:
-    """A generator list with an explicit ambient variable set (needed for
-    dimension counts)."""
+    """A generator list, the label its caller names it by (None on what the
+    engine returns), and a cache of its coordinate presolve.  It has no
+    ambient ring: krull_dim takes one as an argument."""
 
-    __slots__ = ("generators", "variables", "label", "_presolved")
+    __slots__ = ("generators", "label", "_presolved")
 
-    def __init__(self, generators, variables=None, label: str | None = None):
+    def __init__(self, generators, label: str | None = None):
         gens = []
         for g in generators:
             if isinstance(g, (int, Fraction)):
@@ -296,20 +308,11 @@ class Ideal:
             if g:
                 gens.append(g)
         self.generators = tuple(gens)
-        used = frozenset().union(*(g.variables() for g in gens)) if gens else frozenset()
-        self.variables = used | frozenset(variables or ())
         self.label = label
         self._presolved = None
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        label = None
-        if self.label and other.label:
-            label = f"{self.label}+{other.label}"
-        return Ideal(
-            self.generators + other.generators,
-            variables=self.variables | other.variables,
-            label=label,
-        )
+        return Ideal(self.generators + other.generators)
 
     def __repr__(self) -> str:
         tag = self.label or f"{len(self.generators)} generators"
@@ -344,13 +347,12 @@ class Ideal:
 class GroebnerBasis:
     """A reduced basis (monic, mutually reduced, sorted by descending lead)."""
 
-    __slots__ = ("polys", "order", "spairs_processed", "seconds", "_ring", "_dense", "_leads")
+    __slots__ = ("polys", "order", "spairs_processed", "_ring", "_dense", "_leads")
 
-    def __init__(self, polys, order, spairs_processed, seconds, ring, dense, leads):
+    def __init__(self, polys, order, spairs_processed, ring, dense, leads):
         self.polys = polys
         self.order = order
         self.spairs_processed = spairs_processed
-        self.seconds = seconds
         self._ring = ring
         self._dense = dense
         self._leads = leads
@@ -406,12 +408,7 @@ def buchberger(
     """
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
-    ring = _make_ring(
-        frozenset().union(*(g.variables() for g in ideal.generators))
-        if ideal.generators
-        else frozenset(),
-        order,
-    )
+    ring = _make_ring(_codes(ideal.generators), order)
     kind, split = ring.kind, ring.split
     order_key = _K.dense_order_key(kind, split)
 
@@ -503,15 +500,7 @@ def buchberger(
     final = [final[k] for k in by_lead]
     final_leads = [final_leads[k] for k in by_lead]
     polys = tuple(ring.sparsify(d) for d in final)
-    return GroebnerBasis(
-        polys,
-        order,
-        spairs,
-        time.monotonic() - start,
-        ring,
-        final,
-        final_leads,
-    )
+    return GroebnerBasis(polys, order, spairs, ring, final, final_leads)
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +527,7 @@ def linear_presolve(ideal: Ideal):
             break
         eliminated.append(code)
         gens = [h for g in gens if (h := restrict_to_residual(g, (code,)))]
-    label = f"{ideal.label}/presolved" if ideal.label else None
-    residual = Ideal(
-        gens, variables=ideal.variables - set(eliminated), label=label
-    )
-    return residual, tuple(eliminated)
+    return Ideal(gens), tuple(eliminated)
 
 
 def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
@@ -615,12 +600,15 @@ def member(
     )
 
 
-def _fresh_aux(*var_sets) -> int:
+def _fresh_aux(*polys) -> int:
+    """The first auxiliary slot above every one the polynomials use.  Only a
+    monomial's first code is read: auxiliary codes rank above every jet
+    variable and a monomial lists its codes in descending order."""
     top = -1
-    for vs in var_sets:
-        for code in vs:
-            if var_family(code) == AUX:
-                top = max(top, var_index(code))
+    for p in polys:
+        for mono, _ in p.items():
+            if mono and var_family(mono[0][0]) == AUX:
+                top = max(top, var_index(mono[0][0]))
     return var_code(AUX, top + 1)
 
 
@@ -635,13 +623,9 @@ def radical_member(
     auxiliary variable and testing whether the ideal becomes the unit ideal."""
 
     def decide(residual, p0):
-        w = _fresh_aux(ideal.variables, p.variables())
+        w = _fresh_aux(p, *ideal.generators)
         trick = Polynomial.one() - Polynomial.variable(w) * p0
-        extended = Ideal(
-            residual.generators + (trick,),
-            variables=residual.variables | p0.variables() | {w},
-        )
-        gb = extended.groebner(GREVLEX_ORDER)
+        gb = Ideal(residual.generators + (trick,)).groebner(GREVLEX_ORDER)
         cert = {"kind": "radical-trick", "aux": var_name(w)}
         if not gb.is_unit:
             cert.update(witness="normal form of 1 is 1", basis_size=len(gb))
@@ -663,8 +647,7 @@ def monomial_ideal_intersect(ideals) -> Ideal:
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    variables = frozenset().union(*(i.variables for i in ideals))
-    ring = _make_ring(variables, GREVLEX_ORDER)
+    ring = _make_ring(_codes(g for i in ideals for g in i.generators), GREVLEX_ORDER)
     order_key = _K.dense_order_key(ring.kind, ring.split)
 
     def exponents(ideal: Ideal) -> list[tuple]:
@@ -687,31 +670,21 @@ def monomial_ideal_intersect(ideals) -> Ideal:
     for nxt in ideals[1:]:
         gens = minimalize(exponents(nxt))
         current = minimalize([_K.mono_lcm(a, b) for a in current for b in gens])
-    labels = [i.label or "?" for i in ideals]
-    return Ideal(
-        [ring.sparsify({m: _ONE}) for m in reversed(current)],
-        variables=variables,
-        label="(" + " ^ ".join(labels) + ")",
-    )
+    return Ideal([ring.sparsify({m: _ONE}) for m in reversed(current)])
 
 
-def _eliminate_aux(gens, w: int, variables, label) -> Ideal:
-    helper = Ideal(gens, variables=variables | {w})
-    gb = helper.groebner(block_order([w]))
-    retained = tuple(g for g in gb.polys if w not in g.variables())
-    return Ideal(retained, variables=variables, label=label)
+def _eliminate_aux(gens, w: int) -> Ideal:
+    gb = Ideal(gens).groebner(block_order([w]))
+    return Ideal(g for g in gb.polys if w not in g.variables())
 
 
 def ideal_intersect_elim(a: Ideal, b: Ideal) -> Ideal:
     """a ^ b computed from <w*a, (1-w)*b> by eliminating the fresh slot w."""
-    w = _fresh_aux(a.variables, b.variables)
+    w = _fresh_aux(*a.generators, *b.generators)
     wp = Polynomial.variable(w)
     one_minus = Polynomial.one() - wp
     gens = [wp * g for g in a.generators] + [one_minus * g for g in b.generators]
-    label = None
-    if a.label and b.label:
-        label = f"({a.label} ^ {b.label})"
-    return _eliminate_aux(gens, w, a.variables | b.variables, label)
+    return _eliminate_aux(gens, w)
 
 
 def saturate(ideal: Ideal, p: Polynomial) -> Ideal:
@@ -722,21 +695,13 @@ def saturate(ideal: Ideal, p: Polynomial) -> Ideal:
     """
     residual, eliminated = ideal.presolved()
     p0 = restrict_to_residual(p, eliminated)
-    label = f"({ideal.label} : {p}^inf)" if ideal.label else None
     if not p0:
-        return Ideal([Polynomial.one()], variables=ideal.variables, label=label)
-    w = _fresh_aux(ideal.variables, p.variables())
+        return Ideal([Polynomial.one()])
+    w = _fresh_aux(p, *ideal.generators)
     trick = Polynomial.one() - Polynomial.variable(w) * p0
-    sat = _eliminate_aux(
-        residual.generators + (trick,),
-        w,
-        residual.variables | p0.variables(),
-        None,
-    )
+    sat = _eliminate_aux(residual.generators + (trick,), w)
     coordinate_gens = tuple(Polynomial.variable(c) for c in sorted(eliminated, reverse=True))
-    return Ideal(
-        coordinate_gens + sat.generators, variables=ideal.variables, label=label
-    )
+    return Ideal(coordinate_gens + sat.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -760,15 +725,20 @@ def _min_hitting(supports: tuple[frozenset, ...], memo: dict) -> int:
     return best
 
 
-def krull_dim(ideal: Ideal) -> int:
-    """Dimension of the vanishing locus inside the ambient affine space of
-    ideal.variables; -1 for the empty locus.  Uses the lead-term ideal of a
-    reduced basis plus a maximum-independent-set search."""
+def krull_dim(ideal: Ideal, ambient) -> int:
+    """Dimension of the vanishing locus inside the affine space whose
+    coordinates are the variable codes in ambient, which must hold every
+    variable of the generators; -1 for the empty locus.  The dimension
+    depends on the ambient ring as well as on the ideal, so the caller names
+    it.  Uses the lead-term ideal of a reduced basis plus a
+    maximum-independent-set search."""
+    ambient = set(ambient)
+    if not _codes(ideal.generators) <= ambient:
+        raise ValueError("the ambient ring lacks a variable of the ideal")
     residual, eliminated = ideal.presolved()
     gb = residual.groebner(GREVLEX_ORDER)
     if gb.is_unit:
         return -1
-    ambient = sorted(ideal.variables - set(eliminated))
     codes = gb._ring.codes
     supports = [
         frozenset(code for code, e in zip(codes, lead) if e) for lead in gb._leads
@@ -777,4 +747,4 @@ def krull_dim(ideal: Ideal) -> int:
         sorted(set(supports), key=lambda s: (len(s), sorted(s)))
     )
     covered = _min_hitting(supports, {})
-    return len(ambient) - covered
+    return len(ambient - set(eliminated)) - covered

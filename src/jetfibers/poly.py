@@ -658,24 +658,16 @@ def _expand_packed(f: Polynomial, series: dict, mask: int, m: int) -> dict:
     before it forms them.  Each coefficient of f is applied once, when its
     term is added to the sum.
     """
-    powers: dict[tuple[str, int], dict] = {}
-
-    def family_power(family: str, exp: int):
-        key = (family, exp)
-        got = powers.get(key)
-        if got is None:
-            if exp == 1:
-                got = series[family]
-            else:
-                got = _K.mul_terms(family_power(family, exp - 1), series[family], mask, m)
-            powers[key] = got
-        return got
-
+    powers = {family: [s] for family, s in series.items()}  # [k] is s^(k+1)
     acc: dict = {}
     for mono, coeff in f.items():
         cur = {0: 1}  # the monomial 1
         for code, exp in mono:
-            cur = _K.mul_terms(cur, family_power(var_family(code), exp), mask, m)
+            family = var_family(code)
+            known = powers[family]
+            while len(known) < exp:
+                known.append(_K.mul_terms(known[-1], series[family], mask, m))
+            cur = _K.mul_terms(cur, known[exp - 1], mask, m)
         acc = _K.add_scaled(acc, cur, _integral(coeff))
     return acc
 

@@ -238,6 +238,14 @@ def test_containment_cross_check_small():
     assert rep.outcome == gb.VERIFIED
 
 
+def test_containment_cross_check_counts_the_pairs_of_its_queries():
+    # every "criterion agrees" report is decided by radical-member queries,
+    # so it carries their S-pairs
+    rep = verify_containment_criterion(3, 4)
+    assert rep.outcome == gb.VERIFIED
+    assert rep.spairs_processed > 0
+
+
 # ---------------------------------------------------------------------------
 # engine verification
 

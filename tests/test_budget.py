@@ -2,7 +2,8 @@
 
 Every public check, run inside session(Budget(max_spairs=0)), must come out
 budget-exhausted whenever it needs any S-pair, and no check may be refuted
-by a budget.  No function below the session takes a budget of its own.
+by a budget.  No function below the session takes a budget of its own, and
+none takes an ambient variable set.
 """
 
 import inspect
@@ -47,21 +48,28 @@ def test_zero_pair_budget_reaches_every_check(run):
         assert budgeted.outcome == gb.BUDGET_EXHAUSTED
 
 
-def _budget_takers(module) -> set[str]:
+def _takers(module, parameter: str) -> set[str]:
     """Names of the functions and methods defined in module that take a
-    parameter called budget."""
+    parameter of the given name."""
     found = set()
     for name, obj in vars(module).items():
         if getattr(obj, "__module__", None) != module.__name__:
             continue
         members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
         for attr, fn in members:
-            if inspect.isfunction(fn) and "budget" in inspect.signature(fn).parameters:
+            if inspect.isfunction(fn) and parameter in inspect.signature(fn).parameters:
                 found.add(name if attr is None else f"{name}.{attr}")
     return found
 
 
 def test_only_the_session_and_buchberger_take_a_budget():
     for module in (an, d4, graphs):
-        assert _budget_takers(module) == set(), module.__name__
-    assert _budget_takers(gb) == {"session", "buchberger"}
+        assert _takers(module, "budget") == set(), module.__name__
+    assert _takers(gb, "budget") == {"session", "buchberger"}
+
+
+def test_no_function_takes_an_ambient_variable_set():
+    # an ideal is its generators; krull_dim takes its ambient ring as an
+    # argument of its own name
+    for module in (gb, an, d4, graphs):
+        assert _takers(module, "variables") == set(), module.__name__

@@ -35,6 +35,7 @@ from jetfibers.poly import (
     Polynomial,
     evaluate,
     jet_point_values,
+    jet_variables,
     parse_polynomial,
     t_order,
     var_code,
@@ -315,8 +316,9 @@ def test_flip_swaps_saturated_components():
 
 def test_component_dimensions():
     fam = d4_ideals(5)
-    assert gb.krull_dim(fam.i0) == 11
-    assert gb.krull_dim(fam.component_ideal(1)) == 11
+    ambient = jet_variables(5)
+    assert gb.krull_dim(fam.i0, ambient) == 11
+    assert gb.krull_dim(fam.component_ideal(1), ambient) == 11
 
 
 def test_component_report():

@@ -747,29 +747,47 @@ def test_restrict_to_residual_matches_per_code_loop(p, eliminated):
     assert restrict_to_residual(p, eliminated) == _restrict_per_code(p, eliminated)
 
 
+def test_engine_operations_leave_ideals_unlabelled():
+    # callers name the ideals they print; the engine makes up no names
+    a = ideal("x0", "y0*z0", label="A")
+    b = ideal("y0", "x1*z0", label="B")
+    results = [
+        linear_presolve(a)[0],
+        saturate(a, P("z0")),
+        saturate(a, P("x0")),
+        ideal_intersect_elim(a, b),
+        monomial_ideal_intersect([a, b]),
+        a + b,
+    ]
+    assert [r.label for r in results] == [None] * len(results)
+
+
 # ---------------------------------------------------------------------------
 # dimension
 
 
 def test_krull_dim_hypersurface():
-    i = Ideal([P("x0*y0")], variables=[var_code("x", 0), var_code("y", 0)])
-    assert krull_dim(i) == 1
+    assert krull_dim(Ideal([P("x0*y0")]), [var_code("x", 0), var_code("y", 0)]) == 1
 
 
 def test_krull_dim_point_and_unit():
     two_vars = [var_code("x", 0), var_code("y", 0)]
-    assert krull_dim(Ideal([P("x0"), P("y0")], variables=two_vars)) == 0
-    assert krull_dim(Ideal([Polynomial.one()], variables=two_vars)) == -1
+    assert krull_dim(Ideal([P("x0"), P("y0")]), two_vars) == 0
+    assert krull_dim(Ideal([Polynomial.one()]), two_vars) == -1
 
 
 def test_krull_dim_counts_free_variables():
     ambient = [var_code("x", 0), var_code("y", 0), var_code("z", 0), var_code("z", 1)]
-    i = Ideal([P("x0^2")], variables=ambient)
-    assert krull_dim(i) == 3
+    assert krull_dim(Ideal([P("x0^2")]), ambient) == 3
 
 
 def test_krull_dim_reads_each_lead_support():
     # leads x0^2 and y0*z0 need two hitting variables, not one
     ambient = [var_code("x", 0), var_code("y", 0), var_code("z", 0), var_code("z", 1)]
-    assert krull_dim(Ideal([P("x0^2"), P("y0*z0")], variables=ambient)) == 2
-    assert krull_dim(Ideal([P("x0^2 - y0*z1"), P("y0*z0")], variables=ambient)) == 2
+    assert krull_dim(Ideal([P("x0^2"), P("y0*z0")]), ambient) == 2
+    assert krull_dim(Ideal([P("x0^2 - y0*z1"), P("y0*z0")]), ambient) == 2
+
+
+def test_krull_dim_rejects_an_ambient_ring_missing_a_variable():
+    with pytest.raises(ValueError, match="ambient ring"):
+        krull_dim(Ideal([P("x0*y0")]), [var_code("x", 0)])

@@ -86,12 +86,13 @@ def _jet_ideals():
             residual.label = f"J{i}+J{j}(m{m})/presolved"
             yield residual
             x2 = restrict_to_residual(Polynomial.variable(var_code(X, 2)), eliminated)
-            w = _fresh_aux(pair.variables, x2.variables())
+            w = _fresh_aux(x2, *pair.generators)
             yield Ideal(
                 residual.generators + (Polynomial.one() - Polynomial.variable(w) * x2,),
                 label=f"J{i}+J{j}(m{m})/presolved+(1-w*x2)",
             )
     residual, _ = an.pair_ideal(2, 5, 1, 2).presolved()
+    residual.label = "J(n2,m5;1,2)/presolved"
     yield residual
 
 

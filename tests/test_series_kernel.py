@@ -10,11 +10,13 @@ edges of the packing: a field filled to its last value, a t power past one
 byte, and a product landing exactly on t^m.
 """
 
+import gc
 from fractions import Fraction
 from operator import add
 
 from hypothesis import given, strategies as st
 
+from jetfibers.jets import expand_ambient
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import (
     JetPoint,
@@ -245,3 +247,20 @@ def test_non_integral_coefficients_stay_exact():
     ]
     point = JetPoint.make(m, x=[Fraction(1, 2), 0, 0], y=[2, 0, 0])
     assert t_order(point, f - Polynomial.constant(Fraction(1, 3))) is None
+
+
+def test_expansion_and_t_order_leave_no_cyclic_garbage():
+    # the powers of a series die with the expansion that built them, not at
+    # the next cyclic collection
+    x, y, z = (Polynomial.variable(c) for c in AMBIENT)
+    f = x * y - z**5
+    point = JetPoint.make(7, x={3: -1}, y={2: -1}, z={2: 1})
+    gc.collect()
+    gc.disable()
+    try:
+        expand_ambient(f, 12)
+        assert gc.collect() == 0
+        t_order(point, f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
