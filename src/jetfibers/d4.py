@@ -156,16 +156,6 @@ PHI2_INV = Automorphism(
 )
 
 
-def apply_automorphism(a: Automorphism, obj):
-    if isinstance(obj, Polynomial):
-        return a.on_polynomial(obj)
-    if isinstance(obj, gb.Ideal):
-        return a.on_ideal(obj)
-    if isinstance(obj, JetPoint):
-        return a.on_point(obj)
-    raise TypeError(f"cannot apply an automorphism to {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # certificate polynomials
 
@@ -544,10 +534,6 @@ def witness_checks(m: int) -> gb.VerificationReport:
 
 # ---------------------------------------------------------------------------
 # component ideals and the main theorem
-
-
-def d4_component_ideal(m: int, i: int) -> gb.Ideal:
-    return d4_ideals(m).component_ideal(i)
 
 
 def verify_component_ideals(m: int = 5) -> gb.VerificationReport:

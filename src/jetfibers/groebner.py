@@ -17,17 +17,16 @@ and a caller that prints a name sets it.  No ideal carries an ambient ring;
 krull_dim, the one answer that depends on one, takes the ambient variable
 codes as an argument.
 
-Monomial orders live in one place, the kernel.  _make_ring encodes a
-MonomialOrder over a variable set as dense exponent tuples plus a kernel
-order (kind, split), and the kernel's dense_order_key turns that into a key
-function that sorts exactly as its mono_cmp does.  The pair heap, the final
-sorting of a basis and the monomial-ideal intersection all compare monomials
-through it; the kernel's normal_form pops terms off a heap on the matching
-descending key.  Every basis element is monic before anything reduces
+Monomial orders live in one place, the kernel, and there are two: grevlex
+and grevlex after one fresh auxiliary variable w.  A _Ring packs monomials
+into ints, one field per variable, and its kernel Packing gives the one
+additive int key that the pair heap, normal_form, the sorting of a basis
+and the monomial-ideal intersection all order by.  The field width comes
+from the inputs' degrees; a computation that outgrows it runs again at
+twice the width.  Every basis element is monic before anything reduces
 against it, as normal_form requires.  Division with cofactors, for the
 membership certificates, is the same kernel call given quotient dicts.
-Yes/no divisibility tests (the chain criterion, minimalizing leads and
-monomial generators) are all(map(ge, a, b)) and build no quotient.
+Divisibility tests are one subtraction and one AND and build no quotient.
 
 One command runs in one engine session (session()): a ContextVar scope that
 holds the command's Budget and a memo of every reduced basis computed in it,
@@ -58,7 +57,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
-from operator import ge
+from itertools import compress
 
 from .kernel import impl as _K
 from .poly import (
@@ -79,29 +78,23 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """grevlex, lex, or a block elimination order (the named variables rank
-    above everything else, grevlex inside each block).  Comparisons happen on
-    dense exponent tuples: _make_ring encodes the order for a variable set and
-    the kernel's dense_order_key turns that encoding into a sort key."""
+    """grevlex, or with eliminate the elimination order of that auxiliary
+    variable: more of it ranks higher, and grevlex on the other variables
+    breaks ties.  The variable must rank above every other variable of the
+    ring it is used in, as a fresh auxiliary slot does."""
 
-    kind: str
-    eliminate: tuple[int, ...] = ()
+    eliminate: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and not self.eliminate:
-            raise ValueError("block orders need a nonempty eliminated set")
-        if self.kind != "block" and self.eliminate:
-            raise ValueError("only block orders eliminate variables")
+        if self.eliminate is not None and var_family(self.eliminate) != AUX:
+            raise ValueError("only an auxiliary variable can be eliminated")
 
 
-GREVLEX_ORDER = MonomialOrder("grevlex")
-LEX_ORDER = MonomialOrder("lex")
+GREVLEX_ORDER = MonomialOrder()
 
 
-def block_order(eliminate) -> MonomialOrder:
-    return MonomialOrder("block", tuple(sorted(eliminate, reverse=True)))
+def elimination_order(w: int) -> MonomialOrder:
+    return MonomialOrder(w)
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +229,47 @@ def expect_refuted(report: VerificationReport) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# dense ring plumbing
+# packed ring plumbing
 
 
 class _Ring:
-    """Fixed variable tuple plus the dense encoding of an order."""
+    """The variables of a computation by descending code, slot 0 first, and
+    the kernel Packing of their monomials under order at a field width of
+    bits.  An eliminated variable in the ring must be its highest-ranked
+    one, so that it sits in slot 0."""
 
-    __slots__ = ("codes", "pos", "kind", "split")
+    __slots__ = ("codes", "order", "bits", "shift", "packing", "read")
 
-    def __init__(self, codes: tuple[int, ...], kind: int, split: int):
-        self.codes = codes
-        self.pos = {c: i for i, c in enumerate(codes)}
-        self.kind = kind
-        self.split = split
+    def __init__(self, codes, order: MonomialOrder, bits: int):
+        self.codes = tuple(sorted(codes, reverse=True))
+        eliminate = order.eliminate in self.codes
+        if eliminate and self.codes[0] != order.eliminate:
+            raise ValueError("the eliminated variable must rank above every other")
+        self.order = order
+        self.bits = bits
+        self.shift = {c: i * bits for i, c in enumerate(self.codes)}
+        self.packing = _K.Packing(bits, len(self.codes), eliminate)
+        self.read = _K.exponent_reader(bits, len(self.codes))
 
-    def densify(self, p: Polynomial) -> dict:
-        width = len(self.codes)
-        pos = self.pos
+    def wider(self) -> "_Ring":
+        if self.bits == 64:
+            raise OverflowError("exponents outgrow a 64-bit field")
+        return _Ring(self.codes, self.order, 2 * self.bits)
+
+    def pack(self, p: Polynomial) -> dict:
+        """p on packed monomials; HeadroomExceeded when a term's degree does
+        not fit half a field."""
+        if p.total_degree() >> (self.bits - 1):
+            raise _K.HeadroomExceeded
+        shift = self.shift
+        return {sum(e << shift[c] for c, e in mono): coeff for mono, coeff in p.items()}
+
+    def unpack(self, terms: dict) -> Polynomial:
+        codes, read = self.codes, self.read
         out = {}
-        for mono, coeff in p.items():
-            vec = [0] * width
-            for code, exp in mono:
-                vec[pos[code]] = exp
-            out[tuple(vec)] = coeff
-        return out
-
-    def sparsify(self, terms: dict) -> Polynomial:
-        codes = self.codes
-        out = {}
-        for vec, coeff in terms.items():
-            mono = tuple(
-                sorted(((codes[i], e) for i, e in enumerate(vec) if e), reverse=True)
-            )
-            out[mono] = coeff
+        for mono, coeff in terms.items():
+            exps = read(mono)
+            out[tuple(zip(compress(codes, exps), compress(exps, exps)))] = coeff
         return Polynomial(out)
 
 
@@ -277,14 +278,21 @@ def _codes(polys) -> set[int]:
     return set().union(*(p.variables() for p in polys))
 
 
-def _make_ring(codes, order: MonomialOrder) -> _Ring:
-    codes = set(codes)
-    if order.kind == "block":
-        elim = sorted((c for c in codes if c in set(order.eliminate)), reverse=True)
-        rest = sorted(codes - set(elim), reverse=True)
-        return _Ring(tuple(elim + rest), _K.BLOCK, len(elim))
-    kind = _K.LEX if order.kind == "lex" else _K.GREVLEX
-    return _Ring(tuple(sorted(codes, reverse=True)), kind, 0)
+def _make_ring(polys, order: MonomialOrder) -> _Ring:
+    """The ring of the polynomials' variables, with fields that hold twice
+    their largest degree."""
+    degree = max((p.total_degree() for p in polys), default=0)
+    return _Ring(_codes(polys), order, _K.field_bits(2 * degree))
+
+
+def _widening(ring: _Ring, run):
+    """run(ring), run again at twice the field width whenever a monomial
+    outgrows the headroom: no answer depends on the width."""
+    while True:
+        try:
+            return run(ring)
+        except _K.HeadroomExceeded:
+            ring = ring.wider()
 
 
 # ---------------------------------------------------------------------------
@@ -345,52 +353,64 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced basis (monic, mutually reduced, sorted by descending lead)."""
+    """A reduced basis (monic, mutually reduced, sorted by descending lead).
+    It keeps one copy, packed in the ring it was computed in, and builds
+    the sparse polys the first time they are read."""
 
-    __slots__ = ("polys", "order", "spairs_processed", "_ring", "_dense", "_leads")
+    __slots__ = ("spairs_processed", "_ring", "_basis", "_leads", "_polys")
 
-    def __init__(self, polys, order, spairs_processed, ring, dense, leads):
-        self.polys = polys
-        self.order = order
+    def __init__(self, spairs_processed, ring, basis, leads):
         self.spairs_processed = spairs_processed
         self._ring = ring
-        self._dense = dense
+        self._basis = basis
         self._leads = leads
+        self._polys = None
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        if self._polys is None:
+            self._polys = tuple(map(self._ring.unpack, self._basis))
+        return self._polys
 
     def __iter__(self):
         return iter(self.polys)
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._basis)
 
     @property
     def is_unit(self) -> bool:
-        return self.polys == (Polynomial.one(),)
+        return self._leads == [0]  # the basis (1), whose lead is the monomial 1
 
-    def _divisors(self, p: Polynomial):
-        """(ring, dense basis, leads) to divide p by: the stored ones, or the
-        basis re-encoded in a ring that also holds the variables of p."""
-        ring = self._ring
-        if p.variables() <= set(ring.pos):
-            return ring, self._dense, self._leads
-        ring = _make_ring(set(ring.codes) | p.variables(), self.order)
-        dense = [ring.densify(g) for g in self.polys]
-        return ring, dense, [_K.lead_term(d, ring.kind, ring.split)[0] for d in dense]
+    def lead_supports(self) -> list[frozenset]:
+        """The variable codes of each lead monomial, in basis order."""
+        codes, read = self._ring.codes, self._ring.read
+        return [frozenset(compress(codes, read(lead))) for lead in self._leads]
 
     def reduce(self, p: Polynomial, quotients: list | None = None) -> Polynomial:
         """The normal form of p: unique, and zero exactly on ideal members.
 
         quotients, when given, is an empty list that receives one cofactor
         q_i per element of self.polys, so that p = sum q_i g_i + the normal
-        form; the division that finds the normal form also finds them."""
-        ring, dense, leads = self._divisors(p)
-        cofactors = None if quotients is None else [{} for _ in dense]
-        tail = _K.normal_form(
-            ring.densify(p), dense, leads, ring.kind, ring.split, cofactors
-        )
-        if cofactors is not None:
-            quotients.extend(map(ring.sparsify, cofactors))
-        return ring.sparsify(tail)
+        form; the division that finds the normal form also finds them.  The
+        basis is re-packed when p has a variable it lacks or a degree its
+        fields cannot hold."""
+        home = self._ring
+        extra = p.variables() - home.shift.keys()
+        ring = _Ring(home.codes + tuple(extra), home.order, home.bits) if extra else home
+
+        def divide(ring: _Ring) -> Polynomial:
+            basis, leads = self._basis, self._leads
+            if ring is not home:
+                basis = [ring.pack(g) for g in self.polys]
+                leads = [_K.lead_term(g, ring.packing)[0] for g in basis]
+            cofactors = None if quotients is None else [{} for _ in basis]
+            tail = _K.normal_form(ring.pack(p), basis, leads, ring.packing, cofactors)
+            if cofactors is not None:
+                quotients.extend(map(ring.unpack, cofactors))
+            return ring.unpack(tail)
+
+        return _widening(ring, divide)
 
 
 def buchberger(
@@ -403,104 +423,102 @@ def buchberger(
     smallest lcm degree, ties broken by the order on the lcm and then by pair
     index.  Buchberger's coprimality and chain criteria prune pairs; the
     chain criterion reads the pending (i, j) from a set.  The budget is
-    checked after each pop; BudgetExhausted is raised when it runs out.
+    checked after each pop; BudgetExhausted is raised when it runs out.  A
+    run whose monomials outgrow the field width starts again at twice the
+    width: its time counts against the budget, its S-pairs do not.
     Nothing is stored: Ideal.groebner memoizes within a session.
     """
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
-    ring = _make_ring(_codes(ideal.generators), order)
-    kind, split = ring.kind, ring.split
-    order_key = _K.dense_order_key(kind, split)
+    gens = ideal.generators
 
-    basis: list[dict] = []
-    leads: list[tuple] = []
-    spairs = 0
+    def run(ring: _Ring) -> GroebnerBasis:
+        packing = ring.packing
+        key, guards, low = packing.key, packing.guards, packing.low
 
-    def check_budget():
-        elapsed = time.monotonic() - start
-        if spairs > budget.max_spairs or elapsed > budget.max_seconds:
-            raise BudgetExhausted("buchberger", spairs, elapsed)
+        basis: list[dict] = []
+        leads: list[int] = []
+        spairs = 0
 
-    def normalize(h: dict) -> dict:
-        lm, lc = _K.lead_term(h, kind, split)
-        if lc != 1:
-            h = {m: c / lc for m, c in h.items()}
-        return h
+        def check_budget():
+            elapsed = time.monotonic() - start
+            if spairs > budget.max_spairs or elapsed > budget.max_seconds:
+                raise BudgetExhausted("buchberger", spairs, elapsed)
 
-    queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
-    pending: set[tuple[int, int]] = set()
+        def monic(h: dict) -> tuple[dict, int]:
+            """h divided by its lead coefficient, and its lead monomial."""
+            lm, lc = _K.lead_term(h, packing)
+            return (h if lc == 1 else {m: c / lc for m, c in h.items()}), lm
 
-    def add_poly(h: dict):
-        h = normalize(h)
-        lm, _ = _K.lead_term(h, kind, split)
-        j = len(basis)
-        for i in range(j):
-            lcm = _K.mono_lcm(leads[i], lm)
-            heappush(queue, (sum(lcm), order_key(lcm), i, j))
-            pending.add((i, j))
-        basis.append(h)
-        leads.append(lm)
+        queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
+        pending: set[tuple[int, int]] = set()
 
-    for g in ideal.generators:
-        h = _K.normal_form(ring.densify(g), basis, leads, kind, split)
-        if h:
-            add_poly(h)
+        def add_poly(h: dict):
+            h, lm = monic(h)
+            j = len(basis)
+            for i in range(j):
+                lcm = _K.mono_lcm(leads[i], lm, packing)
+                heappush(queue, (_K.mono_deg(lcm, packing), key(lcm), i, j))
+                pending.add((i, j))
+            basis.append(h)
+            leads.append(lm)
 
-    while queue:
-        _, _, i, j = heappop(queue)
-        pending.remove((i, j))
-        spairs += 1
-        check_budget()
+        for g in gens:
+            h = _K.normal_form(ring.pack(g), basis, leads, packing)
+            if h:
+                add_poly(h)
 
-        lcm = _K.mono_lcm(leads[i], leads[j])
-        # coprime leads: the S-polynomial reduces to zero
-        if lcm == _K.mono_mul(leads[i], leads[j]):
-            continue
-        # chain criterion: a third divisor whose pairs are both settled
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        while queue:
+            _, lcm_key, i, j = heappop(queue)
+            pending.remove((i, j))
+            spairs += 1
+            check_budget()
+
+            lcm = lcm_key & low
+            # coprime leads: the S-polynomial reduces to zero
+            if lcm == leads[i] + leads[j]:
                 continue
-            if all(map(ge, lcm, leads[k])):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
+            # chain criterion: a third divisor whose pairs are both settled
+            skip = False
+            for k in range(len(basis)):
+                if k in (i, j):
+                    continue
+                if not (lcm - leads[k]) & guards:
+                    a = (min(i, k), max(i, k))
+                    b = (min(j, k), max(j, k))
+                    if a not in pending and b not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
 
-        qi = _K.mono_div(lcm, leads[i])
-        qj = _K.mono_div(lcm, leads[j])
-        s = _K.s_polynomial(qi, basis[i], qj, basis[j])
-        h = _K.normal_form(s, basis, leads, kind, split)
-        if h:
-            add_poly(h)
+            s = _K.s_polynomial(lcm - leads[i], basis[i], lcm - leads[j], basis[j])
+            h = _K.normal_form(s, basis, leads, packing)
+            if h:
+                add_poly(h)
 
-    # minimalize: drop elements whose lead another lead divides
-    ordered = sorted(range(len(basis)), key=lambda k: order_key(leads[k]))
-    kept: list[int] = []
-    for k in ordered:
-        if not any(all(map(ge, leads[k], leads[t])) for t in kept):
-            kept.append(k)
-    # interreduce tails
-    final: list[dict] = [basis[k] for k in kept]
-    final_leads = [leads[k] for k in kept]
-    for idx in range(len(final)):
-        others = final[:idx] + final[idx + 1 :]
-        other_leads = final_leads[:idx] + final_leads[idx + 1 :]
-        final[idx] = normalize(
-            _K.normal_form(final[idx], others, other_leads, kind, split)
+        # minimalize: drop elements whose lead another lead divides
+        ordered = sorted(range(len(basis)), key=lambda k: key(leads[k]))
+        kept: list[int] = []
+        for k in ordered:
+            if all((leads[k] - leads[t]) & guards for t in kept):
+                kept.append(k)
+        # interreduce tails
+        final: list[dict] = [basis[k] for k in kept]
+        final_leads = [leads[k] for k in kept]
+        for idx in range(len(final)):
+            others = final[:idx] + final[idx + 1 :]
+            other_leads = final_leads[:idx] + final_leads[idx + 1 :]
+            final[idx], final_leads[idx] = monic(
+                _K.normal_form(final[idx], others, other_leads, packing)
+            )
+
+        by_lead = sorted(range(len(final)), key=lambda k: key(final_leads[k]), reverse=True)
+        return GroebnerBasis(
+            spairs, ring, [final[k] for k in by_lead], [final_leads[k] for k in by_lead]
         )
-        final_leads[idx] = _K.lead_term(final[idx], kind, split)[0]
 
-    by_lead = sorted(
-        range(len(final)), key=lambda k: order_key(final_leads[k]), reverse=True
-    )
-    final = [final[k] for k in by_lead]
-    final_leads = [final_leads[k] for k in by_lead]
-    polys = tuple(ring.sparsify(d) for d in final)
-    return GroebnerBasis(polys, order, spairs, ring, final, final_leads)
+    return _widening(_make_ring(gens, order), run)
 
 
 # ---------------------------------------------------------------------------
@@ -647,34 +665,35 @@ def monomial_ideal_intersect(ideals) -> Ideal:
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    ring = _make_ring(_codes(g for i in ideals for g in i.generators), GREVLEX_ORDER)
-    order_key = _K.dense_order_key(ring.kind, ring.split)
+    gens = [g for i in ideals for g in i.generators]
+    for g in gens:
+        if len(g) != 1:
+            raise ValueError(f"non-monomial generator: {g}")
 
-    def exponents(ideal: Ideal) -> list[tuple]:
-        out = []
-        for g in ideal.generators:
-            if len(g) != 1:
-                raise ValueError(f"non-monomial generator: {g}")
-            (vec,) = ring.densify(g)
-            out.append(vec)
-        return out
+    def meet(ring: _Ring) -> Ideal:
+        packing = ring.packing
 
-    def minimalize(monos) -> list[tuple]:
-        kept: list[tuple] = []
-        for m in sorted(set(monos), key=order_key):  # divisors come first
-            if not any(all(map(ge, m, k)) for k in kept):
-                kept.append(m)
-        return kept
+        def minimalize(monos) -> list[int]:
+            kept: list[int] = []
+            for m in sorted(set(monos), key=packing.key):  # divisors come first
+                if all((m - k) & packing.guards for k in kept):
+                    kept.append(m)
+            return kept
 
-    current = minimalize(exponents(ideals[0]))
-    for nxt in ideals[1:]:
-        gens = minimalize(exponents(nxt))
-        current = minimalize([_K.mono_lcm(a, b) for a in current for b in gens])
-    return Ideal([ring.sparsify({m: _ONE}) for m in reversed(current)])
+        def monomials(ideal: Ideal) -> list[int]:
+            return minimalize(m for g in ideal.generators for m in ring.pack(g))
+
+        current = monomials(ideals[0])
+        for nxt in ideals[1:]:
+            gens = monomials(nxt)
+            current = minimalize([_K.mono_lcm(a, b, packing) for a in current for b in gens])
+        return Ideal([ring.unpack({m: _ONE}) for m in reversed(current)])
+
+    return _widening(_make_ring(gens, GREVLEX_ORDER), meet)
 
 
 def _eliminate_aux(gens, w: int) -> Ideal:
-    gb = Ideal(gens).groebner(block_order([w]))
+    gb = Ideal(gens).groebner(elimination_order(w))
     return Ideal(g for g in gb.polys if w not in g.variables())
 
 
@@ -739,12 +758,6 @@ def krull_dim(ideal: Ideal, ambient) -> int:
     gb = residual.groebner(GREVLEX_ORDER)
     if gb.is_unit:
         return -1
-    codes = gb._ring.codes
-    supports = [
-        frozenset(code for code, e in zip(codes, lead) if e) for lead in gb._leads
-    ]
-    supports = tuple(
-        sorted(set(supports), key=lambda s: (len(s), sorted(s)))
-    )
+    supports = tuple(sorted(set(gb.lead_supports()), key=lambda s: (len(s), sorted(s))))
     covered = _min_hitting(supports, {})
     return len(ambient - set(eliminated)) - covered

@@ -17,8 +17,9 @@ A variable is a (family, index) pair packed into a single int code:
   where ``w`` holds auxiliary slots used by radical/saturation tricks;
 * within a family a higher jet index is a higher code.
 
-Auxiliary slots sorting above every jet variable is what makes elimination
-of a fresh ``w`` fall out of a block order for free.
+Auxiliary slots sorting above every jet variable is what lets the engine
+eliminate a fresh ``w``: its elimination order needs ``w`` to be the
+highest-ranked variable of the ring.
 
 Monomials are tuples of (code, exponent) pairs sorted by descending code
 with no zero exponents; the empty tuple is the monomial 1.

@@ -7,8 +7,6 @@ from jetfibers.d4 import (
     PHI1,
     PHI2,
     PHI2_INV,
-    apply_automorphism,
-    d4_component_ideal,
     d4_ideals,
     d4_maximal_intersections,
     g1,
@@ -119,13 +117,11 @@ def test_flip_swaps_charts():
         assert gb.member(g, fam.charts[3]).verified
 
 
-def test_apply_automorphism_dispatch():
+def test_automorphism_acts_on_points_and_polynomials():
     pt = JetPoint.make(5, y={1: 1}, z={1: 2})
-    image = apply_automorphism(PHI1, pt)
+    image = PHI1.on_point(pt)
     assert image.ys[1] == -1 and image.zs[1] == 2
-    assert apply_automorphism(PHI1, P("y0")) == P("-y0")
-    with pytest.raises(TypeError):
-        apply_automorphism(PHI1, "y0")
+    assert PHI1.on_polynomial(P("y0")) == P("-y0")
 
 
 def test_algebra_report():
@@ -290,24 +286,24 @@ def test_witness_chain_engine_subchecks_at_m6():
 
 
 def test_g1_lands_in_first_component():
-    i1 = d4_component_ideal(5, 1)
+    i1 = d4_ideals(5).component_ideal(1)
     assert gb.member(g1(), i1).verified
 
 
 def test_g2_lands_in_second_component():
-    i2 = d4_component_ideal(5, 2)
+    i2 = d4_ideals(5).component_ideal(2)
     assert gb.member(g2(), i2).verified
 
 
 def test_y1_avoids_component_radicals():
     for i in (1, 2, 3):
-        comp = d4_component_ideal(5, i)
+        comp = d4_ideals(5).component_ideal(i)
         assert gb.radical_member(P("y1"), comp).outcome == gb.REFUTED
 
 
 def test_flip_swaps_saturated_components():
-    i2 = d4_component_ideal(5, 2)
-    i3 = d4_component_ideal(5, 3)
+    i2 = d4_ideals(5).component_ideal(2)
+    i3 = d4_ideals(5).component_ideal(3)
     for g in PHI1.on_ideal(i2).generators:
         assert gb.member(g, i3).verified
     for g in PHI1.on_ideal(i3).generators:

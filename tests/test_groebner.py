@@ -2,7 +2,6 @@ import random
 import threading
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import add
 
 import pytest
 from hypothesis import example, given, reject, strategies as st
@@ -13,12 +12,12 @@ from jetfibers.groebner import (
     BudgetExhausted,
     GREVLEX_ORDER,
     Ideal,
-    LEX_ORDER,
     VERIFIED,
     _Ring,
+    _codes,
     _make_ring,
-    block_order,
     buchberger,
+    elimination_order,
     ideal_intersect_elim,
     krull_dim,
     linear_presolve,
@@ -30,9 +29,11 @@ from jetfibers.groebner import (
     saturate,
     session,
 )
-from jetfibers.kernel import BLOCK, GREVLEX, LEX, impl as _K
-from jetfibers._kernel_py import dense_order_key, descending_order_key
+from jetfibers import groebner as engine
+from jetfibers.kernel import impl as _K
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
+
+W0 = var_code("w", 0)
 
 
 def P(text: str) -> Polynomial:
@@ -44,40 +45,94 @@ def ideal(*texts, **kw) -> Ideal:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial orders: the reference on exponent tuples
+#
+# An exponent tuple has slot 0 for the highest-ranked variable.  split 0 is
+# grevlex; split 1 is the elimination order of slot 0, grevlex on slot 0 and
+# then grevlex on the rest.  The kernel's packed key must order exactly so.
+
+
+def _grevlex_cmp(a, b, lo, hi):
+    da = sum(a[lo:hi])
+    db = sum(b[lo:hi])
+    if da != db:
+        return 1 if da > db else -1
+    # ties: the rightmost slot where they differ, smaller exponent wins
+    for i in range(hi - 1, lo - 1, -1):
+        if a[i] != b[i]:
+            return 1 if a[i] < b[i] else -1
+    return 0
+
+
+def _reference_cmp(a, b, split):
+    return _grevlex_cmp(a, b, 0, split) or _grevlex_cmp(a, b, split, len(a))
+
+
+def _grevlex_key(a):
+    # higher degree first; on a tie the rightmost differing slot decides,
+    # the smaller exponent ranking higher
+    return (sum(a), tuple(-e for e in reversed(a)))
+
+
+def dense_order_key(split):
+    """Key on exponent tuples that sorts exactly as _reference_cmp."""
+    return lambda a: _grevlex_key(a[:split]) + _grevlex_key(a[split:])
+
+
+def _pack(exps, bits=8) -> int:
+    return sum(e << (i * bits) for i, e in enumerate(exps))
+
+
+def _fits(exps, split, bits=8) -> bool:
+    """Whether the tuple keeps the headroom: every guarded sum of its key
+    (the total degree; with split 1 the first exponent and the rest's
+    degree) stays below half a field."""
+    half = 1 << (bits - 1)
+    return sum(exps[:split]) < half and sum(exps[split:]) < half
 
 
 def _cmp(order, a, b) -> int:
-    """Compare sparse monomials the way the engine does: densify over their
-    variables with _make_ring, then compare dense_order_key values."""
-    ring = _make_ring({c for c, _ in a + b}, order)
-    key = dense_order_key(ring.kind, ring.split)
-    (da,), (db,) = (ring.densify(Polynomial({m: Fraction(1)})) for m in (a, b))
-    return (key(da) > key(db)) - (key(da) < key(db))
+    """Compare sparse monomials the way the engine does: pack them in the
+    ring of their variables, then compare the packed keys."""
+    polys = [Polynomial({m: Fraction(1)}) for m in (a, b)]
+    ring = _make_ring(polys, order)
+    (pa,), (pb,) = (ring.pack(p) for p in polys)
+    return _K.mono_cmp(pa, pb, ring.packing)
 
 
-def _lead_mono(p: Polynomial, order=GREVLEX_ORDER):
-    ring = _make_ring(p.variables(), order)
-    top = max(ring.densify(p), key=dense_order_key(ring.kind, ring.split))
-    return mono_from_pairs(zip(ring.codes, top))
+def _lead_mono(p: Polynomial):
+    """The grevlex lead monomial of p by the tuple reference."""
+    codes = sorted(p.variables(), reverse=True)
+    return max(
+        (mono for mono, _ in p.items()),
+        key=lambda mono: dense_order_key(0)(tuple(dict(mono).get(c, 0) for c in codes)),
+    )
 
 
 def test_grevlex_degree_first():
     a = mono_from_pairs([(var_code("x", 0), 1)])
     b = mono_from_pairs([(var_code("z", 0), 2)])
     assert _cmp(GREVLEX_ORDER, b, a) > 0
-    assert _cmp(LEX_ORDER, a, b) > 0
+    # equal degree: the higher-ranked variable wins
+    assert _cmp(GREVLEX_ORDER, a, mono_from_pairs([(var_code("z", 0), 1)])) > 0
 
 
 def test_block_order_eliminates_first():
-    w = var_code("w", 0)
-    order = block_order([w])
-    carrying = mono_from_pairs([(w, 1)])
+    order = elimination_order(W0)
+    carrying = mono_from_pairs([(W0, 1)])
     heavy = mono_from_pairs([(var_code("x", 0), 9), (var_code("y", 3), 9)])
     # any monomial containing the eliminated variable outranks any without
     assert _cmp(order, carrying, heavy) > 0
     assert _cmp(order, heavy, carrying) < 0
     assert _cmp(order, carrying, carrying) == 0
+
+
+def test_only_a_top_auxiliary_slot_is_eliminated():
+    with pytest.raises(ValueError):
+        elimination_order(var_code("x", 0))
+    # w0 ranks below w1, so it cannot sit in slot 0 of a ring holding both
+    with pytest.raises(ValueError):
+        _Ring({W0, var_code("w", 1)}, elimination_order(W0), 8)
 
 
 _SAMPLE_MONOS = [
@@ -90,7 +145,7 @@ _SAMPLE_MONOS = [
         [(var_code("w", 1), 1), (var_code("z", 0), 3)],
     )
 ]
-_SAMPLE_ORDERS = (GREVLEX_ORDER, LEX_ORDER, block_order([var_code("w", 1)]))
+_SAMPLE_ORDERS = (GREVLEX_ORDER, elimination_order(var_code("w", 1)))
 
 
 def test_order_antisymmetry_on_samples():
@@ -101,57 +156,109 @@ def test_order_antisymmetry_on_samples():
 
 
 def test_order_ignores_unused_ring_variables():
-    # monomial_ideal_intersect densifies over the union of all variables;
-    # slots that are zero in both monomials must not change a comparison
+    # monomial_ideal_intersect packs over the union of all variables; slots
+    # that are zero in both monomials must not change a comparison
     codes = {c for m in _SAMPLE_MONOS for c, _ in m}
     for order in _SAMPLE_ORDERS:
-        ring = _make_ring(codes, order)
-        key = dense_order_key(ring.kind, ring.split)
-        dense = {
-            m: next(iter(ring.densify(Polynomial({m: Fraction(1)}))))
-            for m in _SAMPLE_MONOS
-        }
+        ring = _Ring(codes, order, 8)
+        key = {m: ring.packing.key(*ring.pack(Polynomial({m: Fraction(1)}))) for m in _SAMPLE_MONOS}
         for a in _SAMPLE_MONOS:
             for b in _SAMPLE_MONOS:
-                wide = (key(dense[a]) > key(dense[b])) - (key(dense[a]) < key(dense[b]))
+                wide = (key[a] > key[b]) - (key[a] < key[b])
                 assert wide == _cmp(order, a, b)
 
 
 @st.composite
-def _dense_monos_and_order(draw):
+def _monos_and_split(draw):
     width = draw(st.integers(1, 5))
-    kind = draw(st.sampled_from([GREVLEX, LEX, BLOCK]))
-    split = draw(st.integers(0, width)) if kind == BLOCK else 0
+    split = draw(st.integers(0, 1))
     mono = st.tuples(*[st.integers(0, 2)] * width)
     monos = draw(st.lists(mono, max_size=12))
     # repeat a prefix so equal monomials always occur
-    return monos + monos[: draw(st.integers(0, len(monos)))], kind, split
+    return monos + monos[: draw(st.integers(0, len(monos)))], split
 
 
-@given(_dense_monos_and_order())
+@given(_monos_and_split())
 def test_dense_order_key_sorts_as_mono_cmp(case):
-    monos, kind, split = case
-    by_cmp = sorted(monos, key=cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split)))
-    assert sorted(monos, key=dense_order_key(kind, split)) == by_cmp
-    # the heap key of normal_form: largest monomial first
-    assert sorted(monos, key=descending_order_key(kind, split)) == by_cmp[::-1]
+    # the tuple reference against the kernel's comparison of packed keys
+    monos, split = case
+    width = len(monos[0]) if monos else 1
+    packing = _K.Packing(8, width, bool(split))
+    by_cmp = sorted(
+        monos, key=cmp_to_key(lambda a, b: _K.mono_cmp(_pack(a), _pack(b), packing))
+    )
+    assert sorted(monos, key=dense_order_key(split)) == by_cmp
+    assert sorted(monos, key=cmp_to_key(lambda a, b: _reference_cmp(a, b, split))) == by_cmp
+    # the heap key of normal_form, -key, pops the largest monomial first
+    assert sorted(monos, key=lambda a: -packing.key(_pack(a))) == by_cmp[::-1]
 
 
-def _linear_scan_normal_form(p, gens, leads, lcs, kind, split):
+@st.composite
+def _exponents_to_the_limit(draw, bits, width, split):
+    """An exponent tuple whose guarded sums each take any value up to the
+    last one that keeps the headroom."""
+    half = 1 << (bits - 1)
+    out = []
+    for size in (split, width - split):
+        if size:
+            total = draw(st.integers(0, half - 1))
+            cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size - 1, max_size=size - 1)))
+            out += [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return tuple(out)
+
+
+@st.composite
+def _packed_pair(draw):
+    bits = draw(st.sampled_from([8, 16]))
+    width = draw(st.integers(1, 5))
+    split = draw(st.integers(0, 1))
+    exps = _exponents_to_the_limit(bits, width, split)
+    return bits, split, draw(exps), draw(exps)
+
+
+@given(_packed_pair())
+@example((8, 0, (127, 0), (0, 0)))  # at the limit
+@example((8, 0, (64, 0), (0, 64)))  # a product one past it
+@example((8, 1, (127, 127, 0), (0, 0, 0)))
+@example((8, 1, (0, 100, 0), (0, 0, 28)))
+@example((8, 1, (64, 0), (64, 0)))
+@example((16, 0, (32767,), (1,)))
+def test_packed_key_is_additive_within_the_headroom(case):
+    bits, split, a, b = case
+    packing = _K.Packing(bits, len(a), bool(split))
+    key = packing.key
+    pa, pb = _pack(a, bits), _pack(b, bits)
+    assert (key(pa) > key(pb)) - (key(pa) < key(pb)) == _reference_cmp(a, b, split)
+    assert key(pa) & packing.low == pa
+    # divisibility, lcm and degree against the tuple reference
+    divides = all(x >= y for x, y in zip(a, b))
+    assert _K.mono_div(pa, pb, packing) == (pa - pb if divides else None)
+    assert _K.mono_lcm(pa, pb, packing) == _pack(map(max, a, b), bits)
+    assert _K.mono_deg(pa, packing) == sum(a)
+    product = tuple(map(sum, zip(a, b)))
+    assert pa + pb == _pack(product, bits)
+    if _fits(product, split, bits):
+        assert key(pa + pb) == key(pa) + key(pb)
+    else:
+        with pytest.raises(_K.HeadroomExceeded):
+            key(pa + pb)
+
+
+def _linear_scan_normal_form(p, gens, leads, lcs, packing):
     """Reference reduction, the kernel's before its heap: rescan for the lead
     term at every step and divide by the generator's lead coefficient."""
     work = dict(p)
     tail = {}
     ngens = len(gens)
     while work:
-        lm, lc = _K.lead_term(work, kind, split)
+        lm, lc = _K.lead_term(work, packing)
         reduced = False
         for i in range(ngens):
-            q = _K.mono_div(lm, leads[i])
+            q = _K.mono_div(lm, leads[i], packing)
             if q is not None:
                 s = lc / lcs[i]
                 for mg, cg in gens[i].items():
-                    key = _K.mono_mul(q, mg)
+                    key = q + mg
                     v = work.get(key)
                     if v is None:
                         nv = -s * cg
@@ -171,12 +278,19 @@ def _linear_scan_normal_form(p, gens, leads, lcs, kind, split):
     return tail
 
 
+def _small_ring(width: int, eliminate: bool) -> _Ring:
+    """A ring of width variables at 8-bit fields; with eliminate, slot 0
+    holds w0 under its elimination order."""
+    codes = [var_code("x", k) for k in range(width - eliminate)] + [W0] * eliminate
+    return _Ring(codes, elimination_order(W0) if eliminate else GREVLEX_ORDER, 8)
+
+
 @st.composite
 def _reduction_case(draw):
     width = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from([GREVLEX, LEX, BLOCK]))
-    split = draw(st.integers(0, width)) if kind == BLOCK else 0
-    mono = st.tuples(*[st.integers(0, 3)] * width)
+    ring = _small_ring(width, draw(st.booleans()))
+    packing = ring.packing
+    mono = st.tuples(*[st.integers(0, 3)] * width).map(_pack)
     coeff = st.integers(-3, 3).filter(bool).map(Fraction)
 
     def terms(max_size):
@@ -185,15 +299,15 @@ def _reduction_case(draw):
     gens, leads = [], []
     for _ in range(draw(st.integers(0, 3))):
         g = terms(4)
-        lm, lc = _K.lead_term(g, kind, split)
+        lm, lc = _K.lead_term(g, packing)
         gens.append({m: c / lc for m, c in g.items()})  # monic
         leads.append(lm)
-    return terms(8), gens, leads, kind, split
+    return terms(8), gens, leads, ring
 
 
 # x^2 -> x*y - y^2 cancels the y^2 of p; then x*y -> y - y^2 creates y^2
 # again after its heap entry went stale
-_X2, _XY, _Y2, _Y, _ONE_MONO = (2, 0), (1, 1), (0, 2), (0, 1), (0, 0)
+_X2, _XY, _Y2, _Y, _ONE_MONO = map(_pack, [(2, 0), (1, 1), (0, 2), (0, 1), (0, 0)])
 _RECREATED = (
     {_X2: Fraction(1), _Y2: Fraction(1), _ONE_MONO: Fraction(5)},
     [
@@ -205,32 +319,33 @@ _RECREATED = (
 
 
 @given(_reduction_case())
-@example(_RECREATED + (GREVLEX, 0))
-@example(_RECREATED + (LEX, 0))
+@example(_RECREATED + (_small_ring(2, False),))
+@example(_RECREATED + (_small_ring(2, True),))
 def test_heap_normal_form_matches_linear_scan(case):
-    p, gens, leads, kind, split = case
-    tail = _K.normal_form(p, gens, leads, kind, split)
-    expected = _linear_scan_normal_form(p, gens, leads, [Fraction(1)] * len(gens), kind, split)
+    p, gens, leads, ring = case
+    packing = ring.packing
+    tail = _K.normal_form(p, gens, leads, packing)
+    expected = _linear_scan_normal_form(p, gens, leads, [Fraction(1)] * len(gens), packing)
     assert tail == expected
-    by_cmp = cmp_to_key(lambda a, b: _K.mono_cmp(a, b, kind, split))
+    by_cmp = cmp_to_key(lambda a, b: _K.mono_cmp(a, b, packing))
     assert list(tail) == list(expected) == sorted(tail, key=by_cmp, reverse=True)
 
 
 def _term_mul(coeff, mono, g):
-    """coeff * x^mono * g on dense terms."""
-    return {tuple(map(add, mono, m)): coeff * c for m, c in g.items()}
+    """coeff * x^mono * g on packed terms."""
+    return {mono + m: coeff * c for m, c in g.items()}
 
 
-def _reference_division(p, gens, leads, kind, split):
+def _reference_division(p, gens, leads, packing):
     """Reference division with cofactors, the engine's before the kernel kept
     them: rescan for the lead term and rebuild the work dict at every step."""
     work = dict(p)
     tail: dict = {}
     quotients: list[dict] = [dict() for _ in gens]
     while work:
-        lm, lc = _K.lead_term(work, kind, split)
+        lm, lc = _K.lead_term(work, packing)
         for i, lead in enumerate(leads):
-            q = _K.mono_div(lm, lead)
+            q = _K.mono_div(lm, lead, packing)
             if q is not None:
                 quotients[i] = _K.add_scaled(quotients[i], {q: lc}, Fraction(1))
                 work = _K.add_scaled(work, _term_mul(lc, q, gens[i]), Fraction(-1))
@@ -242,39 +357,31 @@ def _reference_division(p, gens, leads, kind, split):
     return quotients, tail
 
 
-def _dense_groebner(gens, kind, split):
-    """The reduced basis of the ideal of gens under (kind, split), as monic
-    dense terms over the same slots, with its leads.  Inputs whose basis
+def _packed_groebner(gens, ring):
+    """The reduced basis of the ideal of gens in the ring's order, as monic
+    packed terms over the same slots, with its leads.  Inputs whose basis
     takes more than a few S-pairs are skipped, to keep the test fast."""
-    width = len(next(iter(gens[0])))
-    codes = tuple(var_code("x", width - 1 - k) for k in range(width))  # descending
-    if kind == LEX:
-        order = LEX_ORDER
-    elif kind == BLOCK and split:
-        order = block_order(codes[:split])
-    else:  # grevlex, which a block order with an empty first block is too
-        order = GREVLEX_ORDER
-    ring = _Ring(codes, kind, split)
     try:
         basis = buchberger(
-            Ideal([ring.sparsify(g) for g in gens]), order, Budget(max_spairs=40)
+            Ideal([ring.unpack(g) for g in gens]), ring.order, Budget(max_spairs=40)
         )
     except BudgetExhausted:
         reject()
-    dense = [ring.densify(g) for g in basis.polys]
-    return dense, [_K.lead_term(g, kind, split)[0] for g in dense]
+    packed = [ring.pack(g) for g in basis.polys]
+    return packed, [_K.lead_term(g, ring.packing)[0] for g in packed]
 
 
 @given(_reduction_case(), st.booleans())
-@example(_RECREATED + (GREVLEX, 0), False)
+@example(_RECREATED + (_small_ring(2, False),), False)
 def test_kernel_division_matches_reference(case, groebner):
-    p, gens, leads, kind, split = case
+    p, gens, leads, ring = case
+    packing = ring.packing
     if groebner and gens:
-        gens, leads = _dense_groebner(gens, kind, split)
+        gens, leads = _packed_groebner(gens, ring)
     quotients = [{} for _ in gens]
-    tail = _K.normal_form(p, gens, leads, kind, split, quotients)
-    assert (quotients, tail) == _reference_division(p, gens, leads, kind, split)
-    assert tail == _K.normal_form(p, gens, leads, kind, split)
+    tail = _K.normal_form(p, gens, leads, packing, quotients)
+    assert (quotients, tail) == _reference_division(p, gens, leads, packing)
+    assert tail == _K.normal_form(p, gens, leads, packing)
     # p = sum q_i g_i + r, exactly
     total = dict(tail)
     for q, g in zip(quotients, gens):
@@ -290,6 +397,70 @@ def test_reduce_with_quotients_in_a_wider_ring():
     r = gb.reduce(p, quotients)
     assert r == gb.reduce(p) and r
     assert sum((q * g for q, g in zip(quotients, gb.polys)), r) == p
+
+
+def _recording_widths(monkeypatch) -> list:
+    """The field widths that a computation outgrows, as it outgrows them."""
+    widths = []
+    wider = _Ring.wider
+
+    def recorded(ring):
+        widths.append(ring.bits)
+        return wider(ring)
+
+    monkeypatch.setattr(_Ring, "wider", recorded)
+    return widths
+
+
+def test_outgrowing_the_field_width_repacks_with_the_same_answer(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    # inputs of degree 65 get 8-bit fields, whose headroom ends at degree
+    # 127; the basis holds (x0^64 + z0)*y0^64, of degree 128
+    gens = [P("w0*x0^64 + w0*z0"), P("y0^64 - w0*y0^64")]
+    order = elimination_order(W0)
+    widths = _recording_widths(monkeypatch)
+    gb = buchberger(Ideal(gens), order)
+    assert widths == [8]
+    # the same pairs as a run that starts at the wider width
+    wide = _basis_at_width(monkeypatch, 16, gens, order)
+    assert (gb.polys, gb.spairs_processed) == (wide.polys, wide.spairs_processed)
+
+    symbols = sympy.symbols("w0 x0 y0 z0")
+    theirs = sympy.groebner(
+        [sympy.sympify(str(g).replace("^", "**")) for g in gens],
+        *symbols,
+        order=ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:])),
+        domain=sympy.QQ,
+    )
+    ours = [
+        sympy.Poly(sympy.sympify(str(g).replace("^", "**")), *symbols, domain=sympy.QQ)
+        for g in gb.polys
+    ]
+    assert ours == list(theirs.polys)
+
+
+def _basis_at_width(monkeypatch, bits, gens, order):
+    """The basis of a run that starts at the given field width."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_make_ring", lambda polys, order: _Ring(_codes(polys), order, bits))
+        return buchberger(Ideal(gens), order)
+
+
+def test_reduce_and_monomial_meet_repack_past_the_headroom(monkeypatch):
+    gens = ideal("x0^2 + y0", "x0*y0 + 1").generators
+    wide = _basis_at_width(monkeypatch, 16, gens, GREVLEX_ORDER)
+    widths = _recording_widths(monkeypatch)
+    gb = buchberger(Ideal(gens))  # 8-bit fields
+    quotients = []
+    p = P("x0^130*y0 + z0^200")
+    r = gb.reduce(p, quotients)
+    assert sum((q * g for q, g in zip(quotients, gb.polys)), r) == p
+    assert r == wide.reduce(p) == P("-1 + z0^200")
+    meet = monomial_ideal_intersect([ideal("x0^64"), ideal("y0^64")])
+    assert [str(g) for g in meet.generators] == ["x0^64*y0^64"]
+    assert widths == [8, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +489,7 @@ def test_unit_ideal():
 
 def _spoly(f, g):
     # independent textbook S-polynomial for the post-hoc check
-    lf, lg = _lead_mono(f, GREVLEX_ORDER), _lead_mono(g, GREVLEX_ORDER)
+    lf, lg = _lead_mono(f), _lead_mono(g)
     ef, eg = dict(lf), dict(lg)
     lcm = {c: max(ef.get(c, 0), eg.get(c, 0)) for c in set(ef) | set(eg)}
     cf = dict(f.items())[lf]
@@ -348,7 +519,7 @@ def test_spolynomials_reduce_to_zero(gens):
 @pytest.mark.parametrize("gens", FIXTURES)
 def test_reduced_basis_invariants(gens):
     gb = buchberger(Ideal([P(t) for t in gens]))
-    leads = [_lead_mono(g, GREVLEX_ORDER) for g in gb.polys]
+    leads = [_lead_mono(g) for g in gb.polys]
     for i, g in enumerate(gb.polys):
         assert dict(g.items())[leads[i]] == 1  # monic
         for j, lead in enumerate(leads):
@@ -371,13 +542,16 @@ def test_determinism_byte_identical():
 
 _QUADRICS = ("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0")
 _CUBICS = ("x0^3 - y0*z0", "y0^2 - x0*z0", "z0^2 - x0^2*y0")
+# the elimination inputs of _QUADRICS : z0^inf and of _QUADRICS ^ _CUBICS
+_SATURATING = _QUADRICS + ("1 - w0*z0",)
+_MEETING = tuple(str(P("w0") * P(q)) for q in _QUADRICS) + tuple(
+    str(P("1 - w0") * P(c)) for c in _CUBICS
+)
 _PINNED_SELECTION = [
     (_QUADRICS, GREVLEX_ORDER, 4, 21),
     (_CUBICS, GREVLEX_ORDER, 3, 3),
-    (_QUADRICS, LEX_ORDER, 3, 28),
-    (_CUBICS, LEX_ORDER, 5, 10),
-    (_QUADRICS, block_order([var_code("x", 0)]), 4, 21),
-    (_CUBICS, block_order([var_code("x", 0)]), 5, 10),
+    (_SATURATING, elimination_order(W0), 5, 45),
+    (_MEETING, elimination_order(W0), 6, 465),
 ]
 
 
@@ -426,7 +600,7 @@ def test_shared_bases_serves_repeats_without_reducing(monkeypatch):
         again = ideal(*_QUADRICS).groebner()  # a fresh Ideal, equal generators
         assert again is first
         assert len(calls) == computed > 0
-        other = ideal(*_QUADRICS).groebner(LEX_ORDER)  # the order is in the key
+        other = ideal(*_QUADRICS).groebner(elimination_order(W0))  # the order is in the key
         assert other is not first and len(calls) > computed
 
 
@@ -486,13 +660,14 @@ def test_nested_session_cannot_set_a_budget():
 
 
 def test_session_budget_bounds_every_basis():
-    assert buchberger(ideal(*_QUADRICS), LEX_ORDER).spairs_processed == 28
-    with session(Budget(max_spairs=27)):
+    order = elimination_order(W0)
+    assert buchberger(ideal(*_SATURATING), order).spairs_processed == 45
+    with session(Budget(max_spairs=44)):
         with pytest.raises(BudgetExhausted) as exc:
-            ideal(*_QUADRICS).groebner(LEX_ORDER)
-    assert exc.value.spairs == 28
-    with session(Budget(max_spairs=28)):
-        assert ideal(*_QUADRICS).groebner(LEX_ORDER).spairs_processed == 28
+            ideal(*_SATURATING).groebner(order)
+    assert exc.value.spairs == 45
+    with session(Budget(max_spairs=45)):
+        assert ideal(*_SATURATING).groebner(order).spairs_processed == 45
 
 
 # ---------------------------------------------------------------------------

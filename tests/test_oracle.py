@@ -2,7 +2,10 @@
 
 On random small ideals and on the presolved jet ideals the verifiers
 build, both must return the same reduced Groebner basis, element for
-element.  On the A_2 and D_4 surfaces, and on a shifted D_4 chart, the jet
+element, under grevlex; on random ideals with an auxiliary slot w and on
+the elimination inputs of the D4 component ideals, under the elimination
+order of w, which is sympy's product order (grevlex on w, then grevlex on
+the rest).  On the A_2 and D_4 surfaces, and on a shifted D_4 chart, the jet
 expansion must equal sympy's truncated power series product."""
 
 import random
@@ -12,27 +15,29 @@ import pytest
 
 from jetfibers import an, d4
 from jetfibers.jets import an_surface, d4_surface, expand_ambient
+from jetfibers import groebner as gb
 from jetfibers.groebner import (
     GREVLEX_ORDER,
-    LEX_ORDER,
     Ideal,
     _fresh_aux,
     buchberger,
+    elimination_order,
     restrict_to_residual,
 )
-from jetfibers.poly import X, Polynomial, var_code, var_family, var_name
+from jetfibers.poly import AUX, X, Polynomial, var_code, var_family, var_name
 
 sympy = pytest.importorskip("sympy")
 
 # the engine ranks higher variable codes first; sympy ranks gens left to right
 CODES = sorted((var_code(f, 0) for f in "xyz"), reverse=True)
+W0 = var_code(AUX, 0)
 
 
-def _random_poly(rng) -> Polynomial:
+def _random_poly(rng, codes=CODES) -> Polynomial:
     while True:
         terms = [
             (
-                [(c, rng.randint(0, 2)) for c in CODES],
+                [(c, rng.randint(0, 2)) for c in codes],
                 Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2)),
             )
             for _ in range(rng.randint(1, 3))
@@ -54,25 +59,59 @@ def _to_sympy(p: Polynomial, codes):
     return sympy.Poly(expr, *gens, domain=sympy.QQ)
 
 
-def _assert_matches_sympy(gens, order, sympy_order, codes):
+def _sympy_order(order):
+    """sympy's name for the order: grevlex, or for the elimination order of
+    w, the first gen, the product of grevlex on w and grevlex on the rest."""
+    if order.eliminate is None:
+        return "grevlex"
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    return ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+
+
+def _assert_matches_sympy(gens, order, codes):
     ours = [_to_sympy(g, codes) for g in buchberger(Ideal(gens), order).polys]
     theirs = sympy.groebner(
         [_to_sympy(g, codes).as_expr() for g in gens],
         *[sympy.Symbol(var_name(c)) for c in codes],
-        order=sympy_order,
+        order=_sympy_order(order),
         domain=sympy.QQ,
     )
     assert ours == list(theirs.polys), [str(g) for g in gens]
 
 
 @pytest.mark.parametrize(
-    "order, sympy_order", [(GREVLEX_ORDER, "grevlex"), (LEX_ORDER, "lex")]
+    "order, sympy_order",
+    [(GREVLEX_ORDER, "grevlex"), (elimination_order(W0), "elimination")],
 )
 def test_buchberger_matches_sympy_groebner(order, sympy_order):
     rng = random.Random(8144)
+    codes = CODES if order.eliminate is None else [order.eliminate] + CODES
     for _ in range(60):
-        gens = [_random_poly(rng) for _ in range(rng.randint(1, 3))]
-        _assert_matches_sympy(gens, order, sympy_order, CODES)
+        gens = [_random_poly(rng, codes) for _ in range(rng.randint(1, 3))]
+        _assert_matches_sympy(gens, order, codes)
+
+
+def test_elimination_inputs_of_d4_components_match_sympy(monkeypatch):
+    # every input the engine eliminates w from while it builds the D4
+    # component ideals at m=5 by saturation, and intersects them pairwise
+    inputs = []
+    eliminate = gb._eliminate_aux
+
+    def recorded(gens, w):
+        inputs.append((tuple(gens), w))
+        return eliminate(gens, w)
+
+    monkeypatch.setattr(gb, "_eliminate_aux", recorded)
+    fam = d4.d4_ideals(5)
+    components = [fam.component_ideal(i) for i in (1, 2, 3)]
+    for a, b in zip(components, components[1:]):
+        gb.ideal_intersect_elim(a, b)
+    assert len(inputs) == 5
+    for gens, w in inputs:
+        codes = sorted(frozenset().union(*(g.variables() for g in gens)), reverse=True)
+        assert codes[0] == w
+        _assert_matches_sympy(gens, elimination_order(w), codes)
 
 
 def _jet_ideals():
@@ -99,7 +138,7 @@ def _jet_ideals():
 @pytest.mark.parametrize("ideal", list(_jet_ideals()), ids=lambda i: i.label)
 def test_presolved_jet_ideals_match_sympy_groebner(ideal):
     codes = sorted(frozenset().union(*(g.variables() for g in ideal.generators)), reverse=True)
-    _assert_matches_sympy(ideal.generators, GREVLEX_ORDER, "grevlex", codes)
+    _assert_matches_sympy(ideal.generators, GREVLEX_ORDER, codes)
 
 
 @pytest.mark.parametrize(
