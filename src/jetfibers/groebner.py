@@ -3,9 +3,18 @@
 A small, deterministic Groebner engine over the rationals: reduced bases by
 Buchberger's algorithm with the normal selection strategy and both classical
 pair criteria, normal forms, (radical) membership, monomial-ideal and
-elimination-based intersections, saturation, and a coordinate-variable
-presolve that collapses the very sparse ideals showing up in jet-space
-computations down to a handful of effective variables.
+elimination-based intersections, saturation, and a linear presolve that
+collapses the very sparse ideals showing up in jet-space computations down
+to a handful of effective variables.
+
+The linear presolve (linear_presolve) eliminates every degree-one generator
+by exact Gaussian elimination.  A generator that is a single variable sets
+that coordinate to zero; any other is solved for its highest variable code,
+and that pivot's image is substituted into the other generators and
+back-substituted into the earlier images.  A query restricts its polynomial
+to the residual ideal by one zero-restriction and one linear substitution
+(Presolve.restrict); saturate puts the linear generators pivot - image back,
+and krull_dim counts each pivot as one dimension fewer.
 
 The pending S-pairs live in a binary heap ordered by (lcm degree, order key
 of the lcm, pair index), so choosing the next pair costs a logarithmic pop
@@ -46,7 +55,11 @@ check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
 reports the claim stands on.  member and radical_member decide through one
 query wrapper (_query) that owns the presolve, the trivial case, the timing
-and the budget-exhausted report; exhausted builds that report.
+and the budget-exhausted report; exhausted builds that report.  Membership
+is certificate-first: a polynomial that restricts to zero is verified by the
+trivial certificate, and with generator_first one that is a generator of the
+ideal by the generator certificate, both with 0 S-pairs and no basis; only
+the rest is decided by normal form against a reduced basis.
 """
 
 from __future__ import annotations
@@ -58,11 +71,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
+from typing import NamedTuple
 
 from .kernel import impl as _K
 from .poly import (
     AUX,
     Polynomial,
+    linear_substitute,
     var_code,
     var_family,
     var_index,
@@ -342,7 +357,7 @@ class Ideal:
             got = memo[key] = buchberger(self, order, budget)
         return got
 
-    def presolved(self):
+    def presolved(self) -> Presolve:
         if self._presolved is None:
             self._presolved = linear_presolve(self)
         return self._presolved
@@ -522,30 +537,82 @@ def buchberger(
 
 
 # ---------------------------------------------------------------------------
-# coordinate presolve
+# linear presolve
 
 
-def linear_presolve(ideal: Ideal):
-    """Split off generators that are single variables.
+class Presolve(NamedTuple):
+    """An ideal split by its linear presolve: the residual ideal, and the
+    image of each pivot variable, zero for a coordinate set to zero.  No
+    image mentions a pivot, and the ideal is the residual plus the linear
+    generators pivot - image."""
 
-    Returns (residual ideal, eliminated variable codes).  Setting the
-    eliminated coordinates to zero identifies membership and radical queries
-    over the original ideal with queries over the residual one.
+    residual: Ideal
+    eliminated: dict[int, Polynomial]
+
+    def restrict(self, p: Polynomial) -> Polynomial:
+        """The image of p in the residual ring: one zero-restriction for the
+        coordinates, then one linear substitution for the other pivots."""
+        zeros = [c for c, image in self.eliminated.items() if not image]
+        linear = {c: image for c, image in self.eliminated.items() if image}
+        p = restrict_to_residual(p, zeros)
+        return linear_substitute(p, linear) if linear else p
+
+
+def _solve_linear(g: Polynomial):
+    """(pivot, image) for a generator of degree one: its highest variable
+    code, and the solution of g = 0 for that variable.  None otherwise."""
+    pivot = None
+    for mono, _ in g.items():
+        if len(mono) > 1 or (mono and mono[0][1] > 1):
+            return None
+        if mono and (pivot is None or mono[0][0] > pivot):
+            pivot = mono[0][0]
+    if pivot is None:
+        return None
+    return pivot, Polynomial.variable(pivot) - g / g.coefficient(((pivot, 1),))
+
+
+def linear_presolve(ideal: Ideal) -> Presolve:
+    """Eliminate every degree-one generator by exact Gaussian elimination.
+
+    A generator that is a single variable sets that coordinate to zero: the
+    fast path, and the only one an A_n ideal takes.  When none is left, the
+    first other degree-one generator is solved for its highest variable code,
+    the pivot.  Each pivot's image is substituted into the generators and
+    back-substituted into the earlier images, so no image mentions a pivot.
+    Membership and radical queries over the ideal are then the same queries
+    over the residual ideal on Presolve.restrict'ed polynomials.
     """
     gens = list(ideal.generators)
-    eliminated: list[int] = []
+    eliminated: dict[int, Polynomial] = {}
     while True:
-        code = None
         for g in gens:
             if g.is_variable():
                 ((mono, _),) = g.items()
-                code = mono[0][0]
+                code, image = mono[0][0], Polynomial.zero()
                 break
-        if code is None:
-            break
-        eliminated.append(code)
-        gens = [h for g in gens if (h := restrict_to_residual(g, (code,)))]
-    return Ideal(gens), tuple(eliminated)
+        else:
+            solved = next(filter(None, map(_solve_linear, gens)), None)
+            if solved is None:
+                break
+            code, image = solved
+        gens = [h for g in gens if (h := _substitute(g, code, image))]
+        for c in [c for c, earlier in eliminated.items() if earlier]:
+            eliminated[c] = _substitute(eliminated[c], code, image)
+        eliminated[code] = image
+    return Presolve(Ideal(gens), eliminated)
+
+
+def _substitute(p: Polynomial, code: int, image: Polynomial) -> Polynomial:
+    """p with the variable code replaced by image; only the terms that
+    contain it change."""
+    hit = {mono: c for mono, c in p.items() if any(v == code for v, _ in mono)}
+    if not hit:
+        return p
+    rest = Polynomial({mono: c for mono, c in p.items() if mono not in hit})
+    if not image:
+        return rest
+    return rest + linear_substitute(Polynomial(hit), {code: image})
 
 
 def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
@@ -577,7 +644,7 @@ def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
 
 def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
     """Run one engine query on p and the ideal: restrict both to the
-    coordinate presolve's residual (unless presolve is off), report a p that
+    linear presolve's residual (unless presolve is off), report a p that
     restricts to zero as verified with the trivial certificate, and
     otherwise report decide(residual, p0) -> (ok, certificate, S-pairs).
     Time runs from the call; running out of budget gives exhausted's
@@ -585,8 +652,8 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
     start = time.monotonic()
     try:
         if presolve:
-            residual, eliminated = ideal.presolved()
-            p0 = restrict_to_residual(p, eliminated)
+            presolved = ideal.presolved()
+            residual, p0 = presolved.residual, presolved.restrict(p)
         else:
             residual, p0 = ideal, p
         if not p0:
@@ -603,11 +670,17 @@ def member(
     *,
     claim: str | None = None,
     presolve: bool = True,
+    generator_first: bool = False,
 ) -> VerificationReport:
     """Is p in the ideal?  Verified/refuted by normal form against a reduced
-    basis; a refutation's witness is the nonzero remainder."""
+    basis; a refutation's witness is the nonzero remainder.  With
+    generator_first, a p that is one of the ideal's generators is verified
+    first, without a basis, by the generator certificate, which gives its
+    index in the ideal's generator list."""
 
     def decide(residual, p0):
+        if generator_first and p in ideal.generators:
+            return True, {"kind": "generator", "index": ideal.generators.index(p)}, 0
         gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed
@@ -709,18 +782,20 @@ def ideal_intersect_elim(a: Ideal, b: Ideal) -> Ideal:
 def saturate(ideal: Ideal, p: Polynomial) -> Ideal:
     """ideal : p^infinity, the contraction of the localization at p.
 
-    Runs after the coordinate presolve; the split-off variables are put back
-    into the result unchanged.
+    Runs on the linear presolve's residual, saturated by the restricted p;
+    the linear generators pivot - image, by descending pivot code, are put
+    back in front of the result, so it is an ideal of the original ring.
     """
-    residual, eliminated = ideal.presolved()
-    p0 = restrict_to_residual(p, eliminated)
+    presolved = ideal.presolved()
+    p0 = presolved.restrict(p)
     if not p0:
         return Ideal([Polynomial.one()])
     w = _fresh_aux(p, *ideal.generators)
     trick = Polynomial.one() - Polynomial.variable(w) * p0
-    sat = _eliminate_aux(residual.generators + (trick,), w)
-    coordinate_gens = tuple(Polynomial.variable(c) for c in sorted(eliminated, reverse=True))
-    return Ideal(coordinate_gens + sat.generators)
+    sat = _eliminate_aux(presolved.residual.generators + (trick,), w)
+    pivots = sorted(presolved.eliminated.items(), reverse=True)
+    linear = tuple(Polynomial.variable(c) - image for c, image in pivots)
+    return Ideal(linear + sat.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +824,9 @@ def krull_dim(ideal: Ideal, ambient) -> int:
     coordinates are the variable codes in ambient, which must hold every
     variable of the generators; -1 for the empty locus.  The dimension
     depends on the ambient ring as well as on the ideal, so the caller names
-    it.  Uses the lead-term ideal of a reduced basis plus a
-    maximum-independent-set search."""
+    it.  Uses the lead-term ideal of a reduced basis of the presolve's
+    residual plus a maximum-independent-set search; each presolve pivot
+    takes away one dimension."""
     ambient = set(ambient)
     if not _codes(ideal.generators) <= ambient:
         raise ValueError("the ambient ring lacks a variable of the ideal")

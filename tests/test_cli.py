@@ -144,6 +144,16 @@ def test_d4_verify_m5(capsys):
     assert "strictness witnesses at m5" in out
 
 
+def test_d4_verify_m10_the_former_frontier(capsys):
+    # the linear presolve and the generator certificate keep the chart-sum
+    # bases small; this order once took minutes
+    code, out, _ = run(capsys, "d4", "verify", "--m", "10", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 12
+    assert {r["outcome"] for r in reports} == {"verified"}
+
+
 def test_d4_verify_json_carries_witness_value(capsys):
     code, out, _ = run(capsys, "d4", "verify", "--m", "5", "--format", "json")
     assert code == 0

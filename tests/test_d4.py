@@ -168,9 +168,12 @@ def test_g1_identity_report():
         assert verify_g1_identity(m).outcome == gb.VERIFIED
 
 
-def test_budget_reaches_chart_transport_and_g1():
+def test_chart_transport_needs_no_basis_and_g1_needs_the_budget():
     with gb.session(gb.Budget(max_spairs=0)):
-        assert verify_chart_transport(8).outcome == gb.BUDGET_EXHAUSTED
+        # the presolve and the generator certificate settle every transport
+        # membership, so a zero budget leaves it verified with no S-pair
+        transport = verify_chart_transport(8)
+        assert (transport.outcome, transport.spairs_processed) == (gb.VERIFIED, 0)
         # the identity holds; only the membership it stands on is undecided
         assert verify_g1_identity(5).outcome == gb.BUDGET_EXHAUSTED
 
@@ -219,6 +222,27 @@ def test_square_congruence():
     }
     for mono, _ in diff.items():
         assert any(code in killed for code, _ in mono)
+
+
+def test_coordinate_lemma_makes_no_refuted_member_call(monkeypatch):
+    from jetfibers import d4
+
+    outcomes = []
+    member = gb.member
+
+    def recorded(*args, **kwargs):
+        report = member(*args, **kwargs)
+        outcomes.append(report.outcome)
+        return report
+
+    monkeypatch.setattr(d4.gb, "member", recorded)
+    rep = verify_coordinate_lemma(8, 2, 3)
+    assert rep.outcome == gb.VERIFIED
+    assert outcomes and set(outcomes) == {gb.VERIFIED}
+    # x2 gets the radical test alone, which the "x2 in sqrt" report shares
+    named = {s["claim"]: s for s in rep.certificate["subchecks"]}
+    assert "I0 gen#2 in J2+J3(m8)" not in named
+    assert named["I0 gen#2 in sqrt J2+J3(m8)"]["outcome"] == gb.VERIFIED
 
 
 def test_coordinate_lemma_rejects_bad_input():
@@ -317,6 +341,20 @@ def test_component_dimensions():
     assert gb.krull_dim(fam.component_ideal(1), ambient) == 11
 
 
+def test_saturation_puts_back_the_linear_chart_generator():
+    # the presolve solves y1 - z1 for y1; the saturated ideal must hold that
+    # generator itself, not only the coordinates set to zero
+    fam = d4_ideals(5)
+    i2 = fam.component_ideal(2)
+    assert P("y1 - z1") in i2.generators
+    assert gb.member(P("y1 - z1"), i2).verified
+    assert verify_component_ideals(5).outcome == gb.VERIFIED
+    # the pivot counts against the dimension once, as a coordinate does
+    ambient = jet_variables(5)
+    for ideal in (fam.i0, fam.component_ideal(1), i2, fam.component_ideal(3)):
+        assert gb.krull_dim(ideal, ambient) == 2 * 5 + 1
+
+
 def test_component_report():
     assert verify_component_ideals(5).outcome == gb.VERIFIED
 
@@ -404,7 +442,9 @@ def test_maximal_intersections_cite_every_coordinate_lemma():
     lemma_spairs = sum(
         verify_coordinate_lemma(6, i, j).spairs_processed for i, j in ((1, 3), (2, 3))
     )
-    assert lemma_spairs == 39 + 216
+    # the three presolved chart sums coincide: each lemma counts the one
+    # radical-trick basis of x2 twice, for "x2 in sqrt" and for I0 gen#2
+    assert lemma_spairs == 30 + 30
 
 
 def test_maximal_intersections_take_a_failed_lemma(monkeypatch):

@@ -852,10 +852,30 @@ def test_presolve_eliminates_ladder():
     assert len(killed) == 3
 
 
-def test_presolve_is_lazy_about_general_generators():
-    res, killed = linear_presolve(ideal("x0 - y0"))
-    assert killed == ()
-    assert [str(g) for g in res.generators] == ["x0 - y0"]
+def test_presolve_solves_a_general_linear_generator():
+    # the pivot is the highest variable code, x0, and its image is y0
+    res, eliminated = linear_presolve(ideal("x0 - y0", "x0*z0 + y0^2"))
+    assert eliminated == {var_code("x", 0): P("y0")}
+    assert [str(g) for g in res.generators] == ["y0^2 + y0*z0"]
+
+
+def test_presolve_back_substitutes_later_pivots():
+    # y1 -> z1 first; y1 + z1 then becomes 2*z1, so z1 -> 0, and y1's image
+    # must follow it to 0, or restricting y1 would leave z1 behind
+    presolved = linear_presolve(ideal("y1 - z1", "y1 + z1", "x2*y1 + z1^2 + x3^2"))
+    assert presolved.eliminated == {var_code("y", 1): P("0"), var_code("z", 1): P("0")}
+    assert [str(g) for g in presolved.residual.generators] == ["x3^2"]
+    assert presolved.restrict(P("y1 + x2*z1 + x3")) == P("x3")
+
+
+def test_presolve_images_mention_no_pivot():
+    presolved = linear_presolve(ideal("x0 - y0 - z0", "y0 - 2*z1", "z1 - z0", "x1^2 - x0*y0"))
+    pivots = set(presolved.eliminated)
+    assert pivots == {var_code("x", 0), var_code("y", 0), var_code("z", 1)}
+    for image in presolved.eliminated.values():
+        assert not image.variables() & pivots
+    assert presolved.restrict(P("x0")) == P("3*z0")
+    assert [str(g) for g in presolved.residual.generators] == ["x1^2 - 6*z0^2"]
 
 
 def test_presolve_cascades():
@@ -893,6 +913,73 @@ def test_presolve_soundness_random():
         rad_fast = radical_member(p, i, presolve=True)
         rad_slow = radical_member(p, i, presolve=False)
         assert rad_fast.outcome == rad_slow.outcome
+
+
+# three variables and two or three linear rows, so that a later row often
+# eliminates the variable an earlier pivot's image names
+_LINEAR_CODES = [var_code("y", 1), var_code("z", 1), var_code("z", 2)]
+_chained_linear = st.lists(
+    st.tuples(
+        st.sampled_from(_LINEAR_CODES),
+        st.sampled_from(_LINEAR_CODES),
+        st.sampled_from([-2, -1, 1, 2]),
+    ),
+    min_size=2,
+    max_size=3,
+).map(
+    lambda rows: [
+        Polynomial.variable(a) + c * Polynomial.variable(b) for a, b, c in rows if a != b
+    ]
+)
+_small_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_LINEAR_CODES), st.integers(1, 2)), max_size=2),
+        st.integers(-2, 2),
+    ),
+    min_size=1,
+    max_size=3,
+).map(Polynomial.from_terms)
+
+
+@given(
+    _chained_linear,
+    st.lists(_small_polys, max_size=2),
+    st.lists(_small_polys, max_size=4),
+    st.one_of(st.just(Polynomial.zero()), _small_polys),
+)
+# the y1 -> z1, then z1 -> 0 chain of the D4 chart sums
+@example([P("y1 - z1"), P("y1 + z1")], [P("z2^2 + y1^2")], [], P("y1"))
+@example([P("y1 - z2"), P("z2 + z1")], [P("y1^2 - z1*z2")], [P("z1")], P("0"))
+def test_linear_presolve_keeps_member_and_radical_outcomes(linear, others, multipliers, tail):
+    # p is a combination of the generators, so a member, unless the tail
+    # spoils it
+    gens = linear + others
+    p = sum((q * g for q, g in zip(multipliers, gens)), tail)
+    i = Ideal(gens)
+    assert member(p, i).outcome == member(p, i, presolve=False).outcome
+    assert radical_member(p, i).outcome == radical_member(p, i, presolve=False).outcome
+
+
+def test_member_answers_a_literal_generator_without_a_basis(monkeypatch):
+    calls = []
+    compute = engine.buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "buchberger", counted)
+    i = ideal("x0^2 - y0*z0", "y0^3 + z0")
+    rep = member(P("y0^3 + z0"), i, generator_first=True)
+    assert rep.verified
+    assert rep.spairs_processed == 0
+    assert rep.certificate == {"kind": "generator", "index": 1}
+    assert calls == []
+    # a p that is not literally a generator, or a call without the flag,
+    # is decided by a basis
+    assert member(P("x0^2*y0 - y0^2*z0"), i, generator_first=True).verified
+    assert len(calls) == 1
+    assert member(P("y0^3 + z0"), i).certificate["kind"] == "normal-form"
 
 
 def test_restrict_to_residual():

@@ -22,7 +22,6 @@ from jetfibers.groebner import (
     _fresh_aux,
     buchberger,
     elimination_order,
-    restrict_to_residual,
 )
 from jetfibers.poly import AUX, X, Polynomial, var_code, var_family, var_name
 
@@ -115,21 +114,28 @@ def test_elimination_inputs_of_d4_components_match_sympy(monkeypatch):
 
 
 def _jet_ideals():
-    """The presolved chart sums J_i+J_j of the D4 coordinate lemma, with the
-    radical-trick ideal of its x2 query, and one presolved A_n pair ideal."""
+    """The fully presolved chart sums J_i+J_j of the D4 coordinate lemma,
+    with the radical-trick ideal of its x2 query, the presolved I0 (m=6, 7)
+    and the presolved chart ideal J2 (m=5, 6), whose pivot y1 has the image
+    z1, and one presolved A_n pair ideal."""
     for m in (5, 6, 7):
         fam = d4.d4_ideals(m)
         for i, j in d4.CHART_PAIRS:
             pair = fam.j[i] + fam.j[j]
-            residual, eliminated = pair.presolved()
+            presolved = pair.presolved()
+            residual = presolved.residual
             residual.label = f"J{i}+J{j}(m{m})/presolved"
             yield residual
-            x2 = restrict_to_residual(Polynomial.variable(var_code(X, 2)), eliminated)
+            x2 = presolved.restrict(Polynomial.variable(var_code(X, 2)))
             w = _fresh_aux(x2, *pair.generators)
             yield Ideal(
                 residual.generators + (Polynomial.one() - Polynomial.variable(w) * x2,),
                 label=f"J{i}+J{j}(m{m})/presolved+(1-w*x2)",
             )
+        if m > 5:  # I0's residual is empty at m=5
+            yield Ideal(fam.i0.presolved().residual.generators, label=f"I0(m{m})/presolved")
+        if m < 7:  # sympy takes about 15 s on J2's residual at m=7
+            yield Ideal(fam.j[2].presolved().residual.generators, label=f"J2(m{m})/presolved")
     residual, _ = an.pair_ideal(2, 5, 1, 2).presolved()
     residual.label = "J(n2,m5;1,2)/presolved"
     yield residual
