@@ -302,9 +302,7 @@ def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
             reports.append(gb.merge_reports(f"{auto.name}(L{src}) subset L{dst}", subs))
         mapped0 = auto.on_ideal(fam.i0)
         subs = [
-            gb.member(
-                g, fam.i0, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})", generator_first=True
-            )
+            gb.member(g, fam.i0, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
             for k, g in enumerate(mapped0.generators)
         ]
         reports.append(gb.merge_reports(f"{auto.name}(I0) subset I0(m{m})", subs))
@@ -315,50 +313,13 @@ def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
 # coordinate lemma and witnesses
 
 
-def _linear_span_member(target: Polynomial, gens) -> list[Polynomial] | None:
-    """Exact Gaussian elimination: write target as a rational combination of
-    the degree-one generators, or return None."""
-    rows = [g for g in gens if g.total_degree() == 1]
-    basis: list[Polynomial] = []
-    combos: list[dict[int, Fraction]] = []
-    for k, row in enumerate(rows):
-        combo = {k: Fraction(1)}
-        for b, c in zip(basis, combos):
-            lead = _linear_lead(b)
-            coeff = row.coefficient(lead)
-            if coeff:
-                row = row - coeff * b
-                for idx, val in c.items():
-                    combo[idx] = combo.get(idx, Fraction(0)) - coeff * val
-        if row:
-            scale = Fraction(1) / row.coefficient(_linear_lead(row))
-            basis.append(scale * row)
-            combos.append({i: scale * v for i, v in combo.items()})
-    residue = target
-    taken: dict[int, Fraction] = {}
-    for b, c in zip(basis, combos):
-        lead = _linear_lead(b)
-        coeff = residue.coefficient(lead)
-        if coeff:
-            residue = residue - coeff * b
-            for idx, val in c.items():
-                taken[idx] = taken.get(idx, Fraction(0)) + coeff * val
-    if residue:
-        return None
-    out = [Polynomial.zero() for _ in rows]
-    for idx, val in taken.items():
-        out[idx] = Polynomial.constant(val)
-    return out
-
-
-def _linear_lead(p: Polynomial) -> tuple:
-    return max(mono for mono, _ in p.items())
-
-
 def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     """y1, z1 and x2 lie in the radical of any two distinct chart sums, so
     the distinguished ideal sits inside it: the pairwise intersections of the
-    contracted components land in the distinguished component."""
+    contracted components land in the distinguished component.  Reported as
+    the congruence x2^2 = f^(4) modulo L(2,2,2), which puts x2 in the radical
+    of I0, and one radical query per generator of I0; y1 and z1 are its
+    generators #4 and #6."""
     if m < M_MIN:
         raise ValueError(f"need m >= {M_MIN}")
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
@@ -366,45 +327,16 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     fam = d4_ideals(m)
     pair = fam.j[i] + fam.j[j]
     pair.label = f"J{i}+J{j}(m{m})"
-    reports = []
-
-    linear_gens = fam.charts[i].generators + fam.charts[j].generators
-    for name, target in (("y1", var_code(Y, 1)), ("z1", var_code(Z, 1))):
-        combo = _linear_span_member(Polynomial.variable(target), linear_gens)
-        reports.append(
-            gb.check(
-                f"{name} in span of chart generators ({i},{j})",
-                combo is not None,
-                None
-                if combo is None
-                else {
-                    "combination": {
-                        str(g): str(c) for g, c in zip(linear_gens, combo) if c
-                    }
-                },
-            )
-        )
-
-    # x2^2 agrees with the order-4 jet coefficient modulo the double ladder
     x2 = Polynomial.variable(var_code(X, 2))
     l222 = Ladder(2, 2, 2)
     congruence = not gb.restrict_to_residual(x2**2 - _fk(m, 4), l222.codes())
-    reports.append(
-        gb.check(
-            "x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label}
-        )
-    )
-    reports.append(gb.radical_member(x2, pair, claim=f"x2 in sqrt {pair.label}"))
-
-    # a jet equation of J_i, or a linear form in the span of the chart
-    # generators, is a member of the chart sum by its generator or trivial
-    # certificate; any other generator of I0 (x2) gets the radical test only
-    for k, g in enumerate(fam.i0.generators):
-        if g in fam.j[i].generators or _linear_span_member(g, linear_gens) is not None:
-            rep = gb.member(g, pair, claim=f"I0 gen#{k} in {pair.label}", generator_first=True)
-        else:
-            rep = gb.radical_member(g, pair, claim=f"I0 gen#{k} in sqrt {pair.label}")
-        reports.append(rep)
+    reports = [
+        gb.check("x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label})
+    ]
+    reports += [
+        gb.radical_member(g, pair, claim=f"I0 gen#{k} in sqrt {pair.label}")
+        for k, g in enumerate(fam.i0.generators)
+    ]
     return gb.merge_reports(f"distinguished ideal inside sqrt(J{i}+J{j}) at m{m}", reports)
 
 

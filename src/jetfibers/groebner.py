@@ -54,12 +54,13 @@ session a basis is computed afresh under the default budget.
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
 reports the claim stands on.  member and radical_member decide through one
-query wrapper (_query) that owns the presolve, the trivial case, the timing
-and the budget-exhausted report; exhausted builds that report.  Membership
-is certificate-first: a polynomial that restricts to zero is verified by the
-trivial certificate, and with generator_first one that is a generator of the
-ideal by the generator certificate, both with 0 S-pairs and no basis; only
-the rest is decided by normal form against a reduced basis.
+query wrapper (_query) that owns the presolve, the certificate-first rule,
+the timing and the budget-exhausted report; exhausted builds that report.
+The rule: a polynomial that restricts to zero is verified by the trivial
+certificate, and otherwise one of the ideal's own generators by the
+generator certificate, which names its index (a generator lies in the ideal
+and so in its radical); both take 0 S-pairs and no basis.  Only the rest is
+decided against a reduced basis.
 """
 
 from __future__ import annotations
@@ -315,9 +316,10 @@ def _widening(ring: _Ring, run):
 
 
 class Ideal:
-    """A generator list, the label its caller names it by (None on what the
-    engine returns), and a cache of its coordinate presolve.  It has no
-    ambient ring: krull_dim takes one as an argument."""
+    """A list of distinct generators, each kept at its first position, the
+    label its caller names it by (None on what the engine returns), and a
+    cache of its coordinate presolve.  It has no ambient ring: krull_dim
+    takes one as an argument."""
 
     __slots__ = ("generators", "label", "_presolved")
 
@@ -330,7 +332,7 @@ class Ideal:
                 raise TypeError("ideal generators must be polynomials")
             if g:
                 gens.append(g)
-        self.generators = tuple(gens)
+        self.generators = tuple(dict.fromkeys(gens))
         self.label = label
         self._presolved = None
 
@@ -643,12 +645,13 @@ def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
 
 
 def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
-    """Run one engine query on p and the ideal: restrict both to the
-    linear presolve's residual (unless presolve is off), report a p that
-    restricts to zero as verified with the trivial certificate, and
-    otherwise report decide(residual, p0) -> (ok, certificate, S-pairs).
-    Time runs from the call; running out of budget gives exhausted's
-    report."""
+    """Run one engine query on p and the ideal, certificate first: restrict
+    both to the linear presolve's residual (unless presolve is off), report
+    a p that restricts to zero as verified with the trivial certificate, a
+    p that is one of the ideal's generators as verified with the generator
+    certificate, and otherwise report decide(residual, p0) -> (ok,
+    certificate, S-pairs).  Time runs from the call; running out of budget
+    gives exhausted's report."""
     start = time.monotonic()
     try:
         if presolve:
@@ -658,6 +661,9 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
             residual, p0 = ideal, p
         if not p0:
             return check(claim, True, trivial, 0, time.monotonic() - start)
+        if p in ideal.generators:
+            cert = {"kind": "generator", "index": ideal.generators.index(p)}
+            return check(claim, True, cert, 0, time.monotonic() - start)
         ok, cert, spairs = decide(residual, p0)
         return check(claim, ok, cert, spairs, time.monotonic() - start)
     except BudgetExhausted as exc:
@@ -670,17 +676,12 @@ def member(
     *,
     claim: str | None = None,
     presolve: bool = True,
-    generator_first: bool = False,
 ) -> VerificationReport:
-    """Is p in the ideal?  Verified/refuted by normal form against a reduced
-    basis; a refutation's witness is the nonzero remainder.  With
-    generator_first, a p that is one of the ideal's generators is verified
-    first, without a basis, by the generator certificate, which gives its
-    index in the ideal's generator list."""
+    """Is p in the ideal?  After _query's certificate-first rule, verified or
+    refuted by normal form against a reduced basis; a refutation's witness
+    is the nonzero remainder."""
 
     def decide(residual, p0):
-        if generator_first and p in ideal.generators:
-            return True, {"kind": "generator", "index": ideal.generators.index(p)}, 0
         gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed
@@ -710,8 +711,9 @@ def radical_member(
     claim: str | None = None,
     presolve: bool = True,
 ) -> VerificationReport:
-    """Is p in the radical?  Decided by adjoining 1 - w*p for a fresh
-    auxiliary variable and testing whether the ideal becomes the unit ideal."""
+    """Is p in the radical?  After _query's certificate-first rule, decided
+    by adjoining 1 - w*p for a fresh auxiliary variable and testing whether
+    the ideal becomes the unit ideal."""
 
     def decide(residual, p0):
         w = _fresh_aux(p, *ideal.generators)

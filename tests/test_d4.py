@@ -205,14 +205,6 @@ def test_coordinate_lemma_all_pairs():
         assert verify_coordinate_lemma(5, i, j).outcome == gb.VERIFIED
 
 
-def test_coordinate_lemma_certificate_combination():
-    rep = verify_coordinate_lemma(5, 1, 2)
-    named = {s["claim"]: s for s in rep.certificate["subchecks"]}
-    combo = named["y1 in span of chart generators (1,2)"]
-    assert combo["outcome"] == gb.VERIFIED
-    assert combo["certificate"]["combination"]
-
-
 def test_square_congruence():
     coeffs = jet_coeffs(d4_surface(), 5)
     diff = P("x2^2") - coeffs[4]
@@ -224,25 +216,42 @@ def test_square_congruence():
         assert any(code in killed for code, _ in mono)
 
 
-def test_coordinate_lemma_makes_no_refuted_member_call(monkeypatch):
+def test_coordinate_lemma_is_radical_queries_and_the_congruence(monkeypatch):
     from jetfibers import d4
 
-    outcomes = []
-    member = gb.member
+    queries = []
+    radical_member = gb.radical_member
 
     def recorded(*args, **kwargs):
-        report = member(*args, **kwargs)
-        outcomes.append(report.outcome)
+        report = radical_member(*args, **kwargs)
+        queries.append(report.claim)
         return report
 
-    monkeypatch.setattr(d4.gb, "member", recorded)
+    def no_member(*args, **kwargs):
+        raise AssertionError("the coordinate lemma makes no plain member query")
+
+    monkeypatch.setattr(d4.gb, "radical_member", recorded)
+    monkeypatch.setattr(d4.gb, "member", no_member)
     rep = verify_coordinate_lemma(8, 2, 3)
     assert rep.outcome == gb.VERIFIED
-    assert outcomes and set(outcomes) == {gb.VERIFIED}
-    # x2 gets the radical test alone, which the "x2 in sqrt" report shares
-    named = {s["claim"]: s for s in rep.certificate["subchecks"]}
-    assert "I0 gen#2 in J2+J3(m8)" not in named
-    assert named["I0 gen#2 in sqrt J2+J3(m8)"]["outcome"] == gb.VERIFIED
+    subchecks = rep.certificate["subchecks"]
+    assert [s["claim"] for s in subchecks] == [
+        "x2^2 matches f^(4) modulo L(2,2,2)"
+    ] + queries
+    assert queries == [
+        f"I0 gen#{k} in sqrt J2+J3(m8)" for k in range(len(d4_ideals(8).i0.generators))
+    ]
+    assert {s["outcome"] for s in subchecks} == {gb.VERIFIED}
+    # x2, generator #2, is the one query that needs a basis
+    assert subchecks[3]["certificate"] == {"kind": "radical-trick", "aux": "w0"}
+    assert rep.spairs_processed == 28
+
+
+def test_chart_sum_lists_the_jet_equations_once():
+    fam = d4_ideals(8)
+    pair = fam.j[2] + fam.j[3]
+    assert len(pair.generators) == len(set(fam.j[2].generators) | set(fam.j[3].generators))
+    assert len(pair.presolved().residual.generators) == 5
 
 
 def test_coordinate_lemma_rejects_bad_input():
@@ -442,9 +451,9 @@ def test_maximal_intersections_cite_every_coordinate_lemma():
     lemma_spairs = sum(
         verify_coordinate_lemma(6, i, j).spairs_processed for i, j in ((1, 3), (2, 3))
     )
-    # the three presolved chart sums coincide: each lemma counts the one
-    # radical-trick basis of x2 twice, for "x2 in sqrt" and for I0 gen#2
-    assert lemma_spairs == 30 + 30
+    # the three presolved chart sums coincide, and each lemma builds the
+    # one radical-trick basis of x2
+    assert lemma_spairs == 15 + 15
 
 
 def test_maximal_intersections_take_a_failed_lemma(monkeypatch):

@@ -93,7 +93,7 @@ PINS = [
     (["d4", "verify", "--m", "8"], 0,
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
-     "a5c1bed43dad9feedbf1057167b7eda87917952abddd9f0ef3228302dcbc30bc", 38663),
+     "3245236b3cb9de5c4f6a7bd222dbba3579363126c007e34744256a36f63e682c", 35749),
     (["d4", "graph", "--m", "6"], 0,
      "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
     (["d4", "graph", "--m", "5", "--format", "json"], 0,

@@ -970,16 +970,51 @@ def test_member_answers_a_literal_generator_without_a_basis(monkeypatch):
 
     monkeypatch.setattr(engine, "buchberger", counted)
     i = ideal("x0^2 - y0*z0", "y0^3 + z0")
-    rep = member(P("y0^3 + z0"), i, generator_first=True)
-    assert rep.verified
-    assert rep.spairs_processed == 0
-    assert rep.certificate == {"kind": "generator", "index": 1}
+    for query in (member, radical_member):
+        rep = query(P("y0^3 + z0"), i)
+        assert rep.verified
+        assert rep.spairs_processed == 0
+        assert rep.certificate == {"kind": "generator", "index": 1}
     assert calls == []
-    # a p that is not literally a generator, or a call without the flag,
-    # is decided by a basis
-    assert member(P("x0^2*y0 - y0^2*z0"), i, generator_first=True).verified
+    # a p that is not literally a generator is decided by a basis
+    assert member(P("x0^2*y0 - y0^2*z0"), i).verified
     assert len(calls) == 1
-    assert member(P("y0^3 + z0"), i).certificate["kind"] == "normal-form"
+    assert radical_member(P("x0^2*y0 - y0^2*z0"), i).verified
+    assert len(calls) == 2
+
+
+@given(
+    st.one_of(st.just([]), _chained_linear),
+    st.lists(_small_polys, min_size=1, max_size=3),
+    _small_polys,
+    st.data(),
+)
+def test_certificate_first_rule(linear, others, other, data):
+    i = Ideal(linear + others)
+    if not i.generators:
+        reject()
+    # a generator is verified by the trivial or the generator certificate,
+    # and the generator certificate names where it stands
+    g = data.draw(st.sampled_from(i.generators))
+    for query in (member, radical_member):
+        rep = query(g, i)
+        assert rep.verified and rep.spairs_processed == 0
+        if rep.certificate["kind"] == "generator":
+            assert i.generators[rep.certificate["index"]] == g
+    assert not i.groebner().reduce(g)
+    # any other p is decided as the reference path without presolve decides it
+    if other not in i.generators:
+        assert member(other, i).outcome == member(other, i, presolve=False).outcome
+        assert (
+            radical_member(other, i).outcome
+            == radical_member(other, i, presolve=False).outcome
+        )
+
+
+def test_ideal_keeps_each_generator_once_at_its_first_position():
+    i = ideal("x0^2 - y0", "z0", "x0^2 - y0", "y0*z0")
+    assert i.generators == (P("x0^2 - y0"), P("z0"), P("y0*z0"))
+    assert (i + i).generators == i.generators
 
 
 def test_restrict_to_residual():
