@@ -36,20 +36,33 @@ two that fit, so no field can carry past the bit that the check reads.
 One that does not fit raises HeadroomExceeded, and the caller runs the
 computation again at twice the width.
 
-normal_form reduces against monic generators.  It keeps the terms still to
-be reduced in a dict plus a binary heap of negated keys, so each step pops
-the largest remaining monomial instead of scanning for it, skips heap
-entries whose monomial has cancelled, and pushes only the monomials a
-reduction newly creates.  Given a list of quotient dicts, it also records
-the cofactor of every step, so the same loop is the textbook division
-algorithm (Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms",
-section 2.3).
+normal_form takes each generator's lead coefficient from the generator
+itself, and its coefficient contract has two cases.  Against generators
+whose lead coefficient is 1, such as the monic Fraction bases the engine
+stores, any exact coefficients reduce as in the textbook division.  Against
+int generators, such as the primitive bases Buchberger builds, p must have
+int coefficients too, and a step by a generator whose lead coefficient a is
+not 1 first scales the whole remainder by a/gcd(lc, a).  So no Fraction
+arises and the result is a nonzero int multiple of the normal form
+(Becker & Weispfenning, "Groebner Bases", 1993); the caller divides out
+its content (primitive).  Quotients are recorded only against generators
+of lead coefficient 1: a rescaled remainder would no longer satisfy
+p = sum(q_i * g_i) + r, so normal_form refuses any other.
+
+normal_form keeps the terms still to be reduced in a dict plus a binary
+heap of negated keys, so each step pops the largest remaining monomial
+instead of scanning for it, skips heap entries whose monomial has
+cancelled, and pushes only the monomials a reduction newly creates.  Given
+a list of quotient dicts, it also records the cofactor of every step, so
+the same loop is the textbook division algorithm (Cox, Little & O'Shea,
+"Ideals, Varieties, and Algorithms", section 2.3).
 """
 
 import sys
 from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from itertools import repeat
+from math import gcd, lcm
 from operator import add, mul
 
 # memoryview.cast formats of the packed field widths
@@ -198,17 +211,35 @@ def exponent_reader(bits, slots):
     return lambda mono: memoryview(mono.to_bytes(nbytes, "big")).cast(fmt)[::-1]
 
 
-def s_polynomial(qa, a, qb, b):
-    """x^qa*a - x^qb*b for monic a and b: both shifted, then subtracted,
-    with no coefficient product."""
-    out = {qa + m: c for m, c in a.items()}
-    for mb, cb in b.items():
-        m = qb + mb
+def primitive(terms):
+    """terms as a primitive int polynomial: scaled by the one rational that
+    clears every denominator, leaves coprime coefficients and makes the
+    first term positive.  On a normal form, whose terms come in descending
+    order, the first term is the lead term."""
+    coeffs = terms.values()
+    den = lcm(*[c.denominator for c in coeffs])
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = gcd(*nums)
+    if nums[0] < 0:
+        content = -content
+    return dict(zip(terms, [n // content for n in nums]))
+
+
+def s_polynomial(qa, a, lca, qb, b, lcb):
+    """The S-polynomial of the int polynomials a and b, whose lead
+    coefficients are lca and lcb, with x^qa*lead(a) = x^qb*lead(b):
+    lcb/d*x^qa*a - lca/d*x^qb*b for d = gcd(lca, lcb), whose lead terms
+    cancel and which has no denominator."""
+    d = gcd(lca, lcb)
+    ka, kb = lcb // d, lca // d
+    out = {qa + m: ka * c for m, c in a.items()}
+    for m, c in b.items():
+        m += qb
         v = out.get(m)
         if v is None:
-            out[m] = -cb
+            out[m] = -kb * c
         else:
-            v = v - cb
+            v -= kb * c
             if v:
                 out[m] = v
             else:
@@ -219,19 +250,28 @@ def s_polynomial(qa, a, qb, b):
 def normal_form(p, gens, leads, packing, quotients=None):
     """Complete reduction of p modulo the list gens.
 
-    gens must be monic; leads are their precomputed lead monomials.  Each
-    step takes the largest remaining monomial off a heap and reduces it by
-    the first generator whose lead divides it, or moves it to the tail.
-    Every term of the result is divisible by no lead monomial, so for a
-    Groebner basis this is the unique normal form; its terms come in
-    descending order.
+    leads are the generators' precomputed lead monomials.  Each step takes
+    the largest remaining monomial off a heap and reduces it by the first
+    generator whose lead divides it, or moves it to the tail.  Every term of
+    the result is divisible by no lead monomial, so for a Groebner basis
+    this is the unique normal form up to a nonzero scalar, and exactly it
+    when every lead coefficient is 1; its terms come in descending order.
+    A generator whose lead coefficient is not 1 must have int coefficients,
+    and so must p: the step by it scales the remainder and the tail by
+    a/gcd(lc, a) first (see the module docstring).
 
-    quotients, when given, is a list of dicts parallel to gens.  A step that
+    quotients, when given, is a list of dicts parallel to gens, whose lead
+    coefficients must then all be 1 (ValueError otherwise).  A step that
     reduces the term lc*x^lm by gens[i] stores lc at x^(lm - leads[i]) in
     quotients[i], so that p = sum(quotients[i] * gens[i]) + result.
     """
     key, guards, low = packing.key, packing.guards, packing.low
-    cofactors = repeat(None) if quotients is None else quotients
+    if quotients is None:
+        cofactors = repeat(None)
+    elif any(g[lead] != 1 for g, lead in zip(gens, leads)):
+        raise ValueError("division with quotients needs lead coefficients 1")
+    else:
+        cofactors = quotients
     work = dict(p)
     heap = [-key(m) for m in work]
     heapify(heap)
@@ -247,6 +287,17 @@ def normal_form(p, gens, leads, packing, quotients=None):
                 if cofactor is not None:
                     # lm falls from step to step, so q is new to cofactor
                     cofactor[q] = lc
+                a = g[lead]
+                if a != 1:
+                    # scale so that a divides lc, then subtract (lc/a)*x^q*g
+                    d = gcd(lc, a)
+                    scale = a // d
+                    if scale != 1:
+                        for m in work:
+                            work[m] *= scale
+                        for m in tail:
+                            tail[m] *= scale
+                    lc //= d
                 # the lead term cancels lm itself; the rest are smaller
                 for mg, cg in g.items():
                     m = q + mg

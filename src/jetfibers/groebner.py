@@ -32,10 +32,19 @@ into ints, one field per variable, and its kernel Packing gives the one
 additive int key that the pair heap, normal_form, the sorting of a basis
 and the monomial-ideal intersection all order by.  The field width comes
 from the inputs' degrees; a computation that outgrows it runs again at
-twice the width.  Every basis element is monic before anything reduces
-against it, as normal_form requires.  Division with cofactors, for the
-membership certificates, is the same kernel call given quotient dicts.
-Divisibility tests are one subtraction and one AND and build no quotient.
+twice the width.  Divisibility tests are one subtraction and one AND and
+build no quotient.
+
+Buchberger's pair loop is fraction-free: each input is cleared of
+denominators once, on entry, and every basis element is a primitive int
+polynomial with a positive lead coefficient, which normal_form reduces
+against by scaling its remainder instead of dividing (Becker & Weispfenning,
+"Groebner Bases", 1993).  Each remainder is a nonzero multiple of the one
+over Q, so the leads, the pair sequence and the basis are the same.  Only
+the final reduced basis becomes monic with Fraction coefficients, and every
+GroebnerBasis is that monic basis, which reduce divides by.  Division with
+cofactors, for the membership certificates, is the same kernel call given
+quotient dicts, and the kernel takes it only against lead coefficients 1.
 
 One command runs in one engine session (session()): a ContextVar scope that
 holds the command's Budget and a memo of every reduced basis computed in it,
@@ -444,6 +453,13 @@ def buchberger(
     run whose monomials outgrow the field width starts again at twice the
     width: its time counts against the budget, its S-pairs do not.
     Nothing is stored: Ideal.groebner memoizes within a session.
+
+    The loop runs on ints: each generator is made primitive on entry, each
+    basis element is a primitive int polynomial stored with its lead
+    monomial and its positive lead coefficient, the S-polynomial of a and b
+    is lc(b)/d*x^qa*a - lc(a)/d*x^qb*b for d = gcd(lc(a), lc(b)), and each
+    nonzero normal form is divided by its content.  The reduced basis is
+    then made monic, c -> Fraction(c, lc).
     """
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
@@ -453,8 +469,9 @@ def buchberger(
         packing = ring.packing
         key, guards, low = packing.key, packing.guards, packing.low
 
-        basis: list[dict] = []
+        basis: list[dict] = []  # primitive int polynomials
         leads: list[int] = []
+        lcs: list[int] = []  # their lead coefficients, all positive
         spairs = 0
 
         def check_budget():
@@ -462,16 +479,13 @@ def buchberger(
             if spairs > budget.max_spairs or elapsed > budget.max_seconds:
                 raise BudgetExhausted("buchberger", spairs, elapsed)
 
-        def monic(h: dict) -> tuple[dict, int]:
-            """h divided by its lead coefficient, and its lead monomial."""
-            lm, lc = _K.lead_term(h, packing)
-            return (h if lc == 1 else {m: c / lc for m, c in h.items()}), lm
-
         queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
         pending: set[tuple[int, int]] = set()
 
         def add_poly(h: dict):
-            h, lm = monic(h)
+            """Add a nonzero normal form, made primitive."""
+            h = _K.primitive(h)
+            lm, lc = _K.lead_term(h, packing)
             j = len(basis)
             for i in range(j):
                 lcm = _K.mono_lcm(leads[i], lm, packing)
@@ -479,9 +493,10 @@ def buchberger(
                 pending.add((i, j))
             basis.append(h)
             leads.append(lm)
+            lcs.append(lc)
 
         for g in gens:
-            h = _K.normal_form(ring.pack(g), basis, leads, packing)
+            h = _K.normal_form(_K.primitive(ring.pack(g)), basis, leads, packing)
             if h:
                 add_poly(h)
 
@@ -509,7 +524,9 @@ def buchberger(
             if skip:
                 continue
 
-            s = _K.s_polynomial(lcm - leads[i], basis[i], lcm - leads[j], basis[j])
+            s = _K.s_polynomial(
+                lcm - leads[i], basis[i], lcs[i], lcm - leads[j], basis[j], lcs[j]
+            )
             h = _K.normal_form(s, basis, leads, packing)
             if h:
                 add_poly(h)
@@ -520,20 +537,20 @@ def buchberger(
         for k in ordered:
             if all((leads[k] - leads[t]) & guards for t in kept):
                 kept.append(k)
-        # interreduce tails
+        # interreduce tails; no lead divides another, so each lead stays
         final: list[dict] = [basis[k] for k in kept]
         final_leads = [leads[k] for k in kept]
         for idx in range(len(final)):
             others = final[:idx] + final[idx + 1 :]
             other_leads = final_leads[:idx] + final_leads[idx + 1 :]
-            final[idx], final_leads[idx] = monic(
-                _K.normal_form(final[idx], others, other_leads, packing)
-            )
+            final[idx] = _K.primitive(_K.normal_form(final[idx], others, other_leads, packing))
 
         by_lead = sorted(range(len(final)), key=lambda k: key(final_leads[k]), reverse=True)
-        return GroebnerBasis(
-            spairs, ring, [final[k] for k in by_lead], [final_leads[k] for k in by_lead]
-        )
+        monic = []
+        for k in by_lead:
+            lc = final[k][final_leads[k]]
+            monic.append({m: Fraction(c, lc) for m, c in final[k].items()})
+        return GroebnerBasis(spairs, ring, monic, [final_leads[k] for k in by_lead])
 
     return _widening(_make_ring(gens, order), run)
 

@@ -1,3 +1,4 @@
+import math
 import random
 import threading
 from fractions import Fraction
@@ -388,6 +389,80 @@ def test_kernel_division_matches_reference(case, groebner):
         for mono, c in q.items():
             total = _K.add_scaled(total, _term_mul(c, mono, g), Fraction(1))
     assert total == p
+
+
+def test_division_with_quotients_refuses_a_lead_coefficient_other_than_one():
+    packing = _small_ring(2, False).packing
+    p = {_XY: 3, _ONE_MONO: 1}
+    gens, leads = [{_X2: Fraction(1)}, {_XY: 2, _Y: 1}], [_X2, _XY]
+    with pytest.raises(ValueError):
+        _K.normal_form(p, gens, leads, packing, [{}, {}])
+    # without quotients the step scales the remainder: 2*(3xy + 1 - 3/2*(2xy + y))
+    assert _K.normal_form(p, gens, leads, packing) == {_Y: -3, _ONE_MONO: 2}
+
+
+def _descending(terms, packing) -> dict:
+    """terms in descending order, lead first."""
+    return dict(sorted(terms.items(), key=lambda t: packing.key(t[0]), reverse=True))
+
+
+def _is_primitive(terms) -> bool:
+    coeffs = list(terms.values())
+    return all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1 and coeffs[0] > 0
+
+
+@st.composite
+def _rational_case(draw):
+    """A small ideal and a polynomial over a ring of _small_ring, with
+    coefficients n/d for d up to 4, at least one of them not an integer."""
+    width = draw(st.integers(1, 3))
+    ring = _small_ring(width, draw(st.booleans()))
+    mono = st.tuples(*[st.integers(0, 3)] * width).map(_pack)
+    coeff = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4))
+    gens = draw(st.lists(st.dictionaries(mono, coeff, min_size=1, max_size=4), min_size=1, max_size=3))
+    if all(c.denominator == 1 for g in gens for c in g.values()):
+        reject()
+    return gens, draw(st.dictionaries(mono, coeff, min_size=1, max_size=8)), ring
+
+
+def _assert_primitive_reduction_is_a_multiple(p, monic, packing):
+    """normal_form of p against the primitive forms of the monic list, made
+    primitive, is a nonzero multiple of its normal form against the list."""
+    leads = [next(iter(g)) for g in monic]
+    primitive = [_K.primitive(g) for g in monic]
+    assert all(_is_primitive(g) and list(g) == list(m) for g, m in zip(primitive, monic))
+    expected = _K.normal_form(p, monic, leads, packing)
+    tail = _K.normal_form(_K.primitive(p), primitive, leads, packing)
+    assert list(tail) == list(expected)
+    if tail:
+        tail = _K.primitive(tail)
+        assert _is_primitive(tail)
+        ratios = {expected[m] / c for m, c in tail.items()}
+        assert len(ratios) == 1 and 0 not in ratios
+
+
+@given(_rational_case())
+def test_primitive_int_reduction_is_a_multiple_of_the_monic_one(case):
+    gens, p, ring = case
+    packing = ring.packing
+    # the engine's reduced basis: monic, with exact Fraction coefficients
+    try:
+        gb = buchberger(Ideal([ring.unpack(g) for g in gens]), ring.order, Budget(max_spairs=40))
+    except BudgetExhausted:
+        reject()
+    assert all(type(c) is Fraction for g in gb._basis for c in g.values())
+    assert all(g[lead] == 1 for g, lead in zip(gb._basis, gb._leads))
+    basis = [_descending(ring.pack(g), packing) for g in gb.polys]
+    # leads other than 1 take the scaling path, on the basis and on the
+    # drawn generators alike
+    monic = [_descending(g, packing) for g in gens]
+    monic = [{m: c / next(iter(g.values())) for m, c in g.items()} for g in monic]
+    _assert_primitive_reduction_is_a_multiple(p, basis, packing)
+    _assert_primitive_reduction_is_a_multiple(p, monic, packing)
+    # scaling each generator to lead coefficient 1 changes neither the basis
+    # nor the pairs it took
+    again = buchberger(Ideal([ring.unpack(g) for g in monic]), ring.order)
+    assert (again.polys, again.spairs_processed) == (gb.polys, gb.spairs_processed)
 
 
 def test_reduce_with_quotients_in_a_wider_ring():
