@@ -111,12 +111,11 @@ class Automorphism:
             if fam not in (Y, Z):
                 continue
             idx = var_index(code)
-            y = Polynomial.variable(var_code(Y, idx))
-            z = Polynomial.variable(var_code(Z, idx))
-            if fam == Y:
-                out[code] = self.yy * y + self.yz * z
-            else:
-                out[code] = self.zy * y + self.zz * z
+            row = (self.yy, self.yz) if fam == Y else (self.zy, self.zz)
+            # row . (y_idx, z_idx), without its zero entries
+            out[code] = Polynomial(
+                {((var_code(v, idx), 1),): c for v, c in zip((Y, Z), row) if c}
+            )
         return out
 
     def on_polynomial(self, p: Polynomial) -> Polynomial:

@@ -448,10 +448,12 @@ def buchberger(
     (lcm degree, order key of the lcm, i, j), so each pop takes the pair of
     smallest lcm degree, ties broken by the order on the lcm and then by pair
     index.  Buchberger's coprimality and chain criteria prune pairs; the
-    chain criterion reads the pending (i, j) from a set.  The budget is
-    checked after each pop; BudgetExhausted is raised when it runs out.  A
-    run whose monomials outgrow the field width starts again at twice the
-    width: its time counts against the budget, its S-pairs do not.
+    chain criterion reads the pending (i, j) from a set.  The S-pair bound
+    is checked after each pop, the clock after the first pop and before each
+    S-polynomial is reduced (a pruned pair costs microseconds), and
+    BudgetExhausted is raised when either runs out.  A run whose monomials
+    outgrow the field width starts again at twice the width: its time
+    counts against the budget, its S-pairs do not.
     Nothing is stored: Ideal.groebner memoizes within a session.
 
     The loop runs on ints: each generator is made primitive on entry, each
@@ -474,9 +476,9 @@ def buchberger(
         lcs: list[int] = []  # their lead coefficients, all positive
         spairs = 0
 
-        def check_budget():
+        def check_clock():
             elapsed = time.monotonic() - start
-            if spairs > budget.max_spairs or elapsed > budget.max_seconds:
+            if elapsed > budget.max_seconds:
                 raise BudgetExhausted("buchberger", spairs, elapsed)
 
         queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
@@ -504,7 +506,10 @@ def buchberger(
             _, lcm_key, i, j = heappop(queue)
             pending.remove((i, j))
             spairs += 1
-            check_budget()
+            if spairs > budget.max_spairs:
+                raise BudgetExhausted("buchberger", spairs, time.monotonic() - start)
+            if spairs == 1:
+                check_clock()
 
             lcm = lcm_key & low
             # coprime leads: the S-polynomial reduces to zero
@@ -524,6 +529,7 @@ def buchberger(
             if skip:
                 continue
 
+            check_clock()
             s = _K.s_polynomial(
                 lcm - leads[i], basis[i], lcs[i], lcm - leads[j], basis[j], lcs[j]
             )

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 
 from .kernel import impl as _K
 
@@ -559,26 +560,67 @@ def parse_polynomial(text: str, *, ambient: bool = False) -> Polynomial:
 
 
 def linear_substitute(p: Polynomial, mapping: dict[int, Polynomial]) -> Polynomial:
-    """Substitute variables by polynomials of degree at most one.
+    """Substitute variables by polynomials of degree at most one, all at once.
 
-    Variables absent from the mapping are left alone, which makes the
-    identity substitution the empty dict.
+    The substitution is simultaneous: every variable of p in the mapping is
+    replaced by its image, and the variables of an image are never
+    substituted again, even when the mapping names them too.  Variables
+    absent from the mapping are left alone, which makes the identity
+    substitution the empty dict.
+
+    The expansion is one pass in int arithmetic over one common
+    denominator.  Each image is scaled to int coefficients by d, the lcm of
+    the images' denominators, and each power of a scaled image that p needs
+    is built once.  A term of p with k substituted factors is expanded into
+    one int accumulator, scaled by q*coeff*d^(top-k), where q is the lcm of
+    p's denominators and top the largest k; each output coefficient is
+    then one Fraction(c, q*d^top).
     """
+    d = 1
     for code, image in mapping.items():
         if image.total_degree() > 1:
             raise ValueError(
                 f"image of {var_name(code)} has degree {image.total_degree()} > 1"
             )
-    out = Polynomial.zero()
-    for mono, coeff in p.items():
-        acc = Polynomial.constant(coeff)
-        for code, exp in mono:
-            image = mapping.get(code)
-            if image is None:
-                acc = acc * Polynomial.term(1, [(code, exp)])
-            else:
-                acc = acc * image**exp
-        out = out + acc
+        for _, c in image.items():
+            d = lcm(d, c.denominator)
+    scaled = {
+        code: {mono: c.numerator * (d // c.denominator) for mono, c in image.items()}
+        for code, image in mapping.items()
+    }
+    q = lcm(*(c.denominator for c in p._terms.values()))
+    top = max((sum(e for v, e in mono if v in scaled) for mono in p._terms), default=0)
+
+    powers: dict[tuple[int, int], dict] = {}  # (code, e) -> (d*image)^e as int terms
+
+    def power(code: int, e: int) -> dict:
+        got = powers.get((code, e))
+        if got is None:
+            below = power(code, e - 1) if e > 1 else {MONO_ONE: 1}
+            got = powers[code, e] = _int_product(below, scaled[code])
+        return got
+
+    acc: dict = {}
+    for mono, coeff in p._terms.items():
+        fixed = tuple((v, e) for v, e in mono if v not in scaled)
+        hit = [(v, e) for v, e in mono if v in scaled]
+        k = sum(e for _, e in hit)
+        cur = {fixed: coeff.numerator * (q // coeff.denominator) * d ** (top - k)}
+        for v, e in hit:
+            cur = _int_product(cur, power(v, e))
+        for m, c in cur.items():
+            acc[m] = acc.get(m, 0) + c
+    den = q * d**top
+    return Polynomial({m: Fraction(c, den) for m, c in acc.items() if c})
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    """The product of two polynomials held as monomial -> int dicts."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
     return out
 
 

@@ -3,7 +3,9 @@
 Every public check, run inside session(Budget(max_spairs=0)), must come out
 budget-exhausted whenever it needs any S-pair, and no check may be refuted
 by a budget.  No function below the session takes a budget of its own, and
-none takes an ambient variable set.
+none takes an ambient variable set.  Inside buchberger the S-pair bound is
+exact on every pop, and the time limit is read on the first pop and before
+each reduction.
 """
 
 import inspect
@@ -12,6 +14,8 @@ import pytest
 
 from jetfibers import an, d4, graphs
 from jetfibers import groebner as gb
+from jetfibers.jets import d4_surface, jet_coeffs
+from jetfibers.poly import Polynomial, var_code
 
 
 def _suite(m):
@@ -73,3 +77,50 @@ def test_no_function_takes_an_ambient_variable_set():
     # argument of its own name
     for module in (gb, an, d4, graphs):
         assert _takers(module, "variables") == set(), module.__name__
+
+
+def _d4_jet_ideal():
+    return gb.Ideal(tuple(jet_coeffs(d4_surface(), 2)))
+
+
+def _fake_clock(monkeypatch, jump_after: int) -> list:
+    """Replace the engine's clock by one that reads 0 for its first
+    jump_after reads and 1e6 after; returns the list of reads."""
+    reads = []
+
+    def monotonic():
+        reads.append(1)
+        return 0.0 if len(reads) <= jump_after else 1e6
+
+    monkeypatch.setattr(gb.time, "monotonic", monotonic)
+    return reads
+
+
+def test_time_limit_stops_a_run_in_its_middle(monkeypatch):
+    full = gb.buchberger(_d4_jet_ideal())
+    _fake_clock(monkeypatch, jump_after=20)
+    with pytest.raises(gb.BudgetExhausted) as exc:
+        gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_seconds=10))
+    assert exc.value.context == "buchberger"
+    assert 1 < exc.value.spairs < full.spairs_processed
+
+
+def test_zero_seconds_stop_at_the_first_pop_even_when_it_is_pruned():
+    # the only pair of (x0, y0) has coprime leads and is never reduced
+    xy = gb.Ideal([Polynomial.variable(var_code("x", 0)), Polynomial.variable(var_code("y", 0))])
+    assert gb.buchberger(xy).spairs_processed == 1
+    with pytest.raises(gb.BudgetExhausted) as exc:
+        gb.buchberger(xy, budget=gb.Budget(max_seconds=0))
+    assert exc.value.spairs == 1
+
+
+def test_pruned_pairs_do_not_read_the_clock(monkeypatch):
+    # the S-pair bound is exact on every pop; the clock is read on the first
+    # pop and for the pairs that are reduced, far fewer than those popped
+    reads = _fake_clock(monkeypatch, jump_after=10**9)
+    got = gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_seconds=10))
+    assert 0 < len(reads) < got.spairs_processed
+    monkeypatch.undo()
+    with pytest.raises(gb.BudgetExhausted) as exc:
+        gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_spairs=got.spairs_processed - 1))
+    assert exc.value.spairs == got.spairs_processed

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from jetfibers import groebner as gb
+from jetfibers import d4, groebner as gb
 from jetfibers.d4 import (
+    Automorphism,
     PHI1,
     PHI2,
     PHI2_INV,
@@ -128,6 +130,40 @@ def test_algebra_report():
     assert verify_automorphism_algebra().outcome == gb.VERIFIED
     assert verify_phi_invariance(8).outcome == gb.VERIFIED
     assert verify_chart_transport(5).outcome == gb.VERIFIED
+
+
+_JET_CODES = list(jet_variables(3))
+_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+_jet_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_JET_CODES), st.integers(1, 3)), max_size=4),
+        _rationals,
+    ),
+    max_size=6,
+).map(Polynomial.from_terms)
+_jet_points = st.lists(_rationals, min_size=12, max_size=12).map(
+    lambda c: JetPoint.make(3, x=c[0:4], y=c[4:8], z=c[8:12])
+)
+
+
+@given(p=_jet_polys, pt=_jet_points)
+def test_symmetry_on_polynomials_is_pullback_along_points(p, pt):
+    # the substitution path and the independent point path agree:
+    # (phi p)(pt) = p(phi pt)
+    values = jet_point_values(pt)
+    for auto in (PHI1, PHI2, PHI2_INV):
+        pulled = evaluate(auto.on_polynomial(p), values)
+        assert pulled == evaluate(p, jet_point_values(auto.on_point(pt))), auto.name
+
+
+def test_phi_invariance_is_refuted_by_a_perturbed_rotation(monkeypatch):
+    perturbed = Automorphism(
+        "phi2", Fraction(-1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(-1, 3)
+    )
+    monkeypatch.setattr(d4, "PHI2", perturbed)
+    report = verify_phi_invariance(8)
+    assert report.outcome == gb.REFUTED
+    assert report.certificate == {"failures": [("phi2", j) for j in range(9)]}
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,11 @@ PINS = [
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
      "3245236b3cb9de5c4f6a7bd222dbba3579363126c007e34744256a36f63e682c", 35749),
+    # longer jet tails through the presolve's linear substitution
+    (["d4", "verify", "--m", "10", "--format", "json"], 0,
+     "bbb00b84a24def0d3b2fe2a924487b1f9377b6d5ee37cbeb1dc67c7f3c60e8a9", 39579),
+    (["d4", "verify", "--m", "12", "--format", "json"], 0,
+     "352a3e7b982630d71e69066bc68d2092e1cdf9fa2fce5198f29b0a1e7fa47b7c", 41933),
     (["d4", "graph", "--m", "6"], 0,
      "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
     (["d4", "graph", "--m", "5", "--format", "json"], 0,

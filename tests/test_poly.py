@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jetfibers.poly import (
     JetPoint,
@@ -232,6 +232,46 @@ def test_linear_substitute_identity():
 def test_linear_substitute_rejects_quadratic_images():
     with pytest.raises(ValueError):
         linear_substitute(xvar(0), {var_code("x", 0): xvar(0) ** 2})
+
+
+_SUB_CODES = [var_code(f, i) for f, i in (("x", 1), ("y", 0), ("y", 2), ("z", 1), ("z", 3))]
+_sub_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_sub_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_SUB_CODES), st.integers(1, 3)), max_size=3),
+        _sub_coeffs,
+    ),
+    max_size=5,
+).map(Polynomial.from_terms)
+# rational affine images: a constant term plus up to three linear terms,
+# which may name other substituted variables; sometimes the zero image
+_affine_images = st.one_of(
+    st.just(Polynomial.zero()),
+    st.tuples(
+        _sub_coeffs, st.lists(st.tuples(st.sampled_from(_SUB_CODES), _sub_coeffs), max_size=3)
+    ).map(lambda t: Polynomial.from_terms([((), t[0])] + [([(v, 1)], c) for v, c in t[1]])),
+)
+_sub_mappings = st.dictionaries(st.sampled_from(_SUB_CODES), _affine_images, max_size=3)
+
+
+def _sympy_expr(sympy, p: Polynomial):
+    return sympy.sympify(format_polynomial(p).replace("^", "**"))
+
+
+@given(_sub_polys, _sub_mappings)
+@example(P("y0*z1^2 - 2/3*y0 + z1"), {var_code("y", 0): P("z1"), var_code("z", 1): P("y0")})
+@example(
+    P("1/2*y0^3*x1 + 3*y0 - 5/4*x1 + 1"),
+    {var_code("y", 0): P("2/3*z1 - 1/5"), var_code("x", 1): Polynomial.zero()},
+)
+def test_linear_substitute_matches_sympy_simultaneous_subs(p, mapping):
+    sympy = pytest.importorskip("sympy")
+    swaps = {
+        sympy.Symbol(var_name(code)): _sympy_expr(sympy, image)
+        for code, image in mapping.items()
+    }
+    theirs = sympy.expand(_sympy_expr(sympy, p).subs(swaps, simultaneous=True))
+    assert sympy.expand(_sympy_expr(sympy, linear_substitute(p, mapping)) - theirs) == 0
 
 
 # ---------------------------------------------------------------------------
