@@ -51,14 +51,16 @@ holds the command's Budget and a memo of every reduced basis computed in it,
 keyed on (generators, order).  Ideal.groebner is the one path to a basis: it
 serves a repeated input from the memo and computes a missing one with
 buchberger under the session budget.  buchberger is a pure computation and
-the one place a budget is applied; exceeding it raises BudgetExhausted rather
-than returning anything partial, and an exhausted run stores nothing.  Every
-basis in the memo was computed under the session's one budget, so serving it
-can never exceed that budget.  The basis depends on nothing but its key,
-since the ring is built from the generators' variables; identical inputs
-always produce identical bases and reports.  A session opened inside another
-joins it, and the memo is dropped when the outermost one exits.  Outside a
-session a basis is computed afresh under the default budget.
+the one place the S-pair bound is applied, and the time limit is read there
+and before each branch of a radical split; exceeding either raises
+BudgetExhausted rather than returning anything partial, and an exhausted run
+stores nothing.  Every basis in the memo was computed under the session's
+one budget, so serving it can never exceed that budget.  The basis depends
+on nothing but its key, since the ring is built from the generators'
+variables; identical inputs always produce identical bases and reports.  A
+session opened inside another joins it, and the memo is dropped when the
+outermost one exits.  Outside a session a basis is computed afresh under the
+default budget.
 
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
@@ -70,6 +72,22 @@ certificate, and otherwise one of the ideal's own generators by the
 generator certificate, which names its index (a generator lies in the ideal
 and so in its radical); both take 0 S-pairs and no basis.  Only the rest is
 decided against a reduced basis.
+
+A radical query first splits the residual on its monomial generators, the
+monomial case of the factorizing Buchberger algorithm (Czapor, JSC 1989;
+Graebe, AAECC 1995): sqrt(I + (c*x^e)) = sqrt(I + (x)), and
+sqrt(I + (c*x1^a1*...*xk^ak)) is the intersection of the sqrt(I + (x_i)).
+So the first monomial generator branches the query into the ideals
+I + (x_i), one per variable, and p must lie in the radical of each.  Each
+branch is presolved again, which sets x_i to zero, and splits again; a
+nonzero constant generator leaves no branch at all (the unit ideal).
+Ideal.split keeps the branches of an ideal, so every query against one pair
+ideal walks the same tree.  The certificate is that tree,
+{"kind": "split", "branches": {x_i: certificate}}, with the trivial
+certificate where p restricts to zero and a radical-trick certificate at a
+leaf with no monomial generator left, the only place a basis is built.  A
+failed branch refutes the query at once, and the session's time budget is
+checked before each branch.
 """
 
 from __future__ import annotations
@@ -129,7 +147,9 @@ def elimination_order(w: int) -> MonomialOrder:
 @dataclass(frozen=True)
 class Budget:
     """Work limits for a single computation.  An S-pair counts as processed
-    when it is popped from the queue, whether or not a criterion discards it."""
+    when it is popped from the queue, whether or not a criterion discards it.
+    max_seconds also bounds each radical query's split, from the query's
+    start."""
 
     max_spairs: int = 100_000
     max_seconds: float = 300.0
@@ -160,6 +180,12 @@ def session(budget: Budget | None = None):
         yield
     finally:
         _session.reset(token)
+
+
+def _session_budget() -> Budget:
+    """The open session's budget, or the default one."""
+    open_session = _session.get()
+    return (open_session and open_session[0]) or DEFAULT_BUDGET
 
 
 class BudgetExhausted(RuntimeError):
@@ -330,7 +356,7 @@ class Ideal:
     cache of its coordinate presolve.  It has no ambient ring: krull_dim
     takes one as an argument."""
 
-    __slots__ = ("generators", "label", "_presolved")
+    __slots__ = ("generators", "label", "_presolved", "_split")
 
     def __init__(self, generators, label: str | None = None):
         gens = []
@@ -344,6 +370,7 @@ class Ideal:
         self.generators = tuple(dict.fromkeys(gens))
         self.label = label
         self._presolved = None
+        self._split = None
 
     def __add__(self, other: "Ideal") -> "Ideal":
         return Ideal(self.generators + other.generators)
@@ -372,6 +399,23 @@ class Ideal:
         if self._presolved is None:
             self._presolved = linear_presolve(self)
         return self._presolved
+
+    def split(self) -> tuple[tuple[int, Ideal], ...] | None:
+        """None when no generator is a monomial.  Otherwise, for the first
+        one, c*x1^a1*...*xk^ak, the ideals self + (x_i), one per variable
+        and keyed by its code, whose radicals meet in the radical of self;
+        none at all for a nonzero constant, whose radical is the whole ring.
+        The branches are built once and kept, each with its own presolve."""
+        if self._split is None:
+            mono = next((g for g in self.generators if len(g) == 1), None)
+            if mono is None:
+                return None
+            ((m, _),) = mono.items()
+            self._split = tuple(
+                (code, Ideal(self.generators + (Polynomial.variable(code),)))
+                for code, _ in m
+            )
+        return self._split
 
 
 # ---------------------------------------------------------------------------
@@ -735,21 +779,52 @@ def radical_member(
     presolve: bool = True,
 ) -> VerificationReport:
     """Is p in the radical?  After _query's certificate-first rule, decided
-    by adjoining 1 - w*p for a fresh auxiliary variable and testing whether
-    the ideal becomes the unit ideal."""
+    on the split of the residual (see the module docstring): p must lie in
+    the radical of every branch, and a failed branch refutes the query at
+    once.  A leaf with no monomial generator left takes the radical trick:
+    adjoin 1 - w*p for a fresh auxiliary variable w and test whether the
+    ideal becomes the unit ideal.  The session's time budget is checked
+    before each branch, from the query's start."""
+    trivial = {"kind": "radical-trick", "trivial": True}
+    budget = _session_budget()
+    start = time.monotonic()
 
     def decide(residual, p0):
-        w = _fresh_aux(p, *ideal.generators)
-        trick = Polynomial.one() - Polynomial.variable(w) * p0
-        gb = Ideal(residual.generators + (trick,)).groebner(GREVLEX_ORDER)
-        cert = {"kind": "radical-trick", "aux": var_name(w)}
-        if not gb.is_unit:
-            cert.update(witness="normal form of 1 is 1", basis_size=len(gb))
-        return gb.is_unit, cert, gb.spairs_processed
+        aux = _fresh_aux(p, *ideal.generators)
+        w = Polynomial.variable(aux)
+        spairs = 0
+
+        def walk(node: Ideal, q: Polynomial) -> tuple[bool, dict]:
+            """Is q in the radical of node, an ideal with no linear generator?"""
+            nonlocal spairs
+            branches = node.split()
+            if branches is None:
+                gb = Ideal(node.generators + (Polynomial.one() - w * q,)).groebner()
+                spairs += gb.spairs_processed
+                cert = {"kind": "radical-trick", "aux": var_name(aux)}
+                if not gb.is_unit:
+                    cert.update(witness="normal form of 1 is 1", basis_size=len(gb))
+                return gb.is_unit, cert
+            ok, certs = True, {}
+            for code, branch in branches:
+                elapsed = time.monotonic() - start
+                if elapsed > budget.max_seconds:
+                    raise BudgetExhausted("radical split", spairs, elapsed)
+                presolved = branch.presolved()
+                q_branch = presolved.restrict(q)
+                ok, certs[var_name(code)] = (
+                    walk(presolved.residual, q_branch) if q_branch else (True, trivial)
+                )
+                if not ok:
+                    break
+            return ok, {"kind": "split", "branches": certs}
+
+        ok, cert = walk(residual, p0)
+        return ok, cert, spairs
 
     return _query(
         claim or f"radical-member: {p} in sqrt {ideal.describe()}", p, ideal,
-        presolve, {"kind": "radical-trick", "trivial": True}, decide,
+        presolve, trivial, decide,
     )
 
 

@@ -176,13 +176,15 @@ def _accumulate(terms, out=None) -> dict:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; the term dict never stores a zero."""
+    """Immutable sparse polynomial; the term dict never stores a zero.  Its
+    hash is computed on first use and kept."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict | None = None):
         # trusted constructor: terms must already be canonical
         object.__setattr__(self, "_terms", terms or {})
+        self._hash = None
 
     # -- builders ----------------------------------------------------------
 
@@ -329,7 +331,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     # -- structural maps ----------------------------------------------------
 

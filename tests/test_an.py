@@ -237,12 +237,38 @@ def test_containment_cross_check_small():
     assert rep.outcome == gb.VERIFIED
 
 
-def test_containment_cross_check_counts_the_pairs_of_its_queries():
+def test_containment_cross_check_counts_the_pairs_of_its_queries(monkeypatch):
     # every "criterion agrees" report is decided by radical-member queries,
-    # so it carries their S-pairs
-    rep = verify_containment_criterion(3, 4)
+    # so it carries the sum of their S-pairs; each query the presolve does
+    # not answer is decided by the split on monomial generators
+    pending, decided = [], []
+    radical_member, check = gb.radical_member, gb.check
+
+    def recorded_query(*args, **kwargs):
+        report = radical_member(*args, **kwargs)
+        pending.append(report)
+        return report
+
+    def recorded_check(claim, *args, **kwargs):
+        report = check(claim, *args, **kwargs)
+        if claim.startswith("criterion agrees"):
+            decided.append((report, pending[:]))
+            pending.clear()
+        return report
+
+    monkeypatch.setattr(gb, "radical_member", recorded_query)
+    monkeypatch.setattr(gb, "check", recorded_check)
+    rep = verify_containment_criterion(3, 9)
     assert rep.outcome == gb.VERIFIED
-    assert rep.spairs_processed > 0
+    assert len(decided) == 3 * 3
+    for report, queries in decided:
+        assert queries
+        assert report.spairs_processed == sum(q.spairs_processed for q in queries)
+    trivial = {"kind": "radical-trick", "trivial": True}
+    split = [q for _, queries in decided for q in queries if q.certificate != trivial]
+    assert split and all(q.certificate["kind"] == "split" for q in split)
+    # at (3, 9) some leaves of the splits still build a basis
+    assert rep.spairs_processed == sum(r.spairs_processed for r, _ in decided) > 0
 
 
 # ---------------------------------------------------------------------------

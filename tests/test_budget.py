@@ -5,7 +5,7 @@ budget-exhausted whenever it needs any S-pair, and no check may be refuted
 by a budget.  No function below the session takes a budget of its own, and
 none takes an ambient variable set.  Inside buchberger the S-pair bound is
 exact on every pop, and the time limit is read on the first pop and before
-each reduction.
+each reduction; radical_member's split reads it before each branch.
 """
 
 import inspect
@@ -124,3 +124,35 @@ def test_pruned_pairs_do_not_read_the_clock(monkeypatch):
     with pytest.raises(gb.BudgetExhausted) as exc:
         gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_spairs=got.spairs_processed - 1))
     assert exc.value.spairs == got.spairs_processed
+
+
+def test_the_radical_split_is_charged_to_the_time_budget(monkeypatch):
+    # x0*y0*z0 splits the query into x0 = 0, y0 = 0 and z0 = 0, and
+    # x0*y0*z0^2 restricts to zero on each branch: no basis is built, so
+    # only the split can read the time budget
+    x, y, z = (Polynomial.variable(var_code(v, 0)) for v in "xyz")
+    monomial = gb.Ideal([x * y * z])
+    p = x * y * z * z
+    trivial = {"kind": "radical-trick", "trivial": True}
+
+    reads = _fake_clock(monkeypatch, jump_after=10**9)
+    with gb.session(gb.Budget(max_seconds=10)):
+        rep = gb.radical_member(p, monomial)
+    assert rep.outcome == gb.VERIFIED and rep.spairs_processed == 0
+    assert rep.certificate == {
+        "kind": "split", "branches": {"x0": trivial, "y0": trivial, "z0": trivial}
+    }
+    assert len(reads) >= 3  # one read before each branch at least
+
+    # the clock passes the limit after the query's start: the split stops
+    # before its first branch
+    monkeypatch.undo()
+    _fake_clock(monkeypatch, jump_after=2)
+    with gb.session(gb.Budget(max_seconds=10)):
+        rep = gb.radical_member(p, monomial)
+    assert rep.outcome == gb.BUDGET_EXHAUSTED
+    assert rep.certificate == {"kind": "budget", "context": "radical split"}
+    # without a session the default budget applies
+    monkeypatch.undo()
+    _fake_clock(monkeypatch, jump_after=2)
+    assert gb.radical_member(p, monomial).outcome == gb.BUDGET_EXHAUSTED

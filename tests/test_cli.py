@@ -241,8 +241,10 @@ def test_budget_flags_accepted(capsys):
 
 @pytest.mark.parametrize("flag", ["--budget-spairs", "--budget-seconds"])
 def test_zero_budget_is_a_budget(capsys, flag):
+    # (2,7) still builds bases: its intersection and the radical tricks at
+    # the leaves of its splits
     code, out, _ = run(
-        capsys, "an", "verify", "--n", "2", "--m", "5", flag, "0", "--format", "json"
+        capsys, "an", "verify", "--n", "2", "--m", "7", flag, "0", "--format", "json"
     )
     assert code == 3
     payload = json.loads(out)

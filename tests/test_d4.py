@@ -278,9 +278,12 @@ def test_coordinate_lemma_is_radical_queries_and_the_congruence(monkeypatch):
         f"I0 gen#{k} in sqrt J2+J3(m8)" for k in range(len(d4_ideals(8).i0.generators))
     ]
     assert {s["outcome"] for s in subchecks} == {gb.VERIFIED}
-    # x2, generator #2, is the one query that needs a basis
-    assert subchecks[3]["certificate"] == {"kind": "radical-trick", "aux": "w0"}
-    assert rep.spairs_processed == 28
+    # x2, generator #2, is the one query the presolve leaves: the residual's
+    # first generator is x2^2, so the split has the one branch x2 = 0, on
+    # which x2 restricts to zero, and no basis is built
+    trivial = {"kind": "radical-trick", "trivial": True}
+    assert subchecks[3]["certificate"] == {"kind": "split", "branches": {"x2": trivial}}
+    assert rep.spairs_processed == 0
 
 
 def test_chart_sum_lists_the_jet_equations_once():
@@ -487,9 +490,9 @@ def test_maximal_intersections_cite_every_coordinate_lemma():
     lemma_spairs = sum(
         verify_coordinate_lemma(6, i, j).spairs_processed for i, j in ((1, 3), (2, 3))
     )
-    # the three presolved chart sums coincide, and each lemma builds the
-    # one radical-trick basis of x2
-    assert lemma_spairs == 15 + 15
+    # the three presolved chart sums coincide, and each lemma answers x2
+    # by the split on x2^2, with no basis
+    assert lemma_spairs == 0 + 0
 
 
 def test_maximal_intersections_take_a_failed_lemma(monkeypatch):

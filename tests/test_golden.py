@@ -74,14 +74,21 @@ PINS = [
      "85d83f3ec8651eb017b04ca607b90ae765b4ff5537041e76712887318ea3450d", 259),
     (["an", "verify", "--n", "3", "--m", "6", "--i", "1", "--j", "3"], 0,
      "e3e94bd4e86503d611a32d9e7ec8958f9228bc12505a3bbc6a0632cdc134cb1e", 99),
-    (["an", "verify", "--n", "3", "--m", "6", "--budget-spairs", "5"], 3,
-     "8b5044cdd16560dc5a2aed42cb5358a80e819c361133ff44316ea7c43207c7a8", 259),
-    (["an", "verify", "--n", "2", "--m", "5", "--budget-spairs", "0", "--format", "json"], 3,
-     "cadcb1060caf11e09b26bd24856af282998c6d0eb64836d7a24261bc09b8c11c", 19067),
-    (["an", "verify", "--n", "3", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
-     "f9b117a24b7721f44acd863fde661307f19aa51e706d5691adb36046cb733093", 55780),
-    (["an", "verify", "--n", "4", "--m", "7", "--budget-spairs", "20", "--format", "json"], 3,
-     "894778672730a60bb33ccdab61f13b5c17757e2b667b8472bfbcae573bd2fcaa", 108890),
+    # budgeted runs of commands that still build bases once the radical
+    # queries split on monomial generators
+    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 3,
+     "9805c31dbb835eecdd844f30137ed7236414e864082cc2d2b621660847d0a11a", 259),
+    (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 3,
+     "17893116c912e17b52e9460d9794556fc75fb8de5fe0a425be9667e3b6d6ad2d", 19798),
+    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 3,
+     "e5a732d2dc7d35f1c6490dc07d6b72875b05fa12224e032604a45f1602cf1510", 85367),
+    (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 3,
+     "64d844a8f59cd3d6f7c3ea1cfc6fc1b957df0977b73fc7857c40fa9e8999b87f", 244149),
+    # the old A_n frontier, about 0.1-0.3 s each
+    (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
+     "0dee8a55943df0463a3fec6a218bcf2b9a856bcf7377e38af49d60b3b3f907d2", 48002),
+    (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
+     "98f371aca24f645cea1d8f371cc3ac265f66d2f63e75bf7ed333334d860d107c", 315655),
     (["d4", "ideals", "--m", "5"], 0,
      "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
     (["d4", "ideals", "--m", "5", "--format", "json"], 0,
@@ -93,12 +100,12 @@ PINS = [
     (["d4", "verify", "--m", "8"], 0,
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
-     "3245236b3cb9de5c4f6a7bd222dbba3579363126c007e34744256a36f63e682c", 35749),
+     "b0c227607098885e3b694cb96e77d349f2eb96073501732bad58d06985ed8a23", 36133),
     # longer jet tails through the presolve's linear substitution
     (["d4", "verify", "--m", "10", "--format", "json"], 0,
-     "bbb00b84a24def0d3b2fe2a924487b1f9377b6d5ee37cbeb1dc67c7f3c60e8a9", 39579),
+     "8885567d8ceab3346a833fd0ec5da1b4069df247df28e7cf9a1c184614088a1c", 39962),
     (["d4", "verify", "--m", "12", "--format", "json"], 0,
-     "352a3e7b982630d71e69066bc68d2092e1cdf9fa2fce5198f29b0a1e7fa47b7c", 41933),
+     "d7c5d95859cff37e89268d2f499c002c7fe8890860bd864a7b6dd313704727b2", 42316),
     (["d4", "graph", "--m", "6"], 0,
      "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
     (["d4", "graph", "--m", "5", "--format", "json"], 0,

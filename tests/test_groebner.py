@@ -798,6 +798,151 @@ def test_refutation_carries_witness():
     assert rep.certificate["remainder"] == "x0"
 
 
+# ---------------------------------------------------------------------------
+# the radical split on monomial generators
+
+_TRIVIAL = {"kind": "radical-trick", "trivial": True}
+
+
+def _plain_trick(p: Polynomial, i: Ideal) -> bool:
+    """p in sqrt(i) by the radical trick alone, with no presolve or split."""
+    w = Polynomial.variable(W0)
+    return Ideal(i.generators + (Polynomial.one() - w * p,)).groebner().is_unit
+
+
+def _sympy_trick(p: Polynomial, i: Ideal) -> bool:
+    """The same test by sympy's groebner, an independent implementation."""
+    sympy = pytest.importorskip("sympy")
+    codes = sorted(_codes(i.generators + (p, Polynomial.variable(W0))), reverse=True)
+    symbols = {c: sympy.Symbol(f"v{c}") for c in codes}
+
+    def expr(q: Polynomial):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(symbols[v] ** e for v, e in mono))
+                for mono, c in q.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    trick = 1 - symbols[W0] * expr(p)
+    basis = sympy.groebner(
+        [expr(g) for g in i.generators] + [trick],
+        *symbols.values(), order="grevlex", domain=sympy.QQ,
+    )
+    return list(basis.exprs) == [1]
+
+
+_SPLIT_CODES = [var_code("x", 0), var_code("y", 0), var_code("z", 0), var_code("x", 1)]
+_monomials = st.builds(
+    lambda c, pairs: Polynomial.from_terms([(pairs, c)]),
+    st.sampled_from([-3, -1, 1, 2]),
+    st.lists(st.tuples(st.sampled_from(_SPLIT_CODES), st.integers(1, 3)), min_size=1, max_size=3),
+)
+_split_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_SPLIT_CODES), st.integers(1, 2)), max_size=2),
+        st.integers(-2, 2),
+    ),
+    min_size=1,
+    max_size=3,
+).map(Polynomial.from_terms)
+
+
+@given(
+    st.lists(_monomials, min_size=1, max_size=2),
+    st.lists(_split_polys, max_size=2),
+    st.one_of(_monomials, _split_polys),
+    st.data(),
+)
+@example([P("x0*y0")], [], P("x0"), None)  # refuted on the branch y0 = 0 only
+@example([P("-2*z0^3")], [P("x0^2 - z0*y0")], P("x0"), None)
+def test_split_agrees_with_the_plain_trick_and_sympy(monomials, others, p, data):
+    gens = monomials + others
+    if data is not None:
+        gens = data.draw(st.permutations(gens))
+    i = Ideal(gens)
+    plain = _plain_trick(p, i)
+    assert _sympy_trick(p, i) == plain
+    rep = radical_member(p, i)
+    assert rep.outcome == (VERIFIED if plain else engine.REFUTED)
+    if not plain:
+        # a refutation ends at its last branch, a radical-trick leaf that
+        # carries its witness
+        cert = rep.certificate
+        while cert["kind"] == "split":
+            cert = list(cert["branches"].values())[-1]
+        assert cert["witness"] == "normal form of 1 is 1"
+
+
+def test_split_reduces_a_power_to_its_variable():
+    # sqrt(I + (c*x^e)) = sqrt(I + (x)): one branch, and x0 restricts to zero
+    i = ideal("-3*x0^4", "y0^2 - x0*z0")
+    rep = radical_member(P("x0"), i)
+    assert rep.verified and rep.spairs_processed == 0
+    assert rep.certificate == {"kind": "split", "branches": {"x0": _TRIVIAL}}
+    # on x0 = 0 the second generator becomes the monomial y0^2: a second split
+    rep = radical_member(P("y0"), i)
+    assert rep.verified and rep.spairs_processed == 0
+    assert rep.certificate == {
+        "kind": "split",
+        "branches": {"x0": {"kind": "split", "branches": {"y0": _TRIVIAL}}},
+    }
+    # z0 is free on the leaf, whose residual is empty: the trick refutes it
+    rep = radical_member(P("z0"), i)
+    assert rep.outcome == engine.REFUTED
+    assert rep.certificate["branches"]["x0"]["branches"]["y0"] == {
+        "kind": "radical-trick", "aux": "w0", "witness": "normal form of 1 is 1",
+        "basis_size": 1,
+    }
+
+
+def test_split_on_a_constant_generator_is_the_unit_ideal(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engine, "buchberger", lambda *args, **kwargs: calls.append(args))
+    # a literal constant, and one the presolve makes: x0 = 1 turns
+    # x0*y0 - y0 + 2 into 2
+    for i in (Ideal([Polynomial.constant(3), P("x0*y0 + z0")]), ideal("x0 - 1", "x0*y0 - y0 + 2")):
+        rep = radical_member(P("z0"), i)
+        assert rep.verified and rep.spairs_processed == 0
+        assert rep.certificate == {"kind": "split", "branches": {}}
+    assert calls == []
+
+
+def test_split_refuted_in_one_branch_returns_at_once(monkeypatch):
+    # (x0*y0): x0 restricts to zero on x0 = 0 and is free on y0 = 0
+    rep = radical_member(P("x0"), ideal("x0*y0"))
+    assert rep.outcome == engine.REFUTED
+    assert rep.certificate["branches"]["x0"] == _TRIVIAL
+    assert rep.certificate["branches"]["y0"]["witness"] == "normal form of 1 is 1"
+    # a refuted first branch ends the query: the later branches are never
+    # presolved
+    presolves = []
+    monkeypatch.setattr(engine, "linear_presolve", lambda i: presolves.append(i) or linear_presolve(i))
+    i = ideal("x0*y0*z0")
+    rep = radical_member(P("y0*z0 + x0^2"), i)
+    assert rep.outcome == engine.REFUTED
+    assert list(rep.certificate["branches"]) == ["x0"]
+    assert len(presolves) == 2  # the ideal's own presolve and its first branch's
+
+
+def test_split_branches_are_built_once_per_ideal():
+    # the residual of the presolve splits on its first monomial generator,
+    # one branch per variable, and every query on the ideal walks the same
+    # branches
+    i = ideal("x1 - z0", "x1*z0 - y0^2", "x0^2*y0")
+    residual = i.presolved().residual
+    branches = residual.split()
+    ((mono, _),) = P("x0^2*y0").items()
+    assert [code for code, _ in branches] == [code for code, _ in mono]
+    assert [b.generators[-1] for _, b in branches] == [P("x0"), P("y0")]
+    for q in ("x0*y0", "y0*z0", "x0", "z0"):
+        radical_member(P(q), i)
+        assert residual.split() is branches
+    assert ideal("x0*y0 + z0").split() is None
+
+
 def test_merge_reports_worst_outcome():
     good = member(P("x0"), ideal("x0"))
     bad = member(P("x0"), ideal("y0"))
