@@ -87,7 +87,9 @@ ideal walks the same tree.  The certificate is that tree,
 certificate where p restricts to zero and a radical-trick certificate at a
 leaf with no monomial generator left, the only place a basis is built.  A
 failed branch refutes the query at once, and the session's time budget is
-checked before each branch.
+checked before each branch.  The split belongs to the presolve: a query
+with the presolve off takes the plain radical trick on the whole ideal,
+which is what the tests compare the presolve and the split against.
 """
 
 from __future__ import annotations
@@ -180,12 +182,6 @@ def session(budget: Budget | None = None):
         yield
     finally:
         _session.reset(token)
-
-
-def _session_budget() -> Budget:
-    """The open session's budget, or the default one."""
-    open_session = _session.get()
-    return (open_session and open_session[0]) or DEFAULT_BUDGET
 
 
 class BudgetExhausted(RuntimeError):
@@ -716,9 +712,10 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
     both to the linear presolve's residual (unless presolve is off), report
     a p that restricts to zero as verified with the trivial certificate, a
     p that is one of the ideal's generators as verified with the generator
-    certificate, and otherwise report decide(residual, p0) -> (ok,
-    certificate, S-pairs).  Time runs from the call; running out of budget
-    gives exhausted's report."""
+    certificate, and otherwise report decide(residual, p0, start) -> (ok,
+    certificate, S-pairs), where start is the query's one clock reading.
+    Time runs from the call; running out of budget gives exhausted's
+    report."""
     start = time.monotonic()
     try:
         if presolve:
@@ -731,7 +728,7 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
         if p in ideal.generators:
             cert = {"kind": "generator", "index": ideal.generators.index(p)}
             return check(claim, True, cert, 0, time.monotonic() - start)
-        ok, cert, spairs = decide(residual, p0)
+        ok, cert, spairs = decide(residual, p0, start)
         return check(claim, ok, cert, spairs, time.monotonic() - start)
     except BudgetExhausted as exc:
         return exhausted(claim, exc, time.monotonic() - start)
@@ -748,7 +745,7 @@ def member(
     refuted by normal form against a reduced basis; a refutation's witness
     is the nonzero remainder."""
 
-    def decide(residual, p0):
+    def decide(residual, p0, start):
         gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed
@@ -784,20 +781,21 @@ def radical_member(
     once.  A leaf with no monomial generator left takes the radical trick:
     adjoin 1 - w*p for a fresh auxiliary variable w and test whether the
     ideal becomes the unit ideal.  The session's time budget is checked
-    before each branch, from the query's start."""
+    before each branch, from the query's start.  With presolve off there is
+    no split either: the whole ideal takes the plain radical trick."""
     trivial = {"kind": "radical-trick", "trivial": True}
-    budget = _session_budget()
-    start = time.monotonic()
 
-    def decide(residual, p0):
+    def decide(residual, p0, start):
         aux = _fresh_aux(p, *ideal.generators)
         w = Polynomial.variable(aux)
+        open_session = _session.get()
+        budget = (open_session and open_session[0]) or DEFAULT_BUDGET
         spairs = 0
 
         def walk(node: Ideal, q: Polynomial) -> tuple[bool, dict]:
-            """Is q in the radical of node, an ideal with no linear generator?"""
+            """Is q in the radical of node?"""
             nonlocal spairs
-            branches = node.split()
+            branches = node.split() if presolve else None
             if branches is None:
                 gb = Ideal(node.generators + (Polynomial.one() - w * q,)).groebner()
                 spairs += gb.spairs_processed

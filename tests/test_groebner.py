@@ -867,6 +867,11 @@ def test_split_agrees_with_the_plain_trick_and_sympy(monomials, others, p, data)
     assert _sympy_trick(p, i) == plain
     rep = radical_member(p, i)
     assert rep.outcome == (VERIFIED if plain else engine.REFUTED)
+    # with the presolve off, the engine's reference path is the plain trick
+    # on the whole ideal, with no split
+    reference = radical_member(p, i, presolve=False)
+    assert reference.outcome == rep.outcome
+    assert reference.certificate["kind"] != "split"
     if not plain:
         # a refutation ends at its last branch, a radical-trick leaf that
         # carries its witness
