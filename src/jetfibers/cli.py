@@ -16,6 +16,7 @@ reports behind --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -70,7 +71,10 @@ def _add_output_flags(p, formats, default):
     p.add_argument("--out", default=None, metavar="FILE")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built on the first command and shared by the rest of the process: a
+    # parse keeps no state in the parser
     parser = _Parser(prog="jetfibers", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import lcm
 
 from .kernel import impl as _K
@@ -140,17 +139,39 @@ def _display_key(code: int):
     return (code >> _INDEX_BITS, -(code & _INDEX_MASK))
 
 
-# ranks after every (family, -index, -exponent) entry of a display key
-_DISPLAY_KEY_END = (len(_RANK_TO_FAMILY),)
+# ranks after every display rank of a variable
+_DISPLAY_KEY_END = len(_RANK_TO_FAMILY) << _INDEX_BITS
+
+_DISPLAY: dict[int, tuple[int, str]] = {}  # code -> (display rank, name)
+
+
+def _display_entry(code: int) -> tuple[int, str]:
+    """The code's display rank, _display_key(code) as one int of the same
+    order, and its name; kept in _DISPLAY."""
+    family, neg_index = _display_key(code)
+    entry = _DISPLAY[code] = ((family << _INDEX_BITS) + _INDEX_MASK + neg_index, var_name(code))
+    return entry
+
+
+def _display_factors(mono: Monomial) -> list:
+    """mono's (display rank, name, exponent) triples in ascending display rank."""
+    return sorted(
+        [(_DISPLAY.get(c) or _display_entry(c)) + (e,) for c, e in mono]
+    )
+
+
+def _factors_key(factors) -> tuple:
+    return tuple([x for rank, _, e in factors for x in (rank, -e)]) + (_DISPLAY_KEY_END,)
 
 
 def _display_term_key(mono: Monomial) -> tuple:
-    """Sort key of the ungraded reverse-lex display order: a monomial's
-    variables in ascending display rank, each with its negated exponent,
-    then _DISPLAY_KEY_END.  At the first variable where two monomials
-    differ, the smaller exponent ranks higher (an absent variable has
-    exponent 0, which is why the end marker outranks every entry)."""
-    return tuple(sorted(_display_key(c) + (-e,) for c, e in mono)) + (_DISPLAY_KEY_END,)
+    """Sort key of the ungraded reverse-lex display order: each of a
+    monomial's variables in ascending display rank, as its rank and its
+    negated exponent, then _DISPLAY_KEY_END.  At the first variable where
+    two monomials differ, the smaller exponent ranks higher (an absent
+    variable has exponent 0, which is why the end marker outranks every
+    rank)."""
+    return _factors_key(_display_factors(mono))
 
 
 # ---------------------------------------------------------------------------
@@ -385,33 +406,25 @@ def auxvar(i: int) -> Polynomial:
 # formatting
 
 
-def _format_term(mono: Monomial, coeff: Fraction) -> str:
-    parts = []
-    mag = -coeff if coeff < 0 else coeff
-    if not mono:
-        parts.append(str(mag))
-    else:
-        if mag != 1:
-            parts.append(str(mag))
-        for code, exp in sorted(mono, key=lambda ce: _display_key(ce[0]), reverse=True):
-            name = var_name(code)
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-    return "*".join(parts)
-
-
 def format_polynomial(p: Polynomial) -> str:
     """Canonical textual form; parse_polynomial inverts it bit-exactly."""
     if p.is_zero:
         return "0"
-    monos = sorted(p._terms, key=_display_term_key, reverse=True)
-    first = monos[0]
-    coeff = p._terms[first]
-    chunks = ["-" if coeff < 0 else ""]
-    chunks.append(_format_term(first, coeff))
-    for mono in monos[1:]:
-        coeff = p._terms[mono]
-        chunks.append(" - " if coeff < 0 else " + ")
-        chunks.append(_format_term(mono, coeff))
+    rows = []
+    for mono, coeff in p._terms.items():
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        factors = _display_factors(mono)
+        parts = [name if e == 1 else f"{name}^{e}" for _, name, e in reversed(factors)]
+        if not parts or mag != "1":
+            parts.insert(0, mag)
+        rows.append((_factors_key(factors), num < 0, "*".join(parts)))
+    # keys differ between monomials, so the sort never compares past them
+    rows.sort(reverse=True)
+    _, negative, text = rows[0]
+    chunks = ["-" + text if negative else text]
+    for _, negative, text in rows[1:]:
+        chunks.append((" - " if negative else " + ") + text)
     return "".join(chunks)
 
 
@@ -813,11 +826,21 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
 
     acc = _expand_packed(f, packed_series, mask, m)
 
-    exponents = _K.exponent_reader(bits, len(ring))
+    # read each term's set fields only, lowest slot (highest code) first, so
+    # the monomial comes out in descending code order
     buckets: list[dict] = [{} for _ in range(m + 1)]
     for mono, coeff in acc.items():
-        exps = exponents(mono >> bits)
-        buckets[mono & mask][tuple(zip(compress(ring, exps), compress(exps, exps)))] = (
+        pairs = []
+        rest = mono >> bits
+        slot = 0
+        while rest:
+            skip = ((rest & -rest).bit_length() - 1) // bits
+            rest >>= skip * bits
+            slot += skip
+            pairs.append((ring[slot], rest & mask))
+            rest >>= bits
+            slot += 1
+        buckets[mono & mask][tuple(pairs)] = (
             coeff if type(coeff) is Fraction else Fraction(coeff)
         )
     return [Polynomial(terms) for terms in buckets]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jetfibers.cli import main
+from jetfibers.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -47,6 +47,20 @@ def test_expand_rejects_jet_variables(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "an", "table", "--n", "3")  # missing --m
     assert code == 1
+
+
+def test_shared_parser_keeps_no_state_between_commands(capsys):
+    # the parser is built once per process: a usage error after a command
+    # with non-default flags must leave the next command as a fresh parser
+    # would run it
+    build_parser.cache_clear()
+    fresh = run(capsys, "an", "table", "--n", "3", "--m", "3..7")
+    assert fresh[0] == 0
+    assert run(capsys, "an", "table", "--n", "2", "--m", "2..6", "--format", "csv")[0] == 0
+    code, _, err = run(capsys, "an", "table", "--n", "3", "--format", "yaml")
+    assert code == 1 and "invalid choice" in err
+    assert run(capsys, "an", "table", "--n", "3", "--m", "3..7") == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_unknown_format_is_usage_error(capsys):

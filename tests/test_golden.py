@@ -56,6 +56,11 @@ def test_benchmark_expand_m40_matches_pin(capsys):
 PINS = [
     (["expand", "x*y-z^5", "--m", "12"], 0,
      "1e10311635f7243051671a14492da17cfc6d428e97c428759c1f1e05ffe935ba", 4090),
+    # the text path byte for byte: negative terms, and fractions in JSON
+    (["expand", "x^2-y^2*z+z^3", "--m", "24"], 0,
+     "9d100245e42232b8fb72aea749d4c26c33b97e01b87fbacdf47a34b0a234d1ee", 30225),
+    (["expand", "3/2*x^3*y-2/7*z^2+x", "--m", "8", "--format", "json"], 0,
+     "dadc29dd6b26e4129f74bb883f1fdff2e7e4c1118f4e994ada0cdb1bf96fec8b", 2854),
     (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3"], 0,
      "66f121a68e504df5b168d19394640e346e380804432503e94265411472a6127c", 94),
     (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3", "--format", "json"], 0,

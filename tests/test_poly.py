@@ -177,6 +177,56 @@ def test_display_key_ranks_an_absent_variable_above_any_power():
         assert _display_term_key(shorter) > _display_term_key(longer)
 
 
+# the documented display ranking of a term's factors, written out here
+# rather than taken from the module: families w > x > y > z, and the lower
+# index first within a family
+_FAMILIES_BY_DISPLAY_RANK = "zyxw"
+
+
+def _ref_factor_rank(code):
+    return (_FAMILIES_BY_DISPLAY_RANK.index(var_family(code)), -var_index(code))
+
+
+def _ref_format(p) -> str:
+    """Reference text form: terms in descending _display_term_cmp order, each
+    as its coefficient's magnitude (left out when it is 1 and the term has a
+    variable) and its factors in descending display rank, joined by "*", a
+    factor being name or name^exp; the first term carries a leading "-" when
+    negative, the others are joined by " - " or " + "."""
+    terms = dict(p.items())
+    if not terms:
+        return "0"
+    text = ""
+    for mono in sorted(terms, key=cmp_to_key(_display_term_cmp), reverse=True):
+        coeff = terms[mono]
+        factors = sorted(mono, key=lambda ce: _ref_factor_rank(ce[0]), reverse=True)
+        parts = [var_name(c) if e == 1 else f"{var_name(c)}^{e}" for c, e in factors]
+        if abs(coeff) != 1 or not mono:
+            parts.insert(0, str(abs(coeff)))
+        if text:
+            text += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            text = "-"
+        text += "*".join(parts)
+    return text
+
+
+_display_polys = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(_DISPLAY_CODES), st.integers(1, 12)), max_size=4),
+        st.fractions(min_value=-20, max_value=20, max_denominator=7),
+    ),
+    max_size=6,
+).map(Polynomial.from_terms)
+
+
+@given(_display_polys)
+@example(P("-w1^2*x11 + 3/2*x0*x2^3 - z0*z10 - 5/3"))
+@example(P("-x0 + 1"))
+def test_format_matches_reference_formatter(p):
+    assert format_polynomial(p) == _ref_format(p)
+
+
 def test_display_zero_and_constants():
     assert str(Polynomial.zero()) == "0"
     assert str(Polynomial.constant(Fraction(-3, 7))) == "-3/7"

@@ -204,6 +204,26 @@ def test_field_width_edge_exponent_255_and_256():
         assert got[3] == zvar(1) ** (3 * e)
 
 
+def test_decoding_full_fields_of_multi_variable_coefficients():
+    # the ring is x2 > y1 > z0, so z0 holds the highest slot; cubing
+    # y1^85*z0^85 fills two adjacent 8-bit fields with 255 each, and the
+    # cross terms leave gaps between the set fields
+    assert _K.field_bits(3 * 85) == 8
+    x2, y1, z0 = xvar(2), yvar(1), zvar(0)
+    x, z = (Polynomial.variable(c) for c in (AMBIENT[0], AMBIENT[2]))
+    f = z**3 - Fraction(2, 3) * x * z
+    zs = [
+        Polynomial.zero(),
+        y1**85 * z0**85 - Fraction(3, 2) * x2 * z0**85,
+        x2 + z0,
+        Polynomial.constant(Fraction(5, 7)),
+    ]
+    xs = [Polynomial.zero(), x2 * y1**2, Polynomial.zero(), Polynomial.constant(-4)]
+    got = _assert_same_expansion(f, xs, _zeros(3), zs, 3)
+    assert got[3].coefficient([(var_code(Y, 1), 255), (var_code(Z, 0), 255)]) == 1
+    assert got[3].coefficient([(var_code(X, 2), 3), (var_code(Z, 0), 255)]) == Fraction(-27, 8)
+
+
 def test_t_power_past_one_byte_with_linear_f():
     m = 256
     f = Polynomial.variable(AMBIENT[0]) + 2 * Polynomial.variable(AMBIENT[1])
