@@ -869,7 +869,9 @@ def _eliminate_aux(gens, w: int) -> Ideal:
 
 
 def ideal_intersect_elim(a: Ideal, b: Ideal) -> Ideal:
-    """a ^ b computed from <w*a, (1-w)*b> by eliminating the fresh slot w."""
+    """a ^ b computed from <w*a, (1-w)*b> by eliminating the fresh slot w.
+    No package code calls it: the A_n meet claims stand on the ladders'
+    monomial meet, and the tests keep this as the exact reference."""
     w = _fresh_aux(*a.generators, *b.generators)
     wp = Polynomial.variable(w)
     one_minus = Polynomial.one() - wp

@@ -7,6 +7,7 @@ from jetfibers.an import (
     ComponentDescriptor,
     Ladder,
     _case_guard,
+    _meet_claim,
     an_table,
     component_dimension,
     component_ideal,
@@ -23,7 +24,7 @@ from jetfibers.an import (
     verify_decomposition,
 )
 from jetfibers import groebner as gb
-from jetfibers.poly import parse_polynomial
+from jetfibers.poly import Polynomial, parse_polynomial
 
 
 def P(text):
@@ -333,6 +334,69 @@ def test_case_guard_refutes_a_repeated_component():
     guard = _case_guard(twice)
     assert guard.outcome == gb.REFUTED
     assert guard.certificate["witness"] == f"{dec.components[0].label} listed twice"
+
+
+def test_every_component_generator_is_a_ladder_variable_or_a_pair_generator():
+    # the premise of the meet claim: C_u lies in J + L_u, so covering V(J)
+    # by the ladders covers it by the components
+    for n in range(2, 6):
+        for m in range(n, 2 * n + 7):
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    J = set(pair_ideal(n, m, i, j).generators)
+                    for desc in decompose_intersection(n, m, i, j).components:
+                        allowed = J | set(desc.ladder.generators())
+                        for g in desc.ideal(n, m).generators:
+                            assert g in allowed, (n, m, i, j, desc.label, str(g))
+
+
+# every pair with two or more components at (3, 6) (case c) and (3, 9)
+# (case d), and one pair each at (2, 7) and (4, 11)
+DROPPED = [
+    (3, 6, 1, 2), (3, 6, 1, 3), (3, 6, 2, 3), (2, 7, 1, 2),
+    (3, 9, 1, 2), (3, 9, 1, 3), (3, 9, 2, 3), (4, 11, 2, 3),
+]
+
+
+@pytest.mark.parametrize("n, m, i, j", DROPPED)
+def test_dropping_a_component_refutes_the_meet_claim(n, m, i, j):
+    dec = decompose_intersection(n, m, i, j)
+    assert dec.case in "cd" and dec.count >= 2
+    J = pair_ideal(n, m, i, j)
+    assert _meet_claim(dec, J).outcome == gb.VERIFIED
+    for u in range(dec.count):
+        rest = dec.components[:u] + dec.components[u + 1:]
+        rep = _meet_claim(dataclasses.replace(dec, components=rest), J)
+        assert rep.outcome == gb.REFUTED, (n, m, i, j, u)
+
+
+def _exact_meet(dec) -> gb.Ideal:
+    """The exact intersection of the listed component ideals, by
+    elimination: the shared ladder variables are split off and the
+    residuals intersected pairwise."""
+    common = sorted(set.intersection(*(set(d.ladder.codes()) for d in dec.components)))
+    residuals = [
+        gb.Ideal([gb.restrict_to_residual(g, common) for g in d.ideal(dec.n, dec.m).generators])
+        for d in dec.components
+    ]
+    current = residuals[0]
+    for nxt in residuals[1:]:
+        current = gb.ideal_intersect_elim(current, nxt)
+    coordinate = tuple(Polynomial.variable(c) for c in reversed(common))
+    return gb.Ideal(coordinate + current.generators)
+
+
+@pytest.mark.parametrize("n, m", [(2, 6), (2, 7), (3, 8)])
+def test_exact_meet_of_the_components_lies_in_the_radical(n, m):
+    # the reference the ladder meet replaces: the exact intersection of the
+    # tail-regime components, computed by elimination, lies in sqrt J too
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            dec = decompose_intersection(n, m, i, j)
+            assert dec.case == "d"
+            J = pair_ideal(n, m, i, j)
+            for g in _exact_meet(dec).generators:
+                assert gb.radical_member(g, J).outcome == gb.VERIFIED, (n, m, i, j, str(g))
 
 
 def test_pair_ideal_shape():

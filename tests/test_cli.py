@@ -296,21 +296,6 @@ def test_budgeted_commands_report_instead_of_crashing(capsys, argv, budget):
     assert code in (0, 3)
 
 
-def test_exhausted_intersection_is_a_budget_report(capsys):
-    code, out, _ = run(
-        capsys, "an", "verify", "--n", "2", "--m", "6", "--budget-spairs", "0",
-        "--format", "json",
-    )
-    assert code == 3
-    (report,) = [r for r in json.loads(out)["reports"] if r["claim"].endswith(";1,2)")]
-    (meet,) = [
-        s for s in report["certificate"]["subchecks"]
-        if s["claim"].endswith("subset sqrt J(n2,m6;1,2)")
-    ]
-    assert meet["outcome"] == "budget-exhausted"
-    assert meet["certificate"] == {"kind": "budget", "context": "buchberger"}
-
-
 def test_d4_graph_budget_is_an_error(capsys):
     code, out, err = run(capsys, "d4", "graph", "--m", "5", "--budget-spairs", "5")
     assert code == 3

@@ -80,20 +80,28 @@ PINS = [
     (["an", "verify", "--n", "3", "--m", "6", "--i", "1", "--j", "3"], 0,
      "e3e94bd4e86503d611a32d9e7ec8958f9228bc12505a3bbc6a0632cdc134cb1e", 99),
     # budgeted runs of commands that still build bases once the radical
-    # queries split on monomial generators
-    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 3,
-     "9805c31dbb835eecdd844f30137ed7236414e864082cc2d2b621660847d0a11a", 259),
+    # queries split on monomial generators and the meet claims stand on the
+    # ladders: the witness refutations of (2,7) and (2,8)
+    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "5"], 3,
+     "9deb4353af9bed4543936873727575601b59310552585aa84eca9215c3273b5c", 163),
     (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 3,
-     "17893116c912e17b52e9460d9794556fc75fb8de5fe0a425be9667e3b6d6ad2d", 19798),
-    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 3,
-     "e5a732d2dc7d35f1c6490dc07d6b72875b05fa12224e032604a45f1602cf1510", 85367),
-    (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 3,
-     "64d844a8f59cd3d6f7c3ea1cfc6fc1b957df0977b73fc7857c40fa9e8999b87f", 244149),
+     "9ab69915a6540c6622ce5315adb63a5ffdbc6a2eb633bb3fd4176fb74d51821c", 24867),
+    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "20", "--format", "json"], 3,
+     "e45c1f02e5786b9161122137376210119cc59424114e5f4d4d6a1c3d24666e41", 25893),
+    # budgets these commands never reach: they pop no S-pair
+    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 0,
+     "7cd0160c0e68b10c4b24114a30a4f993ea35330c914139754e4bc0d55839ce8e", 259),
+    (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 0,
+     "9670d52c7b910e31f7d144fea4de45d54cf9c9e3fc04b4e7cf4619b9b7111e76", 113047),
+    (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 0,
+     "b0a381b876e56607d4752f118a38fadfdd2a726b8d4f7ea3e48a032f127e1328", 345101),
     # the old A_n frontier, about 0.1-0.3 s each
     (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
-     "0dee8a55943df0463a3fec6a218bcf2b9a856bcf7377e38af49d60b3b3f907d2", 48002),
+     "38387498257560ddaf76c4be8901323386508628487d2fac3814f68130374f3d", 26031),
     (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
      "98f371aca24f645cea1d8f371cc3ac265f66d2f63e75bf7ed333334d860d107c", 315655),
+    (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
+     "0510a3ba6d7dd185394a961097035f234127b531018f911d4b45149ddd0b816d", 28388),
     (["d4", "ideals", "--m", "5"], 0,
      "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
     (["d4", "ideals", "--m", "5", "--format", "json"], 0,
