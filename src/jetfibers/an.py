@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import groebner as gb
 from .jets import an_surface, g_shift, jet_coeffs
-from .poly import Polynomial, var_code, var_name, X, Y, Z
+from .poly import Polynomial, evaluate, var_code, var_family, var_index, var_name, X, Y, Z
 
 # ---------------------------------------------------------------------------
 # ladders
@@ -303,15 +303,50 @@ def _meet_claim(dec: IntersectionDecomposition, J: gb.Ideal) -> gb.VerificationR
     return gb.merge_reports(f"{dec.meet_label} subset sqrt {J.label}", subs)
 
 
+def arc_values(m: int, a: int, b: int, c: int) -> dict:
+    """The m-jet of the monomial arc x = t^a, y = t^b, z = t^c, as variable
+    code -> 1 with every other coordinate zero; a series whose exponent
+    passes m is zero."""
+    return {var_code(f, e): 1 for f, e in ((X, a), (Y, b), (Z, c)) if e <= m}
+
+
+def _avoids_on_arc(
+    n: int, m: int, v: Polynomial, comp: gb.Ideal, claim: str
+) -> gb.VerificationReport:
+    """The witness variable v (x_k or y_k) is not in the component.  Along a
+    monomial arc with a + b = (n+1)c the surface equation, and with it every
+    jet equation, vanishes identically, and v is 1 on the arc whose x (or y)
+    exponent is k.  The arcs are searched by increasing c from 0 to m+1 (by
+    then the arc is x = t^k or y = t^k alone), and the first on which every
+    generator of the component vanishes is the witness, certificate
+    {"arc": [a, b, c]}; the engine decides when there is none."""
+    ((mono, _),) = v.items()
+    ((code, _),) = mono
+    k = var_index(code)
+    for c in range(m + 2):
+        other = (n + 1) * c - k
+        if other < 0:
+            continue
+        a, b = (k, other) if var_family(code) == X else (other, k)
+        values = arc_values(m, a, b, c)
+        if not any(evaluate(g, values) for g in comp.generators):
+            return gb.avoids_at(
+                v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
+            )
+    return gb.expect_refuted(gb.member(v, comp, claim=claim))
+
+
 def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationReport:
     """Engine certification of the decomposition of one pairwise intersection.
 
     Checks, after the coordinate presolve: the pair ideal J sits inside every
     listed component; the generators of the meet of the components' ladders
-    sit in the radical of J; adjacent components are separated by the
-    witness variables; in the tail regime the residual generators are
-    exactly the reindexed jet equations on variables disjoint from the
-    ladder (the structural fact the cited primality rests on).
+    sit in the radical of J; the components are separated pairwise by the
+    witness variables x_w and y_w, each a variable of one component's ladder
+    and outside the other by a point check at a monomial arc
+    (_avoids_on_arc), so no basis is built; in the tail regime the residual
+    generators are exactly the reindexed jet equations on variables disjoint
+    from the ladder (the structural fact the cited primality rests on).
 
     The ladder meet certifies the meet of the components: V(J) lies in the
     union of the ladders' zero sets V(L_u), each component C_u is generated
@@ -343,12 +378,12 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
                 y_w = Polynomial.variable(var_code(Y, m - j - u1))
             pieces = [
                 gb.member(x_w, comps[u2], claim=f"{x_w} in {dec.components[u2].label}"),
-                gb.expect_refuted(
-                    gb.member(x_w, comps[u1], claim=f"{x_w} not in {dec.components[u1].label}")
+                _avoids_on_arc(
+                    n, m, x_w, comps[u1], f"{x_w} not in {dec.components[u1].label}"
                 ),
                 gb.member(y_w, comps[u1], claim=f"{y_w} in {dec.components[u1].label}"),
-                gb.expect_refuted(
-                    gb.member(y_w, comps[u2], claim=f"{y_w} not in {dec.components[u2].label}")
+                _avoids_on_arc(
+                    n, m, y_w, comps[u2], f"{y_w} not in {dec.components[u2].label}"
                 ),
             ]
             reports.append(

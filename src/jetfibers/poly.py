@@ -751,18 +751,19 @@ def t_order(point: JetPoint, g: Polynomial):
 
 def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
     """Value of p at a point given as variable-code -> rational; absent
-    variables count as zero."""
-    total = Fraction(0)
+    variables count as zero.  A term stops at its first zero factor, and
+    only the terms that survive are summed."""
+    total = 0
+    get = values.get
     for mono, coeff in p.items():
-        term = coeff
         for code, exp in mono:
-            v = values.get(code, Fraction(0))
+            v = get(code)
             if not v:
-                term = Fraction(0)
                 break
-            term = term * v**exp
-        total += term
-    return total
+            coeff = coeff * (v if exp == 1 else v**exp)
+        else:
+            total += coeff
+    return Fraction(total)
 
 
 def jet_point_values(pt: JetPoint) -> dict[int, Fraction]:

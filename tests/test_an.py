@@ -6,9 +6,11 @@ import pytest
 from jetfibers.an import (
     ComponentDescriptor,
     Ladder,
+    _avoids_on_arc,
     _case_guard,
     _meet_claim,
     an_table,
+    arc_values,
     component_dimension,
     component_ideal,
     containment,
@@ -20,11 +22,12 @@ from jetfibers.an import (
     table_csv,
     table_header,
     table_text,
+    verify_all_pairs,
     verify_containment_criterion,
     verify_decomposition,
 )
 from jetfibers import groebner as gb
-from jetfibers.poly import Polynomial, parse_polynomial
+from jetfibers.poly import Polynomial, parse_polynomial, var_code
 
 
 def P(text):
@@ -303,6 +306,77 @@ def test_verify_case_d_small():
     ]
     assert len(tails) == 3
     assert all(t["outcome"] == gb.VERIFIED for t in tails)
+
+
+def _refutations(rep):
+    """The "x_w / y_w not in" subchecks of a decomposition report."""
+    return [
+        piece
+        for sub in rep.certificate["subchecks"]
+        if sub["claim"].startswith("witnesses separate")
+        for piece in sub["certificate"]["subchecks"]
+        if " not in " in piece["claim"]
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, m, count", [(2, 7, 6), (4, 7, 22), (2, 12, 6), (3, 14, 30)]
+)
+def test_witness_refutations_stand_on_monomial_arcs(n, m, count):
+    # every refutation is a point check at an arc x=t^a, y=t^b, z=t^c with
+    # a+b=(n+1)c, where the witness variable is 1: no basis, under a budget
+    # of no S-pair at all
+    with gb.session(gb.Budget(max_spairs=0)):
+        reports = verify_all_pairs(n, m)
+    refutations = [piece for rep in reports for piece in _refutations(rep)]
+    assert len(refutations) == count
+    for piece in refutations:
+        a, b, c = piece["certificate"]["arc"]
+        assert a + b == (n + 1) * c
+        assert piece["certificate"]["value"] == "1"
+        assert piece["outcome"] == gb.VERIFIED
+    assert all(rep.outcome == gb.VERIFIED and rep.spairs_processed == 0 for rep in reports)
+
+
+def _first_two_components(n, m, i, j):
+    dec = decompose_intersection(n, m, i, j)
+    return dec.components[0].ideal(n, m), dec.components[1].ideal(n, m)
+
+
+def test_an_arc_off_the_component_falls_back_to_the_engine():
+    # (2,7;1,2): x2 is not in L(2,4,2)+f[6..7], witnessed by the arc (2,4,2).
+    # Setting x0 = 1 as well moves the point off the component: the point
+    # check fails and names x0, and the engine decides with the outcome the
+    # claim had when it stood on the engine alone
+    comp, _ = _first_two_components(2, 7, 1, 2)
+    x2 = P("x2")
+    claim = "x2 not in L(2,4,2)+f[6..7]"
+    found = _avoids_on_arc(2, 7, x2, comp, claim)
+    assert found.certificate == {"arc": [2, 4, 2], "value": "1"}
+
+    moved = {**arc_values(7, 2, 4, 2), var_code("x", 0): 1}
+    rep = gb.avoids_at(x2, comp, moved, claim=claim, witness={"arc": [2, 4, 2]}, radical=False)
+    engine = gb.expect_refuted(gb.member(x2, comp, claim=claim))
+    assert rep.certificate["point check"]["nonvanishing"] == ["x0"]
+    assert rep.certificate["engine"] == engine.certificate
+    assert (rep.outcome, rep.spairs_processed) == (engine.outcome, engine.spairs_processed)
+    assert rep.outcome == gb.VERIFIED and rep.spairs_processed > 0
+
+
+def test_an_zero_of_the_witness_never_verifies():
+    # x2 lies in L(3,3,2)+f[6..7], so "x2 not in" it is false.  The arc
+    # (3,3,2) lies on that component and x2 vanishes there: the point says
+    # nothing, and the engine refutes the claim.  The arc search finds no
+    # arc at all, since x2 = 1 leaves the ladder, and the engine decides.
+    _, comp = _first_two_components(2, 7, 1, 2)
+    x2 = P("x2")
+    claim = "x2 not in L(3,3,2)+f[6..7]"
+    rep = gb.avoids_at(x2, comp, arc_values(7, 3, 3, 2), claim=claim, radical=False)
+    assert rep.certificate["point check"]["value"] == "0"
+    assert rep.outcome == gb.REFUTED
+    searched = _avoids_on_arc(2, 7, x2, comp, claim)
+    assert searched.outcome == gb.REFUTED
+    assert searched.certificate == gb.member(x2, comp).certificate
 
 
 def _case_guard_report(rep):

@@ -255,11 +255,10 @@ def test_budget_flags_accepted(capsys):
 
 @pytest.mark.parametrize("flag", ["--budget-spairs", "--budget-seconds"])
 def test_zero_budget_is_a_budget(capsys, flag):
-    # (2,7) still builds bases: its intersection and the radical tricks at
-    # the leaves of its splits
-    code, out, _ = run(
-        capsys, "an", "verify", "--n", "2", "--m", "7", flag, "0", "--format", "json"
-    )
+    # d4 verify --m 6 still builds bases: its coordinate lemmas and the
+    # z2/x3/y2 chain queries (no an verify does, since its refutations stand
+    # on monomial arcs)
+    code, out, _ = run(capsys, "d4", "verify", "--m", "6", flag, "0", "--format", "json")
     assert code == 3
     payload = json.loads(out)
     assert payload["config"][flag[2:].replace("-", "_")] == 0

@@ -9,6 +9,7 @@ from jetfibers.d4 import (
     PHI1,
     PHI2,
     PHI2_INV,
+    chart_point,
     d4_ideals,
     d4_maximal_intersections,
     g1,
@@ -36,9 +37,12 @@ from jetfibers.poly import (
     evaluate,
     jet_point_values,
     jet_variables,
+    linear_substitute,
     parse_polynomial,
     t_order,
     var_code,
+    var_family,
+    var_index,
 )
 
 
@@ -353,6 +357,65 @@ def test_witness_chain_engine_subchecks_at_m6():
     assert claims["y2 avoids sqrt I0+J1+(g1) m6"] == gb.VERIFIED
 
 
+@pytest.mark.parametrize("m", [6, 7, 8, 11, 14])
+def test_strictness_stands_on_the_point_p_at_every_order(m):
+    rep = witness_checks(m)
+    assert rep.outcome == gb.VERIFIED
+    subs = {s["claim"]: s for s in rep.certificate["subchecks"]}
+    assert subs[f"y2 avoids sqrt I0+J1+(g1) m{m}"] == {
+        "claim": f"y2 avoids sqrt I0+J1+(g1) m{m}",
+        "outcome": gb.VERIFIED,
+        "certificate": {"point": {"y2": "1"}, "value": "1"},
+    }
+    # the positive chain queries stay behind the m <= 7 guard
+    assert (f"z2 in sqrt I0+J1+(g1) m{m}" in subs) == (m <= 7)
+
+
+def _chain_ideal(m):
+    fam = d4_ideals(m)
+    return fam.i0 + fam.j[1] + gb.Ideal([g1()])
+
+
+def test_a_point_off_the_variety_falls_back_to_the_engine():
+    # x2 = 1 moves P off V(I0+J1+(g1)), where x2 is a generator: the point
+    # check fails and names it, and the engine decides "y2 avoids" with the
+    # outcome it had when it stood on the engine alone
+    u1 = _chain_ideal(6)
+    y2 = P("y2")
+    moved = jet_point_values(JetPoint.make(6, x={2: 1}, y={2: 1}))
+    rep = gb.avoids_at(y2, u1, moved, claim="y2 avoids sqrt u1")
+    engine = gb.expect_refuted(gb.radical_member(y2, u1, claim="y2 avoids sqrt u1"))
+    failed = rep.certificate["point check"]
+    assert failed["point"] == {"x2": "1", "y2": "1"}
+    assert failed["value"] == "1"
+    assert "x2" in failed["nonvanishing"]
+    assert all(evaluate(P(g), moved) for g in failed["nonvanishing"])
+    assert rep.certificate["engine"] == engine.certificate
+    assert (rep.outcome, rep.spairs_processed) == (engine.outcome, engine.spairs_processed)
+    assert rep.outcome == gb.VERIFIED and rep.spairs_processed > 0
+
+
+@pytest.mark.parametrize(
+    "text, point, outcome",
+    [
+        # z2 and x3 lie in the radical and vanish at P: the claims are false
+        ("z2", point_p(6), gb.REFUTED),
+        ("x3", point_p(6), gb.REFUTED),
+        # y2 lies outside the radical but vanishes at the origin
+        ("y2", JetPoint.make(6), gb.VERIFIED),
+    ],
+)
+def test_a_zero_of_p_never_verifies(text, point, outcome):
+    u1 = _chain_ideal(6)
+    p = P(text)
+    values = jet_point_values(point)
+    assert gb.vanishes_at("on V", u1, values).verified and not evaluate(p, values)
+    rep = gb.avoids_at(p, u1, values, claim=f"{text} avoids sqrt u1")
+    engine = gb.expect_refuted(gb.radical_member(p, u1, claim=f"{text} avoids sqrt u1"))
+    assert rep.certificate["point check"]["value"] == "0"
+    assert rep.outcome == engine.outcome == outcome
+
+
 # ---------------------------------------------------------------------------
 # component ideals (saturation level)
 
@@ -371,6 +434,24 @@ def test_y1_avoids_component_radicals():
     for i in (1, 2, 3):
         comp = d4_ideals(5).component_ideal(i)
         assert gb.radical_member(P("y1"), comp).outcome == gb.REFUTED
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_y1_avoids_component_radicals_at_the_chart_points(m):
+    # P'(1) on the first component, phi2(P'(1)) on the second and
+    # phi2_inv(P'(1)) on the third: each ideal vanishes and y1 does not
+    fam = d4_ideals(m)
+    for i in (1, 2, 3):
+        comp = fam.component_ideal(i)
+        values = jet_point_values(chart_point(m, i))
+        rep = gb.avoids_at(P("y1"), comp, values, claim=f"y1 avoids sqrt I{i}")
+        assert rep.outcome == gb.VERIFIED and rep.spairs_processed == 0
+        assert "point" in rep.certificate and rep.certificate["value"] != "0"
+    # the saturation-level report takes the same points
+    subs = verify_component_ideals(m).certificate["subchecks"]
+    claims = {s["claim"]: s["certificate"] for s in subs}
+    for i in (1, 2, 3):
+        assert "point" in claims[f"y1 avoids sqrt I{i}(m{m})"]
 
 
 def test_flip_swaps_saturated_components():
@@ -438,6 +519,56 @@ def test_suite_all_verified():
         assert all(r.outcome == gb.VERIFIED for r in reports), [
             (r.claim, r.outcome) for r in reports if r.outcome != gb.VERIFIED
         ]
+
+
+def _plain_image(auto, p):
+    """auto on p by one linear substitution with its matrix written out."""
+    mapping = {}
+    for code in p.variables():
+        idx = var_index(code)
+        y, z = P(f"y{idx}"), P(f"z{idx}")
+        if var_family(code) == "y":
+            mapping[code] = auto.yy * y + auto.yz * z
+        elif var_family(code) == "z":
+            mapping[code] = auto.zy * y + auto.zz * z
+    return linear_substitute(p, mapping)
+
+
+def test_memoized_transport_equals_plain_substitution():
+    polys = set(jet_coeffs(d4_surface(), 8))
+    for m in range(5, 9):
+        fam = d4_ideals(m)
+        for ideal in (*fam.charts.values(), fam.i0):
+            polys.update(ideal.generators)
+    for auto in (PHI1, PHI2, PHI2_INV):
+        for p in polys:
+            image = auto.on_polynomial(p)
+            assert image == _plain_image(auto, p)
+            assert auto.on_polynomial(p) is image
+
+
+def test_chart_transport_reuses_the_invariance_images():
+    # phi-invariance transports f^(0..8) first; the chart transport at m=6
+    # then computes only the images of the chart and ladder generators
+    Automorphism.on_polynomial.cache_clear()
+    verify_phi_invariance(8)
+    before = Automorphism.on_polynomial.cache_info().misses
+    assert before == 2 * 9
+    verify_chart_transport(6)
+    fam = d4_ideals(6)
+    coeffs = set(jet_coeffs(d4_surface(), 8))
+    others = {g for i in (fam.i0, *fam.charts.values()) for g in i.generators} - coeffs
+    assert Automorphism.on_polynomial.cache_info().misses - before == 2 * len(others)
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_a_repeated_suite_transports_nothing_again(m):
+    verify_suite(m)
+    before = Automorphism.on_polynomial.cache_info()
+    verify_suite(m)
+    after = Automorphism.on_polynomial.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 @pytest.mark.parametrize("m", [5, 6])

@@ -79,29 +79,37 @@ PINS = [
      "85d83f3ec8651eb017b04ca607b90ae765b4ff5537041e76712887318ea3450d", 259),
     (["an", "verify", "--n", "3", "--m", "6", "--i", "1", "--j", "3"], 0,
      "e3e94bd4e86503d611a32d9e7ec8958f9228bc12505a3bbc6a0632cdc134cb1e", 99),
-    # budgeted runs of commands that still build bases once the radical
-    # queries split on monomial generators and the meet claims stand on the
-    # ladders: the witness refutations of (2,7) and (2,8)
-    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "5"], 3,
-     "9deb4353af9bed4543936873727575601b59310552585aa84eca9215c3273b5c", 163),
-    (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 3,
-     "9ab69915a6540c6622ce5315adb63a5ffdbc6a2eb633bb3fd4176fb74d51821c", 24867),
-    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "20", "--format", "json"], 3,
-     "e45c1f02e5786b9161122137376210119cc59424114e5f4d4d6a1c3d24666e41", 25893),
-    # budgets these commands never reach: they pop no S-pair
+    # budgets these commands never reach: they pop no S-pair, since the
+    # radical queries split on monomial generators, the meet claims stand on
+    # the ladders and the witness refutations on monomial arcs
+    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "5"], 0,
+     "b22063612ff3f8d04eb41ce04040d1c4643fd94a83a18e4228102fb95e491fc3", 163),
+    (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 0,
+     "0aa2500947f89e592e4bae61b4eed54801bd565029bd7412fcf58e903fbe7a66", 25249),
+    (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "20", "--format", "json"], 0,
+     "4dce750bbb43ba5f1b1ad9ebce7047e8cc9fb6c140ecc8e88fa3566412ca5709", 26273),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 0,
      "7cd0160c0e68b10c4b24114a30a4f993ea35330c914139754e4bc0d55839ce8e", 259),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 0,
-     "9670d52c7b910e31f7d144fea4de45d54cf9c9e3fc04b4e7cf4619b9b7111e76", 113047),
+     "2c7c2318679dee6decaa489337b8498de3976cc7268039fe2f3f42b264b02967", 114277),
     (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 0,
-     "b0a381b876e56607d4752f118a38fadfdd2a726b8d4f7ea3e48a032f127e1328", 345101),
-    # the old A_n frontier, about 0.1-0.3 s each
+     "120890de45a4b10fa9284fd2cb3189fcb3f307635da82f30e40fab7eae9b887e", 348821),
+    # budgeted runs that still build bases: the coordinate lemmas and the
+    # z2/x3/y2 chain queries of D4
+    (["d4", "verify", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
+     "c1ec921a818ae5ed0688c57721ca1aaacb2554fedf81f5a696eb4e46b65d8d69", 35957),
+    (["d4", "verify", "--m", "7", "--budget-spairs", "100"], 3,
+     "212cef20ecb75952d1f1ec67eab9d884e3e0929bf6b85230b9fc2ba6de34bf46", 680),
+    # the old A_n frontier, under 0.2 s each
     (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
-     "38387498257560ddaf76c4be8901323386508628487d2fac3814f68130374f3d", 26031),
+     "0401ec22986de15f755254607e745ccdd7e6d50d6501ace78e89442def796aa1", 26275),
     (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
-     "98f371aca24f645cea1d8f371cc3ac265f66d2f63e75bf7ed333334d860d107c", 315655),
+     "5a60e174db938a6d80cae548cdab8b9ba9de0f0192a7aed79a5a17c0f72d1def", 319375),
     (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
-     "0510a3ba6d7dd185394a961097035f234127b531018f911d4b45149ddd0b816d", 28388),
+     "7a3ec21f4d6db46b185a3fbd3c577434fc230151d856daa448de6291f074dd70", 28625),
+    # 27 s while its six witness refutations built radical-trick bases
+    (["an", "verify", "--n", "2", "--m", "12", "--format", "json"], 0,
+     "dcf307b58fa144f323ca5e0b3fccb4830b00d8969cbd579810a742998a17387c", 31141),
     (["d4", "ideals", "--m", "5"], 0,
      "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
     (["d4", "ideals", "--m", "5", "--format", "json"], 0,
@@ -113,12 +121,12 @@ PINS = [
     (["d4", "verify", "--m", "8"], 0,
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
-     "b0c227607098885e3b694cb96e77d349f2eb96073501732bad58d06985ed8a23", 36133),
+     "2fe96f06cd496b28bb15380c50a4ea426e8206d5cb8a2fda726a95f238f92bc6", 36081),
     # longer jet tails through the presolve's linear substitution
     (["d4", "verify", "--m", "10", "--format", "json"], 0,
-     "8885567d8ceab3346a833fd0ec5da1b4069df247df28e7cf9a1c184614088a1c", 39962),
+     "3cc5c19e3d66385a881f1dbdea74101e23885372ae512a07eb5b01a9a09dc254", 40214),
     (["d4", "verify", "--m", "12", "--format", "json"], 0,
-     "d7c5d95859cff37e89268d2f499c002c7fe8890860bd864a7b6dd313704727b2", 42316),
+     "adbf8244d6510ed0026c1aa79cdd9a5fef913aadda55588a7d77f7435c72af2d", 42568),
     (["d4", "graph", "--m", "6"], 0,
      "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
     (["d4", "graph", "--m", "5", "--format", "json"], 0,

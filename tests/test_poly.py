@@ -440,3 +440,33 @@ def test_evaluate_at_jet_point():
     values = jet_point_values(q)
     assert evaluate(P("8*x3^2*y2 - 8*x3^2*z2"), values) == -16
     assert values[var_code("y", 2)] == -1
+
+
+def _evaluate_reference(p: Polynomial, values) -> Fraction:
+    """The definition evaluate had before it skipped zero factors early: a
+    Fraction default on every lookup and a Fraction sum over every term."""
+    total = Fraction(0)
+    for mono, coeff in p.items():
+        term = coeff
+        for code, exp in mono:
+            v = values.get(code, Fraction(0))
+            if not v:
+                term = Fraction(0)
+                break
+            term = term * v**exp
+        total += term
+    return total
+
+
+_point_values = st.dictionaries(
+    st.sampled_from(_CODES), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@given(_polys(max_terms=6), _point_values)
+@example(Polynomial.zero(), {})
+@example(P("x1^2*y0 - 3/2*z2 + 5"), {var_code("x", 1): 2, var_code("y", 0): Fraction(1, 3)})
+def test_evaluate_matches_its_reference_definition(p, values):
+    got = evaluate(p, values)
+    assert type(got) is Fraction
+    assert got == _evaluate_reference(p, values)
