@@ -8,16 +8,26 @@ coordinate series starts at a prescribed t-power, the combinatorial index
 sets behind the closed formula for shifted coefficients, and the reindexed
 polynomials that describe jet equations after splitting off a ladder of
 coordinate hyperplanes.
+
+Every coefficient is written down by the closed formula, with no series
+product: each term of f^(j) is one choice of a weighted composition per
+variable family, times its multinomials.  One enumerator, ``_compositions``,
+lists those compositions by weight; ``expand_ambient``, ``lambda_z`` and
+``fpqr_closed`` all read it.  ``poly.substitute_series``, the general
+series substitution, stays bound here as well because the benchmark
+harness's self-test looks the name up on this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
-from .poly import (
+from .poly import (  # noqa: F401  (substitute_series: see the docstring)
     Polynomial,
+    _check_ambient,
     var_code,
     var_family,
     var_index,
@@ -97,16 +107,58 @@ class JetExpansion:
 
 def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 0)):
     """Coefficient polynomials of f at the generic jet whose x/y/z series
-    start at the given t-powers.  The workhorse behind everything below."""
-    p, q, r = shifts
-    zero = Polynomial.zero()
-    series = {}
-    for family, start in ((X, p), (Y, q), (Z, r)):
-        series[family] = [
-            zero if i < start else Polynomial.variable(var_code(family, i))
-            for i in range(m + 1)
-        ]
-    return substitute_series(f, series[X], series[Y], series[Z], m)
+    start at the given t-powers.  The workhorse behind everything below.
+
+    By the multinomial theorem, a term c*x0^a*y0^b*z0^d of f contributes to
+    f^(j) one term per choice of a weighted composition of a over the x
+    indices >= p, of b over the y indices >= q and of d over the z indices
+    >= r whose weights sum to j: c times the three multinomials times the
+    chosen variables.  The family degrees (a, b, d) determine the term of f
+    a monomial comes from, so every term is formed exactly once and each
+    coefficient is filled by plain assignment.
+    """
+    if m < 0:
+        raise ValueError("series order must be nonnegative")
+    _check_ambient(f)
+    coefficients: list[dict] = [{} for _ in range(m + 1)]
+    factors: dict = {}  # (family, degree) -> [(weight, pairs, multinomial)]
+
+    def family_factors(family: str, start: int, degree: int) -> list:
+        key = (family, degree)
+        got = factors.get(key)
+        if got is None:
+            buckets = _compositions(max(start, 0), degree, m, var_code(family, 0))
+            got = factors[key] = [
+                (w, pairs, mult) for w, bucket in enumerate(buckets) for pairs, mult in bucket
+            ]
+        return got
+
+    for mono, c in f.items():
+        num, den = c.numerator, c.denominator
+        made: dict = {}  # numerator -> its Fraction, built once per term of f
+        exps = dict(mono)
+        xs, ys, zs = (
+            family_factors(family, start, exps.get(var_code(family, 0), 0))
+            for family, start in zip((X, Y, Z), shifts, strict=True)
+        )
+        # x codes rank above y codes above z codes, so the concatenated
+        # factors are in descending code order
+        for wx, px, mx in xs:
+            for wy, py, my in ys:
+                if wx + wy > m:
+                    break
+                pxy = px + py
+                nxy = num * mx * my
+                for wz, pz, mz in zs:
+                    j = wx + wy + wz
+                    if j > m:
+                        break
+                    n = nxy * mz
+                    value = made.get(n)
+                    if value is None:
+                        value = made[n] = Fraction(n, den)
+                    coefficients[j][pxy + pz] = value
+    return [Polynomial(terms) for terms in coefficients]
 
 
 @lru_cache(maxsize=None)
@@ -171,37 +223,52 @@ class LambdaZ:
         return len(self.entries)
 
 
+def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list]:
+    """Weighted compositions of degree, bucketed by weight up to m.
+
+    buckets[w] lists, for each choice of indices start <= i_1 < ... < i_l
+    with positive parts d_k summing to degree and weight sum(i_k * d_k) = w,
+    the pair (((offset + i_l, d_l), ..., (offset + i_1, d_1)), multinomial),
+    highest index first as in a monomial, with the multinomial
+    degree! / (d_1! ... d_l!) carried down the recursion as a product of
+    binomials.  Degree 0 has the one empty composition, of weight 0.
+    """
+    if m < 0:
+        raise ValueError("weight bound must be nonnegative")
+    buckets: list[list] = [[] for _ in range(m + 1)]
+    if degree == 0:
+        buckets[0].append(((), 1))
+    else:
+        _descend(buckets, [], offset, start, degree, m, 1)
+    return buckets
+
+
+def _descend(buckets, chosen, offset, i_min, deg_left, weight_left, mult):
+    """Extend the composition in chosen by each index i >= i_min and part d
+    that leave room for the rest: i * deg_left <= weight_left bounds i, and
+    the deg_left - d parts still to come sit on indices above i, so
+    (i + 1) * (deg_left - d) <= weight_left - i * d bounds d from below.
+    A finished composition of weight w = m - weight_left goes to buckets[w],
+    that is buckets[-1 - weight_left]."""
+    for i in range(i_min, weight_left // deg_left + 1):
+        chosen.append(None)
+        for d in range(max(1, (i + 1) * deg_left - weight_left), deg_left + 1):
+            chosen[-1] = (offset + i, d)
+            left = weight_left - i * d
+            part = mult * math.comb(deg_left, d)
+            if d == deg_left:
+                buckets[-1 - left].append((tuple(chosen[::-1]), part))
+            else:
+                _descend(buckets, chosen, offset, i + 1, deg_left - d, left, part)
+        chosen.pop()
+
+
 def lambda_z(r: int, j: int, n: int) -> LambdaZ:
-    total = n + 1
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    support: list[int] = []
-    parts: list[int] = []
-
-    def descend(i_min: int, deg_left: int, weight_left: int):
-        if deg_left == 0:
-            if weight_left == 0:
-                found.append((tuple(support), tuple(parts)))
-            return
-        for i in range(i_min, j + 1):
-            if i * deg_left > weight_left:
-                break  # indices only grow, so the minimum weight already exceeds
-            for d in range(1, deg_left + 1):
-                w = weight_left - i * d
-                if w < 0:
-                    break
-                rest = deg_left - d
-                if rest == 0 and w != 0:
-                    continue
-                if rest > 0 and (i + 1) * rest > w:
-                    continue
-                support.append(i)
-                parts.append(d)
-                descend(i + 1, rest, w)
-                support.pop()
-                parts.pop()
-
-    descend(r, total, j)
-    return LambdaZ(r, j, n, tuple(found))
+    entries = tuple(
+        (tuple(i for i, _ in reversed(pairs)), tuple(d for _, d in reversed(pairs)))
+        for pairs, _ in _compositions(r, n + 1, j)[j]
+    )
+    return LambdaZ(r, j, n, entries)
 
 
 @lru_cache(maxsize=None)
@@ -221,11 +288,8 @@ def fpqr_closed(n: int, p: int, q: int, r: int, j: int) -> Polynomial:
     terms = []
     for l1, l2 in lambda_xy(p, q, j):
         terms.append((((var_code(X, l1), 1), (var_code(Y, l2), 1)), 1))
-    for support, parts in lambda_z(r, j, n):
-        mono = tuple(
-            (var_code(Z, i), d) for i, d in sorted(zip(support, parts), reverse=True)
-        )
-        terms.append((mono, -multinomial(parts)))
+    for mono, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
+        terms.append((mono, -mult))
     return Polynomial.from_terms(terms)
 
 

@@ -8,7 +8,9 @@ grevlex or for grevlex after one eliminated slot.  ``impl.normal_form``
 reduces against monic generators, taking the largest remaining monomial off
 a heap of negated keys at each step; given quotient dicts, it also records
 the cofactor of each step, which is how the engine divides with quotients.
-``impl.mul_terms`` is the truncated series product.
+``impl.mul_terms`` is the truncated series product; it serves only
+``poly.t_order`` and ``poly.substitute_series``, since the jet equations
+come from ``jets.expand_ambient``'s closed formula.
 
 ``perfbench/`` binds ``BACKEND``, which it records, and counts calls to
 ``impl.mono_deg``, ``impl.mono_div`` and ``impl.mono_cmp``, so these names

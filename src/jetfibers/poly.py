@@ -3,11 +3,16 @@
 Everything downstream (jet equations, Groebner computations, certificate
 checks) is built on the types here.  A Polynomial's coefficients are
 ``fractions.Fraction``, so every identity in the package is decided by
-exact equality, never by a tolerance.  The truncated series expansion
-behind ``substitute_series`` and ``t_order`` works on ``int`` coefficients
-wherever its inputs are whole numbers (a non-integral coefficient stays a
-Fraction, and mixed arithmetic is exact) and converts back to Fraction
-when it builds the Polynomials it returns.
+exact equality, never by a tolerance.
+
+``substitute_series`` is the general truncated series substitution: any
+polynomial coefficients in the x, y and z series.  It and ``t_order``
+multiply series on packed monomials, with ``int`` coefficients wherever
+the inputs are whole numbers (a non-integral coefficient stays a Fraction,
+and mixed arithmetic is exact), and convert back to Fraction when they
+build the Polynomials they return.  The jet equations themselves, f at the
+generic jet, do not go through it: ``jets.expand_ambient`` writes them down
+by the multinomial theorem, and the tests hold the two against each other.
 
 Variables
 ---------
@@ -776,7 +781,8 @@ def jet_point_values(pt: JetPoint) -> dict[int, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# symbolic truncated-series substitution (the jet-equation engine)
+# symbolic truncated-series substitution (general series; the jet equations
+# come from jets.expand_ambient)
 
 
 def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):

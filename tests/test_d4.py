@@ -87,6 +87,34 @@ def test_order_bound_enforced():
         d4_ideals(4)
 
 
+def test_the_family_is_built_once_per_order(monkeypatch):
+    # a second d4_ideals(m), as every check of every command makes, returns
+    # the same ideals with their presolves kept: the chart transport queries
+    # only family ideals, so running it again presolves nothing
+    def run():
+        fam = d4_ideals(6)
+        assert verify_chart_transport(6).verified
+        for ideal in (*fam.charts.values(), fam.i0, *fam.j.values()):
+            ideal.presolved()
+        return fam
+
+    fam = run()
+    calls = []
+    presolve = gb.linear_presolve
+
+    def recorded(ideal):
+        calls.append(ideal.label)
+        return presolve(ideal)
+
+    monkeypatch.setattr(gb, "linear_presolve", recorded)
+    assert run() is fam
+    assert calls == []
+    # the charts do not depend on the order: every family shares them
+    assert d4_ideals(7).charts is fam.charts
+    with pytest.raises(AttributeError):
+        fam.m = 7
+
+
 # ---------------------------------------------------------------------------
 # automorphisms
 

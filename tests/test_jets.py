@@ -4,6 +4,7 @@ import pytest
 
 from jetfibers.jets import (
     JetExpansion,
+    _compositions,
     Surface,
     an_surface,
     d4_surface,
@@ -16,7 +17,17 @@ from jetfibers.jets import (
     lambda_z,
     multinomial,
 )
-from jetfibers.poly import Polynomial, parse_polynomial, var_family, var_index
+from jetfibers.poly import (
+    X,
+    Y,
+    Z,
+    Polynomial,
+    parse_polynomial,
+    var_code,
+    var_family,
+    var_index,
+    xvar,
+)
 
 
 def P(text: str) -> Polynomial:
@@ -156,6 +167,24 @@ def test_lambda_z_empty_iff_threshold():
         assert (len(lambda_z(r, j, n)) == 0) == (r * (n + 1) > j)
 
 
+def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
+    # one enumerator for every weight up to m: bucket j is lambda_z's entry
+    # list at j, in the same order, each with its multinomial and its
+    # factors highest index first
+    for r, n, m in itertools.product(range(3), (1, 2, 3), range(8)):
+        buckets = _compositions(r, n + 1, m, var_code(Z, 0))
+        assert len(buckets) == m + 1
+        for j, bucket in enumerate(buckets):
+            entries = lambda_z(r, j, n).entries
+            assert [
+                (tuple(var_index(c) for c, _ in reversed(mono)), tuple(d for _, d in reversed(mono)))
+                for mono, _ in bucket
+            ] == list(entries), (r, n, m, j)
+            assert [mult for _, mult in bucket] == [multinomial(parts) for _, parts in entries]
+    assert _compositions(3, 0, 2) == [[((), 1)], [], []]
+    assert _compositions(3, 1, 2) == [[], [], []]
+
+
 def test_multinomial():
     assert multinomial((3,)) == 1
     assert multinomial((1, 1)) == 2
@@ -258,3 +287,38 @@ def test_expand_ambient_generic_polynomial():
     f = parse_polynomial("x^2 - y^2*z + z^3", ambient=True)
     coeffs = expand_ambient(f, 5, (2, 1, 2))
     assert coeffs[4] == P("x2^2 - y1^2*z2")
+
+
+@pytest.mark.parametrize(
+    "text, m, terms", [("x*y-z^5", 40, 18_199), ("x^2-y^2*z+z^3", 40, 9_114)]
+)
+def test_expand_ambient_forms_each_term_once(text, m, terms):
+    # the choices of one composition per family with total weight <= m, over
+    # the terms of f, are exactly as many as the terms of f^(0..m): no two
+    # choices meet at one monomial, so no coefficient is ever merged
+    f = parse_polynomial(text, ambient=True)
+    choices = 0
+    for mono, _ in f.items():
+        exps = dict(mono)
+        sizes = [
+            [len(bucket) for bucket in _compositions(0, exps.get(var_code(fam, 0), 0), m)]
+            for fam in (X, Y, Z)
+        ]
+        choices += sum(
+            nx * ny * nz
+            for wx, nx in enumerate(sizes[0])
+            for wy, ny in enumerate(sizes[1][: m + 1 - wx])
+            for nz in sizes[2][: m + 1 - wx - wy]
+        )
+    assert choices == terms == sum(len(c) for c in expand_ambient(f, m))
+
+
+def test_expand_ambient_rejects_bad_input():
+    f = parse_polynomial("x*y-z^5", ambient=True)
+    with pytest.raises(ValueError, match="series order must be nonnegative"):
+        expand_ambient(f, -1)
+    with pytest.raises(ValueError, match=r"not an ambient polynomial \(uses x1\)"):
+        expand_ambient(f + xvar(1), 3)
+    # the order is checked first
+    with pytest.raises(ValueError, match="series order"):
+        expand_ambient(xvar(1), -1)

@@ -8,6 +8,10 @@ product is formed and the ones past t^m are skipped.  Both must give the
 same Polynomials, with Fraction coefficients, on random inputs and at the
 edges of the packing: a field filled to its last value, a t power past one
 byte, and a product landing exactly on t^m.
+
+expand_ambient, the closed formula that expands along the generic jet
+without any series product, is held to both: the reference and
+substitute_series at the shifted generic series.
 """
 
 import gc
@@ -171,6 +175,45 @@ def _series_cases(draw):
 def test_packed_expansion_matches_dense_reference(case):
     f, (xs, ys, zs), m = case
     _assert_same_expansion(f, xs, ys, zs, m)
+
+
+def _generic_series(m, shifts):
+    return [
+        [
+            Polynomial.zero() if i < start else Polynomial.variable(var_code(family, i))
+            for i in range(m + 1)
+        ]
+        for family, start in zip((X, Y, Z), shifts)
+    ]
+
+
+def _assert_closed_formula(f, m, shifts):
+    got = expand_ambient(f, m, shifts)
+    series = _generic_series(m, shifts)
+    assert got == _ref_substitute_series(f, *series, m)
+    assert got == substitute_series(f, *series, m)
+    assert all(type(c) is Fraction and c for p in got for _, c in p.items())
+    return got
+
+
+# shifts up to 12 start past m, and start * degree passes m well before that
+@given(_ambient_polys(), st.integers(0, 10), st.tuples(*[st.integers(0, 12)] * 3))
+def test_closed_formula_matches_the_series_substitution(f, m, shifts):
+    _assert_closed_formula(f, m, shifts)
+
+
+def test_closed_formula_edge_polynomials():
+    x, y, z = (Polynomial.variable(c) for c in AMBIENT)
+    c = Polynomial.constant(Fraction(-3, 4))
+    cases = [y**2 * z, c, Polynomial.zero(), x**2 - y**2 * z + z**3, c + 2 * x - y**2 * z]
+    for f in cases:
+        for m in (0, 1, 4, 7):
+            for shifts in ((0, 0, 0), (2, 1, 2), (1, 3, 0), (8, 0, 9)):
+                _assert_closed_formula(f, m, shifts)
+    # the D4 mixed term: y^2*z at t^3 is the one product y1^2*z1
+    assert expand_ambient(y**2 * z, 3, (0, 1, 1)) == _zeros(2) + [yvar(1) ** 2 * zvar(1)]
+    assert expand_ambient(c, 3) == [c] + _zeros(2)
+    assert expand_ambient(Polynomial.zero(), 3) == _zeros(3)
 
 
 @st.composite
