@@ -59,10 +59,6 @@ class Ladder:
         return gb.Ideal(self.generators(), label=self.label)
 
 
-def ladder(p: int, q: int, r: int) -> gb.Ideal:
-    return Ladder(p, q, r).ideal()
-
-
 def _fk(n: int, m: int, k: int) -> Polynomial:
     return jet_coeffs(an_surface(n), m)[k]
 
@@ -73,49 +69,6 @@ def pair_ideal(n: int, m: int, i: int, j: int) -> gb.Ideal:
     lad = Ladder(j, n + 1 - i, 1)
     gens = lad.generators() + tuple(_fk(n, m, k) for k in range(m + 1))
     return gb.Ideal(gens, label=f"J(n{n},m{m};{i},{j})")
-
-
-# ---------------------------------------------------------------------------
-# component ideals
-
-
-@dataclass(frozen=True)
-class AnComponent:
-    """Component l of the singular fiber, with its two presentations: the
-    defining one (ladder + all jet equations) and the reduced one (ladder +
-    reindexed equations in the surviving variables)."""
-
-    n: int
-    m: int
-    l: int
-    defining: gb.Ideal
-    reduced: gb.Ideal
-
-
-def component_ideal(n: int, m: int, l: int) -> AnComponent:
-    """Both presentations of component l, checked to generate the same ideal
-    inside one engine session, so the checks share their bases.  A check the
-    budget leaves undecided raises BudgetExhausted; a refuted one raises
-    AssertionError."""
-    if not 1 <= l <= n <= m:
-        raise ValueError(f"need 1 <= l <= n <= m, got l={l}, n={n}, m={m}")
-    lad = Ladder(l, n + 1 - l, 1)
-    defining = gb.Ideal(
-        lad.generators() + tuple(_fk(n, m, k) for k in range(m + 1)),
-        label=f"I(n{n},m{m};{l})",
-    )
-    tail = tuple(g_shift(n, l, 1, v) for v in range(m - n))  # empty when m = n
-    reduced = gb.Ideal(lad.generators() + tail, label=f"I(n{n},m{m};{l})/reduced")
-    with gb.session():
-        for source, target in ((defining, reduced), (reduced, defining)):
-            for g in source.generators:
-                rep = gb.member(g, target)
-                if rep.outcome == gb.BUDGET_EXHAUSTED:
-                    context = rep.certificate["context"]
-                    raise gb.BudgetExhausted(context, rep.spairs_processed, rep.seconds)
-                if not rep.verified:
-                    raise AssertionError(f"presentation mismatch: {rep.claim}")
-    return AnComponent(n, m, l, defining, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +208,20 @@ def containment(n: int, m: int, i: int, j: int, k: int, l: int) -> bool:
 
 
 def maximal_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Pairs whose intersection is maximal: exactly the adjacent ones."""
+    """Pairs whose intersection is maximal for inclusion: by the containment
+    criterion, the (i, j) intersection lies inside no other pair's
+    intersection.  The criterion does not depend on the jet order, so it is
+    read at m = n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return tuple((i, i + 1) for i in range(1, n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return tuple(
+        (i, j)
+        for i, j in pairs
+        if not any(
+            (k, l) != (i, j) and containment(n, n, i, j, k, l) for k, l in pairs
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -412,36 +375,6 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
             )
 
     return gb.merge_reports(f"decomposition of {J.label}", reports)
-
-
-def verify_containment_criterion(n: int, m: int) -> gb.VerificationReport:
-    """Cross-check the index criterion against engine-decided containment on
-    every pair of pairs at (n, m)."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    reports = []
-    for i, j in pairs:
-        J_ij = pair_ideal(n, m, i, j)
-        for k, l in pairs:
-            predicted = containment(n, m, i, j, k, l)
-            queries = []
-            for code in Ladder(l, n + 1 - k, 1).codes():
-                queries.append(gb.radical_member(Polynomial.variable(code), J_ij))
-                if not queries[-1].verified:
-                    break
-            if queries[-1].outcome == gb.BUDGET_EXHAUSTED:
-                reports.append(queries[-1])
-                continue
-            engine = all(r.verified for r in queries)
-            reports.append(
-                gb.check(
-                    f"criterion agrees at (({i},{j}),({k},{l})) n{n} m{m}",
-                    engine == predicted,
-                    {"criterion": predicted, "engine": engine},
-                    sum(r.spairs_processed for r in queries),
-                    sum(r.seconds for r in queries),
-                )
-            )
-    return gb.merge_reports(f"containment criterion n{n} m{m}", reports)
 
 
 def verify_all_pairs(n: int, m: int) -> list[gb.VerificationReport]:

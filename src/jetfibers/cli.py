@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except PolynomialParseError as exc:
         print(f"jetfibers: parse error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"jetfibers: error: {exc}", file=sys.stderr)
         return 1
 

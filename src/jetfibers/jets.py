@@ -4,24 +4,25 @@ The m-jet space of a hypersurface f = 0 is cut out by the coefficients
 f^(0)..f^(m) of the expansion of f at a generic truncated power series.
 This module produces those coefficients for the two surfaces under study
 (xy - z^(n+1) and x^2 - y^2*z + z^3), their shifted variants where each
-coordinate series starts at a prescribed t-power, the combinatorial index
-sets behind the closed formula for shifted coefficients, and the reindexed
+coordinate series starts at a prescribed t-power, and the reindexed
 polynomials that describe jet equations after splitting off a ladder of
 coordinate hyperplanes.
 
-Every coefficient is written down by the closed formula, with no series
-product: each term of f^(j) is one choice of a weighted composition per
-variable family, times its multinomials.  One enumerator, ``_compositions``,
-lists those compositions by weight; ``expand_ambient``, ``lambda_z`` and
-``fpqr_closed`` all read it.  ``poly.substitute_series``, the general
-series substitution, stays bound here as well because the benchmark
-harness's self-test looks the name up on this module.
+Every coefficient is written down by the multinomial theorem, with no
+series product: each term of f^(j) is one choice of a weighted composition
+per variable family, times its multinomials.  ``_compositions`` lists those
+compositions by weight, and ``expand_ambient`` reads it.  The paper's closed
+formula for the shifted coefficients, with its index sets, lives with the
+tests (``tests/references.py``), which hold ``jet_coeffs_shifted`` to it.
+``poly.substitute_series``, the general series substitution, stays
+bound here as well because the benchmark harness's self-test looks the
+name up on this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -66,10 +67,6 @@ class Surface:
             return x0 * y0 - z0 ** (self.n + 1)
         return x0**2 - y0**2 * z0 + z0**3
 
-    @property
-    def label(self) -> str:
-        return f"A{self.n}" if self.kind == "An" else "D4"
-
 
 def an_surface(n: int) -> Surface:
     return Surface("An", n)
@@ -81,28 +78,6 @@ def d4_surface() -> Surface:
 
 # ---------------------------------------------------------------------------
 # expansions
-
-
-@dataclass(frozen=True)
-class JetExpansion:
-    """The coefficients of t^0..t^m of f expanded at a (shifted) generic jet."""
-
-    surface: Surface
-    order: int
-    shifts: tuple[int, int, int]
-    coefficients: tuple[Polynomial, ...] = field(repr=False)
-
-    def __getitem__(self, j: int) -> Polynomial:
-        return self.coefficients[j]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
 
 
 def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 0)):
@@ -162,65 +137,23 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
 
 
 @lru_cache(maxsize=None)
-def jet_coeffs(surface: Surface, m: int) -> JetExpansion:
-    """[f^(0), ..., f^(m)] for the surface equation."""
+def jet_coeffs(surface: Surface, m: int) -> tuple[Polynomial, ...]:
+    """(f^(0), ..., f^(m)) for the surface equation."""
     if m < 0:
         raise ValueError("jet order must be nonnegative")
-    coeffs = expand_ambient(surface.ambient_polynomial(), m)
-    return JetExpansion(surface, m, (0, 0, 0), tuple(coeffs))
+    return tuple(expand_ambient(surface.ambient_polynomial(), m))
 
 
 @lru_cache(maxsize=None)
-def jet_coeffs_shifted(surface: Surface, m: int, p: int, q: int, r: int) -> JetExpansion:
+def jet_coeffs_shifted(
+    surface: Surface, m: int, p: int, q: int, r: int
+) -> tuple[Polynomial, ...]:
     """Coefficients of f at the jet with x starting at t^p, y at t^q, z at t^r."""
     if min(p, q, r) < 0:
         raise ValueError("shifts must be nonnegative")
     if max(p, q, r) > m:
         raise ValueError(f"shift exceeds jet order {m}")
-    coeffs = expand_ambient(surface.ambient_polynomial(), m, (p, q, r))
-    return JetExpansion(surface, m, (p, q, r), tuple(coeffs))
-
-
-# ---------------------------------------------------------------------------
-# the combinatorial index sets of the closed formula
-
-
-@dataclass(frozen=True)
-class LambdaXY:
-    """Exponent pairs (l1, l2) with l1 >= p, l2 >= q, l1 + l2 = j."""
-
-    p: int
-    q: int
-    j: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-def lambda_xy(p: int, q: int, j: int) -> LambdaXY:
-    pairs = tuple((l1, j - l1) for l1 in range(p, j - q + 1))
-    return LambdaXY(p, q, j, pairs)
-
-
-@dataclass(frozen=True)
-class LambdaZ:
-    """Weighted compositions: supports r <= i_1 < ... < i_l <= j with positive
-    parts d_k summing to n+1 and total weight sum(i_k * d_k) = j."""
-
-    r: int
-    j: int
-    n: int
-    entries: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
+    return tuple(expand_ambient(surface.ambient_polynomial(), m, (p, q, r)))
 
 
 def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list]:
@@ -261,36 +194,6 @@ def _descend(buckets, chosen, offset, i_min, deg_left, weight_left, mult):
             else:
                 _descend(buckets, chosen, offset, i + 1, deg_left - d, left, part)
         chosen.pop()
-
-
-def lambda_z(r: int, j: int, n: int) -> LambdaZ:
-    entries = tuple(
-        (tuple(i for i, _ in reversed(pairs)), tuple(d for _, d in reversed(pairs)))
-        for pairs, _ in _compositions(r, n + 1, j)[j]
-    )
-    return LambdaZ(r, j, n, entries)
-
-
-@lru_cache(maxsize=None)
-def multinomial(parts: tuple[int, ...]) -> int:
-    total = math.factorial(sum(parts))
-    for d in parts:
-        total //= math.factorial(d)
-    return total
-
-
-def fpqr_closed(n: int, p: int, q: int, r: int, j: int) -> Polynomial:
-    """Closed formula for the shifted coefficient of t^j on the A-series
-    surface: the x*y pairs minus the multinomial-weighted z monomials.
-    Either sum is empty exactly when its index set is."""
-    if n < 1:
-        raise ValueError("the closed formula needs n >= 1")
-    terms = []
-    for l1, l2 in lambda_xy(p, q, j):
-        terms.append((((var_code(X, l1), 1), (var_code(Y, l2), 1)), 1))
-    for mono, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
-        terms.append((mono, -mult))
-    return Polynomial.from_terms(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ _INDEX_MASK = (1 << _INDEX_BITS) - 1
 T_CODE = 4 << _INDEX_BITS
 
 X, Y, Z, AUX = "x", "y", "z", "w"
-FAMILIES = (X, Y, Z, AUX)
 
 
 def var_code(family: str, index: int) -> int:
@@ -166,17 +165,13 @@ def _display_factors(mono: Monomial) -> list:
 
 
 def _factors_key(factors) -> tuple:
-    return tuple([x for rank, _, e in factors for x in (rank, -e)]) + (_DISPLAY_KEY_END,)
-
-
-def _display_term_key(mono: Monomial) -> tuple:
-    """Sort key of the ungraded reverse-lex display order: each of a
-    monomial's variables in ascending display rank, as its rank and its
-    negated exponent, then _DISPLAY_KEY_END.  At the first variable where
-    two monomials differ, the smaller exponent ranks higher (an absent
+    """Sort key of the ungraded reverse-lex display order, from a monomial's
+    _display_factors: each variable in ascending display rank, as its rank
+    and its negated exponent, then _DISPLAY_KEY_END.  At the first variable
+    where two monomials differ, the smaller exponent ranks higher (an absent
     variable has exponent 0, which is why the end marker outranks every
     rank)."""
-    return _factors_key(_display_factors(mono))
+    return tuple([x for rank, _, e in factors for x in (rank, -e)]) + (_DISPLAY_KEY_END,)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +233,6 @@ class Polynomial:
     @classmethod
     def variable(cls, code: int) -> "Polynomial":
         return cls({((code, 1),): Fraction(1)})
-
-    @classmethod
-    def term(cls, coeff, pairs) -> "Polynomial":
-        c = Fraction(coeff)
-        if not c:
-            return _ZERO
-        return cls({mono_from_pairs(pairs): c})
 
     # -- inspection --------------------------------------------------------
 
@@ -391,22 +379,6 @@ def _coerce(value):
     return NotImplemented
 
 
-def xvar(i: int) -> Polynomial:
-    return Polynomial.variable(var_code(X, i))
-
-
-def yvar(i: int) -> Polynomial:
-    return Polynomial.variable(var_code(Y, i))
-
-
-def zvar(i: int) -> Polynomial:
-    return Polynomial.variable(var_code(Z, i))
-
-
-def auxvar(i: int) -> Polynomial:
-    return Polynomial.variable(var_code(AUX, i))
-
-
 # ---------------------------------------------------------------------------
 # formatting
 
@@ -542,7 +514,7 @@ def parse_polynomial(text: str, *, ambient: bool = False) -> Polynomial:
                 if ekind != _NUMBER:
                     raise PolynomialParseError("expected integer exponent", eat)
                 advance()
-                return Polynomial.term(1, [(code, int(evalue))])
+                return Polynomial.from_terms([([(code, int(evalue))], 1)])
             return Polynomial.variable(code)
         raise PolynomialParseError(f"expected a factor, found {value or kind!r}", at)
 
@@ -689,15 +661,6 @@ class JetPoint:
 
     def family(self, family: str) -> tuple[Fraction, ...]:
         return {X: self.xs, Y: self.ys, Z: self.zs}[family]
-
-    def truncate(self, new_order: int) -> "JetPoint":
-        """Drop series coefficients above new_order."""
-        if new_order > self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {new_order}")
-        if new_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        k = new_order + 1
-        return JetPoint(self.xs[:k], self.ys[:k], self.zs[:k])
 
 
 def _check_ambient(f: Polynomial):

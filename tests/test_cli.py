@@ -236,6 +236,16 @@ def test_out_writes_file(tmp_path, capsys):
     )
 
 
+def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "an", "verify", "--n", "2", "--m", "5", "--format", "json", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("jetfibers: error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_timings_flag_fills_seconds(capsys):
     code, out, _ = run(
         capsys, "an", "verify", "--n", "2", "--m", "2", "--format", "json", "--timings"

@@ -569,8 +569,8 @@ def _spoly(f, g):
     lcm = {c: max(ef.get(c, 0), eg.get(c, 0)) for c in set(ef) | set(eg)}
     cf = dict(f.items())[lf]
     cg = dict(g.items())[lg]
-    mf = Polynomial.term(1, [(c, e - ef.get(c, 0)) for c, e in lcm.items()])
-    mg = Polynomial.term(1, [(c, e - eg.get(c, 0)) for c, e in lcm.items()])
+    mf = Polynomial.from_terms([([(c, e - ef.get(c, 0)) for c, e in lcm.items()], 1)])
+    mg = Polynomial.from_terms([([(c, e - eg.get(c, 0)) for c, e in lcm.items()], 1)])
     return mf * f * (Fraction(1) / cf) - mg * g * (Fraction(1) / cg)
 
 
@@ -995,7 +995,7 @@ def _random_monomial_ideal(rng, codes):
             (code, rng.randint(1, 2))
             for code in rng.sample(codes, rng.randint(1, 2))
         ]
-        gens.append(Polynomial.term(1, pairs))
+        gens.append(Polynomial.from_terms([(pairs, 1)]))
     return Ideal(gens)
 
 

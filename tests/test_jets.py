@@ -3,19 +3,14 @@ import itertools
 import pytest
 
 from jetfibers.jets import (
-    JetExpansion,
     _compositions,
     Surface,
     an_surface,
     d4_surface,
     expand_ambient,
-    fpqr_closed,
     g_shift,
     jet_coeffs,
     jet_coeffs_shifted,
-    lambda_xy,
-    lambda_z,
-    multinomial,
 )
 from jetfibers.poly import (
     X,
@@ -26,8 +21,8 @@ from jetfibers.poly import (
     var_code,
     var_family,
     var_index,
-    xvar,
 )
+from references import fpqr_closed, lambda_xy, lambda_z, multinomial
 
 
 def P(text: str) -> Polynomial:
@@ -73,8 +68,8 @@ def test_order_zero_coefficients():
 
 def test_expansion_serializes():
     e = jet_coeffs(an_surface(1), 1)
-    assert e.to_json() == ["x0*y0 - z0^2", "x1*y0 + x0*y1 - 2*z0*z1"]
-    assert isinstance(e, JetExpansion) and len(e) == 2
+    assert [str(c) for c in e] == ["x0*y0 - z0^2", "x1*y0 + x0*y1 - 2*z0*z1"]
+    assert isinstance(e, tuple) and len(e) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +109,9 @@ def test_shift_bounds_checked():
 
 
 def test_lambda_xy_examples():
-    assert lambda_xy(1, 1, 1).pairs == ()
-    assert lambda_xy(0, 0, 2).pairs == ((0, 2), (1, 1), (2, 0))
-    assert lambda_xy(2, 3, 6).pairs == ((2, 4), (3, 3))
+    assert lambda_xy(1, 1, 1) == ()
+    assert lambda_xy(0, 0, 2) == ((0, 2), (1, 1), (2, 0))
+    assert lambda_xy(2, 3, 6) == ((2, 4), (3, 3))
 
 
 def test_lambda_xy_empty_iff_threshold():
@@ -125,9 +120,9 @@ def test_lambda_xy_empty_iff_threshold():
 
 
 def test_lambda_z_examples():
-    assert lambda_z(0, 0, 2).entries == (((0,), (3,)),)
-    assert lambda_z(1, 2, 1).entries == (((1,), (2,)),)
-    assert lambda_z(2, 3, 1).entries == ()
+    assert lambda_z(0, 0, 2) == (((0,), (3,)),)
+    assert lambda_z(1, 2, 1) == (((1,), (2,)),)
+    assert lambda_z(2, 3, 1) == ()
 
 
 def _lambda_z_bruteforce(r, j, n):
@@ -149,12 +144,12 @@ def _lambda_z_bruteforce(r, j, n):
 
 def test_lambda_z_against_bruteforce():
     for r, j, n in itertools.product(range(3), range(7), (1, 2, 3)):
-        got = set(lambda_z(r, j, n).entries)
+        got = set(lambda_z(r, j, n))
         assert got == _lambda_z_bruteforce(r, j, n), (r, j, n)
 
 
 def test_lambda_z_entry_constraints():
-    for entry in lambda_z(1, 8, 3).entries:
+    for entry in lambda_z(1, 8, 3):
         support, parts = entry
         assert all(a < b for a, b in zip(support, support[1:]))
         assert support[0] >= 1
@@ -175,7 +170,7 @@ def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
         buckets = _compositions(r, n + 1, m, var_code(Z, 0))
         assert len(buckets) == m + 1
         for j, bucket in enumerate(buckets):
-            entries = lambda_z(r, j, n).entries
+            entries = lambda_z(r, j, n)
             assert [
                 (tuple(var_index(c) for c, _ in reversed(mono)), tuple(d for _, d in reversed(mono)))
                 for mono, _ in bucket
@@ -315,10 +310,11 @@ def test_expand_ambient_forms_each_term_once(text, m, terms):
 
 def test_expand_ambient_rejects_bad_input():
     f = parse_polynomial("x*y-z^5", ambient=True)
+    x1 = Polynomial.variable(var_code(X, 1))
     with pytest.raises(ValueError, match="series order must be nonnegative"):
         expand_ambient(f, -1)
     with pytest.raises(ValueError, match=r"not an ambient polynomial \(uses x1\)"):
-        expand_ambient(f + xvar(1), 3)
+        expand_ambient(f + x1, 3)
     # the order is checked first
     with pytest.raises(ValueError, match="series order"):
-        expand_ambient(xvar(1), -1)
+        expand_ambient(x1, -1)

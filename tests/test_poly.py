@@ -20,16 +20,16 @@ from jetfibers.poly import (
     var_family,
     var_index,
     var_name,
-    xvar,
-    yvar,
-    zvar,
-    auxvar,
 )
-from jetfibers.poly import _display_key, _display_term_key, mono_from_pairs
+from jetfibers.poly import _display_factors, _display_key, _factors_key, mono_from_pairs
 
 
 def P(text: str) -> Polynomial:
     return parse_polynomial(text)
+
+
+def var(family: str, index: int) -> Polynomial:
+    return Polynomial.variable(var_code(family, index))
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +65,11 @@ def test_jet_variables_count():
 
 
 def test_additive_inverse():
-    assert xvar(0) + (-xvar(0)) == Polynomial.zero()
+    assert var("x", 0) + (-var("x", 0)) == Polynomial.zero()
 
 
 def test_coefficient_merge():
-    prod = xvar(0) * yvar(0)
+    prod = var("x", 0) * var("y", 0)
     assert prod + prod == 2 * prod
 
 
@@ -80,7 +80,7 @@ def test_sum_of_jet_coefficients():
 
 
 def test_difference_of_squares():
-    assert (xvar(0) + yvar(0)) * (xvar(0) - yvar(0)) == P("x0^2 - y0^2")
+    assert (var("x", 0) + var("y", 0)) * (var("x", 0) - var("y", 0)) == P("x0^2 - y0^2")
 
 
 def test_zero_absorbs():
@@ -88,11 +88,11 @@ def test_zero_absorbs():
 
 
 def test_cube_of_variable():
-    assert zvar(1) * zvar(1) * zvar(1) == P("z1^3")
+    assert var("z", 1) * var("z", 1) * var("z", 1) == P("z1^3")
 
 
 def test_scalar_division():
-    assert P("2*x0") / 2 == xvar(0)
+    assert P("2*x0") / 2 == var("x", 0)
     assert P("x0") / Fraction(1, 4) == P("4*x0")
 
 
@@ -160,6 +160,11 @@ _DISPLAY_CODES = _CODES + [var_code("w", 1), var_code("x", 11)]
 _monomials = st.lists(
     st.tuples(st.sampled_from(_DISPLAY_CODES), st.integers(1, 3)), max_size=4
 ).map(mono_from_pairs)
+
+
+def _display_term_key(mono):
+    """The sort key format_polynomial orders a polynomial's terms by."""
+    return _factors_key(_display_factors(mono))
 
 
 @given(st.lists(_monomials, max_size=12))
@@ -234,9 +239,9 @@ def test_display_zero_and_constants():
 
 
 def test_parse_rationals_and_powers():
-    assert P("1/2*x0^2") == Fraction(1, 2) * xvar(0) ** 2
-    assert P("2x0") == 2 * xvar(0)  # implicit product
-    assert P("w3") == auxvar(3)
+    assert P("1/2*x0^2") == Fraction(1, 2) * var("x", 0) ** 2
+    assert P("2x0") == 2 * var("x", 0)  # implicit product
+    assert P("w3") == var("w", 3)
 
 
 def test_parse_errors_carry_positions():
@@ -264,12 +269,12 @@ def test_ambient_mode():
 
 
 def test_linear_substitute_flip():
-    assert linear_substitute(yvar(3), {var_code("y", 3): -yvar(3)}) == -yvar(3)
+    assert linear_substitute(var("y", 3), {var_code("y", 3): -var("y", 3)}) == -var("y", 3)
 
 
 def test_linear_substitute_rotation_entry():
-    image = Fraction(-1, 2) * yvar(2) - Fraction(1, 2) * zvar(2)
-    assert linear_substitute(zvar(2), {var_code("z", 2): image}) == P(
+    image = Fraction(-1, 2) * var("y", 2) - Fraction(1, 2) * var("z", 2)
+    assert linear_substitute(var("z", 2), {var_code("z", 2): image}) == P(
         "-1/2*y2 - 1/2*z2"
     )
 
@@ -281,7 +286,7 @@ def test_linear_substitute_identity():
 
 def test_linear_substitute_rejects_quadratic_images():
     with pytest.raises(ValueError):
-        linear_substitute(xvar(0), {var_code("x", 0): xvar(0) ** 2})
+        linear_substitute(var("x", 0), {var_code("x", 0): var("x", 0) ** 2})
 
 
 _SUB_CODES = [var_code(f, i) for f, i in (("x", 1), ("y", 0), ("y", 2), ("z", 1), ("z", 3))]
@@ -330,9 +335,9 @@ def test_linear_substitute_matches_sympy_simultaneous_subs(p, mapping):
 
 def _generic_series(m):
     return (
-        [xvar(i) for i in range(m + 1)],
-        [yvar(i) for i in range(m + 1)],
-        [zvar(i) for i in range(m + 1)],
+        [var("x", i) for i in range(m + 1)],
+        [var("y", i) for i in range(m + 1)],
+        [var("z", i) for i in range(m + 1)],
     )
 
 
@@ -358,9 +363,9 @@ def test_substitute_series_shifted_chart_coefficient():
     f = parse_polynomial("x^2 - y^2*z + z^3", ambient=True)
     m = 5
     zero = Polynomial.zero()
-    xs = [zero, zero] + [xvar(i) for i in range(2, m + 1)]
-    ys = [zero] + [yvar(i) for i in range(1, m + 1)]
-    zs = [zero, zero] + [zvar(i) for i in range(2, m + 1)]
+    xs = [zero, zero] + [var("x", i) for i in range(2, m + 1)]
+    ys = [zero] + [var("y", i) for i in range(1, m + 1)]
+    zs = [zero, zero] + [var("z", i) for i in range(2, m + 1)]
     coeffs = substitute_series(f, xs, ys, zs, m)
     assert coeffs[4] == P("x2^2 - y1^2*z2")
 
@@ -375,9 +380,9 @@ def test_substitute_series_coefficient_independent_of_order():
 
 def test_substitute_series_rejects_non_ambient():
     with pytest.raises(ValueError):
-        substitute_series(xvar(1), *_generic_series(1), 1)
+        substitute_series(var("x", 1), *_generic_series(1), 1)
     with pytest.raises(ValueError):
-        substitute_series(auxvar(0), *_generic_series(1), 1)
+        substitute_series(var("w", 0), *_generic_series(1), 1)
 
 
 def test_coefficient_uses_bounded_jet_indices():
@@ -417,22 +422,33 @@ def test_t_order_multiplicative():
     assert t_order(gamma, g * h) == og + oh
 
 
+def truncate(pt: JetPoint, order: int) -> JetPoint:
+    """The jet pt with its series coefficients above order dropped."""
+    k = order + 1
+    return JetPoint(pt.xs[:k], pt.ys[:k], pt.zs[:k])
+
+
 def test_truncate_jet():
     gamma = JetPoint.make(2, x={1: 1, 2: 1}, y={2: 1})
-    assert gamma.truncate(1) == JetPoint.make(1, x={1: 1})
-    assert gamma.truncate(2) == gamma
+    assert truncate(gamma, 1) == JetPoint.make(1, x={1: 1})
+    assert truncate(gamma, 2) == gamma
     q = JetPoint.make(7, x={3: -1}, y={2: -1}, z={2: 1})
-    assert q.truncate(0) == JetPoint.make(0)
+    assert truncate(q, 0) == JetPoint.make(0)
 
 
 def test_truncate_composes():
     gamma = JetPoint.make(5, x={1: 1, 4: 2}, z={3: -1})
-    assert gamma.truncate(4).truncate(2) == gamma.truncate(2)
+    assert truncate(truncate(gamma, 4), 2) == truncate(gamma, 2)
 
 
 def test_truncate_rejects_larger_order():
+    # slicing cannot raise the order: a jet point holds exactly m+1
+    # coefficients in each series
+    short = JetPoint.make(2)
     with pytest.raises(ValueError):
-        JetPoint.make(2).truncate(3)
+        JetPoint.make(3, x=short.xs)
+    with pytest.raises(ValueError):
+        JetPoint(JetPoint.make(3).xs, short.ys, short.zs)
 
 
 def test_evaluate_at_jet_point():

@@ -33,12 +33,13 @@ from jetfibers.poly import (
     t_order,
     var_code,
     var_family,
-    xvar,
-    yvar,
-    zvar,
 )
 
 AMBIENT = (var_code(X, 0), var_code(Y, 0), var_code(Z, 0))
+
+
+def var(family: str, index: int) -> Polynomial:
+    return Polynomial.variable(var_code(family, index))
 
 # ---------------------------------------------------------------------------
 # dense-tuple reference
@@ -211,7 +212,8 @@ def test_closed_formula_edge_polynomials():
             for shifts in ((0, 0, 0), (2, 1, 2), (1, 3, 0), (8, 0, 9)):
                 _assert_closed_formula(f, m, shifts)
     # the D4 mixed term: y^2*z at t^3 is the one product y1^2*z1
-    assert expand_ambient(y**2 * z, 3, (0, 1, 1)) == _zeros(2) + [yvar(1) ** 2 * zvar(1)]
+    expected = _zeros(2) + [var("y", 1) ** 2 * var("z", 1)]
+    assert expand_ambient(y**2 * z, 3, (0, 1, 1)) == expected
     assert expand_ambient(c, 3) == [c] + _zeros(2)
     assert expand_ambient(Polynomial.zero(), 3) == _zeros(3)
 
@@ -242,9 +244,9 @@ def test_field_width_edge_exponent_255_and_256():
     assert (_K.field_bits(255), _K.field_bits(256)) == (8, 16)
     f = Polynomial.variable(AMBIENT[2]) ** 3
     for e in (85, 86):
-        zs = [Polynomial.zero(), zvar(1) ** e, xvar(0), Polynomial.zero()]
+        zs = [Polynomial.zero(), var("z", 1) ** e, var("x", 0), Polynomial.zero()]
         got = _assert_same_expansion(f, _zeros(3), _zeros(3), zs, 3)
-        assert got[3] == zvar(1) ** (3 * e)
+        assert got[3] == var("z", 1) ** (3 * e)
 
 
 def test_decoding_full_fields_of_multi_variable_coefficients():
@@ -252,7 +254,7 @@ def test_decoding_full_fields_of_multi_variable_coefficients():
     # y1^85*z0^85 fills two adjacent 8-bit fields with 255 each, and the
     # cross terms leave gaps between the set fields
     assert _K.field_bits(3 * 85) == 8
-    x2, y1, z0 = xvar(2), yvar(1), zvar(0)
+    x2, y1, z0 = var("x", 2), var("y", 1), var("z", 0)
     x, z = (Polynomial.variable(c) for c in (AMBIENT[0], AMBIENT[2]))
     f = z**3 - Fraction(2, 3) * x * z
     zs = [
@@ -270,10 +272,10 @@ def test_decoding_full_fields_of_multi_variable_coefficients():
 def test_t_power_past_one_byte_with_linear_f():
     m = 256
     f = Polynomial.variable(AMBIENT[0]) + 2 * Polynomial.variable(AMBIENT[1])
-    xs = [xvar(i) for i in range(m + 1)]
-    ys = [yvar(i) for i in range(m + 1)]
+    xs = [var("x", i) for i in range(m + 1)]
+    ys = [var("y", i) for i in range(m + 1)]
     got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
-    assert got == [xvar(i) + 2 * yvar(i) for i in range(m + 1)]
+    assert got == [var("x", i) + 2 * var("y", i) for i in range(m + 1)]
 
 
 def test_t_order_past_one_byte():
@@ -287,26 +289,26 @@ def test_t_order_past_one_byte():
 def test_product_landing_exactly_on_the_cap():
     # x and y start at t^2: at m = 4 the only surviving product is x2*y2*t^4
     m = 4
-    xs = _zeros(1) + [xvar(i) for i in range(2, m + 1)]
-    ys = _zeros(1) + [yvar(i) for i in range(2, m + 1)]
+    xs = _zeros(1) + [var("x", i) for i in range(2, m + 1)]
+    ys = _zeros(1) + [var("y", i) for i in range(2, m + 1)]
     f = Polynomial.variable(AMBIENT[0]) * Polynomial.variable(AMBIENT[1])
     got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
-    assert got == _zeros(3) + [xvar(2) * yvar(2)]
+    assert got == _zeros(3) + [var("x", 2) * var("y", 2)]
     point = JetPoint.make(m, x={2: 1}, y={2: 5})
     assert t_order(point, f) == 4
-    assert t_order(point.truncate(3), f) is None
+    assert t_order(JetPoint(point.xs[:4], point.ys[:4], point.zs[:4]), f) is None
 
 
 def test_non_integral_coefficients_stay_exact():
     m = 2
     f = Polynomial.from_terms([([(AMBIENT[0], 1), (AMBIENT[1], 1)], Fraction(1, 3))])
-    xs = [Polynomial.constant(Fraction(3, 2)), xvar(1), Polynomial.zero()]
-    ys = [Polynomial.constant(Fraction(1, 2)), Polynomial.constant(2), yvar(2)]
+    xs = [Polynomial.constant(Fraction(3, 2)), var("x", 1), Polynomial.zero()]
+    ys = [Polynomial.constant(Fraction(1, 2)), Polynomial.constant(2), var("y", 2)]
     got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
     assert got == [
         Polynomial.constant(Fraction(1, 4)),
-        1 + Fraction(1, 6) * xvar(1),
-        Fraction(1, 2) * yvar(2) + Fraction(2, 3) * xvar(1),
+        1 + Fraction(1, 6) * var("x", 1),
+        Fraction(1, 2) * var("y", 2) + Fraction(2, 3) * var("x", 1),
     ]
     point = JetPoint.make(m, x=[Fraction(1, 2), 0, 0], y=[2, 0, 0])
     assert t_order(point, f - Polynomial.constant(Fraction(1, 3))) is None
