@@ -16,6 +16,7 @@ reports behind --timings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -164,11 +165,7 @@ def _config(args, **extra) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    args.stream.write(text)
 
 
 def _emit_result(args, fields: dict, text: str, **config) -> None:
@@ -371,9 +368,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
-        # one engine session per command: the budget of its flags bounds
-        # every basis, and a basis is computed once per command
-        with session(_budget(args)):
+        # --out is opened before any work, so a path that cannot be written
+        # fails at once; one engine session per command: the budget of its
+        # flags bounds every basis, and a basis or presolve is computed once
+        out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
+        with out or contextlib.nullcontext(sys.stdout) as args.stream, session(_budget(args)):
             return handler(args)
     except PolynomialParseError as exc:
         print(f"jetfibers: parse error: {exc}", file=sys.stderr)

@@ -12,11 +12,9 @@ meeting the distinguished component, so the intersection graph is a star.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from types import MappingProxyType
 
 from . import groebner as gb
 from .an import Ladder
@@ -51,14 +49,15 @@ def _fk(m: int, k: int) -> Polynomial:
 
 @dataclass(frozen=True)
 class D4IdealFamily:
-    """All the chart and component ideals at one jet order.  d4_ideals
-    hands one family to every caller, so its maps are read-only."""
+    """All the chart and component ideals at one jet order.  Each caller
+    gets a family of its own; the presolves and bases of its ideals live in
+    the open session's memo."""
 
     m: int
     l322: gb.Ideal
-    charts: Mapping[int, gb.Ideal]  # L^1, L^2, L^3
+    charts: dict[int, gb.Ideal]  # L^1, L^2, L^3
     i0: gb.Ideal
-    j: Mapping[int, gb.Ideal]  # J^i = L^i + jet equations
+    j: dict[int, gb.Ideal]  # J^i = L^i + jet equations
 
     def component_ideal(self, i: int) -> gb.Ideal:
         """I^i = J^i : y1^inf, the contraction of the chart ideal.  Its
@@ -70,39 +69,24 @@ class D4IdealFamily:
         return got
 
 
-@cache
-def _charts() -> Mapping[int, gb.Ideal]:
-    """L^1, L^2, L^3: they do not depend on the jet order, so every family
-    shares them, with their presolve caches."""
-    base = [
-        Polynomial.variable(var_code(X, 0)),
-        Polynomial.variable(var_code(X, 1)),
-        Polynomial.variable(var_code(Y, 0)),
-        Polynomial.variable(var_code(Z, 0)),
-    ]
-    y1 = Polynomial.variable(var_code(Y, 1))
-    z1 = Polynomial.variable(var_code(Z, 1))
-    return MappingProxyType({
-        1: gb.Ideal(base + [z1], label="L1"),
-        2: gb.Ideal(base + [y1 - z1], label="L2"),
-        3: gb.Ideal(base + [y1 + z1], label="L3"),
-    })
-
-
-@cache
 def d4_ideals(m: int) -> D4IdealFamily:
-    """The family at order m, built once per process: every check of every
-    command reads the same ideals, so each keeps its presolve and split
-    caches (both depend on the generators alone).  Bases stay in the
-    session memo."""
+    """The family at order m, built afresh on each call.  The charts L^i do
+    not depend on the jet order."""
     if m < M_MIN:
         raise ValueError(f"need m >= {M_MIN}, got {m}")
     jet_tail = tuple(_fk(m, k) for k in range(m + 1))
     l322 = Ladder(3, 2, 2).ideal()
-    charts = _charts()
+    base = [Polynomial.variable(var_code(v, k)) for v, k in ((X, 0), (X, 1), (Y, 0), (Z, 0))]
+    y1 = Polynomial.variable(var_code(Y, 1))
+    z1 = Polynomial.variable(var_code(Z, 1))
+    charts = {
+        1: gb.Ideal(base + [z1], label="L1"),
+        2: gb.Ideal(base + [y1 - z1], label="L2"),
+        3: gb.Ideal(base + [y1 + z1], label="L3"),
+    }
     i0 = gb.Ideal(l322.generators + jet_tail, label=f"I0(m{m})")
     j = {i: gb.Ideal(charts[i].generators + jet_tail, label=f"J{i}(m{m})") for i in (1, 2, 3)}
-    return D4IdealFamily(m=m, l322=l322, charts=charts, i0=i0, j=MappingProxyType(j))
+    return D4IdealFamily(m=m, l322=l322, charts=charts, i0=i0, j=j)
 
 
 # ---------------------------------------------------------------------------

@@ -47,20 +47,19 @@ cofactors, for the membership certificates, is the same kernel call given
 quotient dicts, and the kernel takes it only against lead coefficients 1.
 
 One command runs in one engine session (session()): a ContextVar scope that
-holds the command's Budget and a memo of every reduced basis computed in it,
-keyed on (generators, order).  Ideal.groebner is the one path to a basis: it
-serves a repeated input from the memo and computes a missing one with
-buchberger under the session budget.  buchberger is a pure computation and
-the one place the S-pair bound is applied, and the time limit is read there
-and before each branch of a radical split; exceeding either raises
-BudgetExhausted rather than returning anything partial, and an exhausted run
-stores nothing.  Every basis in the memo was computed under the session's
-one budget, so serving it can never exceed that budget.  The basis depends
-on nothing but its key, since the ring is built from the generators'
-variables; identical inputs always produce identical bases and reports.  A
-session opened inside another joins it, and the memo is dropped when the
-outermost one exits.  Outside a session a basis is computed afresh under the
-default budget.
+holds the command's Budget and one memo of what depends only on a generator
+tuple: reduced bases, keyed on (generators, order), and linear presolves,
+keyed on (generators, "presolve").  Ideal.groebner and Ideal.presolved
+serve a repeated tuple from it, whichever Ideal carries the tuple, and
+compute a missing entry under the session budget.  buchberger is a pure
+computation and the one place the S-pair bound is applied, and the time
+limit is read there and before each branch of a radical split; exceeding
+either raises BudgetExhausted rather than returning anything partial, and
+an exhausted run stores nothing, so no entry exceeds the session's one
+budget.  An entry depends on nothing but its key, since the ring is built
+from the generators' variables.  A session opened inside another joins it,
+and the memo is dropped when the outermost one exits; outside a session
+everything is computed afresh, bases under the default budget.
 
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
@@ -81,8 +80,8 @@ So the first monomial generator branches the query into the ideals
 I + (x_i), one per variable, and p must lie in the radical of each.  Each
 branch is presolved again, which sets x_i to zero, and splits again; a
 nonzero constant generator leaves no branch at all (the unit ideal).
-Ideal.split keeps the branches of an ideal, so every query against one pair
-ideal walks the same tree.  The certificate is that tree,
+Ideal.split builds the branches afresh; the memo serves their presolves
+again to every query that walks them.  The certificate is that tree,
 {"kind": "split", "branches": {x_i: certificate}}, with the trivial
 certificate where p restricts to zero and a radical-trick certificate at a
 leaf with no monomial generator left, the only place a basis is built.  A
@@ -167,18 +166,18 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-# the open session: (budget, memo of (generators, order) -> GroebnerBasis); a
-# context variable, so a thread never sees a session another thread opened
+# the open session: (budget, memo of generator-tuple facts); a context
+# variable, so a thread never sees a session another thread opened
 _session: ContextVar[tuple | None] = ContextVar("session", default=None)
 
 
 @contextmanager
 def session(budget: Budget | None = None):
     """One engine session: every basis computed inside the block runs under
-    this budget (the default when None) and is served again from the
-    session's memo.  A session opened inside another joins it and may not set
-    a budget of its own; the memo is dropped when the outermost one exits.
-    """
+    this budget (the default when None), and bases and presolves are served
+    again from the session's memo.  A session opened inside another joins it
+    and may not set a budget of its own; the memo is dropped when the
+    outermost one exits."""
     if _session.get() is not None:
         if budget is not None:
             raise ValueError("a nested session cannot set its own budget")
@@ -189,6 +188,23 @@ def session(budget: Budget | None = None):
         yield
     finally:
         _session.reset(token)
+
+
+def _session_state() -> tuple[Budget, dict | None]:
+    """The open session's budget and memo; the default budget and None outside one."""
+    budget, memo = _session.get() or (None, None)
+    return budget or DEFAULT_BUDGET, memo
+
+
+def _served(key, compute):
+    """compute(budget), served from the session's memo under key; computed
+    afresh outside a session.  A computation that raises stores nothing."""
+    budget, memo = _session_state()
+    if memo is None:
+        return compute(budget)
+    if key not in memo:
+        memo[key] = compute(budget)
+    return memo[key]
 
 
 class BudgetExhausted(RuntimeError):
@@ -354,12 +370,12 @@ def _widening(ring: _Ring, run):
 
 
 class Ideal:
-    """A list of distinct generators, each kept at its first position, the
-    label its caller names it by (None on what the engine returns), and a
-    cache of its coordinate presolve.  It has no ambient ring: krull_dim
-    takes one as an argument."""
+    """A list of distinct generators, each kept at its first position, and
+    the label its caller names it by (None on what the engine returns).  Its
+    bases and presolve live in the session memo, and it has no ambient ring:
+    krull_dim takes one as an argument."""
 
-    __slots__ = ("generators", "label", "_presolved", "_split")
+    __slots__ = ("generators", "label")
 
     def __init__(self, generators, label: str | None = None):
         gens = []
@@ -372,8 +388,6 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(dict.fromkeys(gens))
         self.label = label
-        self._presolved = None
-        self._split = None
 
     def __add__(self, other: "Ideal") -> "Ideal":
         return Ideal(self.generators + other.generators)
@@ -386,39 +400,26 @@ class Ideal:
         return self.label or "ideal"
 
     def groebner(self, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBasis:
-        """The reduced basis under order: served from the open session's memo,
-        or computed under the session budget and stored there."""
-        open_session = _session.get()
-        if open_session is None:
-            return buchberger(self, order)
-        budget, memo = open_session
-        key = (self.generators, order)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = buchberger(self, order, budget)
-        return got
+        """The reduced basis under order, served from the session memo."""
+        return _served((self.generators, order), lambda budget: buchberger(self, order, budget))
 
     def presolved(self) -> Presolve:
-        if self._presolved is None:
-            self._presolved = linear_presolve(self)
-        return self._presolved
+        """The linear presolve, served from the session memo."""
+        return _served((self.generators, "presolve"), lambda _: linear_presolve(self))
 
     def split(self) -> tuple[tuple[int, Ideal], ...] | None:
         """None when no generator is a monomial.  Otherwise, for the first
         one, c*x1^a1*...*xk^ak, the ideals self + (x_i), one per variable
         and keyed by its code, whose radicals meet in the radical of self;
-        none at all for a nonzero constant, whose radical is the whole ring.
-        The branches are built once and kept, each with its own presolve."""
-        if self._split is None:
-            mono = next((g for g in self.generators if len(g) == 1), None)
-            if mono is None:
-                return None
-            ((m, _),) = mono.items()
-            self._split = tuple(
-                (code, Ideal(self.generators + (Polynomial.variable(code),)))
-                for code, _ in m
-            )
-        return self._split
+        none at all for a nonzero constant, whose radical is the whole ring."""
+        mono = next((g for g in self.generators if len(g) == 1), None)
+        if mono is None:
+            return None
+        ((m, _),) = mono.items()
+        return tuple(
+            (code, Ideal(self.generators + (Polynomial.variable(code),)))
+            for code, _ in m
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +796,7 @@ def radical_member(
     def decide(residual, p0, start):
         aux = _fresh_aux(p, *ideal.generators)
         w = Polynomial.variable(aux)
-        open_session = _session.get()
-        budget = (open_session and open_session[0]) or DEFAULT_BUDGET
+        budget, _ = _session_state()
         spairs = 0
 
         def walk(node: Ideal, q: Polynomial) -> tuple[bool, dict]:

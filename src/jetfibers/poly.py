@@ -232,7 +232,11 @@ class Polynomial:
 
     @classmethod
     def variable(cls, code: int) -> "Polynomial":
-        return cls({((code, 1),): Fraction(1)})
+        """One shared object per code, like zero and one."""
+        got = _VARIABLES.get(code)
+        if got is None:
+            got = _VARIABLES[code] = cls({((code, 1),): Fraction(1)})
+        return got
 
     # -- inspection --------------------------------------------------------
 
@@ -369,6 +373,7 @@ class Polynomial:
 
 _ZERO = Polynomial({})
 _ONE = Polynomial({MONO_ONE: Fraction(1)})
+_VARIABLES: dict[int, Polynomial] = {}
 
 
 def _coerce(value):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from jetfibers import cli
 from jetfibers.cli import build_parser, main
 
 
@@ -244,6 +245,19 @@ def test_out_to_an_unwritable_path_is_an_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("jetfibers: error: ") and str(target) in err
     assert not target.exists()
+
+
+def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypatch):
+    def never(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(cli._HANDLERS, ("an", "verify"), never)
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "an", "verify", "--n", "6", "--m", "14", "--format", "json", "--out", str(target)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("jetfibers: error: ") and str(target) in err
 
 
 def test_timings_flag_fills_seconds(capsys):

@@ -915,6 +915,14 @@ def test_split_on_a_constant_generator_is_the_unit_ideal(monkeypatch):
     assert calls == []
 
 
+def _counting_presolve(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(
+        engine, "linear_presolve", lambda i: calls.append(i.generators) or linear_presolve(i)
+    )
+    return calls
+
+
 def test_split_refuted_in_one_branch_returns_at_once(monkeypatch):
     # (x0*y0): x0 restricts to zero on x0 = 0 and is free on y0 = 0
     rep = radical_member(P("x0"), ideal("x0*y0"))
@@ -923,8 +931,7 @@ def test_split_refuted_in_one_branch_returns_at_once(monkeypatch):
     assert rep.certificate["branches"]["y0"]["witness"] == "normal form of 1 is 1"
     # a refuted first branch ends the query: the later branches are never
     # presolved
-    presolves = []
-    monkeypatch.setattr(engine, "linear_presolve", lambda i: presolves.append(i) or linear_presolve(i))
+    presolves = _counting_presolve(monkeypatch)
     i = ideal("x0*y0*z0")
     rep = radical_member(P("y0*z0 + x0^2"), i)
     assert rep.outcome == engine.REFUTED
@@ -932,20 +939,47 @@ def test_split_refuted_in_one_branch_returns_at_once(monkeypatch):
     assert len(presolves) == 2  # the ideal's own presolve and its first branch's
 
 
-def test_split_branches_are_built_once_per_ideal():
+_SPLIT_GENS = ("x1 - z0", "x1*z0 - y0^2", "x0^2*y0")
+
+
+def test_split_branches_are_presolved_once_per_session(monkeypatch):
     # the residual of the presolve splits on its first monomial generator,
-    # one branch per variable, and every query on the ideal walks the same
-    # branches
-    i = ideal("x1 - z0", "x1*z0 - y0^2", "x0^2*y0")
-    residual = i.presolved().residual
+    # one branch per variable; every query builds the branches afresh, and
+    # a second query that walks them, on a fresh Ideal with the same
+    # generators, is served every presolve from the session memo
+    residual = ideal(*_SPLIT_GENS).presolved().residual
     branches = residual.split()
     ((mono, _),) = P("x0^2*y0").items()
     assert [code for code, _ in branches] == [code for code, _ in mono]
     assert [b.generators[-1] for _, b in branches] == [P("x0"), P("y0")]
-    for q in ("x0*y0", "y0*z0", "x0", "z0"):
-        radical_member(P(q), i)
-        assert residual.split() is branches
     assert ideal("x0*y0 + z0").split() is None
+    calls = _counting_presolve(monkeypatch)
+    with session():
+        first = radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+        # the ideal, its two branches and the y0 branch's own z0 branch
+        assert len(calls) == len(set(calls)) == 4
+        again = radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+        assert len(calls) == 4
+        assert again.verified and again.certificate == first.certificate
+        for q in ("x0*y0", "x0", "z0"):  # subtrees of the same branches
+            radical_member(P(q), ideal(*_SPLIT_GENS))
+        assert len(calls) == 4
+
+
+def test_presolve_memo_lives_as_long_as_the_outermost_session(monkeypatch):
+    calls = _counting_presolve(monkeypatch)
+    for _ in range(2):
+        with session():
+            with session():
+                radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+            # leaving the inner block keeps the memo
+            radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+    # the second outermost session presolves everything again
+    assert len(calls) == 8 and calls[:4] == calls[4:]
+    # outside a session nothing is kept
+    radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+    radical_member(P("x0*z0"), ideal(*_SPLIT_GENS))
+    assert len(calls) == 16
 
 
 def test_merge_reports_worst_outcome():

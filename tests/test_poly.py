@@ -60,6 +60,12 @@ def test_jet_variables_count():
     assert len(jet_variables(4)) == 15
 
 
+def test_each_variable_is_one_shared_polynomial():
+    # like zero and one, so generator tuples built apart compare by identity
+    assert var("x", 3) is var("x", 3)
+    assert var("x", 3) == P("x3") and str(var("y", 0)) == "y0"
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
