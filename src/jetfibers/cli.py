@@ -233,7 +233,7 @@ def _cmd_expand(args) -> int:
     f = parse_polynomial(args.f, ambient=True)
     if args.m < 0:
         raise ValueError("--m must be nonnegative")
-    coeffs = [str(c) for c in jets.expand_ambient(f, args.m)]
+    coeffs = jets.expand_text(f, args.m)
     _emit_result(
         args,
         {"coefficients": coeffs},

@@ -10,10 +10,16 @@ coordinate hyperplanes.
 
 Every coefficient is written down by the multinomial theorem, with no
 series product: each term of f^(j) is one choice of a weighted composition
-per variable family, times its multinomials.  ``_compositions`` lists those
-compositions by weight, and ``expand_ambient`` reads it.  The paper's closed
-formula for the shifted coefficients, with its index sets, lives with the
-tests (``tests/references.py``), which hold ``jet_coeffs_shifted`` to it.
+per variable family, times its multinomials.  One descent,
+``_compositions``, lists those compositions by weight, each with its
+factors as monomial pairs, its printed text and its multinomial.  Two
+readers share it: ``expand_ambient`` builds the coefficient polynomials
+from the pairs, and ``expand_text``, the ``expand`` command's path, writes
+each coefficient's text from the texts, placing every term by its pairs,
+with no Polynomial and no per-term factor sort in between.  The paper's
+closed formula for the shifted coefficients, with its index sets, lives
+with the tests (``tests/references.py``), which hold
+``jet_coeffs_shifted`` to it.
 ``poly.substitute_series``, the general series substitution, stays
 bound here as well because the benchmark harness's self-test looks the
 name up on this module.
@@ -29,9 +35,11 @@ from functools import lru_cache
 from .poly import (  # noqa: F401  (substitute_series: see the docstring)
     Polynomial,
     _check_ambient,
+    _join_terms,
     var_code,
     var_family,
     var_index,
+    var_name,
     substitute_series,
     X,
     Y,
@@ -92,29 +100,14 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
     a monomial comes from, so every term is formed exactly once and each
     coefficient is filled by plain assignment.
     """
-    if m < 0:
-        raise ValueError("series order must be nonnegative")
-    _check_ambient(f)
+    terms = _term_buckets(f, m, shifts)
     coefficients: list[dict] = [{} for _ in range(m + 1)]
-    factors: dict = {}  # (family, degree) -> [(weight, pairs, multinomial)]
-
-    def family_factors(family: str, start: int, degree: int) -> list:
-        key = (family, degree)
-        got = factors.get(key)
-        if got is None:
-            buckets = _compositions(max(start, 0), degree, m, var_code(family, 0))
-            got = factors[key] = [
-                (w, pairs, mult) for w, bucket in enumerate(buckets) for pairs, mult in bucket
-            ]
-        return got
-
-    for mono, c in f.items():
+    for c, *buckets in terms:
         num, den = c.numerator, c.denominator
         made: dict = {}  # numerator -> its Fraction, built once per term of f
-        exps = dict(mono)
         xs, ys, zs = (
-            family_factors(family, start, exps.get(var_code(family, 0), 0))
-            for family, start in zip((X, Y, Z), shifts, strict=True)
+            [(w, pairs, mult) for w, bucket in enumerate(b) for pairs, _, mult in bucket]
+            for b in buckets
         )
         # x codes rank above y codes above z codes, so the concatenated
         # factors are in descending code order
@@ -134,6 +127,76 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
                         value = made[n] = Fraction(n, den)
                     coefficients[j][pxy + pz] = value
     return [Polynomial(terms) for terms in coefficients]
+
+
+def expand_text(f: Polynomial, m: int) -> list[str]:
+    """format_polynomial of each coefficient of expand_ambient(f, m), byte
+    for byte, with no Polynomial built: a term of f^(j) is written
+    magnitude*x*y*z from its compositions' texts and placed by its key
+    (z pairs, y pairs, x pairs), which ascends in descending display order
+    (see poly).  Each coefficient's rows are sorted and joined before the
+    next coefficient's are built."""
+    terms = _term_buckets(f, m, (0, 0, 0))
+    out = []
+    for j in range(m + 1):
+        rows = []
+        for c, bx, by, bz in terms:
+            num, den = c.numerator, c.denominator
+            prefixes = {}  # numerator -> its _magnitude
+            for wx in range(j + 1):
+                for px, tx, mx in bx[wx]:
+                    for wy in range(j - wx + 1):
+                        zs = bz[j - wx - wy]
+                        for py, ty, my in by[wy]:
+                            txy = tx + ty
+                            nxy = num * mx * my
+                            for pz, tz, mz in zs:
+                                n = nxy * mz
+                                prefix = prefixes.get(n)
+                                if prefix is None:
+                                    prefix = prefixes[n] = _magnitude(n, den)
+                                # texts start with "*"; a lone constant 1 has none
+                                text = txy + tz
+                                rows.append(
+                                    ((pz, py, px), n < 0, prefix + text if prefix else text[1:] or "1")
+                                )
+        # keys differ between monomials, so the sort never compares past them
+        rows.sort()
+        out.append(_join_terms(rows))
+    return out
+
+
+def _magnitude(n: int, den: int) -> str:
+    """The magnitude of n/den in lowest terms as printed ("3", "1/2"), or ""
+    when it is 1."""
+    g = math.gcd(n, den)
+    n, den = abs(n) // g, den // g
+    if den != 1:
+        return f"{n}/{den}"
+    return "" if n == 1 else str(n)
+
+
+def _term_buckets(f: Polynomial, m: int, shifts: tuple[int, int, int]) -> list:
+    """Each term of f as [coefficient, x buckets, y buckets, z buckets]: per
+    family, the _compositions of the term's degree in it over the indices
+    from the family's shift, listed once per (family, degree)."""
+    if m < 0:
+        raise ValueError("series order must be nonnegative")
+    _check_ambient(f)
+    listed: dict = {}
+    terms = []
+    for mono, c in f.items():
+        exps = dict(mono)
+        row = [c]
+        for family, start in zip((X, Y, Z), shifts, strict=True):
+            offset = var_code(family, 0)
+            degree = exps.get(offset, 0)
+            buckets = listed.get((family, degree))
+            if buckets is None:
+                buckets = listed[family, degree] = _compositions(max(start, 0), degree, m, offset)
+            row.append(buckets)
+        terms.append(row)
+    return terms
 
 
 @lru_cache(maxsize=None)
@@ -161,39 +224,52 @@ def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list
 
     buckets[w] lists, for each choice of indices start <= i_1 < ... < i_l
     with positive parts d_k summing to degree and weight sum(i_k * d_k) = w,
-    the pair (((offset + i_l, d_l), ..., (offset + i_1, d_1)), multinomial),
-    highest index first as in a monomial, with the multinomial
-    degree! / (d_1! ... d_l!) carried down the recursion as a product of
-    binomials.  Degree 0 has the one empty composition, of weight 0.
+    the record (pairs, text, multinomial): pairs is ((offset + i_l, d_l),
+    ..., (offset + i_1, d_1)), highest index first as in a monomial; text is
+    "*v_1^d_1*...*v_l^d_l", lowest index first as printed, each exponent
+    written only above 1; the multinomial degree! / (d_1! ... d_l!) is
+    carried down the recursion as a product of binomials.  Degree 0 has the
+    one empty composition, of weight 0.
     """
     if m < 0:
         raise ValueError("weight bound must be nonnegative")
     buckets: list[list] = [[] for _ in range(m + 1)]
     if degree == 0:
-        buckets[0].append(((), 1))
+        buckets[0].append(((), "", 1))
     else:
-        _descend(buckets, [], offset, start, degree, m, 1)
+        # pieces[i][d]: v_i^d as a one-pair tuple and as text, made once per
+        # call so that the compositions share their pair tuples
+        pieces = [
+            [None] + [
+                (((offset + i, d),), f"*{var_name(offset + i)}" + (f"^{d}" if d > 1 else ""))
+                for d in range(1, degree + 1)
+                if i * d <= m
+            ]
+            for i in range(m + 1)
+        ]
+        _descend(buckets, (), "", pieces, start, degree, m, 1)
     return buckets
 
 
-def _descend(buckets, chosen, offset, i_min, deg_left, weight_left, mult):
-    """Extend the composition in chosen by each index i >= i_min and part d
-    that leave room for the rest: i * deg_left <= weight_left bounds i, and
-    the deg_left - d parts still to come sit on indices above i, so
+def _descend(buckets, pairs, text, pieces, i_min, deg_left, weight_left, mult):
+    """Extend the composition (pairs, text) by each index i >= i_min and
+    part d that leave room for the rest: i * deg_left <= weight_left bounds
+    i, and the deg_left - d parts still to come sit on indices above i, so
     (i + 1) * (deg_left - d) <= weight_left - i * d bounds d from below.
     A finished composition of weight w = m - weight_left goes to buckets[w],
     that is buckets[-1 - weight_left]."""
     for i in range(i_min, weight_left // deg_left + 1):
-        chosen.append(None)
+        at_i = pieces[i]
         for d in range(max(1, (i + 1) * deg_left - weight_left), deg_left + 1):
-            chosen[-1] = (offset + i, d)
+            factor, suffix = at_i[d]
             left = weight_left - i * d
             part = mult * math.comb(deg_left, d)
             if d == deg_left:
-                buckets[-1 - left].append((tuple(chosen[::-1]), part))
+                buckets[-1 - left].append((factor + pairs, text + suffix, part))
             else:
-                _descend(buckets, chosen, offset, i + 1, deg_left - d, left, part)
-        chosen.pop()
+                _descend(
+                    buckets, factor + pairs, text + suffix, pieces, i + 1, deg_left - d, left, part
+                )
 
 
 # ---------------------------------------------------------------------------

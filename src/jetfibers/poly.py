@@ -32,7 +32,10 @@ with no zero exponents; the empty tuple is the monomial 1.
 Printing uses a separate *display* ranking (families ``w > x > y > z`` but
 lower index first within a family, terms sorted by ungraded reverse
 lexicographic comparison).  That is the one documented textual form; parse
-and print round-trip bit-exactly.
+and print round-trip bit-exactly.  Within a family the display ranking is
+the code order reversed, so on x/y/z monomials the descending display order
+is the ascending order of (z pairs, y pairs, x pairs), each family's pairs
+as they stand in the monomial: ``jets.expand_text`` places its terms so.
 """
 
 from __future__ import annotations
@@ -389,9 +392,12 @@ def _coerce(value):
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical textual form; parse_polynomial inverts it bit-exactly."""
-    if p.is_zero:
-        return "0"
+    """Canonical textual form; parse_polynomial inverts it bit-exactly.
+
+    This is the general path.  ``jets.expand_text`` writes the same order
+    and text for the ``expand`` command straight from the compositions, with
+    no _display_factors sort per term; both join their terms in
+    _join_terms."""
     rows = []
     for mono, coeff in p._terms.items():
         num, den = coeff.numerator, coeff.denominator
@@ -403,6 +409,14 @@ def format_polynomial(p: Polynomial) -> str:
         rows.append((_factors_key(factors), num < 0, "*".join(parts)))
     # keys differ between monomials, so the sort never compares past them
     rows.sort(reverse=True)
+    return _join_terms(rows)
+
+
+def _join_terms(rows: list) -> str:
+    """The text of a polynomial from its terms' rows (key, negative, unsigned
+    text) in display order, joined by their signs; "0" when there is none."""
+    if not rows:
+        return "0"
     _, negative, text = rows[0]
     chunks = ["-" + text if negative else text]
     for _, negative, text in rows[1:]:

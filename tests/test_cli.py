@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jetfibers import cli
+from jetfibers import cli, poly
 from jetfibers.cli import build_parser, main
 
 
@@ -31,6 +31,21 @@ def test_expand_order_zero(capsys):
     assert parse_polynomial(line) == parse_polynomial(
         "x0^2 - y0^2*z0 + z0^3"
     )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_expand_writes_text_without_the_general_formatter(capsys, monkeypatch, fmt):
+    # expand prints from the compositions; a return to str(Polynomial)
+    # would call format_polynomial and fail here
+    argv = ["expand", "x*y-z^5", "--m", "12", "--format", fmt]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(p):
+        raise AssertionError("expand called format_polynomial")
+
+    monkeypatch.setattr(poly, "format_polynomial", refuse)
+    assert run(capsys, *argv) == (0, expected, "")
 
 
 def test_expand_rejects_malformed_input(capsys):

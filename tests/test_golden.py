@@ -61,6 +61,10 @@ PINS = [
      "9d100245e42232b8fb72aea749d4c26c33b97e01b87fbacdf47a34b0a234d1ee", 30225),
     (["expand", "3/2*x^3*y-2/7*z^2+x", "--m", "8", "--format", "json"], 0,
      "dadc29dd6b26e4129f74bb883f1fdff2e7e4c1118f4e994ada0cdb1bf96fec8b", 2854),
+    # coefficients that reduce to 1 and to whole numbers, a bare constant
+    # and terms in all three families
+    (["expand", "1/2*z^2-1/3*x^3-1/6*y^3*z+5", "--m", "24", "--format", "json"], 0,
+     "363549535beec9716f25359dd865d98b138a7fbe1d82c6c5c27a47efd3595417", 75141),
     (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3"], 0,
      "66f121a68e504df5b168d19394640e346e380804432503e94265411472a6127c", 94),
     (["an", "decompose", "--n", "3", "--m", "9", "--i", "1", "--j", "3", "--format", "json"], 0,

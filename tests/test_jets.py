@@ -1,6 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from jetfibers.jets import (
     _compositions,
@@ -8,6 +10,7 @@ from jetfibers.jets import (
     an_surface,
     d4_surface,
     expand_ambient,
+    expand_text,
     g_shift,
     jet_coeffs,
     jet_coeffs_shifted,
@@ -17,10 +20,13 @@ from jetfibers.poly import (
     Y,
     Z,
     Polynomial,
+    format_polynomial,
+    mono_from_pairs,
     parse_polynomial,
     var_code,
     var_family,
     var_index,
+    var_name,
 )
 from references import fpqr_closed, lambda_xy, lambda_z, multinomial
 
@@ -164,8 +170,8 @@ def test_lambda_z_empty_iff_threshold():
 
 def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
     # one enumerator for every weight up to m: bucket j is lambda_z's entry
-    # list at j, in the same order, each with its multinomial and its
-    # factors highest index first
+    # list at j, in the same order, each with its multinomial, its factors
+    # highest index first and its text lowest index first
     for r, n, m in itertools.product(range(3), (1, 2, 3), range(8)):
         buckets = _compositions(r, n + 1, m, var_code(Z, 0))
         assert len(buckets) == m + 1
@@ -173,11 +179,17 @@ def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
             entries = lambda_z(r, j, n)
             assert [
                 (tuple(var_index(c) for c, _ in reversed(mono)), tuple(d for _, d in reversed(mono)))
-                for mono, _ in bucket
+                for mono, _, _ in bucket
             ] == list(entries), (r, n, m, j)
-            assert [mult for _, mult in bucket] == [multinomial(parts) for _, parts in entries]
-    assert _compositions(3, 0, 2) == [[((), 1)], [], []]
+            assert [mult for _, _, mult in bucket] == [multinomial(parts) for _, parts in entries]
+            assert [text for _, text, _ in bucket] == [
+                "".join(f"*{var_name(c)}" + (f"^{d}" if d > 1 else "") for c, d in reversed(mono))
+                for mono, _, _ in bucket
+            ]
+    assert _compositions(3, 0, 2) == [[((), "", 1)], [], []]
     assert _compositions(3, 1, 2) == [[], [], []]
+    # a degree above m still has its weight-0 compositions at index 0
+    assert _compositions(0, 4, 2, var_code(X, 0))[0] == [(((var_code(X, 0), 4),), "*x0^4", 1)]
 
 
 def test_multinomial():
@@ -308,13 +320,41 @@ def test_expand_ambient_forms_each_term_once(text, m, terms):
     assert choices == terms == sum(len(c) for c in expand_ambient(f, m))
 
 
+_AMBIENT_CODES = (var_code(X, 0), var_code(Y, 0), var_code(Z, 0))
+_ambient_polys = st.lists(
+    st.tuples(
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.builds(Fraction, st.integers(1, 7) | st.integers(-7, -1), st.integers(1, 6)),
+    ),
+    max_size=5,
+).map(
+    lambda terms: Polynomial.from_terms(
+        (mono_from_pairs(zip(_AMBIENT_CODES, exps)), c) for exps, c in terms
+    )
+)
+
+
+@given(_ambient_polys, st.integers(0, 12))
+@example(P("0"), 3)
+@example(parse_polynomial("x - x", ambient=True), 2)
+@example(parse_polynomial("5 - 1/3*x^3 - 1/6*y^3*z + z^2", ambient=True), 6)
+@example(parse_polynomial("-1 + x*y*z - 2*x^2*z + 1/2*y", ambient=True), 5)
+@example(Polynomial.one(), 1)
+@example(Polynomial.constant(Fraction(-1)), 0)
+def test_expand_text_is_the_formatted_expansion(f, m):
+    # the text path writes what the general formatter writes, term for term:
+    # negative and reducing coefficients, constants, mixed families, zero
+    assert expand_text(f, m) == [format_polynomial(c) for c in expand_ambient(f, m)]
+
+
 def test_expand_ambient_rejects_bad_input():
     f = parse_polynomial("x*y-z^5", ambient=True)
     x1 = Polynomial.variable(var_code(X, 1))
-    with pytest.raises(ValueError, match="series order must be nonnegative"):
-        expand_ambient(f, -1)
-    with pytest.raises(ValueError, match=r"not an ambient polynomial \(uses x1\)"):
-        expand_ambient(f + x1, 3)
-    # the order is checked first
-    with pytest.raises(ValueError, match="series order"):
-        expand_ambient(x1, -1)
+    for expand in (expand_ambient, expand_text):
+        with pytest.raises(ValueError, match="series order must be nonnegative"):
+            expand(f, -1)
+        with pytest.raises(ValueError, match=r"not an ambient polynomial \(uses x1\)"):
+            expand(f + x1, 3)
+        # the order is checked first
+        with pytest.raises(ValueError, match="series order"):
+            expand(x1, -1)

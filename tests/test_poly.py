@@ -181,6 +181,27 @@ def test_display_key_sorts_as_display_comparison(monos):
     assert sorted(monos, key=_display_term_key, reverse=True) == expected
 
 
+_JET_CODES = [var_code(f, i) for f in "xyz" for i in (0, 1, 2, 11)]
+
+
+@given(st.lists(
+    st.lists(st.tuples(st.sampled_from(_JET_CODES), st.integers(1, 3)), max_size=5).map(
+        mono_from_pairs
+    ),
+    max_size=12,
+))
+def test_family_pairs_sort_as_display_order(monos):
+    # jets.expand_text places a jet term by its (z pairs, y pairs, x pairs):
+    # ascending on that is descending display order
+    monos = monos + [()] + [m[:1] for m in monos]
+
+    def family_pairs(mono):
+        return tuple(tuple(p for p in mono if var_family(p[0]) == f) for f in "zyx")
+
+    expected = sorted(monos, key=cmp_to_key(_display_term_cmp), reverse=True)
+    assert sorted(monos, key=family_pairs) == expected
+
+
 def test_display_key_ranks_an_absent_variable_above_any_power():
     z0, w0 = var_code("z", 0), var_code("w", 0)
     for shorter, longer in [((), ((z0, 1),)), (((w0, 2),), ((w0, 2), (z0, 1)))]:
