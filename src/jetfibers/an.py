@@ -2,7 +2,7 @@
 intersections.
 
 For xy - z^(n+1) the fiber of the m-jet space over the singular point breaks
-into n components, each cut out by a coordinate ladder plus reindexed jet
+into n components, each cut out by a coordinate ladder plus shifted jet
 equations.  This module builds those ideals, decomposes the pairwise
 intersections into the four parameter regimes (single ladder, thickened
 ladder, a chain of ladders, ladders carrying a jet-equation tail), computes
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groebner as gb
-from .jets import an_surface, g_shift, jet_coeffs
+from .jets import an_surface, jet_coeffs, jet_coeffs_shifted
 from .poly import Polynomial, evaluate, var_code, var_family, var_index, var_name, X, Y, Z
 
 # ---------------------------------------------------------------------------
@@ -308,8 +308,9 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
     witness variables x_w and y_w, each a variable of one component's ladder
     and outside the other by a point check at a monomial arc
     (_avoids_on_arc), so no basis is built; in the tail regime the residual
-    generators are exactly the reindexed jet equations on variables disjoint
-    from the ladder (the structural fact the cited primality rests on).
+    generators are exactly f^(2n+2..m) at the jet shifted past the ladder
+    (x from t^p, y from t^(2n+2-p), z from t^2), on variables disjoint from
+    the ladder (the structural fact the cited primality rests on).
 
     The ladder meet certifies the meet of the components: V(J) lies in the
     union of the ladders' zero sets V(L_u), each component C_u is generated
@@ -356,11 +357,10 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
     if dec.case == "d":
         for desc, comp in zip(dec.components, comps):
             residual, eliminated = comp.presolved()
-            expected = [
-                g_shift(n, desc.ladder.p, 2, v) for v in range(m - 2 * n - 1)
-            ]
+            p = desc.ladder.p
+            expected = jet_coeffs_shifted(an_surface(n), m, p, 2 * n + 2 - p, 2)[2 * n + 2 :]
             ladder_codes = set(desc.ladder.codes())
-            structure_ok = list(residual.generators) == expected and all(
+            structure_ok = residual.generators == expected and all(
                 not (g.variables() & ladder_codes) for g in expected
             )
             reports.append(

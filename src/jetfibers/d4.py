@@ -18,16 +18,13 @@ from functools import cache
 
 from . import groebner as gb
 from .an import Ladder
-from .jets import d4_surface, jet_coeffs, jet_coeffs_shifted
+from .jets import d4_surface, jet_coeffs, jet_coeffs_shifted, t_order
 from .poly import (
-    JetPoint,
     Polynomial,
     evaluate,
-    jet_point_values,
     jet_variables,
     linear_substitute,
     parse_polynomial,
-    t_order,
     var_code,
     var_family,
     var_index,
@@ -128,10 +125,18 @@ class Automorphism:
     def on_ideal(self, ideal: gb.Ideal) -> gb.Ideal:
         return gb.Ideal(self.on_polynomial(g) for g in ideal.generators)
 
-    def on_point(self, pt: JetPoint) -> JetPoint:
-        ys = tuple(self.yy * y + self.yz * z for y, z in zip(pt.ys, pt.zs))
-        zs = tuple(self.zy * y + self.zz * z for y, z in zip(pt.ys, pt.zs))
-        return JetPoint(pt.xs, ys, zs)
+    def on_point(self, pt: dict) -> dict:
+        """The image of a jet point: x kept, (y, z) at each index through
+        the matrix."""
+        x, y, z = (
+            {var_index(c): v for c, v in pt.items() if var_family(c) == f} for f in (X, Y, Z)
+        )
+        idx = y.keys() | z.keys()
+        return _jet(
+            x=x,
+            y={i: self.yy * y.get(i, 0) + self.yz * z.get(i, 0) for i in idx},
+            z={i: self.zy * y.get(i, 0) + self.zz * z.get(i, 0) for i in idx},
+        )
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other, as maps on polynomials."""
@@ -346,31 +351,36 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
 # witness jets
 
 
-def point_p(m: int) -> JetPoint:
-    return JetPoint.make(m, y={2: 1})
+def _jet(**series) -> dict:
+    """The jet point with the given x, y, z series (index -> value) as
+    jet-variable code -> value, zeros left out: P'(0) is P."""
+    return {var_code(f, i): Fraction(v) for f, vs in series.items() for i, v in vs.items() if v}
 
 
-def point_p_prime(m: int, s) -> JetPoint:
-    return JetPoint.make(m, y={1: Fraction(s), 2: 1})
+def point_p() -> dict:
+    return _jet(y={2: 1})
 
 
-def point_q(m: int) -> JetPoint:
-    return JetPoint.make(m, x={3: -1}, y={2: -1}, z={2: 1})
+def point_p_prime(s) -> dict:
+    return _jet(y={1: s, 2: 1})
 
 
-def point_q_prime(m: int, s) -> JetPoint:
-    s = Fraction(s)
-    return JetPoint.make(m, x={2: s, 3: -1}, y={1: s, 2: -1}, z={2: 1})
+def point_q() -> dict:
+    return _jet(x={3: -1}, y={2: -1}, z={2: 1})
+
+
+def point_q_prime(s) -> dict:
+    return _jet(x={2: s, 3: -1}, y={1: s, 2: -1}, z={2: 1})
 
 
 WITNESS_SCALES = (Fraction(1), Fraction(2), Fraction(-1))
 
 
-def chart_point(m: int, i: int) -> JetPoint:
+def chart_point(i: int) -> dict:
     """A point of the i-th contracted component with y1 != 0: P'(1) on the
     first chart, carried to the second by phi2 and to the third by its
     inverse."""
-    pt = point_p_prime(m, 1)
+    pt = point_p_prime(1)
     return {1: pt, 2: PHI2.on_point(pt), 3: PHI2_INV.on_point(pt)}[i]
 
 
@@ -393,8 +403,8 @@ def witness_checks(m: int) -> gb.VerificationReport:
     reports = []
 
     if m == 5:
-        name, base, moved = "Q", point_q(m), point_q_prime
-        order = t_order(point_q(7), d4_surface().ambient_polynomial())
+        name, base, moved = "Q", point_q(), point_q_prime
+        order = t_order(d4_surface().ambient_polynomial(), base, 7)
         reports.append(
             gb.check(
                 "surface order along Q is 6",
@@ -403,29 +413,27 @@ def witness_checks(m: int) -> gb.VerificationReport:
             )
         )
     else:
-        name, base, moved = "P", point_p(m), point_p_prime
-    base_values = jet_point_values(base)
-    reports.append(gb.vanishes_at(f"I0 vanishes at {name}", fam.i0, base_values))
+        name, base, moved = "P", point_p(), point_p_prime
+    reports.append(gb.vanishes_at(f"I0 vanishes at {name}", fam.i0, base))
     if m > 5:
-        y2val = base_values[var_code(Y, 2)]
+        y2val = base.get(var_code(Y, 2), 0)
         reports.append(gb.check("y2 equals 1 at P", y2val == 1, {"y2": str(y2val)}))
     for s in WITNESS_SCALES:
-        pt = moved(m, s)
-        values = jet_point_values(pt)
-        reports.append(gb.vanishes_at(f"J1 vanishes at {name}'({s})", fam.j[1], values))
-        y1val = values[var_code(Y, 1)]
+        pt = moved(s)
+        reports.append(gb.vanishes_at(f"J1 vanishes at {name}'({s})", fam.j[1], pt))
+        y1val = pt.get(var_code(Y, 1), 0)
         reports.append(
             gb.check(
                 f"{name}'({s}) lies in the y1 chart", y1val == s != 0, {"y1": str(y1val)}
             )
         )
     reports.append(
-        gb.check(f"{name}'(s) degenerates to {name} at s=0", moved(m, 0) == base)
+        gb.check(f"{name}'(s) degenerates to {name} at s=0", moved(0) == base)
     )
 
     if m == 5:
         h = gb.restrict_to_residual(g2(), Ladder(3, 2, 2).codes())
-        value = evaluate(h, base_values)
+        value = evaluate(h, base)
         reports.append(
             gb.check(
                 "reduced g2 takes the value -32 at Q",
@@ -473,7 +481,7 @@ def witness_checks(m: int) -> gb.VerificationReport:
             ]
         # the strictness itself stands at every order on P, where I0+J1+(g1)
         # vanishes and y2 = 1
-        reports.append(gb.avoids_at(y2, u1, base_values, claim=f"y2 avoids sqrt {u1.label}"))
+        reports.append(gb.avoids_at(y2, u1, base, claim=f"y2 avoids sqrt {u1.label}"))
     return gb.merge_reports(f"strictness witnesses at m{m}", reports)
 
 
@@ -506,9 +514,8 @@ def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
     reports.append(gb.member(g2(), i2, claim=f"g2 in {i2.label}"))
     y1 = Polynomial.variable(var_code(Y, 1))
     for i, ideal in ((1, i1), (2, i2), (3, i3)):
-        values = jet_point_values(chart_point(m, i))
         reports.append(
-            gb.avoids_at(y1, ideal, values, claim=f"y1 avoids sqrt {ideal.label}")
+            gb.avoids_at(y1, ideal, chart_point(i), claim=f"y1 avoids sqrt {ideal.label}")
         )
     mapped = PHI1.on_ideal(i2)
     subs = [

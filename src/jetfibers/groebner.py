@@ -753,7 +753,7 @@ def member(
     refuted by normal form against a reduced basis; a refutation's witness
     is the nonzero remainder."""
 
-    def decide(residual, p0, start):
+    def decide(residual, p0, _start):
         gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed

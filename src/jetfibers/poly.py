@@ -5,21 +5,25 @@ checks) is built on the types here.  A Polynomial's coefficients are
 ``fractions.Fraction``, so every identity in the package is decided by
 exact equality, never by a tolerance.
 
+A point, such as a witness jet or a monomial arc, is a dict from variable
+code to rational, absent codes zero; ``evaluate`` reads a polynomial there.
+
 ``substitute_series`` is the general truncated series substitution: any
-polynomial coefficients in the x, y and z series.  It and ``t_order``
-multiply series on packed monomials, with ``int`` coefficients wherever
-the inputs are whole numbers (a non-integral coefficient stays a Fraction,
-and mixed arithmetic is exact), and convert back to Fraction when they
-build the Polynomials they return.  The jet equations themselves, f at the
-generic jet, do not go through it: ``jets.expand_ambient`` writes them down
-by the multinomial theorem, and the tests hold the two against each other.
+polynomial coefficients in the x, y and z series.  It multiplies series on
+packed monomials, with ``int`` coefficients wherever the inputs are whole
+numbers (a non-integral coefficient stays a Fraction, and mixed arithmetic
+is exact), and converts back to Fraction when it builds the Polynomials it
+returns.  The jet equations themselves, f at the generic jet, do not go
+through it: ``jets.expand_ambient`` writes them down by the multinomial
+theorem, and the tests hold the two against each other.
 
 Variables
 ---------
 A variable is a (family, index) pair packed into a single int code:
 
 * families, from lowest to highest rank: ``z`` < ``y`` < ``x`` < ``w``,
-  where ``w`` holds auxiliary slots used by radical/saturation tricks;
+  where ``w`` holds auxiliary slots used by radical/saturation tricks, and
+  the reserved series variable ``t`` above them all;
 * within a family a higher jet index is a higher code.
 
 Auxiliary slots sorting above every jet variable is what lets the engine
@@ -29,18 +33,18 @@ highest-ranked variable of the ring.
 Monomials are tuples of (code, exponent) pairs sorted by descending code
 with no zero exponents; the empty tuple is the monomial 1.
 
-Printing uses a separate *display* ranking (families ``w > x > y > z`` but
-lower index first within a family, terms sorted by ungraded reverse
+Printing uses a separate *display* ranking (families ``t > w > x > y > z``
+but lower index first within a family, terms sorted by ungraded reverse
 lexicographic comparison).  That is the one documented textual form; parse
 and print round-trip bit-exactly.  Within a family the display ranking is
-the code order reversed, so on x/y/z monomials the descending display order
-is the ascending order of (z pairs, y pairs, x pairs), each family's pairs
-as they stand in the monomial: ``jets.expand_text`` places its terms so.
+the code order reversed, so the descending display order is the ascending
+order of ``_display_place``: a monomial's pairs in (z, y, x, w, t) blocks,
+each family's pairs as they stand in the monomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import string
 from fractions import Fraction
 from math import lcm
 
@@ -141,40 +145,15 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _display_key(code: int):
-    # ascending display rank: family low to high, then index high to low
-    return (code >> _INDEX_BITS, -(code & _INDEX_MASK))
-
-
-# ranks after every display rank of a variable
-_DISPLAY_KEY_END = len(_RANK_TO_FAMILY) << _INDEX_BITS
-
-_DISPLAY: dict[int, tuple[int, str]] = {}  # code -> (display rank, name)
-
-
-def _display_entry(code: int) -> tuple[int, str]:
-    """The code's display rank, _display_key(code) as one int of the same
-    order, and its name; kept in _DISPLAY."""
-    family, neg_index = _display_key(code)
-    entry = _DISPLAY[code] = ((family << _INDEX_BITS) + _INDEX_MASK + neg_index, var_name(code))
-    return entry
-
-
-def _display_factors(mono: Monomial) -> list:
-    """mono's (display rank, name, exponent) triples in ascending display rank."""
-    return sorted(
-        [(_DISPLAY.get(c) or _display_entry(c)) + (e,) for c, e in mono]
-    )
-
-
-def _factors_key(factors) -> tuple:
-    """Sort key of the ungraded reverse-lex display order, from a monomial's
-    _display_factors: each variable in ascending display rank, as its rank
-    and its negated exponent, then _DISPLAY_KEY_END.  At the first variable
-    where two monomials differ, the smaller exponent ranks higher (an absent
-    variable has exponent 0, which is why the end marker outranks every
-    rank)."""
-    return tuple([x for rank, _, e in factors for x in (rank, -e)]) + (_DISPLAY_KEY_END,)
+def _display_place(mono: Monomial) -> tuple:
+    """Where mono stands in the display order: its pairs split by family into
+    the blocks (z, y, x, w, t), each block's pairs as they stand in mono.
+    Ascending places are descending display order (see the module
+    docstring)."""
+    blocks: tuple[list, ...] = ([], [], [], [], [])
+    for pair in mono:
+        blocks[pair[0] >> _INDEX_BITS].append(pair)
+    return tuple(map(tuple, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +335,6 @@ class Polynomial:
             self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
-    # -- structural maps ----------------------------------------------------
-
-    def reindex(self, code_map) -> "Polynomial":
-        """Apply a variable-to-variable map (callable on codes)."""
-        return Polynomial(
-            _accumulate(
-                (mono_from_pairs((code_map(code), e) for code, e in mono), c)
-                for mono, c in self._terms.items()
-            )
-        )
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
@@ -394,27 +362,33 @@ def _coerce(value):
 def format_polynomial(p: Polynomial) -> str:
     """Canonical textual form; parse_polynomial inverts it bit-exactly.
 
-    This is the general path.  ``jets.expand_text`` writes the same order
-    and text for the ``expand`` command straight from the compositions, with
-    no _display_factors sort per term; both join their terms in
-    _join_terms."""
+    Terms stand in ascending _display_place, and a term's factors in
+    descending display rank: its place's blocks from t down to z, each block
+    reversed so that the lower index comes first.  ``jets.expand_text``
+    writes the same order and text for the ``expand`` command straight from
+    the compositions; both join their terms in _join_terms."""
     rows = []
     for mono, coeff in p._terms.items():
         num, den = coeff.numerator, coeff.denominator
         mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-        factors = _display_factors(mono)
-        parts = [name if e == 1 else f"{name}^{e}" for _, name, e in reversed(factors)]
+        place = _display_place(mono)
+        parts = [
+            var_name(code) if e == 1 else f"{var_name(code)}^{e}"
+            for block in reversed(place)
+            for code, e in reversed(block)
+        ]
         if not parts or mag != "1":
             parts.insert(0, mag)
-        rows.append((_factors_key(factors), num < 0, "*".join(parts)))
-    # keys differ between monomials, so the sort never compares past them
-    rows.sort(reverse=True)
+        rows.append((place, num < 0, "*".join(parts)))
+    # places differ between monomials, so the sort never compares past them
+    rows.sort()
     return _join_terms(rows)
 
 
 def _join_terms(rows: list) -> str:
-    """The text of a polynomial from its terms' rows (key, negative, unsigned
-    text) in display order, joined by their signs; "0" when there is none."""
+    """The text of a polynomial from its terms' rows (place, negative,
+    unsigned text) in display order, joined by their signs; "0" when there
+    is none."""
     if not rows:
         return "0"
     _, negative, text = rows[0]
@@ -439,6 +413,11 @@ class PolynomialParseError(ValueError):
 _NUMBER, _NAME, _OP, _END = "number", "name", "op", "end"
 
 
+# ASCII only: str.isdigit and str.isalpha take other scripts' digits too
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -448,16 +427,16 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append((_NUMBER, text[i:j], i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append((_NAME, text[i:j], i))
             i = j
@@ -638,48 +617,7 @@ def _int_product(a: dict, b: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# jet points and truncated series
-
-
-def _coeffs(values, m: int, what: str) -> tuple[Fraction, ...]:
-    if isinstance(values, dict):
-        out = [Fraction(0)] * (m + 1)
-        for idx, val in values.items():
-            if not 0 <= idx <= m:
-                raise ValueError(f"{what} coefficient index {idx} out of range")
-            out[idx] = Fraction(val)
-        return tuple(out)
-    out = tuple(Fraction(v) for v in values)
-    if not out:
-        return (Fraction(0),) * (m + 1)
-    if len(out) != m + 1:
-        raise ValueError(f"{what} needs exactly {m + 1} coefficients")
-    return out
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """A closed point of the m-jet space of affine 3-space: one truncated
-    power series in t per ambient coordinate."""
-
-    xs: tuple[Fraction, ...]
-    ys: tuple[Fraction, ...]
-    zs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not (len(self.xs) == len(self.ys) == len(self.zs)) or not self.xs:
-            raise ValueError("coefficient lists must share length m+1 >= 1")
-
-    @classmethod
-    def make(cls, m: int, x=(), y=(), z=()) -> "JetPoint":
-        return cls(_coeffs(x, m, "x"), _coeffs(y, m, "y"), _coeffs(z, m, "z"))
-
-    @property
-    def order(self) -> int:
-        return len(self.xs) - 1
-
-    def family(self, family: str) -> tuple[Fraction, ...]:
-        return {X: self.xs, Y: self.ys, Z: self.zs}[family]
+# point evaluation and the packed series expansion
 
 
 def _check_ambient(f: Polynomial):
@@ -719,23 +657,6 @@ def _expand_packed(f: Polynomial, series: dict, mask: int, m: int) -> dict:
     return acc
 
 
-def t_order(point: JetPoint, g: Polynomial):
-    """t-adic order of g along the jet, computed modulo t^(m+1).
-
-    Returns None when g vanishes to order > m; with truncated data that is
-    all that can be said ("at least m+1").
-    """
-    _check_ambient(g)
-    m = point.order
-    # a packed monomial with the t field alone: {k: c} is c*t^k
-    series = {
-        family: {k: _integral(c) for k, c in enumerate(point.family(family)) if c}
-        for family in (X, Y, Z)
-    }
-    mask = (1 << _K.field_bits(m)) - 1
-    return min(_expand_packed(g, series, mask, m), default=None)
-
-
 def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
     """Value of p at a point given as variable-code -> rational; absent
     variables count as zero.  A term stops at its first zero factor, and
@@ -751,15 +672,6 @@ def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
         else:
             total += coeff
     return Fraction(total)
-
-
-def jet_point_values(pt: JetPoint) -> dict[int, Fraction]:
-    """The coordinates of a jet point, keyed by jet-variable code."""
-    out = {}
-    for fam, coeffs in ((X, pt.xs), (Y, pt.ys), (Z, pt.zs)):
-        for i, c in enumerate(coeffs):
-            out[var_code(fam, i)] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ package because no command runs them:
   surface, with its index sets Lambda_xy and Lambda_z
   (``lambda_xy``, ``lambda_z``, ``multinomial``, ``fpqr_closed``), which
   the tests hold ``jets.jet_coeffs_shifted`` to;
+* the shift lemma's side of the same coefficients: the plain coefficient
+  f^(j) with its variables moved up the ladder (``g_shift``), which the
+  tests also hold ``jets.jet_coeffs_shifted`` to;
 * the two presentations of an A-series fiber component, checked to
   generate one ideal (``component_ideal``);
 * the engine cross-check of the index containment criterion
@@ -19,8 +22,8 @@ from functools import lru_cache
 
 from jetfibers import groebner as gb
 from jetfibers.an import Ladder, _fk, containment, pair_ideal
-from jetfibers.jets import _compositions, g_shift
-from jetfibers.poly import Polynomial, var_code, X, Y, Z
+from jetfibers.jets import _compositions, an_surface, jet_coeffs
+from jetfibers.poly import Polynomial, var_code, var_family, var_index, X, Y, Z
 
 # ---------------------------------------------------------------------------
 # the closed formula for the shifted coefficients
@@ -61,6 +64,33 @@ def fpqr_closed(n: int, p: int, q: int, r: int, j: int) -> Polynomial:
     for mono, _, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
         terms.append((mono, -mult))
     return Polynomial.from_terms(terms)
+
+
+# ---------------------------------------------------------------------------
+# the shift lemma
+
+
+def g_shift(n: int, l: int, e: int, j: int) -> Polynomial:
+    """f^(j) of the A-series surface with variables moved to x_(l+k),
+    y_(e(n+1)-l+k), z_(e+k): by the shift lemma, the coefficient of
+    t^(e(n+1)+j) at the jet with x from t^l, y from t^(e(n+1)-l) and z from
+    t^e; the residual jet equation after splitting a coordinate ladder off
+    the shifted equations."""
+    hi = e * (n + 1)
+    if not 0 <= l <= hi:
+        raise ValueError(f"shift l={l} outside 0..{hi}")
+    if j < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    offsets = {X: l, Y: hi - l, Z: e}
+
+    def moved(code: int) -> int:
+        family = var_family(code)
+        return var_code(family, var_index(code) + offsets[family])
+
+    return Polynomial.from_terms(
+        (tuple((moved(code), d) for code, d in mono), c)
+        for mono, c in jet_coeffs(an_surface(n), j)[j].items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,17 @@ from jetfibers.cli import main as cli_main
 from jetfibers.jets import (
     an_surface,
     d4_surface,
-    g_shift,
     jet_coeffs,
     jet_coeffs_shifted,
+    t_order,
 )
 from jetfibers.poly import (
     Polynomial,
     evaluate,
-    jet_point_values,
     parse_polynomial,
-    t_order,
     var_code,
 )
-from references import fpqr_closed, verify_containment_criterion
+from references import fpqr_closed, g_shift, verify_containment_criterion
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):
@@ -175,14 +173,14 @@ def test_criterion_07_exact_identities(capsys):
 def test_criterion_08_witness_suite(capsys):
     fam5 = d4_mod.d4_ideals(5)
     h = gb.restrict_to_residual(d4_mod.g2(), an_mod.Ladder(3, 2, 2).codes())
-    h_at_q = evaluate(h, jet_point_values(d4_mod.point_q(5)))
-    y2_at_p = jet_point_values(d4_mod.point_p(6))[var_code("y", 2)]
+    h_at_q = evaluate(h, d4_mod.point_q())
+    y2_at_p = d4_mod.point_p()[var_code("y", 2)]
     vanishing = all(
-        evaluate(g, jet_point_values(d4_mod.point_q_prime(5, s))) == 0
+        evaluate(g, d4_mod.point_q_prime(s)) == 0
         for s in (1, 2, -1)
         for g in fam5.j[1].generators
     )
-    order = t_order(d4_mod.point_q(7), d4_surface().ambient_polynomial())
+    order = t_order(d4_surface().ambient_polynomial(), d4_mod.point_q(), 7)
 
     chain = d4_mod.witness_checks(6)
     claims = {s["claim"]: s["outcome"] for s in chain.certificate["subchecks"]}

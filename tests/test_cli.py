@@ -54,6 +54,17 @@ def test_expand_rejects_malformed_input(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["x*y-z^\u0665", "x*y-z^\u00b2"], ids=["arabic-indic", "superscript"]
+)
+def test_expand_rejects_digits_outside_ascii(capsys, text):
+    # int() would read z^<Arabic-Indic five> as z^5 and fail on
+    # z^<superscript two> with no position
+    code, out, err = run(capsys, "expand", text, "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == f"jetfibers: parse error: unexpected character {text[6]!r} (at position 6)\n"
+
+
 def test_expand_rejects_jet_variables(capsys):
     code, _, err = run(capsys, "expand", "x1*y0", "--m", "1")
     assert code == 1

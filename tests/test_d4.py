@@ -30,16 +30,13 @@ from jetfibers.d4 import (
     verify_suite,
     witness_checks,
 )
-from jetfibers.jets import d4_surface, jet_coeffs
+from jetfibers.jets import d4_surface, jet_coeffs, t_order
 from jetfibers.poly import (
-    JetPoint,
     Polynomial,
     evaluate,
-    jet_point_values,
     jet_variables,
     linear_substitute,
     parse_polynomial,
-    t_order,
     var_code,
     var_family,
     var_index,
@@ -145,9 +142,11 @@ def test_flip_swaps_charts():
 
 
 def test_automorphism_acts_on_points_and_polynomials():
-    pt = JetPoint.make(5, y={1: 1}, z={1: 2})
-    image = PHI1.on_point(pt)
-    assert image.ys[1] == -1 and image.zs[1] == 2
+    y1, z1, x2 = var_code("y", 1), var_code("z", 1), var_code("x", 2)
+    image = PHI1.on_point({y1: Fraction(1), z1: Fraction(2), x2: Fraction(3)})
+    assert image == {y1: -1, z1: 2, x2: 3}
+    # a coordinate the map sends to zero is left out, like a zero of _jet
+    assert PHI2.on_point({y1: Fraction(3), z1: Fraction(1)}) == {z1: -2}
     assert PHI1.on_polynomial(P("y0")) == P("-y0")
 
 
@@ -167,7 +166,7 @@ _jet_polys = st.lists(
     max_size=6,
 ).map(Polynomial.from_terms)
 _jet_points = st.lists(_rationals, min_size=12, max_size=12).map(
-    lambda c: JetPoint.make(3, x=c[0:4], y=c[4:8], z=c[8:12])
+    lambda c: dict(zip(_JET_CODES, c))
 )
 
 
@@ -175,10 +174,9 @@ _jet_points = st.lists(_rationals, min_size=12, max_size=12).map(
 def test_symmetry_on_polynomials_is_pullback_along_points(p, pt):
     # the substitution path and the independent point path agree:
     # (phi p)(pt) = p(phi pt)
-    values = jet_point_values(pt)
     for auto in (PHI1, PHI2, PHI2_INV):
-        pulled = evaluate(auto.on_polynomial(p), values)
-        assert pulled == evaluate(p, jet_point_values(auto.on_point(pt))), auto.name
+        pulled = evaluate(auto.on_polynomial(p), pt)
+        assert pulled == evaluate(p, auto.on_point(pt)), auto.name
 
 
 def test_phi_invariance_is_refuted_by_a_perturbed_rotation(monkeypatch):
@@ -330,10 +328,10 @@ def test_coordinate_lemma_rejects_bad_input():
 
 
 def test_witness_points():
-    q = point_q(5)
-    assert jet_point_values(q)[var_code("x", 3)] == -1
-    assert point_q_prime(5, 0) == q
-    assert point_p_prime(6, 0) == point_p(6)
+    q = point_q()
+    assert q[var_code("x", 3)] == -1
+    assert point_q_prime(0) == q
+    assert point_p_prime(0) == point_p()
 
 
 def test_reduced_g2_value_at_q():
@@ -343,25 +341,25 @@ def test_reduced_g2_value_at_q():
     assert h == P(
         "-y2^4 - 4*y2^3*z2 + 2*y2^2*z2^2 + 12*y2*z2^3 - 9*z2^4 + 8*x3^2*y2 - 8*x3^2*z2"
     )
-    assert evaluate(h, jet_point_values(point_q(5))) == -32
+    assert evaluate(h, point_q()) == -32
 
 
 def test_surface_order_along_q():
     f = d4_surface().ambient_polynomial()
-    assert t_order(point_q(7), f) == 6
-    assert t_order(point_q(5), f) is None  # truncation-limited at order 5
+    assert t_order(f, point_q(), 7) == 6
+    assert t_order(f, point_q(), 5) is None  # truncation-limited at order 5
 
 
 def test_chart_ideal_vanishes_along_q_prime():
     fam = d4_ideals(5)
     for s in (1, 2, -1):
-        values = jet_point_values(point_q_prime(5, s))
+        values = point_q_prime(s)
         for g in fam.j[1].generators:
             assert evaluate(g, values) == 0
 
 
 def test_y2_at_p():
-    assert jet_point_values(point_p(6))[var_code("y", 2)] == 1
+    assert point_p()[var_code("y", 2)] == 1
 
 
 def test_witness_reports():
@@ -403,7 +401,7 @@ def test_a_point_off_the_variety_falls_back_to_the_engine():
     # outcome it had when it stood on the engine alone
     u1 = _chain_ideal(6)
     y2 = P("y2")
-    moved = jet_point_values(JetPoint.make(6, x={2: 1}, y={2: 1}))
+    moved = {var_code("x", 2): Fraction(1), var_code("y", 2): Fraction(1)}
     rep = gb.avoids_at(y2, u1, moved, claim="y2 avoids sqrt u1")
     engine = gb.expect_refuted(gb.radical_member(y2, u1, claim="y2 avoids sqrt u1"))
     failed = rep.certificate["point check"]
@@ -420,18 +418,17 @@ def test_a_point_off_the_variety_falls_back_to_the_engine():
     "text, point, outcome",
     [
         # z2 and x3 lie in the radical and vanish at P: the claims are false
-        ("z2", point_p(6), gb.REFUTED),
-        ("x3", point_p(6), gb.REFUTED),
+        ("z2", point_p(), gb.REFUTED),
+        ("x3", point_p(), gb.REFUTED),
         # y2 lies outside the radical but vanishes at the origin
-        ("y2", JetPoint.make(6), gb.VERIFIED),
+        ("y2", {}, gb.VERIFIED),
     ],
 )
 def test_a_zero_of_p_never_verifies(text, point, outcome):
     u1 = _chain_ideal(6)
     p = P(text)
-    values = jet_point_values(point)
-    assert gb.vanishes_at("on V", u1, values).verified and not evaluate(p, values)
-    rep = gb.avoids_at(p, u1, values, claim=f"{text} avoids sqrt u1")
+    assert gb.vanishes_at("on V", u1, point).verified and not evaluate(p, point)
+    rep = gb.avoids_at(p, u1, point, claim=f"{text} avoids sqrt u1")
     engine = gb.expect_refuted(gb.radical_member(p, u1, claim=f"{text} avoids sqrt u1"))
     assert rep.certificate["point check"]["value"] == "0"
     assert rep.outcome == engine.outcome == outcome
@@ -464,8 +461,7 @@ def test_y1_avoids_component_radicals_at_the_chart_points(m):
     fam = d4_ideals(m)
     for i in (1, 2, 3):
         comp = fam.component_ideal(i)
-        values = jet_point_values(chart_point(m, i))
-        rep = gb.avoids_at(P("y1"), comp, values, claim=f"y1 avoids sqrt I{i}")
+        rep = gb.avoids_at(P("y1"), comp, chart_point(i), claim=f"y1 avoids sqrt I{i}")
         assert rep.outcome == gb.VERIFIED and rep.spairs_processed == 0
         assert "point" in rep.certificate and rep.certificate["value"] != "0"
     # the saturation-level report takes the same points

@@ -111,6 +111,9 @@ PINS = [
      "5a60e174db938a6d80cae548cdab8b9ba9de0f0192a7aed79a5a17c0f72d1def", 319375),
     (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
      "7a3ec21f4d6db46b185a3fbd3c577434fc230151d856daa448de6291f074dd70", 28625),
+    # case-d tails of several components each, below the CI frontier
+    (["an", "verify", "--n", "3", "--m", "9", "--format", "json"], 0,
+     "fc31348026780624655f60618e3f098e21ab2220de8013d27ebfea8addf2c264", 117811),
     # 27 s while its six witness refutations built radical-trick bases
     (["an", "verify", "--n", "2", "--m", "12", "--format", "json"], 0,
      "dcf307b58fa144f323ca5e0b3fccb4830b00d8969cbd579810a742998a17387c", 31141),
@@ -126,6 +129,10 @@ PINS = [
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
      "2fe96f06cd496b28bb15380c50a4ea426e8206d5cb8a2fda726a95f238f92bc6", 36081),
+    # the saturation-level checks at m != 5, the one run of the chart points
+    # carried by phi2 and its inverse past m = 5
+    (["d4", "verify", "--m", "6", "--saturate", "--format", "json"], 0,
+     "ac5e77963c767e0523f01ea8286ab303f9ec39a49237e9743fcba4666842196e", 49673),
     # longer jet tails through the presolve's linear substitution
     (["d4", "verify", "--m", "10", "--format", "json"], 0,
      "3cc5c19e3d66385a881f1dbdea74101e23885372ae512a07eb5b01a9a09dc254", 40214),

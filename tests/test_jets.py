@@ -11,7 +11,6 @@ from jetfibers.jets import (
     d4_surface,
     expand_ambient,
     expand_text,
-    g_shift,
     jet_coeffs,
     jet_coeffs_shifted,
 )
@@ -28,7 +27,7 @@ from jetfibers.poly import (
     var_index,
     var_name,
 )
-from references import fpqr_closed, lambda_xy, lambda_z, multinomial
+from references import fpqr_closed, g_shift, lambda_xy, lambda_z, multinomial
 
 
 def P(text: str) -> Polynomial:
@@ -243,7 +242,7 @@ def test_congruence_modulo_ladder():
 
 
 # ---------------------------------------------------------------------------
-# reindexed coefficients
+# reindexed coefficients (the shift lemma's reference, tests/references.py)
 
 
 def test_g_shift_base_case():

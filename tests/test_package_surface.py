@@ -1,4 +1,5 @@
-"""Every function, class and method of the package is named by the package.
+"""Every function, class and method of the package is named by the package,
+and every parameter of a function is read by its body.
 
 A top-level function or class counts as named when some code of the package
 outside its own body refers to it: by its name in its module or in a module
@@ -10,6 +11,10 @@ that no code reads is dead too.  Dunder methods, and methods that override
 one of a base class outside the package, are called by Python or by that
 base class.  Whatever is left unnamed runs for tests only; its place is
 under tests/, or nowhere.
+
+A parameter counts as read when its name is loaded anywhere in the body,
+nested functions included.  ``self`` and ``cls``, and a name that starts
+with an underscore (a slot a caller's signature requires), are exempt.
 """
 
 import ast
@@ -140,3 +145,53 @@ def test_every_allowed_name_would_be_reported():
     finally:
         ALLOWED.update(saved)
     assert set(saved) <= unnamed
+
+
+def unread_parameters(src=SRC):
+    """(module, function, parameter) for every parameter its function's body
+    never reads."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            out += [
+                (path.stem, name, a.arg)
+                for a in params
+                if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_")
+            ]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [f"{mod}.{func}({param})" for mod, func, param in unread_parameters()]
+    assert unread == [], "parameters their function never reads: " + ", ".join(unread)
+
+
+def test_an_unread_parameter_is_reported(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b, _c, *rest, d=1, **kw):\n"
+        "    def g(e):\n"
+        "        return a + d\n"
+        "    return g\n"
+        "h = lambda x, y: x\n",
+        encoding="utf-8",
+    )
+    assert unread_parameters(tmp_path) == [
+        ("m", "f", "b"),
+        ("m", "f", "rest"),
+        ("m", "f", "kw"),
+        ("m", "g", "e"),
+        ("m", "<lambda>", "y"),
+    ]

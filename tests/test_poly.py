@@ -4,24 +4,23 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import example, given, strategies as st
 
+from jetfibers.jets import t_order
 from jetfibers.poly import (
-    JetPoint,
+    T_CODE,
     Polynomial,
     PolynomialParseError,
     evaluate,
     format_polynomial,
-    jet_point_values,
     jet_variables,
     linear_substitute,
     parse_polynomial,
     substitute_series,
-    t_order,
     var_code,
     var_family,
     var_index,
     var_name,
 )
-from jetfibers.poly import _display_factors, _display_key, _factors_key, mono_from_pairs
+from jetfibers.poly import _display_place, mono_from_pairs
 
 
 def P(text: str) -> Polynomial:
@@ -148,13 +147,23 @@ def test_display_matches_worked_example():
     assert str(P("x0^2 - y0^2*z0 + z0^3")) == "x0^2 - y0^2*z0 + z0^3"
 
 
+# the documented display ranking of a term's factors, written out here
+# rather than taken from the module: families t > w > x > y > z, and the
+# lower index first within a family
+_FAMILIES_BY_DISPLAY_RANK = "zyxwt"
+
+
+def _ref_factor_rank(code):
+    return (_FAMILIES_BY_DISPLAY_RANK.index(var_family(code)), -var_index(code))
+
+
 def _display_term_cmp(a, b) -> int:
     """Reference display comparison: ungraded reverse lex under the display
     ranking (the first variable where the exponents differ decides, the
     smaller exponent ranking higher)."""
     ea = dict(a)
     eb = dict(b)
-    for code in sorted(set(ea) | set(eb), key=_display_key):
+    for code in sorted(set(ea) | set(eb), key=_ref_factor_rank):
         xa = ea.get(code, 0)
         xb = eb.get(code, 0)
         if xa != xb:
@@ -162,23 +171,21 @@ def _display_term_cmp(a, b) -> int:
     return 0
 
 
-_DISPLAY_CODES = _CODES + [var_code("w", 1), var_code("x", 11)]
+# codes of all five families, an index past one digit among them
+_DISPLAY_CODES = _CODES + [var_code("w", 1), var_code("x", 11), T_CODE]
 _monomials = st.lists(
     st.tuples(st.sampled_from(_DISPLAY_CODES), st.integers(1, 3)), max_size=4
 ).map(mono_from_pairs)
 
 
-def _display_term_key(mono):
-    """The sort key format_polynomial orders a polynomial's terms by."""
-    return _factors_key(_display_factors(mono))
-
-
 @given(st.lists(_monomials, max_size=12))
 def test_display_key_sorts_as_display_comparison(monos):
-    # the constant monomial and its prefixes always take part
+    # format_polynomial sorts by _display_place: ascending places are the
+    # descending display order; the constant monomial and the prefixes
+    # always take part
     monos = monos + [()] + [m[:1] for m in monos]
     expected = sorted(monos, key=cmp_to_key(_display_term_cmp), reverse=True)
-    assert sorted(monos, key=_display_term_key, reverse=True) == expected
+    assert sorted(monos, key=_display_place) == expected
 
 
 _JET_CODES = [var_code(f, i) for f in "xyz" for i in (0, 1, 2, 11)]
@@ -198,25 +205,21 @@ def test_family_pairs_sort_as_display_order(monos):
     def family_pairs(mono):
         return tuple(tuple(p for p in mono if var_family(p[0]) == f) for f in "zyx")
 
+    # that key is the display place with its empty w and t blocks cut off
+    assert all(_display_place(m) == family_pairs(m) + ((), ()) for m in monos)
     expected = sorted(monos, key=cmp_to_key(_display_term_cmp), reverse=True)
     assert sorted(monos, key=family_pairs) == expected
 
 
 def test_display_key_ranks_an_absent_variable_above_any_power():
     z0, w0 = var_code("z", 0), var_code("w", 0)
-    for shorter, longer in [((), ((z0, 1),)), (((w0, 2),), ((w0, 2), (z0, 1)))]:
+    for shorter, longer in [
+        ((), ((z0, 1),)),
+        (((w0, 2),), ((w0, 2), (z0, 1))),
+        (((T_CODE, 1),), ((T_CODE, 1), (w0, 3))),
+    ]:
         assert _display_term_cmp(shorter, longer) == 1
-        assert _display_term_key(shorter) > _display_term_key(longer)
-
-
-# the documented display ranking of a term's factors, written out here
-# rather than taken from the module: families w > x > y > z, and the lower
-# index first within a family
-_FAMILIES_BY_DISPLAY_RANK = "zyxw"
-
-
-def _ref_factor_rank(code):
-    return (_FAMILIES_BY_DISPLAY_RANK.index(var_family(code)), -var_index(code))
+        assert _display_place(shorter) < _display_place(longer)
 
 
 def _ref_format(p) -> str:
@@ -255,6 +258,7 @@ _display_polys = st.lists(
 @given(_display_polys)
 @example(P("-w1^2*x11 + 3/2*x0*x2^3 - z0*z10 - 5/3"))
 @example(P("-x0 + 1"))
+@example(Polynomial.from_terms([([(T_CODE, 2), (var_code("x", 1), 1)], -3), ([(T_CODE, 1)], 1)]))
 def test_format_matches_reference_formatter(p):
     assert format_polynomial(p) == _ref_format(p)
 
@@ -281,6 +285,23 @@ def test_parse_errors_carry_positions():
         parse_polynomial("x0 / 2")
     with pytest.raises(PolynomialParseError):
         parse_polynomial("q0")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x*y-z^\u0665", 6), ("x*y-z^\u00b2", 6), ("x\u0663*y", 1), ("\uff580*y0", 0)],
+    ids=["arabic-indic five", "superscript two", "arabic-indic three", "fullwidth x"],
+)
+def test_parse_takes_ascii_digits_and_letters_only(text, position):
+    # str.isdigit and str.isalpha accept other scripts' digits and letters:
+    # int() reads an Arabic-Indic five as 5, and fails on a superscript two
+    # with no position
+    for ambient in (True, False):
+        with pytest.raises(PolynomialParseError) as err:
+            parse_polynomial(text, ambient=ambient)
+        assert err.value.position == position
+        expected = f"unexpected character {text[position]!r} (at position {position})"
+        assert str(err.value) == expected
 
 
 def test_ambient_mode():
@@ -423,66 +444,41 @@ def test_coefficient_uses_bounded_jet_indices():
 # jet points and t-order
 
 
+def _jet(**series):
+    """A jet point, jet-variable code -> value, from index -> value series."""
+    return {var_code(f, i): Fraction(v) for f, vs in series.items() for i, v in vs.items()}
+
+
 def test_t_order_linear():
-    gamma = JetPoint.make(3, x={1: 1})
-    assert t_order(gamma, parse_polynomial("x", ambient=True)) == 1
+    gamma = _jet(x={1: 1})
+    assert t_order(parse_polynomial("x", ambient=True), gamma, 3) == 1
 
 
 def test_t_order_vanishing_is_truncation_limited():
-    gamma = JetPoint.make(4, y={2: 1})
+    gamma = _jet(y={2: 1})
     f = parse_polynomial("x^2 - y^2*z + z^3", ambient=True)
-    assert t_order(gamma, f) is None
+    assert t_order(f, gamma, 4) is None
 
 
 def test_t_order_witness_jet():
-    gamma = JetPoint.make(7, x={3: -1}, y={2: -1}, z={2: 1})
+    gamma = _jet(x={3: -1}, y={2: -1}, z={2: 1})
     f = parse_polynomial("x^2 - y^2*z + z^3", ambient=True)
-    assert t_order(gamma, f) == 6
+    assert t_order(f, gamma, 7) == 6
 
 
 def test_t_order_multiplicative():
-    gamma = JetPoint.make(9, x={1: 2}, y={2: 1}, z={1: 1, 2: -1})
+    gamma = _jet(x={1: 2}, y={2: 1}, z={1: 1, 2: -1})
     g = parse_polynomial("x*z", ambient=True)
     h = parse_polynomial("y + z^2", ambient=True)
-    og, oh = t_order(gamma, g), t_order(gamma, h)
+    og, oh = t_order(g, gamma, 9), t_order(h, gamma, 9)
     assert og is not None and oh is not None and og + oh <= 9
-    assert t_order(gamma, g * h) == og + oh
-
-
-def truncate(pt: JetPoint, order: int) -> JetPoint:
-    """The jet pt with its series coefficients above order dropped."""
-    k = order + 1
-    return JetPoint(pt.xs[:k], pt.ys[:k], pt.zs[:k])
-
-
-def test_truncate_jet():
-    gamma = JetPoint.make(2, x={1: 1, 2: 1}, y={2: 1})
-    assert truncate(gamma, 1) == JetPoint.make(1, x={1: 1})
-    assert truncate(gamma, 2) == gamma
-    q = JetPoint.make(7, x={3: -1}, y={2: -1}, z={2: 1})
-    assert truncate(q, 0) == JetPoint.make(0)
-
-
-def test_truncate_composes():
-    gamma = JetPoint.make(5, x={1: 1, 4: 2}, z={3: -1})
-    assert truncate(truncate(gamma, 4), 2) == truncate(gamma, 2)
-
-
-def test_truncate_rejects_larger_order():
-    # slicing cannot raise the order: a jet point holds exactly m+1
-    # coefficients in each series
-    short = JetPoint.make(2)
-    with pytest.raises(ValueError):
-        JetPoint.make(3, x=short.xs)
-    with pytest.raises(ValueError):
-        JetPoint(JetPoint.make(3).xs, short.ys, short.zs)
+    assert t_order(g * h, gamma, 9) == og + oh
 
 
 def test_evaluate_at_jet_point():
-    q = JetPoint.make(5, x={3: -1}, y={2: -1}, z={2: 1})
-    values = jet_point_values(q)
+    values = _jet(x={3: -1}, y={2: -1}, z={2: 1})
     assert evaluate(P("8*x3^2*y2 - 8*x3^2*z2"), values) == -16
-    assert values[var_code("y", 2)] == -1
+    assert evaluate(P("x0 + y2"), values) == -1  # x0 is absent: zero
 
 
 def _evaluate_reference(p: Polynomial, values) -> Fraction:

@@ -1,8 +1,8 @@
 """The packed series expansion against a dense-tuple reference.
 
-substitute_series and t_order expand on packed monomials (one int per
-monomial, the t power in the lowest field) with int coefficients wherever
-the inputs are whole numbers.  The reference below is the straightforward
+substitute_series expands on packed monomials (one int per monomial, the t
+power in the lowest field) with int coefficients wherever the inputs are
+whole numbers.  The reference below is the straightforward
 expansion on dense exponent tuples with Fraction coefficients: every
 product is formed and the ones past t^m are skipped.  Both must give the
 same Polynomials, with Fraction coefficients, on random inputs and at the
@@ -11,7 +11,9 @@ byte, and a product landing exactly on t^m.
 
 expand_ambient, the closed formula that expands along the generic jet
 without any series product, is held to both: the reference and
-substitute_series at the shifted generic series.
+substitute_series at the shifted generic series.  jets.t_order, which reads
+the closed formula's coefficients at a jet point, is held to the reference
+expanded along that point's series.
 """
 
 import gc
@@ -20,19 +22,18 @@ from operator import add
 
 from hypothesis import given, strategies as st
 
-from jetfibers.jets import expand_ambient
+from jetfibers.jets import expand_ambient, t_order
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import (
-    JetPoint,
     Polynomial,
     T_CODE,
     X,
     Y,
     Z,
     substitute_series,
-    t_order,
     var_code,
     var_family,
+    var_index,
 )
 
 AMBIENT = (var_code(X, 0), var_code(Y, 0), var_code(Z, 0))
@@ -93,12 +94,12 @@ def _ref_substitute_series(f, xs, ys, zs, m):
     return [Polynomial(terms) for terms in out]
 
 
-def _ref_t_order(point, g):
-    series = {
-        family: {(k,): c for k, c in enumerate(point.family(family)) if c}
-        for family in (X, Y, Z)
-    }
-    return min((k for (k,) in _ref_expand(g, series, 1, point.order)), default=None)
+def _ref_t_order(point, g, m):
+    series = {family: {} for family in (X, Y, Z)}
+    for code, c in point.items():
+        if c:
+            series[var_family(code)][(var_index(code),)] = c
+    return min((k for (k,) in _ref_expand(g, series, 1, m)), default=None)
 
 
 def _assert_same_expansion(f, xs, ys, zs, m):
@@ -220,14 +221,16 @@ def test_closed_formula_edge_polynomials():
 
 @st.composite
 def _points(draw):
+    """(point, m): a value, zero or not, for each jet variable of order m."""
     m = draw(st.integers(0, 10))
     values = st.lists(st.one_of(st.just(0), _RATIONALS), min_size=m + 1, max_size=m + 1)
-    return JetPoint.make(m, draw(values), draw(values), draw(values))
+    return {var_code(f, i): v for f in (X, Y, Z) for i, v in enumerate(draw(values))}, m
 
 
 @given(_points(), _ambient_polys())
-def test_t_order_matches_dense_reference(point, g):
-    assert t_order(point, g) == _ref_t_order(point, g)
+def test_t_order_matches_dense_reference(point_m, g):
+    point, m = point_m
+    assert t_order(g, point, m) == _ref_t_order(point, g, m)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +285,8 @@ def test_t_order_past_one_byte():
     m = 300
     f = Polynomial.variable(AMBIENT[0]) * Polynomial.variable(AMBIENT[1])
     # t^140 * t^150 lands inside the cap; t^250 * t^260 does not
-    assert t_order(JetPoint.make(m, x={140: 1}, y={150: 3}), f) == 290
-    assert t_order(JetPoint.make(m, x={250: 1}, y={260: 3}), f) is None
+    assert t_order(f, {var_code(X, 140): 1, var_code(Y, 150): 3}, m) == 290
+    assert t_order(f, {var_code(X, 250): 1, var_code(Y, 260): 3}, m) is None
 
 
 def test_product_landing_exactly_on_the_cap():
@@ -294,9 +297,9 @@ def test_product_landing_exactly_on_the_cap():
     f = Polynomial.variable(AMBIENT[0]) * Polynomial.variable(AMBIENT[1])
     got = _assert_same_expansion(f, xs, ys, _zeros(m), m)
     assert got == _zeros(3) + [var("x", 2) * var("y", 2)]
-    point = JetPoint.make(m, x={2: 1}, y={2: 5})
-    assert t_order(point, f) == 4
-    assert t_order(JetPoint(point.xs[:4], point.ys[:4], point.zs[:4]), f) is None
+    point = {var_code(X, 2): 1, var_code(Y, 2): 5}
+    assert t_order(f, point, m) == 4
+    assert t_order(f, point, m - 1) is None
 
 
 def test_non_integral_coefficients_stay_exact():
@@ -310,8 +313,8 @@ def test_non_integral_coefficients_stay_exact():
         1 + Fraction(1, 6) * var("x", 1),
         Fraction(1, 2) * var("y", 2) + Fraction(2, 3) * var("x", 1),
     ]
-    point = JetPoint.make(m, x=[Fraction(1, 2), 0, 0], y=[2, 0, 0])
-    assert t_order(point, f - Polynomial.constant(Fraction(1, 3))) is None
+    point = {var_code(X, 0): Fraction(1, 2), var_code(Y, 0): 2}
+    assert t_order(f - Polynomial.constant(Fraction(1, 3)), point, m) is None
 
 
 def test_expansion_and_t_order_leave_no_cyclic_garbage():
@@ -319,13 +322,13 @@ def test_expansion_and_t_order_leave_no_cyclic_garbage():
     # the next cyclic collection
     x, y, z = (Polynomial.variable(c) for c in AMBIENT)
     f = x * y - z**5
-    point = JetPoint.make(7, x={3: -1}, y={2: -1}, z={2: 1})
+    point = {var_code(X, 3): -1, var_code(Y, 2): -1, var_code(Z, 2): 1}
     gc.collect()
     gc.disable()
     try:
         expand_ambient(f, 12)
         assert gc.collect() == 0
-        t_order(point, f)
+        t_order(f, point, 7)
         assert gc.collect() == 0
     finally:
         gc.enable()
