@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groebner as gb
-from .jets import an_surface, jet_coeffs, jet_coeffs_shifted
+from .jets import an_surface, jet_coeffs
 from .poly import Polynomial, evaluate, var_code, var_family, var_index, var_name, X, Y, Z
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
         for desc, comp in zip(dec.components, comps):
             residual, eliminated = comp.presolved()
             p = desc.ladder.p
-            expected = jet_coeffs_shifted(an_surface(n), m, p, 2 * n + 2 - p, 2)[2 * n + 2 :]
+            expected = jet_coeffs(an_surface(n), m, (p, 2 * n + 2 - p, 2))[2 * n + 2 :]
             ladder_codes = set(desc.ladder.codes())
             structure_ok = residual.generators == expected and all(
                 not (g.variables() & ladder_codes) for g in expected
@@ -397,27 +397,9 @@ def table_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return ()
 
 
-@dataclass(frozen=True)
-class TableRow:
-    m: int
-    dim_component: int
-    dims: tuple[int, ...]
-    codim_component: int
-    codims: tuple[int, ...]
-    counts: tuple[int, ...]
-
-    def cells(self) -> tuple[int, ...]:
-        return (
-            (self.m, self.dim_component)
-            + self.dims
-            + (self.codim_component,)
-            + self.codims
-            + self.counts
-        )
-
-
-def an_table(n: int, m_values) -> list[TableRow]:
-    """Dimension/codimension/component-count summary rows, one per m."""
+def an_table(n: int, m_values) -> list[tuple[int, ...]]:
+    """Dimension/codimension/component-count summary rows, one per m, each a
+    tuple of cells in table_header's column order."""
     if n < 1:
         raise ValueError("need n >= 1")
     pairs = table_pairs(n)
@@ -427,16 +409,8 @@ def an_table(n: int, m_values) -> list[TableRow]:
         dim_z = component_dimension(n, m)
         dims = tuple(intersection_dimension(n, m, i, j) for i, j in pairs)
         counts = tuple(decompose_intersection(n, m, i, j).count for i, j in pairs)
-        rows.append(
-            TableRow(
-                m=m,
-                dim_component=dim_z,
-                dims=dims,
-                codim_component=ambient - dim_z,
-                codims=tuple(ambient - d for d in dims),
-                counts=counts,
-            )
-        )
+        codims = tuple(ambient - d for d in dims)
+        rows.append((m, dim_z) + dims + (ambient - dim_z,) + codims + counts)
     return rows
 
 
@@ -452,16 +426,16 @@ def table_header(n: int) -> tuple[str, ...]:
     )
 
 
-def table_csv(n: int, rows: list[TableRow]) -> str:
+def table_csv(n: int, rows: list[tuple[int, ...]]) -> str:
     lines = [",".join(table_header(n))]
     for row in rows:
-        lines.append(",".join(str(c) for c in row.cells()))
+        lines.append(",".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
-def table_text(n: int, rows: list[TableRow]) -> str:
+def table_text(n: int, rows: list[tuple[int, ...]]) -> str:
     header = table_header(n)
-    grid = [header] + [tuple(str(c) for c in row.cells()) for row in rows]
+    grid = [header] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(r[c]) for r in grid) for c in range(len(header))]
     lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in grid]
     return "\n".join(lines) + "\n"

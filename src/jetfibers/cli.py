@@ -164,16 +164,12 @@ def _config(args, **extra) -> dict:
     }
 
 
-def _emit(args, text: str) -> None:
-    args.stream.write(text)
-
-
 def _emit_result(args, fields: dict, text: str, **config) -> None:
     """With --format json, emit {schema, config, **fields}; otherwise text."""
     if args.format == "json":
         payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(args, text)
+    args.stream.write(text)
 
 
 def _parse_m_range(spec: str) -> list[int]:
@@ -267,7 +263,7 @@ def _cmd_an_table(args) -> int:
         args,
         {
             "header": list(an_mod.table_header(args.n)),
-            "rows": [list(r.cells()) for r in rows],
+            "rows": [list(r) for r in rows],
         },
         table(args.n, rows),
         n=args.n, m=args.m,
@@ -280,8 +276,17 @@ def _emit_graph(args, g, **config) -> int:
     return 0
 
 
+def _an_graph(n: int, m: int | None):
+    """The A-series fiber graph: one edge per maximal pair.  The pairs come
+    from the containment criterion and do not depend on m, which is
+    validated when given."""
+    if m is not None and m < n:
+        raise ValueError(f"need m >= n, got m={m}, n={n}")
+    return graphs.component_graph(range(1, n + 1), an_mod.maximal_pairs(n))
+
+
 def _cmd_an_graph(args) -> int:
-    return _emit_graph(args, graphs.an_fiber_graph(args.n, args.m), n=args.n, m=args.m)
+    return _emit_graph(args, _an_graph(args.n, args.m), n=args.n, m=args.m)
 
 
 def _cmd_an_verify(args) -> int:
@@ -294,7 +299,7 @@ def _cmd_an_verify(args) -> int:
         reports.append(
             _graph_claim(
                 f"n{args.n}",
-                graphs.an_fiber_graph(args.n, args.m),
+                _an_graph(args.n, args.m),
                 graphs.resolution_graph("An", args.n),
             )
         )
@@ -325,9 +330,10 @@ def _cmd_d4_verify(args) -> int:
     from .d4 import verify_suite
 
     reports = verify_suite(args.m, args.saturate)
-    # the graph claim stands on the maximal-pair theorem: it takes that
-    # report's outcome, or is refuted when its pairs do not give the star
-    (theorem,) = [r for r in reports if r.claim == f"maximal pairs at m{args.m}"]
+    # the graph claim stands on the maximal-pair theorem, the suite's closing
+    # report: it takes that report's outcome, or is refuted when its pairs
+    # do not give the star
+    theorem = reports[-1]
     reports.append(
         _graph_claim(
             f"m{args.m}",
@@ -340,12 +346,16 @@ def _cmd_d4_verify(args) -> int:
 
 
 def _cmd_d4_graph(args) -> int:
-    try:
-        g = graphs.d4_fiber_graph(args.m)
-    except graphs.UnverifiedGraph as exc:
-        print(f"jetfibers: error: {exc}", file=sys.stderr)
-        return _verify_exit([exc.report])
-    return _emit_graph(args, g, m=args.m)
+    from .d4 import d4_maximal_intersections
+
+    pairs, theorem = d4_maximal_intersections(args.m)
+    if not theorem.verified:
+        print(
+            f"jetfibers: error: maximal-intersection verification {theorem.outcome}",
+            file=sys.stderr,
+        )
+        return _verify_exit([theorem])
+    return _emit_graph(args, graphs.component_graph(range(4), pairs), m=args.m)
 
 
 _HANDLERS = {

@@ -8,6 +8,9 @@ coordinate elements and witness jets separate the intersections, and the
 surface symmetries transport every fact between the three charts.  The
 outcome is that the maximal pairwise intersections are exactly the three
 meeting the distinguished component, so the intersection graph is a star.
+That theorem is one report, "maximal pairs at m<m>", folded from its facts
+by ``_maximal_theorem``: ``d4_maximal_intersections`` and the closing entry
+of ``verify_suite`` are that report.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cache
 
 from . import groebner as gb
 from .an import Ladder
-from .jets import d4_surface, jet_coeffs, jet_coeffs_shifted, t_order
+from .jets import d4_surface, jet_coeffs, t_order
 from .poly import (
     Polynomial,
     evaluate,
@@ -168,11 +171,13 @@ PHI2_INV = Automorphism(
 # certificate polynomials
 
 
+@cache
 def g1() -> Polynomial:
     """Degree-4 certificate element of the first contracted component ideal."""
     return parse_polynomial("-4*y2^2*z2^2 + y1^2*z3^2 + 4*x3^2*z2 - 4*x2*x3*z3")
 
 
+@cache
 def g2() -> Polynomial:
     """Certificate element of the second contracted component ideal."""
     return parse_polynomial(
@@ -180,12 +185,6 @@ def g2() -> Polynomial:
         " + 4*y3^2*z1^2 - 8*y3*z1^2*z3 + 4*z1^2*z3^2"
         " + 8*x3^2*y2 - 8*x3^2*z2 - 8*x2*x3*y3 + 8*x2*x3*z3"
     )
-
-
-def shifted_chart_coeffs(m: int = 5):
-    """Coefficients of the surface equation on the first chart's generic jet:
-    x from t^2, y from t^1, z from t^2."""
-    return jet_coeffs_shifted(d4_surface(), m, 2, 1, 2)
 
 
 def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
@@ -199,7 +198,8 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
     """
     if m < M_MIN:
         raise ValueError(f"need m >= {M_MIN}")
-    shifted = shifted_chart_coeffs()
+    # the first chart's generic jet: x from t^2, y from t^1, z from t^2
+    shifted = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     f4, f5 = shifted[4], shifted[5]
     y1 = Polynomial.variable(var_code(Y, 1))
     y2 = Polynomial.variable(var_code(Y, 2))
@@ -247,10 +247,10 @@ def verify_g2_identity() -> gb.VerificationReport:
     identity = swapped == target
     # without the trade the difference is a nonzero multiple of y1 - z1
     difference = pulled - target
-    vanishes_on_diagonal = linear_substitute(difference, {y1c: z1}).is_zero
+    vanishes_on_diagonal = not linear_substitute(difference, {y1c: z1})
     return gb.check(
         "g2 certificate identity",
-        identity and (not difference.is_zero) and vanishes_on_diagonal,
+        identity and bool(difference) and vanishes_on_diagonal,
         {
             "identity": "phi2_inv(g1)|y1->z1 = g2/4",
             "difference_multiple_of_y1_minus_z1": vanishes_on_diagonal,
@@ -404,7 +404,7 @@ def witness_checks(m: int) -> gb.VerificationReport:
 
     if m == 5:
         name, base, moved = "Q", point_q(), point_q_prime
-        order = t_order(d4_surface().ambient_polynomial(), base, 7)
+        order = t_order(d4_surface(), base, 7)
         reports.append(
             gb.check(
                 "surface order along Q is 6",
@@ -577,42 +577,41 @@ def _theorem_facts(m: int):
     return identities, separation
 
 
-def _maximal_theorem(m: int, identities, separation) -> gb.VerificationReport:
-    return gb.merge_reports(f"maximal intersections at m{m}", identities + separation)
+def _maximal_theorem(m: int, facts) -> gb.VerificationReport:
+    """The maximal-pair theorem at order m: certificate the pairs, outcome
+    the worst of the facts it stands on, and their S-pairs and seconds."""
+    return gb.check(
+        f"maximal pairs at m{m}",
+        True,
+        {"pairs": [list(p) for p in MAXIMAL_PAIRS]},
+        sum(r.spairs_processed for r in facts),
+        sum(r.seconds for r in facts),
+        premises=facts,
+    )
 
 
 def d4_maximal_intersections(m: int):
     """The maximal pairwise intersections are the three against the
-    distinguished component.  Returns (pairs, report); the report folds the
-    checks of _theorem_facts, run in one engine session, so the three
-    coordinate lemmas share their chart-sum bases."""
+    distinguished component.  Returns (pairs, report), the report that of
+    _maximal_theorem over the checks of _theorem_facts, run in one engine
+    session, so the three coordinate lemmas share their chart-sum bases."""
     with gb.session():
         identities, separation = _theorem_facts(m)
-    return MAXIMAL_PAIRS, _maximal_theorem(m, identities, separation)
+    return MAXIMAL_PAIRS, _maximal_theorem(m, identities + separation)
 
 
 def verify_suite(m: int, saturate: bool = False) -> list[gb.VerificationReport]:
     """Everything checkable at one jet order, as a flat report list; the
     saturation-level component checks run at m = 5 or when asked for.
 
-    Every check runs once, in one engine session: the closing
-    "maximal pairs" report folds the suite's own reports the way
-    d4_maximal_intersections folds its, so it agrees with that function in
-    outcome and S-pair count without running any check again.
+    Every check runs once, in one engine session.  The closing report is
+    the maximal-pair theorem over the suite's own facts, the same report
+    d4_maximal_intersections returns, with no check run again.
     """
     with gb.session():
         identities, separation = _theorem_facts(m)
         reports = identities + [verify_complete_intersection_remark(m)] + separation
         if saturate or m == 5:
             reports.append(verify_component_ideals(m))
-    theorem = _maximal_theorem(m, identities, separation)
-    reports.append(
-        gb.VerificationReport(
-            claim=f"maximal pairs at m{m}",
-            outcome=theorem.outcome,
-            certificate={"pairs": [list(p) for p in MAXIMAL_PAIRS]},
-            spairs_processed=theorem.spairs_processed,
-            seconds=theorem.seconds,
-        )
-    )
+    reports.append(_maximal_theorem(m, identities + separation))
     return reports

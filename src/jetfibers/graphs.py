@@ -4,7 +4,8 @@ Vertices are component labels; an edge joins two components exactly when
 their intersection is maximal among all pairwise intersections.  For the
 surfaces here that machinery produces a path (A-series) or a star (D4),
 which the isomorphism test compares against the corresponding resolution
-graph.
+graph.  The module is graph theory only: the maximal pairs come from the
+surface modules, and the commands hand them to ``component_graph``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ def build_graph(labels, pairs) -> IntersectionGraph:
             raise ValueError(f"edge ({a!r}, {b!r}) references a missing vertex")
         edges.add(_edge(a, b))
     return IntersectionGraph(vertices, frozenset(edges))
+
+
+def component_graph(indices, pairs) -> IntersectionGraph:
+    """Graph on the components Z<i>, i in indices, with one edge per pair."""
+    return build_graph([f"Z{i}" for i in indices], [(f"Z{i}", f"Z{j}") for i, j in pairs])
 
 
 def resolution_graph(kind: str, n: int | None = None) -> IntersectionGraph:
@@ -112,44 +118,3 @@ def to_dot(g: IntersectionGraph) -> str:
         lines.append(f'  "{a}" -- "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# builders wired to the two surfaces
-
-
-class UnverifiedGraph(RuntimeError):
-    """The check behind a graph's edges did not come out verified; report
-    is that check's report."""
-
-    def __init__(self, report):
-        super().__init__(f"maximal-intersection verification {report.outcome}")
-        self.report = report
-
-
-def component_graph(indices, pairs) -> IntersectionGraph:
-    """Graph on the components Z<i>, i in indices, with one edge per pair."""
-    return build_graph([f"Z{i}" for i in indices], [(f"Z{i}", f"Z{j}") for i, j in pairs])
-
-
-def an_fiber_graph(n: int, m: int | None = None) -> IntersectionGraph:
-    """Intersection graph of the A-series fiber components.  The maximal
-    pairs come from the containment criterion and do not depend on m; m is
-    validated when given."""
-    from .an import maximal_pairs
-
-    if m is not None and m < n:
-        raise ValueError(f"need m >= n, got m={m}, n={n}")
-    return component_graph(range(1, n + 1), maximal_pairs(n))
-
-
-def d4_fiber_graph(m: int) -> IntersectionGraph:
-    """Intersection graph of the D4 fiber components at order m; runs the
-    verification bundle behind the maximal-pair set and raises
-    UnverifiedGraph unless it comes out verified."""
-    from .d4 import d4_maximal_intersections
-
-    pairs, report = d4_maximal_intersections(m)
-    if not report.verified:
-        raise UnverifiedGraph(report)
-    return component_graph(range(4), pairs)

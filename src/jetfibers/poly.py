@@ -225,10 +225,6 @@ class Polynomial:
     def items(self):
         return self._terms.items()
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 

@@ -4,10 +4,10 @@ package because no command runs them:
 * the closed formula for the shifted jet coefficients of the A-series
   surface, with its index sets Lambda_xy and Lambda_z
   (``lambda_xy``, ``lambda_z``, ``multinomial``, ``fpqr_closed``), which
-  the tests hold ``jets.jet_coeffs_shifted`` to;
+  the tests hold the shifted ``jets.jet_coeffs`` to;
 * the shift lemma's side of the same coefficients: the plain coefficient
   f^(j) with its variables moved up the ladder (``g_shift``), which the
-  tests also hold ``jets.jet_coeffs_shifted`` to;
+  tests also hold the shifted ``jets.jet_coeffs`` to;
 * the two presentations of an A-series fiber component, checked to
   generate one ideal (``component_ideal``);
 * the engine cross-check of the index containment criterion

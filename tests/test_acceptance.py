@@ -15,12 +15,12 @@ from jetfibers import an as an_mod
 from jetfibers import d4 as d4_mod
 from jetfibers import graphs
 from jetfibers import groebner as gb
+from jetfibers.cli import _an_graph as an_graph
 from jetfibers.cli import main as cli_main
 from jetfibers.jets import (
     an_surface,
     d4_surface,
     jet_coeffs,
-    jet_coeffs_shifted,
     t_order,
 )
 from jetfibers.poly import (
@@ -65,7 +65,7 @@ def test_criterion_02_table_reproduction(capsys):
         (7, 15, 14, 14, 9, 10, 10, 4, 3),
     ]
     with capsys.disabled():
-        _report(2, "summary table rows", [r.cells() for r in rows] == expected)
+        _report(2, "summary table rows", rows == expected)
 
 
 def test_criterion_03_closed_formula_oracle(capsys):
@@ -74,7 +74,7 @@ def test_criterion_03_closed_formula_oracle(capsys):
     checked = 0
     for n in (1, 2, 3, 4):
         for p, q, r in itertools.product(range(4), repeat=3):
-            shifted = jet_coeffs_shifted(an_surface(n), 8, p, q, r)
+            shifted = jet_coeffs(an_surface(n), 8, (p, q, r))
             for j in range(9):
                 checked += 1
                 if fpqr_closed(n, p, q, r, j) != shifted[j]:
@@ -97,7 +97,7 @@ def test_criterion_04_shift_lemma_suite(capsys):
             for l in range(base + 1):
                 for j in range(5):
                     m = base + j
-                    lhs = jet_coeffs_shifted(an_surface(n), m, l, base - l, e)[m]
+                    lhs = jet_coeffs(an_surface(n), m, (l, base - l, e))[m]
                     if lhs != g_shift(n, l, e, j):
                         ok = False
     with capsys.disabled():
@@ -137,7 +137,7 @@ def test_criterion_06_containment_cross_check(capsys):
 
 
 def test_criterion_07_exact_identities(capsys):
-    shifted = d4_mod.shifted_chart_coeffs()
+    shifted = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     f4, f5 = shifted[4], shifted[5]
     lhs = P("y1^2") * d4_mod.g1()
     rhs = f5 * f5 - 4 * P("x3^2") * f4 + 4 * P("y1*y2*z2") * f5
@@ -180,7 +180,7 @@ def test_criterion_08_witness_suite(capsys):
         for s in (1, 2, -1)
         for g in fam5.j[1].generators
     )
-    order = t_order(d4_surface().ambient_polynomial(), d4_mod.point_q(), 7)
+    order = t_order(d4_surface(), d4_mod.point_q(), 7)
 
     chain = d4_mod.witness_checks(6)
     claims = {s["claim"]: s["outcome"] for s in chain.certificate["subchecks"]}
@@ -204,12 +204,13 @@ def test_criterion_09_graph_corollaries(capsys):
     ok = True
     for n in range(2, 7):
         for m in range(n, 2 * n + 4):
-            g = graphs.an_fiber_graph(n, m)
+            g = an_graph(n, m)
             if not graphs.isomorphic(g, graphs.resolution_graph("An", n)):
                 ok = False
     for m in (5, 6, 7, 8):
-        g = graphs.d4_fiber_graph(m)
-        if not graphs.isomorphic(g, graphs.resolution_graph("D4")):
+        pairs, report = d4_mod.d4_maximal_intersections(m)
+        g = graphs.component_graph(range(4), pairs)
+        if not (report.verified and graphs.isomorphic(g, graphs.resolution_graph("D4"))):
             ok = False
     with capsys.disabled():
         _report(9, "fiber graphs match resolution graphs", ok)

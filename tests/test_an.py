@@ -486,7 +486,7 @@ def test_pair_ideal_shape():
 
 def test_table_row_values():
     rows = an_table(3, range(3, 8))
-    assert [r.cells() for r in rows] == [
+    assert rows == [
         (3, 7, 6, 5, 5, 6, 7, 1, 1),
         (4, 9, 8, 7, 6, 7, 8, 1, 1),
         (5, 11, 10, 10, 7, 8, 8, 2, 1),
@@ -515,4 +515,4 @@ def test_table_small_n_columns():
     assert table_header(2) == ("m", "dim_Z", "dim_Z12", "codim_Z", "codim_Z12", "N12")
     assert table_header(1) == ("m", "dim_Z", "codim_Z")
     rows = an_table(1, [1, 2])
-    assert [r.cells() for r in rows] == [(1, 3, 3), (2, 5, 4)]
+    assert rows == [(1, 3, 3), (2, 5, 4)]

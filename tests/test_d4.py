@@ -18,7 +18,6 @@ from jetfibers.d4 import (
     point_p_prime,
     point_q,
     point_q_prime,
-    shifted_chart_coeffs,
     verify_automorphism_algebra,
     verify_chart_transport,
     verify_complete_intersection_remark,
@@ -208,18 +207,18 @@ def test_g1_fixed_by_flip():
 
 
 def test_chart_shifted_coefficients():
-    shifted = shifted_chart_coeffs()
+    shifted = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     assert shifted[4] == P("x2^2 - y1^2*z2")
     assert shifted[5] == P("2*x2*x3 - 2*y1*y2*z2 - y1^2*z3")
 
 
 def test_g1_identity_exact():
-    shifted = shifted_chart_coeffs()
+    shifted = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     f4, f5 = shifted[4], shifted[5]
     lhs = P("y1^2") * g1()
     rhs = f5 * f5 - 4 * P("x3^2") * f4 + 4 * P("y1*y2*z2") * f5
     assert lhs == rhs
-    assert (lhs - rhs).is_zero
+    assert not (lhs - rhs)
 
 
 def test_g1_identity_report():
@@ -345,7 +344,7 @@ def test_reduced_g2_value_at_q():
 
 
 def test_surface_order_along_q():
-    f = d4_surface().ambient_polynomial()
+    f = d4_surface()
     assert t_order(f, point_q(), 7) == 6
     assert t_order(f, point_q(), 5) is None  # truncation-limited at order 5
 
@@ -628,8 +627,8 @@ def test_suite_runs_each_check_once(monkeypatch, m):
 
 
 def test_maximal_intersections_cite_every_coordinate_lemma():
-    _, report = d4_maximal_intersections(6)
-    claims = [sub["claim"] for sub in report.certificate["subchecks"]]
+    identities, separation = d4._theorem_facts(6)
+    claims = [r.claim for r in identities + separation]
     lemmas = [c for c in claims if c.startswith("distinguished ideal inside")]
     assert lemmas == [
         f"distinguished ideal inside sqrt(J{i}+J{j}) at m6" for i, j in ((1, 2), (1, 3), (2, 3))
@@ -659,3 +658,35 @@ def test_maximal_intersections_take_a_failed_lemma(monkeypatch):
     assert report.outcome == gb.REFUTED
     (theorem,) = [r for r in d4.verify_suite(5) if r.claim == "maximal pairs at m5"]
     assert theorem.outcome == gb.REFUTED
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_one_maximal_pairs_report(m):
+    pairs, report = d4_maximal_intersections(m)
+    assert pairs == ((0, 1), (0, 2), (0, 3))
+    assert report.to_json_dict() == verify_suite(m)[-1].to_json_dict()
+    assert report.claim == f"maximal pairs at m{m}"
+    assert report.certificate == {"pairs": [[0, 1], [0, 2], [0, 3]]}
+
+
+def test_d4_graph_exits_on_a_failed_lemma(monkeypatch, capsys):
+    from jetfibers.cli import main
+
+    original = d4.verify_coordinate_lemma
+
+    def failing_on_23(m, i, j):
+        report = original(m, i, j)
+        if (i, j) == (2, 3):
+            report.outcome = gb.REFUTED
+        return report
+
+    monkeypatch.setattr(d4, "verify_coordinate_lemma", failing_on_23)
+    assert main(["d4", "graph", "--m", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "maximal-intersection verification refuted" in captured.err
+
+
+def test_certificate_polynomials_are_parsed_once():
+    assert g1() is g1()
+    assert g2() is g2()

@@ -2,11 +2,12 @@ import itertools
 
 import pytest
 
+from jetfibers.cli import _an_graph, main
+from jetfibers.d4 import d4_maximal_intersections
 from jetfibers.graphs import (
     IntersectionGraph,
-    an_fiber_graph,
     build_graph,
-    d4_fiber_graph,
+    component_graph,
     isomorphic,
     resolution_graph,
     to_dot,
@@ -117,18 +118,24 @@ def test_json_dict_sorted():
 def test_an_fiber_graphs_are_paths():
     for n in range(1, 7):
         for m in range(n, 2 * n + 5):
-            g = an_fiber_graph(n, m)
+            g = _an_graph(n, m)
             assert isomorphic(g, resolution_graph("An", n)), (n, m)
 
 
-def test_an_fiber_graph_validates_order():
+def test_an_fiber_graph_validates_order(capsys):
     with pytest.raises(ValueError):
-        an_fiber_graph(3, 2)
+        _an_graph(3, 2)
+    assert main(["an", "graph", "--n", "3", "--m", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need m >= n, got m=2, n=3" in captured.err
 
 
 def test_d4_fiber_graph_edge_set_is_order_independent():
     expected = frozenset({("Z0", "Z1"), ("Z0", "Z2"), ("Z0", "Z3")})
     for m in (5, 6, 7, 8):
-        g = d4_fiber_graph(m)
+        pairs, report = d4_maximal_intersections(m)
+        assert report.verified
+        g = component_graph(range(4), pairs)
         assert g.edges == expected
         assert isomorphic(g, resolution_graph("D4"))

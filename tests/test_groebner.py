@@ -588,7 +588,7 @@ def test_spolynomials_reduce_to_zero(gens):
     for a in gb.polys:
         for b in gb.polys:
             if a is not b:
-                assert gb.reduce(_spoly(a, b)).is_zero
+                assert not gb.reduce(_spoly(a, b))
 
 
 @pytest.mark.parametrize("gens", FIXTURES)
@@ -751,7 +751,7 @@ def test_session_budget_bounds_every_basis():
 
 def test_normal_form_of_member_is_zero():
     gb = buchberger(ideal("x0 - y0", "y0 - z0"))
-    assert gb.reduce(P("x0 - y0")).is_zero
+    assert not gb.reduce(P("x0 - y0"))
 
 
 def test_normal_form_idempotent():

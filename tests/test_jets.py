@@ -6,13 +6,11 @@ from hypothesis import example, given, strategies as st
 
 from jetfibers.jets import (
     _compositions,
-    Surface,
     an_surface,
     d4_surface,
     expand_ambient,
     expand_text,
     jet_coeffs,
-    jet_coeffs_shifted,
 )
 from jetfibers.poly import (
     X,
@@ -39,17 +37,18 @@ def P(text: str) -> Polynomial:
 
 
 def test_surface_equations():
-    assert an_surface(2).ambient_polynomial() == P("x0*y0 - z0^3")
-    assert d4_surface().ambient_polynomial() == P("x0^2 - y0^2*z0 + z0^3")
+    assert an_surface(2) == P("x0*y0 - z0^3")
+    assert d4_surface() == P("x0^2 - y0^2*z0 + z0^3")
+    # one object per surface, so jet_coeffs finds its entries by identity
+    assert an_surface(2) is an_surface(2)
+    assert d4_surface() is d4_surface()
 
 
 def test_surface_validation():
     with pytest.raises(ValueError):
         an_surface(0)
     with pytest.raises(ValueError):
-        Surface("D4", n=2)
-    with pytest.raises(ValueError):
-        Surface("E8")
+        an_surface(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -84,29 +83,31 @@ def test_expansion_serializes():
 def test_unshifted_equals_plain():
     for n in (1, 3):
         plain = jet_coeffs(an_surface(n), 5)
-        shifted = jet_coeffs_shifted(an_surface(n), 5, 0, 0, 0)
+        shifted = jet_coeffs(an_surface(n), 5, (0, 0, 0))
         assert list(plain) == list(shifted)
 
 
 def test_shifted_vanishing_regime():
     # below both thresholds every coefficient dies
     n, p, q, r = 2, 2, 2, 1
-    e = jet_coeffs_shifted(an_surface(n), 6, p, q, r)
+    e = jet_coeffs(an_surface(n), 6, (p, q, r))
     for j in range(min(p + q, r * (n + 1))):
-        assert e[j].is_zero
+        assert not e[j]
 
 
 def test_shifted_chart_coefficients():
-    e = jet_coeffs_shifted(d4_surface(), 5, 2, 1, 2)
+    e = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     assert e[4] == P("x2^2 - y1^2*z2")
     assert e[5] == P("2*x2*x3 - 2*y1*y2*z2 - y1^2*z3")
 
 
 def test_shift_bounds_checked():
     with pytest.raises(ValueError):
-        jet_coeffs_shifted(an_surface(1), 3, 0, 4, 0)
+        jet_coeffs(an_surface(1), 3, (0, 4, 0))
     with pytest.raises(ValueError):
-        jet_coeffs_shifted(an_surface(1), 3, -1, 0, 0)
+        jet_coeffs(an_surface(1), 3, (-1, 0, 0))
+    with pytest.raises(ValueError):
+        jet_coeffs(an_surface(1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +209,7 @@ def test_closed_formula_quadric_coefficient():
 
 def test_closed_formula_zero_case():
     # both sums empty
-    assert fpqr_closed(2, 2, 2, 1, 2).is_zero
+    assert not fpqr_closed(2, 2, 2, 1, 2)
 
 
 def test_closed_formula_pure_z_case():
@@ -219,7 +220,7 @@ def test_closed_formula_pure_z_case():
 def test_closed_formula_matches_expansion_small_grid():
     for n in (1, 2):
         for p, q, r in itertools.product(range(3), repeat=3):
-            shifted = jet_coeffs_shifted(an_surface(n), 6, p, q, r)
+            shifted = jet_coeffs(an_surface(n), 6, (p, q, r))
             for j in range(7):
                 assert fpqr_closed(n, p, q, r, j) == shifted[j], (n, p, q, r, j)
 
@@ -232,7 +233,7 @@ def test_congruence_modulo_ladder():
         for p, q, r in itertools.product(range(3), repeat=3):
             killed = set(Ladder(p, q, r).codes())
             plain = jet_coeffs(an_surface(n), 5)
-            shifted = jet_coeffs_shifted(an_surface(n), 5, p, q, r)
+            shifted = jet_coeffs(an_surface(n), 5, (p, q, r))
             for j in range(6):
                 diff = plain[j] - shifted[j]
                 assert all(
@@ -285,7 +286,7 @@ def test_shift_identity():
             for l in range(base + 1):
                 for j in range(5):
                     m = base + j
-                    lhs = jet_coeffs_shifted(an_surface(n), m, l, base - l, e)[m]
+                    lhs = jet_coeffs(an_surface(n), m, (l, base - l, e))[m]
                     assert lhs == g_shift(n, l, e, j), (n, e, l, j)
 
 
@@ -357,3 +358,6 @@ def test_expand_ambient_rejects_bad_input():
         # the order is checked first
         with pytest.raises(ValueError, match="series order"):
             expand(x1, -1)
+    for shifts in ((-2, 0, 0), (0, -1, 0), (0, 0, -3)):
+        with pytest.raises(ValueError, match="shifts must be nonnegative"):
+            expand_ambient(parse_polynomial("x*y - z^3", ambient=True), 3, shifts)
