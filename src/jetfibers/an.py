@@ -356,11 +356,11 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
 
     if dec.case == "d":
         for desc, comp in zip(dec.components, comps):
-            residual, eliminated = comp.presolved()
+            presolved = comp.presolved()
             p = desc.ladder.p
             expected = jet_coeffs(an_surface(n), m, (p, 2 * n + 2 - p, 2))[2 * n + 2 :]
             ladder_codes = set(desc.ladder.codes())
-            structure_ok = residual.generators == expected and all(
+            structure_ok = presolved.residual.generators == expected and all(
                 not (g.variables() & ladder_codes) for g in expected
             )
             reports.append(
@@ -368,8 +368,8 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
                     f"tail of {desc.label} is the reindexed jet ideal",
                     structure_ok,
                     {
-                        "eliminated": [var_name(c) for c in eliminated],
-                        "residual": [str(g) for g in residual.generators],
+                        "eliminated": [var_name(c) for c in presolved.eliminated],
+                        "residual": [str(g) for g in presolved.residual.generators],
                     },
                 )
             )

@@ -164,12 +164,91 @@ def _config(args, **extra) -> dict:
     }
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C escaper of ensure_ascii=True
+_INF = float("inf")
+
+
+def _encode(obj, indent: int, write) -> None:
+    """Write obj through write, in pieces, exactly as the json module's
+    dumps(obj, indent=2, sort_keys=True) encodes it, but without its
+    pure-Python encoder, which indent selects; indent is obj's nesting depth.
+    Raises TypeError on a key that is not a str and on a value that is not
+    a str, int, float, bool, None, dict, list or tuple."""
+    if isinstance(obj, str):
+        write(_quote(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        sep = "{" + inner
+        for key in sorted(obj):  # _quote raises TypeError on a key that is not a str
+            value = obj[key]
+            if isinstance(value, str):  # most leaves: one piece for the whole line
+                write(f"{sep}{_quote(key)}: {_quote(value)}")
+            else:
+                write(f"{sep}{_quote(key)}: ")
+                _encode(value, indent + 1, write)
+            sep = "," + inner
+        write("\n" + "  " * indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        sep = "[" + inner
+        for value in obj:
+            if isinstance(value, str):
+                write(sep + _quote(value))
+            else:
+                write(sep)
+                _encode(value, indent + 1, write)
+            sep = "," + inner
+        write("\n" + "  " * indent + "]")
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        write(
+            "NaN" if obj != obj
+            else "Infinity" if obj == _INF
+            else "-Infinity" if obj == -_INF
+            else float.__repr__(obj)
+        )
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit_result(args, fields: dict, text: str, **config) -> None:
-    """With --format json, emit {schema, config, **fields}; otherwise text."""
-    if args.format == "json":
-        payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    args.stream.write(text)
+    """With --format json, emit {schema, config, **fields} as JSON, otherwise
+    text.  The JSON is written by _encode, byte-identical to the json
+    module's dumps(indent=2, sort_keys=True), one top-level report per write:
+    each element of a non-empty list field (reports, coefficients, rows)
+    is one write, and the whole output is never joined into one string."""
+    if args.format != "json":
+        args.stream.write(text)
+        return
+    payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
+    write = args.stream.write
+    sep = "{\n  "
+    for key in sorted(payload):
+        value = payload[key]
+        head = f"{sep}{_quote(key)}: "
+        if isinstance(value, list) and value:
+            head += "["
+            for item in value:
+                parts = [head, "\n    "]
+                _encode(item, 2, parts.append)
+                write("".join(parts))
+                head = ","
+            write("\n  ]")
+        else:
+            parts = [head]
+            _encode(value, 1, parts.append)
+            write("".join(parts))
+        sep = ",\n  "
+    write("\n}\n")
 
 
 def _parse_m_range(spec: str) -> list[int]:

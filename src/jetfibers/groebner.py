@@ -106,7 +106,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
-from typing import NamedTuple
 
 from .kernel import impl as _K
 from .poly import (
@@ -613,22 +612,27 @@ def buchberger(
 # linear presolve
 
 
-class Presolve(NamedTuple):
+class Presolve:
     """An ideal split by its linear presolve: the residual ideal, and the
-    image of each pivot variable, zero for a coordinate set to zero.  No
-    image mentions a pivot, and the ideal is the residual plus the linear
-    generators pivot - image."""
+    image of each pivot variable, zero for a coordinate set to zero, in the
+    order the pivots were taken.  No image mentions a pivot, and the ideal
+    is the residual plus the linear generators pivot - image.  The zero set
+    and the linear map that restrict applies are built once, here."""
 
-    residual: Ideal
-    eliminated: dict[int, Polynomial]
+    __slots__ = ("residual", "eliminated", "_zeros", "_linear")
+
+    def __init__(self, residual: Ideal, eliminated: dict[int, Polynomial]):
+        self.residual = residual
+        self.eliminated = eliminated
+        self._zeros = frozenset(c for c, image in eliminated.items() if not image)
+        self._linear = {c: image for c, image in eliminated.items() if image}
 
     def restrict(self, p: Polynomial) -> Polynomial:
         """The image of p in the residual ring: one zero-restriction for the
         coordinates, then one linear substitution for the other pivots."""
-        zeros = [c for c, image in self.eliminated.items() if not image]
-        linear = {c: image for c, image in self.eliminated.items() if image}
-        p = restrict_to_residual(p, zeros)
-        return linear_substitute(p, linear) if linear else p
+        if self._zeros:
+            p = restrict_to_residual(p, self._zeros)
+        return linear_substitute(p, self._linear) if self._linear else p
 
 
 def _solve_linear(g: Polynomial):
@@ -690,8 +694,8 @@ def _substitute(p: Polynomial, code: int, image: Polynomial) -> Polynomial:
 
 def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
     """Image of p after setting the eliminated coordinates to zero: the terms
-    of p that contain none of them."""
-    gone = set(eliminated)
+    of p that contain none of them.  A frozenset of codes is used as given."""
+    gone = frozenset(eliminated)
     return Polynomial(
         {mono: c for mono, c in p.items() if not any(v in gone for v, _ in mono)}
     )
@@ -794,16 +798,18 @@ def radical_member(
     trivial = {"kind": "radical-trick", "trivial": True}
 
     def decide(residual, p0, start):
-        aux = _fresh_aux(p, *ideal.generators)
-        w = Polynomial.variable(aux)
         budget, _ = _session_state()
         spairs = 0
+        aux = None  # the fresh slot w, found at the first radical-trick leaf
 
         def walk(node: Ideal, q: Polynomial) -> tuple[bool, dict]:
             """Is q in the radical of node?"""
-            nonlocal spairs
+            nonlocal spairs, aux
             branches = node.split() if presolve else None
             if branches is None:
+                if aux is None:
+                    aux = _fresh_aux(p, *ideal.generators)
+                w = Polynomial.variable(aux)
                 gb = Ideal(node.generators + (Polynomial.one() - w * q,)).groebner()
                 spairs += gb.spairs_processed
                 cert = {"kind": "radical-trick", "aux": var_name(aux)}
@@ -984,10 +990,10 @@ def krull_dim(ideal: Ideal, ambient) -> int:
     ambient = set(ambient)
     if not _codes(ideal.generators) <= ambient:
         raise ValueError("the ambient ring lacks a variable of the ideal")
-    residual, eliminated = ideal.presolved()
-    gb = residual.groebner(GREVLEX_ORDER)
+    presolved = ideal.presolved()
+    gb = presolved.residual.groebner(GREVLEX_ORDER)
     if gb.is_unit:
         return -1
     supports = tuple(sorted(set(gb.lead_supports()), key=lambda s: (len(s), sorted(s))))
     covered = _min_hitting(supports, {})
-    return len(ambient - set(eliminated)) - covered
+    return len(ambient - set(presolved.eliminated)) - covered

@@ -1,6 +1,10 @@
 import json
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from jetfibers import cli, poly
 from jetfibers.cli import build_parser, main
@@ -293,6 +297,76 @@ def test_timings_flag_fills_seconds(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(isinstance(r["seconds"], float) for r in payload["reports"])
+
+
+# JSON trees of every type the encoder writes: text with non-ASCII
+# characters, control characters and lone surrogates, ints past 64 bits,
+# bools, None, every kind of float, and nested dicts, lists and tuples
+_CHARS = st.one_of(
+    st.characters(),
+    st.characters(max_codepoint=0x1F),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+_TEXT = st.lists(_CHARS, max_size=8).map("".join)
+_JSON = st.recursive(
+    st.one_of(
+        _TEXT,
+        st.integers(-(2**200), 2**200),
+        st.booleans(),
+        st.none(),
+        st.floats(),
+        st.sampled_from([-0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON)
+@example({"": {}, "a": [], "b": (), "\u00e9\ud800\x01": [[{}], -0.0, 1e300, 10**30]})
+def test_encode_is_json_dumps_byte_for_byte(obj):
+    parts = []
+    cli._encode(obj, 0, parts.append)
+    assert "".join(parts) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [{"a": Fraction(1, 2)}, {1: "x"}], ids=["fraction", "int-key"])
+def test_encode_refuses_what_no_payload_holds(obj):
+    with pytest.raises(TypeError):
+        cli._encode(obj, 0, [].append)
+
+
+class _WriteRecorder:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_json_is_streamed_one_report_per_write(monkeypatch):
+    stream = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["an", "verify", "--n", "2", "--m", "5", "--format", "json"]) == 0
+    out = "".join(stream.writes)
+    golden = Path(__file__).parent / "golden" / "an_verify_n2_m5.json"
+    assert out == golden.read_bytes().decode("utf-8")
+    assert len(stream.writes) > len(json.loads(out)["reports"])
+    assert all(len(w) < len(out) for w in stream.writes)
+
+
+def test_timings_json_is_canonical(capsys):
+    # the float path: no golden file or pin holds a --timings output
+    code, out, _ = run(
+        capsys, "an", "verify", "--n", "2", "--m", "5", "--timings", "--format", "json"
+    )
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 def test_budget_flags_accepted(capsys):

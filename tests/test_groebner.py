@@ -1106,16 +1106,16 @@ def test_saturate_keeps_transverse_part():
 
 
 def test_presolve_eliminates_ladder():
-    res, killed = linear_presolve(ideal("x0", "y0", "z0", "x1*y1 - z0"))
-    assert [str(g) for g in res.generators] == ["x1*y1"]
-    assert len(killed) == 3
+    presolved = linear_presolve(ideal("x0", "y0", "z0", "x1*y1 - z0"))
+    assert [str(g) for g in presolved.residual.generators] == ["x1*y1"]
+    assert len(presolved.eliminated) == 3
 
 
 def test_presolve_solves_a_general_linear_generator():
     # the pivot is the highest variable code, x0, and its image is y0
-    res, eliminated = linear_presolve(ideal("x0 - y0", "x0*z0 + y0^2"))
-    assert eliminated == {var_code("x", 0): P("y0")}
-    assert [str(g) for g in res.generators] == ["y0^2 + y0*z0"]
+    presolved = linear_presolve(ideal("x0 - y0", "x0*z0 + y0^2"))
+    assert presolved.eliminated == {var_code("x", 0): P("y0")}
+    assert [str(g) for g in presolved.residual.generators] == ["y0^2 + y0*z0"]
 
 
 def test_presolve_back_substitutes_later_pivots():
@@ -1139,9 +1139,9 @@ def test_presolve_images_mention_no_pivot():
 
 def test_presolve_cascades():
     # dropping one variable exposes the next
-    res, killed = linear_presolve(ideal("x0", "y0 + x0*z0"))
-    assert len(killed) == 2
-    assert res.generators == ()
+    presolved = linear_presolve(ideal("x0", "y0 + x0*z0"))
+    assert len(presolved.eliminated) == 2
+    assert presolved.residual.generators == ()
 
 
 def test_presolve_soundness_random():
@@ -1308,7 +1308,7 @@ def test_engine_operations_leave_ideals_unlabelled():
     a = ideal("x0", "y0*z0", label="A")
     b = ideal("y0", "x1*z0", label="B")
     results = [
-        linear_presolve(a)[0],
+        linear_presolve(a).residual,
         saturate(a, P("z0")),
         saturate(a, P("x0")),
         ideal_intersect_elim(a, b),

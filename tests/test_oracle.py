@@ -136,7 +136,7 @@ def _jet_ideals():
             yield Ideal(fam.i0.presolved().residual.generators, label=f"I0(m{m})/presolved")
         if m < 7:  # sympy takes about 15 s on J2's residual at m=7
             yield Ideal(fam.j[2].presolved().residual.generators, label=f"J2(m{m})/presolved")
-    residual, _ = an.pair_ideal(2, 5, 1, 2).presolved()
+    residual = an.pair_ideal(2, 5, 1, 2).presolved().residual
     residual.label = "J(n2,m5;1,2)/presolved"
     yield residual
 
