@@ -62,8 +62,10 @@ def _nonnegative(kind):
 
 
 def _add_budget_flags(p):
-    p.add_argument("--budget-spairs", type=_nonnegative(int), default=None, metavar="N")
-    p.add_argument("--budget-seconds", type=_nonnegative(float), default=None, metavar="S")
+    p.add_argument("--budget-spairs", type=_nonnegative(int), default=None, metavar="N",
+                   help="bound the S-pairs popped by the whole command")
+    p.add_argument("--budget-seconds", type=_nonnegative(float), default=None, metavar="S",
+                   help="bound the seconds since the command started")
     p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
 
 
@@ -458,8 +460,8 @@ def main(argv=None) -> int:
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
     try:
         # --out is opened before any work, so a path that cannot be written
-        # fails at once; one engine session per command: the budget of its
-        # flags bounds every basis, and a basis or presolve is computed once
+        # fails at once; one engine session per command: its budget flags
+        # bound the whole command, and a basis or presolve is computed once
         out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
         with out or contextlib.nullcontext(sys.stdout) as args.stream, session(_budget(args)):
             return handler(args)

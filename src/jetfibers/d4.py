@@ -501,15 +501,7 @@ def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
         i2 = fam.component_ideal(2)
         i3 = fam.component_ideal(3)
     except gb.BudgetExhausted as exc:
-        fallback = gb.member(
-            Polynomial.variable(var_code(Y, 1)) ** 2 * g1(),
-            fam.j[1],
-            claim=f"fallback: y1^2*g1 in J1(m{m})",
-        )
-        return gb.merge_reports(
-            f"component ideals at m{m} (saturation budget exhausted; chart-level fallback)",
-            [gb.exhausted(f"saturation of J-ideals at m{m}", exc, exc.seconds), fallback],
-        )
+        return gb.exhausted(f"saturation of J-ideals at m{m}", exc, exc.seconds)
     reports.append(gb.member(g1(), i1, claim=f"g1 in {i1.label}"))
     reports.append(gb.member(g2(), i2, claim=f"g2 in {i2.label}"))
     y1 = Polynomial.variable(var_code(Y, 1))

@@ -46,20 +46,22 @@ GroebnerBasis is that monic basis, which reduce divides by.  Division with
 cofactors, for the membership certificates, is the same kernel call given
 quotient dicts, and the kernel takes it only against lead coefficients 1.
 
-One command runs in one engine session (session()): a ContextVar scope that
-holds the command's Budget and one memo of what depends only on a generator
-tuple: reduced bases, keyed on (generators, order), and linear presolves,
-keyed on (generators, "presolve").  Ideal.groebner and Ideal.presolved
-serve a repeated tuple from it, whichever Ideal carries the tuple, and
-compute a missing entry under the session budget.  buchberger is a pure
-computation and the one place the S-pair bound is applied, and the time
-limit is read there and before each branch of a radical split; exceeding
-either raises BudgetExhausted rather than returning anything partial, and
-an exhausted run stores nothing, so no entry exceeds the session's one
-budget.  An entry depends on nothing but its key, since the ring is built
-from the generators' variables.  A session opened inside another joins it,
-and the memo is dropped when the outermost one exits; outside a session
-everything is computed afresh, bases under the default budget.
+One command runs in one engine session (session()): a ContextVar scope
+holding one session object, which keeps the command's Budget, the clock
+reading taken when it opened, the S-pairs popped so far and one memo of
+what depends only on a generator tuple: reduced bases, keyed on
+(generators, order), and linear presolves, keyed on (generators,
+"presolve").  Ideal.groebner and Ideal.presolved serve a repeated tuple
+from it, whichever Ideal carries it, and a served basis costs nothing.
+Nothing below session() takes a budget or keeps a clock: each pop in
+buchberger counts against the session's S-pair bound, and the session's
+clock is read on buchberger's first pop, before each S-polynomial is
+reduced and before each branch of a radical split.  Exceeding either raises
+BudgetExhausted rather than returning anything partial; an exhausted run
+stores nothing and is charged for its pairs.  A session opened inside
+another joins it, and the memo is dropped when the outermost one exits.
+Outside a session each query and each direct buchberger call runs in a
+throwaway session of the default budget, timed from its own start.
 
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
@@ -153,57 +155,66 @@ def elimination_order(w: int) -> MonomialOrder:
 
 @dataclass(frozen=True)
 class Budget:
-    """Work limits for a single computation.  An S-pair counts as processed
-    when it is popped from the queue, whether or not a criterion discards it.
-    max_seconds also bounds each radical query's split, from the query's
-    start."""
+    """Work limits for a whole engine session: max_spairs bounds the S-pairs
+    popped by every basis it builds together, and max_seconds the time since
+    it opened.  An S-pair counts as processed when it is popped from the
+    queue, whether or not a criterion discards it."""
 
     max_spairs: int = 100_000
     max_seconds: float = 300.0
 
 
-DEFAULT_BUDGET = Budget()
+class _Session:
+    """The state of one engine session: its budget, the clock reading taken
+    when it opened, the S-pairs its bases have popped so far and the memo."""
+
+    __slots__ = ("budget", "start", "spairs", "memo")
+
+    def __init__(self, budget: Budget | None = None):
+        self.budget = budget or Budget()
+        self.start = time.monotonic()
+        self.spairs = 0
+        self.memo = {}
+
+    def served(self, key, compute):
+        """compute(), served from the memo under key; a raise stores nothing."""
+        if key not in self.memo:
+            self.memo[key] = compute()
+        return self.memo[key]
+
+    def check_clock(self, context: str, spairs: int):
+        """Raise BudgetExhausted once the session has run past its time limit."""
+        elapsed = time.monotonic() - self.start
+        if elapsed > self.budget.max_seconds:
+            raise BudgetExhausted(context, spairs, elapsed)
 
 
-# the open session: (budget, memo of generator-tuple facts); a context
-# variable, so a thread never sees a session another thread opened
-_session: ContextVar[tuple | None] = ContextVar("session", default=None)
+# the open session; a thread never sees a session another thread opened
+_session: ContextVar[_Session | None] = ContextVar("session", default=None)
 
 
 @contextmanager
 def session(budget: Budget | None = None):
-    """One engine session: every basis computed inside the block runs under
-    this budget (the default when None), and bases and presolves are served
-    again from the session's memo.  A session opened inside another joins it
-    and may not set a budget of its own; the memo is dropped when the
-    outermost one exits."""
+    """One engine session: every check inside the block runs under this
+    budget (the default when None), counted and timed from here, and bases
+    and presolves are served again from the session's memo.  A session
+    opened inside another joins it and may not set a budget of its own; the
+    memo is dropped when the outermost one exits."""
     if _session.get() is not None:
         if budget is not None:
             raise ValueError("a nested session cannot set its own budget")
         yield
         return
-    token = _session.set((budget, {}))
+    token = _session.set(_Session(budget))
     try:
         yield
     finally:
         _session.reset(token)
 
 
-def _session_state() -> tuple[Budget, dict | None]:
-    """The open session's budget and memo; the default budget and None outside one."""
-    budget, memo = _session.get() or (None, None)
-    return budget or DEFAULT_BUDGET, memo
-
-
-def _served(key, compute):
-    """compute(budget), served from the session's memo under key; computed
-    afresh outside a session.  A computation that raises stores nothing."""
-    budget, memo = _session_state()
-    if memo is None:
-        return compute(budget)
-    if key not in memo:
-        memo[key] = compute(budget)
-    return memo[key]
+def _current() -> _Session:
+    """The open session; outside one, a throwaway session whose clock starts now."""
+    return _session.get() or _Session()
 
 
 class BudgetExhausted(RuntimeError):
@@ -400,11 +411,11 @@ class Ideal:
 
     def groebner(self, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBasis:
         """The reduced basis under order, served from the session memo."""
-        return _served((self.generators, order), lambda budget: buchberger(self, order, budget))
+        return _current().served((self.generators, order), lambda: buchberger(self, order))
 
     def presolved(self) -> Presolve:
         """The linear presolve, served from the session memo."""
-        return _served((self.generators, "presolve"), lambda _: linear_presolve(self))
+        return _current().served((self.generators, "presolve"), lambda: linear_presolve(self))
 
     def split(self) -> tuple[tuple[int, Ideal], ...] | None:
         """None when no generator is a monomial.  Otherwise, for the first
@@ -486,22 +497,20 @@ class GroebnerBasis:
         return _widening(ring, divide)
 
 
-def buchberger(
-    ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER, budget: Budget | None = None
-) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal under the given order.
 
     Normal selection strategy: pending pairs sit in a binary heap keyed on
     (lcm degree, order key of the lcm, i, j), so each pop takes the pair of
     smallest lcm degree, ties broken by the order on the lcm and then by pair
     index.  Buchberger's coprimality and chain criteria prune pairs; the
-    chain criterion reads the pending (i, j) from a set.  The S-pair bound
-    is checked after each pop, the clock after the first pop and before each
-    S-polynomial is reduced (a pruned pair costs microseconds), and
-    BudgetExhausted is raised when either runs out.  A run whose monomials
-    outgrow the field width starts again at twice the width: its time
-    counts against the budget, its S-pairs do not.
-    Nothing is stored: Ideal.groebner memoizes within a session.
+    chain criterion reads the pending (i, j) from a set.  Each pop counts
+    against the session's S-pair bound, the session's clock is read after
+    the first pop and before each S-polynomial is reduced (a pruned pair
+    costs microseconds), and BudgetExhausted is raised when either runs out;
+    a finished or exhausted run is charged for its pairs, and one whose
+    monomials outgrow the field width starts again at twice the width,
+    charged for its time only.  Nothing is stored: Ideal.groebner memoizes.
 
     The loop runs on ints: each generator is made primitive on entry, each
     basis element is a primitive int polynomial stored with its lead
@@ -510,8 +519,8 @@ def buchberger(
     nonzero normal form is divided by its content.  The reduced basis is
     then made monic, c -> Fraction(c, lc).
     """
-    budget = budget or DEFAULT_BUDGET
-    start = time.monotonic()
+    sess = _current()
+    charged, limit = sess.spairs, sess.budget.max_spairs  # the count before this basis
     gens = ideal.generators
 
     def run(ring: _Ring) -> GroebnerBasis:
@@ -521,12 +530,7 @@ def buchberger(
         basis: list[dict] = []  # primitive int polynomials
         leads: list[int] = []
         lcs: list[int] = []  # their lead coefficients, all positive
-        spairs = 0
-
-        def check_clock():
-            elapsed = time.monotonic() - start
-            if elapsed > budget.max_seconds:
-                raise BudgetExhausted("buchberger", spairs, elapsed)
+        sess.spairs = charged  # a run begun again wider is not charged twice
 
         queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
         pending: set[tuple[int, int]] = set()
@@ -552,11 +556,12 @@ def buchberger(
         while queue:
             _, lcm_key, i, j = heappop(queue)
             pending.remove((i, j))
-            spairs += 1
-            if spairs > budget.max_spairs:
-                raise BudgetExhausted("buchberger", spairs, time.monotonic() - start)
-            if spairs == 1:
-                check_clock()
+            sess.spairs += 1
+            if sess.spairs > limit:
+                elapsed = time.monotonic() - sess.start
+                raise BudgetExhausted("buchberger", sess.spairs - charged, elapsed)
+            if sess.spairs == charged + 1:
+                sess.check_clock("buchberger", 1)
 
             lcm = lcm_key & low
             # coprime leads: the S-polynomial reduces to zero
@@ -576,7 +581,7 @@ def buchberger(
             if skip:
                 continue
 
-            check_clock()
+            sess.check_clock("buchberger", sess.spairs - charged)
             s = _K.s_polynomial(
                 lcm - leads[i], basis[i], lcs[i], lcm - leads[j], basis[j], lcs[j]
             )
@@ -603,7 +608,7 @@ def buchberger(
         for k in by_lead:
             lc = final[k][final_leads[k]]
             monic.append({m: Fraction(c, lc) for m, c in final[k].items()})
-        return GroebnerBasis(spairs, ring, monic, [final_leads[k] for k in by_lead])
+        return GroebnerBasis(sess.spairs - charged, ring, monic, [final_leads[k] for k in by_lead])
 
     return _widening(_make_ring(gens, order), run)
 
@@ -724,11 +729,11 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
     both to the linear presolve's residual (unless presolve is off), report
     a p that restricts to zero as verified with the trivial certificate, a
     p that is one of the ideal's generators as verified with the generator
-    certificate, and otherwise report decide(residual, p0, start) -> (ok,
-    certificate, S-pairs), where start is the query's one clock reading.
-    Time runs from the call; running out of budget gives exhausted's
-    report."""
+    certificate, and otherwise report decide(sess, residual, p0) -> (ok,
+    certificate, S-pairs) for the session sess (outside one, a throwaway
+    timed from the call); running out of budget gives exhausted's report."""
     start = time.monotonic()
+    sess = _current()
     try:
         if presolve:
             presolved = ideal.presolved()
@@ -740,7 +745,7 @@ def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
         if p in ideal.generators:
             cert = {"kind": "generator", "index": ideal.generators.index(p)}
             return check(claim, True, cert, 0, time.monotonic() - start)
-        ok, cert, spairs = decide(residual, p0, start)
+        ok, cert, spairs = decide(sess, residual, p0)
         return check(claim, ok, cert, spairs, time.monotonic() - start)
     except BudgetExhausted as exc:
         return exhausted(claim, exc, time.monotonic() - start)
@@ -757,7 +762,7 @@ def member(
     refuted by normal form against a reduced basis; a refutation's witness
     is the nonzero remainder."""
 
-    def decide(residual, p0, _start):
+    def decide(_sess, residual, p0):
         gb = residual.groebner(GREVLEX_ORDER)
         remainder, cert = _divide_for_member(gb, p0)
         return not remainder, cert, gb.spairs_processed
@@ -792,13 +797,13 @@ def radical_member(
     the radical of every branch, and a failed branch refutes the query at
     once.  A leaf with no monomial generator left takes the radical trick:
     adjoin 1 - w*p for a fresh auxiliary variable w and test whether the
-    ideal becomes the unit ideal.  The session's time budget is checked
-    before each branch, from the query's start.  With presolve off there is
-    no split either: the whole ideal takes the plain radical trick."""
+    ideal becomes the unit ideal.  The session's clock is checked before
+    each branch, and each basis is counted in the session's S-pairs.  With
+    presolve off there is no split either: the whole ideal takes the plain
+    radical trick."""
     trivial = {"kind": "radical-trick", "trivial": True}
 
-    def decide(residual, p0, start):
-        budget, _ = _session_state()
+    def decide(sess, residual, p0):
         spairs = 0
         aux = None  # the fresh slot w, found at the first radical-trick leaf
 
@@ -818,9 +823,7 @@ def radical_member(
                 return gb.is_unit, cert
             ok, certs = True, {}
             for code, branch in branches:
-                elapsed = time.monotonic() - start
-                if elapsed > budget.max_seconds:
-                    raise BudgetExhausted("radical split", spairs, elapsed)
+                sess.check_clock("radical split", spairs)
                 presolved = branch.presolved()
                 q_branch = presolved.restrict(q)
                 ok, certs[var_name(code)] = (

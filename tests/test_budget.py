@@ -2,10 +2,14 @@
 
 Every public check, run inside session(Budget(max_spairs=0)), must come out
 budget-exhausted whenever it needs any S-pair, and no check may be refuted
-by a budget.  No function below the session takes a budget of its own, and
-none takes an ambient variable set.  Inside buchberger the S-pair bound is
-exact on every pop, and the time limit is read on the first pop and before
-each reduction; radical_member's split reads it before each branch.
+by a budget.  Only session takes a budget: the session object holds it,
+one clock reading taken when the outermost session opens and one count of
+the S-pairs popped so far, and no function below it keeps a budget or a
+clock of its own.  The S-pair bound is exact on every pop and applies to
+the session's total; the time since the session opened is read on
+buchberger's first pop, before each reduction and before each branch of
+radical_member's split, so two queries that each fit the limit exhaust it
+together.  None takes an ambient variable set.
 """
 
 import inspect
@@ -67,10 +71,11 @@ def _takers(module, parameter: str) -> set[str]:
     return found
 
 
-def test_only_the_session_and_buchberger_take_a_budget():
+def test_only_the_session_takes_a_budget():
     for module in (an, d4, graphs):
         assert _takers(module, "budget") == set(), module.__name__
-    assert _takers(gb, "budget") == {"session", "buchberger"}
+    # session() builds the one session object, which holds the budget
+    assert _takers(gb, "budget") == {"session", "_Session.__init__"}
 
 
 def test_no_function_takes_an_ambient_variable_set():
@@ -100,8 +105,9 @@ def _fake_clock(monkeypatch, jump_after: int) -> list:
 def test_time_limit_stops_a_run_in_its_middle(monkeypatch):
     full = gb.buchberger(_d4_jet_ideal())
     _fake_clock(monkeypatch, jump_after=20)
-    with pytest.raises(gb.BudgetExhausted) as exc:
-        gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_seconds=10))
+    with gb.session(gb.Budget(max_seconds=10)):
+        with pytest.raises(gb.BudgetExhausted) as exc:
+            gb.buchberger(_d4_jet_ideal())
     assert exc.value.context == "buchberger"
     assert 1 < exc.value.spairs < full.spairs_processed
 
@@ -110,20 +116,24 @@ def test_zero_seconds_stop_at_the_first_pop_even_when_it_is_pruned():
     # the only pair of (x0, y0) has coprime leads and is never reduced
     xy = gb.Ideal([Polynomial.variable(var_code("x", 0)), Polynomial.variable(var_code("y", 0))])
     assert gb.buchberger(xy).spairs_processed == 1
-    with pytest.raises(gb.BudgetExhausted) as exc:
-        gb.buchberger(xy, budget=gb.Budget(max_seconds=0))
+    with gb.session(gb.Budget(max_seconds=0)):
+        with pytest.raises(gb.BudgetExhausted) as exc:
+            gb.buchberger(xy)
     assert exc.value.spairs == 1
 
 
 def test_pruned_pairs_do_not_read_the_clock(monkeypatch):
-    # the S-pair bound is exact on every pop; the clock is read on the first
-    # pop and for the pairs that are reduced, far fewer than those popped
+    # the S-pair bound is exact on every pop; the clock is read when the
+    # session opens, on the first pop and for the pairs that are reduced,
+    # far fewer than those popped
     reads = _fake_clock(monkeypatch, jump_after=10**9)
-    got = gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_seconds=10))
+    with gb.session(gb.Budget(max_seconds=10)):
+        got = gb.buchberger(_d4_jet_ideal())
     assert 0 < len(reads) < got.spairs_processed
     monkeypatch.undo()
-    with pytest.raises(gb.BudgetExhausted) as exc:
-        gb.buchberger(_d4_jet_ideal(), budget=gb.Budget(max_spairs=got.spairs_processed - 1))
+    with gb.session(gb.Budget(max_spairs=got.spairs_processed - 1)):
+        with pytest.raises(gb.BudgetExhausted) as exc:
+            gb.buchberger(_d4_jet_ideal())
     assert exc.value.spairs == got.spairs_processed
 
 
@@ -145,15 +155,42 @@ def test_the_radical_split_is_charged_to_the_time_budget(monkeypatch):
     }
     assert len(reads) >= 3  # one read before each branch at least
 
-    # the clock passes the limit after the query's start: the split stops
-    # before its first branch
+    # the clock passes the limit after the session opens and the query
+    # starts: the split stops before its first branch
     monkeypatch.undo()
     _fake_clock(monkeypatch, jump_after=2)
     with gb.session(gb.Budget(max_seconds=10)):
         rep = gb.radical_member(p, monomial)
     assert rep.outcome == gb.BUDGET_EXHAUSTED
     assert rep.certificate == {"kind": "budget", "context": "radical split"}
-    # without a session the default budget applies
+    # without a session the default budget applies, timed from the
+    # query's own start
     monkeypatch.undo()
     _fake_clock(monkeypatch, jump_after=2)
     assert gb.radical_member(p, monomial).outcome == gb.BUDGET_EXHAUSTED
+
+
+def test_two_queries_share_the_session_clock(monkeypatch):
+    # a clock that moves one second per read: each query reads it at its
+    # start, before each of its three branches and at its end, so one query
+    # spans 4 s and fits a 6 s limit, and the second one in the same session
+    # starts past it
+    x, y, z = (Polynomial.variable(var_code(v, 0)) for v in "xyz")
+    monomial = gb.Ideal([x * y * z])
+    p = x * y * z * z
+    reads = []
+
+    def monotonic():
+        reads.append(1)
+        return float(len(reads))
+
+    monkeypatch.setattr(gb.time, "monotonic", monotonic)
+    with gb.session(gb.Budget(max_seconds=6)):
+        alone = gb.radical_member(p, monomial)
+    assert alone.outcome == gb.VERIFIED
+    with gb.session(gb.Budget(max_seconds=6)):
+        first = gb.radical_member(p, monomial)
+        second = gb.radical_member(p, monomial)
+    assert first.outcome == gb.VERIFIED
+    assert second.outcome == gb.BUDGET_EXHAUSTED
+    assert second.certificate == {"kind": "budget", "context": "radical split"}

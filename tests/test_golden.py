@@ -101,7 +101,11 @@ PINS = [
     # budgeted runs that still build bases: the coordinate lemmas and the
     # z2/x3/y2 chain queries of D4
     (["d4", "verify", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
-     "c1ec921a818ae5ed0688c57721ca1aaacb2554fedf81f5a696eb4e46b65d8d69", 35957),
+     "9783350bd89316651cf179fe0e12c827b08ae7eedfd7e1b1c5155bcdf615e57c", 35955),
+    # the budget bounds the whole command: the largest basis at m6 pops 276
+    # pairs, but the command pops 419 in all
+    (["d4", "verify", "--m", "6", "--budget-spairs", "300", "--format", "json"], 3,
+     "30211566d0c94d6f5eba49215d99d88dc2c2c505ae24817910f091a440c30d1b", 36116),
     (["d4", "verify", "--m", "7", "--budget-spairs", "100"], 3,
      "212cef20ecb75952d1f1ec67eab9d884e3e0929bf6b85230b9fc2ba6de34bf46", 680),
     # the old A_n frontier, under 0.2 s each

@@ -363,9 +363,8 @@ def _packed_groebner(gens, ring):
     packed terms over the same slots, with its leads.  Inputs whose basis
     takes more than a few S-pairs are skipped, to keep the test fast."""
     try:
-        basis = buchberger(
-            Ideal([ring.unpack(g) for g in gens]), ring.order, Budget(max_spairs=40)
-        )
+        with session(Budget(max_spairs=40)):
+            basis = buchberger(Ideal([ring.unpack(g) for g in gens]), ring.order)
     except BudgetExhausted:
         reject()
     packed = [ring.pack(g) for g in basis.polys]
@@ -447,7 +446,8 @@ def test_primitive_int_reduction_is_a_multiple_of_the_monic_one(case):
     packing = ring.packing
     # the engine's reduced basis: monic, with exact Fraction coefficients
     try:
-        gb = buchberger(Ideal([ring.unpack(g) for g in gens]), ring.order, Budget(max_spairs=40))
+        with session(Budget(max_spairs=40)):
+            gb = buchberger(Ideal([ring.unpack(g) for g in gens]), ring.order)
     except BudgetExhausted:
         reject()
     assert all(type(c) is Fraction for g in gb._basis for c in g.values())
@@ -521,6 +521,19 @@ def _basis_at_width(monkeypatch, bits, gens, order):
     with monkeypatch.context() as patch:
         patch.setattr(engine, "_make_ring", lambda polys, order: _Ring(_codes(polys), order, bits))
         return buchberger(Ideal(gens), order)
+
+
+def test_a_run_begun_again_wider_is_charged_once(monkeypatch):
+    # the 8-bit run pops 29 pairs before a basis element outgrows its
+    # fields; the session is charged only the 66 of the 16-bit run
+    gens = [P("w0^22*x0^13*y0^13*z0^18 - z0"), P("w0^13*x0^23*y0^14*z0^16 - y0*z0")]
+    widths = _recording_widths(monkeypatch)
+    with session(Budget(max_spairs=66)):
+        assert Ideal(gens).groebner().spairs_processed == 66
+        with pytest.raises(BudgetExhausted) as exc:
+            ideal("x0", "y0").groebner()  # its one pair is over the bound
+    assert widths == [8]
+    assert exc.value.spairs == 1
 
 
 def test_reduce_and_monomial_meet_repack_past_the_headroom(monkeypatch):
@@ -639,11 +652,9 @@ def test_pair_selection_pinned(gens, order, size, spairs):
 
 
 def test_budget_exhaustion_raises():
-    with pytest.raises(BudgetExhausted):
-        buchberger(
-            ideal("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0"),
-            budget=Budget(max_spairs=1, max_seconds=300),
-        )
+    with session(Budget(max_spairs=1, max_seconds=300)):
+        with pytest.raises(BudgetExhausted):
+            buchberger(ideal("x0^2 + y0", "x0*y0 + 1", "y0^2 - z0"))
 
 
 def test_budget_surfaces_in_reports():
@@ -743,6 +754,27 @@ def test_session_budget_bounds_every_basis():
     assert exc.value.spairs == 45
     with session(Budget(max_spairs=45)):
         assert ideal(*_SATURATING).groebner(order).spairs_processed == 45
+
+
+def test_session_budget_bounds_the_bases_together():
+    # _QUADRICS pops 21 pairs and _CUBICS 3: each fits 23, both do not, and
+    # a basis served again from the memo pops nothing
+    with session(Budget(max_spairs=24)):
+        first = ideal(*_QUADRICS).groebner()
+        assert ideal(*_QUADRICS).groebner() is first
+        assert ideal(*_CUBICS).groebner().spairs_processed == 3
+    with session(Budget(max_spairs=23)):
+        assert ideal(*_QUADRICS).groebner().spairs_processed == 21
+        with pytest.raises(BudgetExhausted) as exc:
+            ideal(*_CUBICS).groebner()
+        assert exc.value.spairs == 3
+        # the exhausted run was charged its 3 pairs: the next one stops at
+        # its first pop
+        with pytest.raises(BudgetExhausted) as exc:
+            ideal(*_CUBICS).groebner()
+        assert exc.value.spairs == 1
+    with session(Budget(max_spairs=23)):
+        assert ideal(*_CUBICS).groebner().spairs_processed == 3
 
 
 # ---------------------------------------------------------------------------
