@@ -259,10 +259,7 @@ def _meet_claim(dec: IntersectionDecomposition, J: gb.Ideal) -> gb.VerificationR
     ladders = [d.ladder.ideal() for d in dec.components]
     meet = gb.monomial_ideal_intersect(ladders)
     label = "(" + " ^ ".join(lad.label for lad in ladders) + ")"
-    subs = [
-        gb.radical_member(g, J, claim=f"{label} gen#{k} in sqrt {J.label}")
-        for k, g in enumerate(meet.generators)
-    ]
+    subs = gb.generators_in(label, meet.generators, J, radical=True)
     return gb.merge_reports(f"{dec.meet_label} subset sqrt {J.label}", subs)
 
 
@@ -324,12 +321,9 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
 
     reports.append(_case_guard(dec))
 
-    for desc, comp in zip(dec.components, comps):
-        subs = [
-            gb.member(g, comp, claim=f"{J.label} gen#{k} in {desc.label}")
-            for k, g in enumerate(J.generators)
-        ]
-        reports.append(gb.merge_reports(f"{J.label} subset {desc.label}", subs))
+    for comp in comps:
+        subs = gb.generators_in(J.label, J.generators, comp)
+        reports.append(gb.merge_reports(f"{J.label} subset {comp.label}", subs))
 
     reports.append(_meet_claim(dec, J))
 
@@ -378,11 +372,21 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
 
 
 def verify_all_pairs(n: int, m: int) -> list[gb.VerificationReport]:
-    return [
-        verify_decomposition(n, m, i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
+    """verify_decomposition on every pair.  The session's clock is read
+    before each pair, and a pair that starts past the time limit is reported
+    budget-exhausted with no work done."""
+    sess = gb.current_session()
+    reports = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            try:
+                sess.check_clock("pair loop", 0)
+            except gb.BudgetExhausted as exc:
+                claim = f"decomposition of {pair_ideal(n, m, i, j).label}"
+                reports.append(gb.exhausted(claim, exc, 0.0))
+            else:
+                reports.append(verify_decomposition(n, m, i, j))
+    return reports
 
 
 # ---------------------------------------------------------------------------

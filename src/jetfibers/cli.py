@@ -174,8 +174,9 @@ def _encode(obj, indent: int, write) -> None:
     """Write obj through write, in pieces, exactly as the json module's
     dumps(obj, indent=2, sort_keys=True) encodes it, but without its
     pure-Python encoder, which indent selects; indent is obj's nesting depth.
-    Raises TypeError on a key that is not a str and on a value that is not
-    a str, int, float, bool, None, dict, list or tuple."""
+    Each list element is one piece, so a payload streams one report per
+    write.  Raises TypeError on a key that is not a str and on a value that
+    is not a str, int, float, bool, None, dict, list or tuple."""
     if isinstance(obj, str):
         write(_quote(obj))
     elif isinstance(obj, dict):
@@ -200,11 +201,9 @@ def _encode(obj, indent: int, write) -> None:
         inner = "\n" + "  " * (indent + 1)
         sep = "[" + inner
         for value in obj:
-            if isinstance(value, str):
-                write(sep + _quote(value))
-            else:
-                write(sep)
-                _encode(value, indent + 1, write)
+            parts = [sep]
+            _encode(value, indent + 1, parts.append)
+            write("".join(parts))
             sep = "," + inner
         write("\n" + "  " * indent + "]")
     elif obj is None or obj is True or obj is False:
@@ -223,34 +222,14 @@ def _encode(obj, indent: int, write) -> None:
 
 
 def _emit_result(args, fields: dict, text: str, **config) -> None:
-    """With --format json, emit {schema, config, **fields} as JSON, otherwise
-    text.  The JSON is written by _encode, byte-identical to the json
-    module's dumps(indent=2, sort_keys=True), one top-level report per write:
-    each element of a non-empty list field (reports, coefficients, rows)
-    is one write, and the whole output is never joined into one string."""
+    """With --format json, emit {schema, config, **fields} through _encode,
+    straight to the open stream, otherwise text."""
     if args.format != "json":
         args.stream.write(text)
         return
     payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
-    write = args.stream.write
-    sep = "{\n  "
-    for key in sorted(payload):
-        value = payload[key]
-        head = f"{sep}{_quote(key)}: "
-        if isinstance(value, list) and value:
-            head += "["
-            for item in value:
-                parts = [head, "\n    "]
-                _encode(item, 2, parts.append)
-                write("".join(parts))
-                head = ","
-            write("\n  ]")
-        else:
-            parts = [head]
-            _encode(value, 1, parts.append)
-            write("".join(parts))
-        sep = ",\n  "
-    write("\n}\n")
+    _encode(payload, 0, args.stream.write)
+    args.stream.write("\n")
 
 
 def _parse_m_range(spec: str) -> list[int]:

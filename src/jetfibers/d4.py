@@ -196,8 +196,6 @@ def verify_g1_identity(m: int = M_MIN) -> gb.VerificationReport:
     chart variables and f^(4), f^(5) alone (F4 and F5 match those modulo the
     chart variables), which keeps the engine work independent of m.
     """
-    if m < M_MIN:
-        raise ValueError(f"need m >= {M_MIN}")
     # the first chart's generic jet: x from t^2, y from t^1, z from t^2
     shifted = jet_coeffs(d4_surface(), 5, (2, 1, 2))
     f4, f5 = shifted[4], shifted[5]
@@ -302,18 +300,12 @@ def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
     for auto in (PHI1, PHI2):
         for src in (1, 2, 3):
             dst = expect[(auto.name, src)]
-            mapped = auto.on_ideal(fam.charts[src])
-            subs = [
-                gb.member(g, fam.charts[dst], claim=f"{auto.name}(L{src}) gen#{k} in L{dst}")
-                for k, g in enumerate(mapped.generators)
-            ]
+            mapped = auto.on_ideal(fam.charts[src]).generators
+            subs = gb.generators_in(f"{auto.name}(L{src})", mapped, fam.charts[dst])
             reports.append(gb.merge_reports(f"{auto.name}(L{src}) subset L{dst}", subs))
-        mapped0 = auto.on_ideal(fam.i0)
-        subs = [
-            gb.member(g, fam.i0, claim=f"{auto.name}(I0) gen#{k} in I0(m{m})")
-            for k, g in enumerate(mapped0.generators)
-        ]
-        reports.append(gb.merge_reports(f"{auto.name}(I0) subset I0(m{m})", subs))
+        mapped = auto.on_ideal(fam.i0).generators
+        subs = gb.generators_in(f"{auto.name}(I0)", mapped, fam.i0)
+        reports.append(gb.merge_reports(f"{auto.name}(I0) subset {fam.i0.label}", subs))
     return gb.merge_reports(f"symmetries permute the charts (m{m})", reports)
 
 
@@ -328,8 +320,6 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     the congruence x2^2 = f^(4) modulo L(2,2,2), which puts x2 in the radical
     of I0, and one radical query per generator of I0; y1 and z1 are its
     generators #4 and #6."""
-    if m < M_MIN:
-        raise ValueError(f"need m >= {M_MIN}")
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("need two distinct chart indices")
     fam = d4_ideals(m)
@@ -341,10 +331,7 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     reports = [
         gb.check("x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label})
     ]
-    reports += [
-        gb.radical_member(g, pair, claim=f"I0 gen#{k} in sqrt {pair.label}")
-        for k, g in enumerate(fam.i0.generators)
-    ]
+    reports += gb.generators_in("I0", fam.i0.generators, pair, radical=True)
     return gb.merge_reports(f"distinguished ideal inside sqrt(J{i}+J{j}) at m{m}", reports)
 
 
@@ -397,8 +384,6 @@ def witness_checks(m: int) -> gb.VerificationReport:
     that y2 avoids its radical, is a point check at every order (the engine
     decides only if the point check fails).
     """
-    if m < M_MIN:
-        raise ValueError(f"need m >= {M_MIN}")
     fam = d4_ideals(m)
     reports = []
 
@@ -509,14 +494,8 @@ def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
         reports.append(
             gb.avoids_at(y1, ideal, chart_point(i), claim=f"y1 avoids sqrt {ideal.label}")
         )
-    mapped = PHI1.on_ideal(i2)
-    subs = [
-        gb.member(g, i3, claim=f"phi1(I2) gen#{k} in I3") for k, g in enumerate(mapped.generators)
-    ]
-    back = PHI1.on_ideal(i3)
-    subs += [
-        gb.member(g, i2, claim=f"phi1(I3) gen#{k} in I2") for k, g in enumerate(back.generators)
-    ]
+    subs = gb.generators_in("phi1(I2)", PHI1.on_ideal(i2).generators, i3, target="I3")
+    subs += gb.generators_in("phi1(I3)", PHI1.on_ideal(i3).generators, i2, target="I2")
     reports.append(gb.merge_reports(f"y-flip swaps components 2 and 3 (m{m})", subs))
 
     ambient = jet_variables(m)

@@ -56,12 +56,14 @@ from it, whichever Ideal carries it, and a served basis costs nothing.
 Nothing below session() takes a budget or keeps a clock: each pop in
 buchberger counts against the session's S-pair bound, and the session's
 clock is read on buchberger's first pop, before each S-polynomial is
-reduced and before each branch of a radical split.  Exceeding either raises
-BudgetExhausted rather than returning anything partial; an exhausted run
-stores nothing and is charged for its pairs.  A session opened inside
-another joins it, and the memo is dropped when the outermost one exits.
-Outside a session each query and each direct buchberger call runs in a
-throwaway session of the default budget, timed from its own start.
+reduced, before each branch of a radical split and, through
+current_session(), before each pair of an A_n pair loop.  Exceeding
+either raises BudgetExhausted rather than returning anything partial; an
+exhausted run stores nothing and is charged for its pairs.  A session
+opened inside another joins it, and the memo is dropped when the
+outermost one exits.  Outside a session each query and each direct
+buchberger call runs in a throwaway session of the default budget, timed
+from its own start.
 
 check is the one rule that turns a decided claim into an outcome: verified
 when the check held, refuted when it failed, and never better than the
@@ -72,7 +74,8 @@ The rule: a polynomial that restricts to zero is verified by the trivial
 certificate, and otherwise one of the ideal's own generators by the
 generator certificate, which names its index (a generator lies in the ideal
 and so in its radical); both take 0 S-pairs and no basis.  Only the rest is
-decided against a reduced basis.
+decided against a reduced basis.  A containment claim, each generator of
+one ideal in another or in its radical, is one generators_in call.
 
 A radical query first splits the residual on its monomial generators, the
 monomial case of the factorizing Buchberger algorithm (Czapor, JSC 1989;
@@ -88,9 +91,7 @@ again to every query that walks them.  The certificate is that tree,
 certificate where p restricts to zero and a radical-trick certificate at a
 leaf with no monomial generator left, the only place a basis is built.  A
 failed branch refutes the query at once, and the session's time budget is
-checked before each branch.  The split belongs to the presolve: a query
-with the presolve off takes the plain radical trick on the whole ideal,
-which is what the tests compare the presolve and the split against.
+checked before each branch.
 
 A non-membership is decided at a rational point first (avoids_at): when
 every generator of I vanishes there and p does not, p lies outside sqrt(I)
@@ -212,7 +213,7 @@ def session(budget: Budget | None = None):
         _session.reset(token)
 
 
-def _current() -> _Session:
+def current_session() -> _Session:
     """The open session; outside one, a throwaway session whose clock starts now."""
     return _session.get() or _Session()
 
@@ -406,16 +407,15 @@ class Ideal:
         tag = self.label or f"{len(self.generators)} generators"
         return f"Ideal({tag})"
 
-    def describe(self) -> str:
-        return self.label or "ideal"
-
     def groebner(self, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBasis:
         """The reduced basis under order, served from the session memo."""
-        return _current().served((self.generators, order), lambda: buchberger(self, order))
+        return current_session().served((self.generators, order), lambda: buchberger(self, order))
 
     def presolved(self) -> Presolve:
         """The linear presolve, served from the session memo."""
-        return _current().served((self.generators, "presolve"), lambda: linear_presolve(self))
+        return current_session().served(
+            (self.generators, "presolve"), lambda: linear_presolve(self)
+        )
 
     def split(self) -> tuple[tuple[int, Ideal], ...] | None:
         """None when no generator is a monomial.  Otherwise, for the first
@@ -519,7 +519,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBa
     nonzero normal form is divided by its content.  The reduced basis is
     then made monic, c -> Fraction(c, lc).
     """
-    sess = _current()
+    sess = current_session()
     charged, limit = sess.spairs, sess.budget.max_spairs  # the count before this basis
     gens = ideal.generators
 
@@ -724,40 +724,30 @@ def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
     return remainder, cert
 
 
-def _query(claim, p, ideal, presolve, trivial, decide) -> VerificationReport:
+def _query(claim, p, ideal, trivial, decide) -> VerificationReport:
     """Run one engine query on p and the ideal, certificate first: restrict
-    both to the linear presolve's residual (unless presolve is off), report
-    a p that restricts to zero as verified with the trivial certificate, a
-    p that is one of the ideal's generators as verified with the generator
-    certificate, and otherwise report decide(sess, residual, p0) -> (ok,
-    certificate, S-pairs) for the session sess (outside one, a throwaway
-    timed from the call); running out of budget gives exhausted's report."""
+    both to the linear presolve's residual, report a p that restricts to
+    zero as verified with the trivial certificate, a p that is one of the
+    ideal's generators as verified with the generator certificate, and
+    otherwise report decide(sess, residual, p0) -> (ok, certificate,
+    S-pairs) for the session sess (outside one, a throwaway timed from the
+    call); running out of budget gives exhausted's report."""
     start = time.monotonic()
-    sess = _current()
+    sess = current_session()
     try:
-        if presolve:
-            presolved = ideal.presolved()
-            residual, p0 = presolved.residual, presolved.restrict(p)
-        else:
-            residual, p0 = ideal, p
-        if not p0:
-            return check(claim, True, trivial, 0, time.monotonic() - start)
-        if p in ideal.generators:
+        presolved = ideal.presolved()
+        p0 = presolved.restrict(p)
+        ok, cert, spairs = True, trivial, 0
+        if p0 and p in ideal.generators:
             cert = {"kind": "generator", "index": ideal.generators.index(p)}
-            return check(claim, True, cert, 0, time.monotonic() - start)
-        ok, cert, spairs = decide(sess, residual, p0)
+        elif p0:
+            ok, cert, spairs = decide(sess, presolved.residual, p0)
         return check(claim, ok, cert, spairs, time.monotonic() - start)
     except BudgetExhausted as exc:
         return exhausted(claim, exc, time.monotonic() - start)
 
 
-def member(
-    p: Polynomial,
-    ideal: Ideal,
-    *,
-    claim: str | None = None,
-    presolve: bool = True,
-) -> VerificationReport:
+def member(p: Polynomial, ideal: Ideal, *, claim: str | None = None) -> VerificationReport:
     """Is p in the ideal?  After _query's certificate-first rule, verified or
     refuted by normal form against a reduced basis; a refutation's witness
     is the nonzero remainder."""
@@ -768,7 +758,7 @@ def member(
         return not remainder, cert, gb.spairs_processed
 
     return _query(
-        claim or f"member: {p} in {ideal.describe()}", p, ideal, presolve,
+        claim or f"member: {p} in {ideal.label or 'ideal'}", p, ideal,
         {"kind": "normal-form", "remainder": "0", "basis_size": 0}, decide,
     )
 
@@ -786,11 +776,7 @@ def _fresh_aux(*polys) -> int:
 
 
 def radical_member(
-    p: Polynomial,
-    ideal: Ideal,
-    *,
-    claim: str | None = None,
-    presolve: bool = True,
+    p: Polynomial, ideal: Ideal, *, claim: str | None = None
 ) -> VerificationReport:
     """Is p in the radical?  After _query's certificate-first rule, decided
     on the split of the residual (see the module docstring): p must lie in
@@ -798,9 +784,7 @@ def radical_member(
     once.  A leaf with no monomial generator left takes the radical trick:
     adjoin 1 - w*p for a fresh auxiliary variable w and test whether the
     ideal becomes the unit ideal.  The session's clock is checked before
-    each branch, and each basis is counted in the session's S-pairs.  With
-    presolve off there is no split either: the whole ideal takes the plain
-    radical trick."""
+    each branch, and each basis is counted in the session's S-pairs."""
     trivial = {"kind": "radical-trick", "trivial": True}
 
     def decide(sess, residual, p0):
@@ -810,7 +794,7 @@ def radical_member(
         def walk(node: Ideal, q: Polynomial) -> tuple[bool, dict]:
             """Is q in the radical of node?"""
             nonlocal spairs, aux
-            branches = node.split() if presolve else None
+            branches = node.split()
             if branches is None:
                 if aux is None:
                     aux = _fresh_aux(p, *ideal.generators)
@@ -837,9 +821,16 @@ def radical_member(
         return ok, cert, spairs
 
     return _query(
-        claim or f"radical-member: {p} in sqrt {ideal.describe()}", p, ideal,
-        presolve, trivial, decide,
+        claim or f"radical-member: {p} in sqrt {ideal.label or 'ideal'}", p, ideal, trivial, decide
     )
+
+
+def generators_in(name: str, gens, ideal: Ideal, *, radical=False, target=None):
+    """member, or radical_member when radical is set, on each of gens, with
+    the k-th claim "<name> gen#k in [sqrt ]<target or the ideal's label>"."""
+    query = radical_member if radical else member
+    into = ("sqrt " if radical else "") + (target or ideal.label)
+    return [query(g, ideal, claim=f"{name} gen#{k} in {into}") for k, g in enumerate(gens)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ one clock reading taken when the outermost session opens and one count of
 the S-pairs popped so far, and no function below it keeps a budget or a
 clock of its own.  The S-pair bound is exact on every pop and applies to
 the session's total; the time since the session opened is read on
-buchberger's first pop, before each reduction and before each branch of
-radical_member's split, so two queries that each fit the limit exhaust it
-together.  None takes an ambient variable set.
+buchberger's first pop, before each reduction, before each branch of
+radical_member's split and before each pair of an.verify_all_pairs, so two
+queries that each fit the limit exhaust it together.  None takes an
+ambient variable set.
 """
 
 import inspect
@@ -194,3 +195,34 @@ def test_two_queries_share_the_session_clock(monkeypatch):
     assert first.outcome == gb.VERIFIED
     assert second.outcome == gb.BUDGET_EXHAUSTED
     assert second.certificate == {"kind": "budget", "context": "radical split"}
+
+
+def test_pairs_past_the_deadline_are_exhausted_and_never_presolved(monkeypatch):
+    # the clock reads 0 until the first pair is decided and 1e6 after it:
+    # the pair loop reads the clock before each pair, so the two later pairs
+    # start past the limit and run no presolve, no meet and no query
+    now = [0.0]
+    monkeypatch.setattr(gb.time, "monotonic", lambda: now[0])
+    decided, presolved = [], []
+    decide, presolve = an.verify_decomposition, gb.linear_presolve
+
+    def first_then_late(*pair):
+        decided.append(pair)
+        report = decide(*pair)
+        now[0] = 1e6
+        presolved.clear()
+        return report
+
+    monkeypatch.setattr(an, "verify_decomposition", first_then_late)
+    monkeypatch.setattr(gb, "linear_presolve", lambda i: presolved.append(i) or presolve(i))
+    with gb.session(gb.Budget(max_seconds=10)):
+        reports = an.verify_all_pairs(3, 5)
+    assert decided == [(3, 5, 1, 2)] and presolved == []
+    assert [r.outcome for r in reports] == [gb.VERIFIED] + [gb.BUDGET_EXHAUSTED] * 2
+    assert [r.claim for r in reports[1:]] == [
+        "decomposition of J(n3,m5;1,3)",
+        "decomposition of J(n3,m5;2,3)",
+    ]
+    for r in reports[1:]:
+        assert r.certificate == {"kind": "budget", "context": "pair loop"}
+        assert r.spairs_processed == 0

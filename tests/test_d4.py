@@ -83,6 +83,17 @@ def test_order_bound_enforced():
         d4_ideals(4)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [verify_g1_identity, lambda m: verify_coordinate_lemma(m, 1, 2), witness_checks],
+    ids=["g1_identity", "coordinate_lemma", "witness_checks"],
+)
+def test_checks_below_the_minimum_order_raise(run):
+    # the bound is checked once, by d4_ideals, which every check builds on
+    with pytest.raises(ValueError, match=f"need m >= {d4.M_MIN}"):
+        run(d4.M_MIN - 1)
+
+
 def test_a_repeated_chart_transport_presolves_nothing(monkeypatch):
     # every d4_ideals(m) builds a fresh family, but the presolves of its
     # ideals are served from the session memo by their generators: inside

@@ -804,9 +804,37 @@ def test_member_verified_and_refuted():
 
 
 def test_member_cofactor_certificate():
-    rep = member(P("x0^2 + x0*y0"), ideal("x0"), presolve=False)
-    assert rep.verified
-    assert rep.certificate.get("cofactors")
+    # the presolve leaves x0^2 - y0*z0 in the residual, so p is decided by a
+    # division, whose quotients the certificate lists
+    p, i = P("x0^3 - x0*y0*z0"), ideal("x0^2 - y0*z0")
+    rep = member(p, i)
+    assert rep.verified and _plain_member(p, i)
+    assert rep.certificate["cofactors"] == {"x0^2 - y0*z0": "x0"}
+
+
+_MEMBERS = (P("x0^2 - y0*z0"), P("x0^3 - x0*y0*z0"), P("y0^4"))
+
+
+@pytest.mark.parametrize("k", range(len(_MEMBERS)))
+def test_generators_in_refutes_only_the_swapped_generator(k):
+    gens = list(_MEMBERS)
+    gens[k] = P("z0")  # not in the ideal, nor in its radical
+    reps = engine.generators_in("A", gens, ideal("x0^2 - y0*z0", "y0^3", label="B"))
+    assert [r.claim for r in reps] == [f"A gen#{t} in B" for t in range(len(gens))]
+    assert [r.claim for r in reps if r.outcome == engine.REFUTED] == [f"A gen#{k} in B"]
+    assert sum(r.verified for r in reps) == len(gens) - 1
+
+
+def test_generators_in_wording_under_radical_and_target():
+    i = ideal("x0^2 - y0*z0", "y0^3", label="B")
+    reps = engine.generators_in("A", (P("x0"), P("y0")), i, radical=True)
+    assert [(r.claim, r.outcome) for r in reps] == [
+        ("A gen#0 in sqrt B", VERIFIED),
+        ("A gen#1 in sqrt B", VERIFIED),
+    ]
+    # y0 lies in the radical but not in the ideal; target renames the ideal
+    reps = engine.generators_in("A", (P("y0"),), i, target="I")
+    assert [(r.claim, r.outcome) for r in reps] == [("A gen#0 in I", engine.REFUTED)]
 
 
 def test_radical_member_examples():
@@ -836,10 +864,19 @@ def test_refutation_carries_witness():
 _TRIVIAL = {"kind": "radical-trick", "trivial": True}
 
 
+def _plain_member(p: Polynomial, i: Ideal) -> bool:
+    """p in i by the normal form against a basis of i alone, with no presolve."""
+    return not i.groebner().reduce(p)
+
+
 def _plain_trick(p: Polynomial, i: Ideal) -> bool:
     """p in sqrt(i) by the radical trick alone, with no presolve or split."""
     w = Polynomial.variable(W0)
     return Ideal(i.generators + (Polynomial.one() - w * p,)).groebner().is_unit
+
+
+def _outcome(ok: bool) -> str:
+    return VERIFIED if ok else engine.REFUTED
 
 
 def _sympy_trick(p: Polynomial, i: Ideal) -> bool:
@@ -898,12 +935,7 @@ def test_split_agrees_with_the_plain_trick_and_sympy(monomials, others, p, data)
     plain = _plain_trick(p, i)
     assert _sympy_trick(p, i) == plain
     rep = radical_member(p, i)
-    assert rep.outcome == (VERIFIED if plain else engine.REFUTED)
-    # with the presolve off, the engine's reference path is the plain trick
-    # on the whole ideal, with no split
-    reference = radical_member(p, i, presolve=False)
-    assert reference.outcome == rep.outcome
-    assert reference.certificate["kind"] != "split"
+    assert rep.outcome == _outcome(plain)
     if not plain:
         # a refutation ends at its last branch, a radical-trick leaf that
         # carries its witness
@@ -1196,14 +1228,8 @@ def test_presolve_soundness_random():
         ]
         i = Ideal([g for g in gens if g])
         p = rand_poly()
-        fast = member(p, i, presolve=True)
-        slow = member(p, i, presolve=False)
-        assert fast.outcome == slow.outcome == (
-            VERIFIED if slow.verified else fast.outcome
-        )
-        rad_fast = radical_member(p, i, presolve=True)
-        rad_slow = radical_member(p, i, presolve=False)
-        assert rad_fast.outcome == rad_slow.outcome
+        assert member(p, i).outcome == _outcome(_plain_member(p, i))
+        assert radical_member(p, i).outcome == _outcome(_plain_trick(p, i))
 
 
 # three variables and two or three linear rows, so that a later row often
@@ -1247,8 +1273,8 @@ def test_linear_presolve_keeps_member_and_radical_outcomes(linear, others, multi
     gens = linear + others
     p = sum((q * g for q, g in zip(multipliers, gens)), tail)
     i = Ideal(gens)
-    assert member(p, i).outcome == member(p, i, presolve=False).outcome
-    assert radical_member(p, i).outcome == radical_member(p, i, presolve=False).outcome
+    assert member(p, i).outcome == _outcome(_plain_member(p, i))
+    assert radical_member(p, i).outcome == _outcome(_plain_trick(p, i))
 
 
 def test_member_answers_a_literal_generator_without_a_basis(monkeypatch):
@@ -1293,13 +1319,10 @@ def test_certificate_first_rule(linear, others, other, data):
         if rep.certificate["kind"] == "generator":
             assert i.generators[rep.certificate["index"]] == g
     assert not i.groebner().reduce(g)
-    # any other p is decided as the reference path without presolve decides it
+    # any other p is decided as the references with no presolve decide it
     if other not in i.generators:
-        assert member(other, i).outcome == member(other, i, presolve=False).outcome
-        assert (
-            radical_member(other, i).outcome
-            == radical_member(other, i, presolve=False).outcome
-        )
+        assert member(other, i).outcome == _outcome(_plain_member(other, i))
+        assert radical_member(other, i).outcome == _outcome(_plain_trick(other, i))
 
 
 def test_ideal_keeps_each_generator_once_at_its_first_position():
