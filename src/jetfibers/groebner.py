@@ -9,12 +9,13 @@ to a handful of effective variables.
 
 The linear presolve (linear_presolve) eliminates every degree-one generator
 by exact Gaussian elimination.  A generator that is a single variable sets
-that coordinate to zero; any other is solved for its highest variable code,
-and that pivot's image is substituted into the other generators and
-back-substituted into the earlier images.  A query restricts its polynomial
-to the residual ideal by one zero-restriction and one linear substitution
-(Presolve.restrict); saturate puts the linear generators pivot - image back,
-and krull_dim counts each pivot as one dimension fewer.
+that coordinate to zero, in one pass over a term index that drops each term
+once, in the order a rescan would take them; any other is solved for its
+highest variable code, and that pivot's image is substituted into the other
+generators and back-substituted into the earlier images.  A query restricts
+its polynomial to the residual ideal by one zero-restriction and one linear
+substitution (Presolve.restrict); saturate puts the linear generators
+pivot - image back, and krull_dim counts each pivot as one dimension fewer.
 
 The pending S-pairs live in a binary heap ordered by (lcm degree, order key
 of the lcm, pair index), so choosing the next pair costs a logarithmic pop
@@ -109,6 +110,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
+from operator import itemgetter
 
 from .kernel import impl as _K
 from .poly import (
@@ -123,6 +125,7 @@ from .poly import (
 )
 
 _ONE = Fraction(1)
+_first = itemgetter(0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +182,10 @@ class _Session:
 
     def served(self, key, compute):
         """compute(), served from the memo under key; a raise stores nothing."""
-        if key not in self.memo:
-            self.memo[key] = compute()
-        return self.memo[key]
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = compute()
+        return got
 
     def check_clock(self, context: str, spairs: int):
         """Raise BudgetExhausted once the session has run past its time limit."""
@@ -658,52 +662,67 @@ def linear_presolve(ideal: Ideal) -> Presolve:
     """Eliminate every degree-one generator by exact Gaussian elimination.
 
     A generator that is a single variable sets that coordinate to zero: the
-    fast path, and the only one an A_n ideal takes.  When none is left, the
-    first other degree-one generator is solved for its highest variable code,
-    the pivot.  Each pivot's image is substituted into the generators and
-    back-substituted into the earlier images, so no image mentions a pivot.
-    Membership and radical queries over the ideal are then the same queries
-    over the residual ideal on Presolve.restrict'ed polynomials.
+    fast path, and the only one an A_n ideal takes.  Each coordinate comes
+    from the first generator that is then a single variable.  One pass finds
+    them all: each term is indexed under its variable codes, a min-heap
+    holds the positions of the generators that are or become one term, and
+    zeroing a coordinate drops each term that holds it, once.  When none is
+    left, the first other degree-one generator is solved for its highest
+    variable code, the pivot.  Each pivot's image is substituted into the
+    generators and back-substituted into the earlier images, so no image
+    mentions a pivot.  Membership and radical queries over the ideal are
+    then the same queries over the residual ideal on Presolve.restrict'ed
+    polynomials.
     """
     gens = list(ideal.generators)
     eliminated: dict[int, Polynomial] = {}
     while True:
-        for g in gens:
-            if g.is_variable():
-                ((mono, _),) = g.items()
-                code, image = mono[0][0], Polynomial.zero()
-                break
-        else:
-            solved = next(filter(None, map(_solve_linear, gens)), None)
-            if solved is None:
-                break
-            code, image = solved
-        gens = [h for g in gens if (h := _substitute(g, code, image))]
+        zeros, gens = _zero_variables(gens)
+        if zeros:
+            for c in [c for c, earlier in eliminated.items() if earlier]:
+                eliminated[c] = restrict_to_residual(eliminated[c], zeros)
+            eliminated.update(dict.fromkeys(zeros, Polynomial.zero()))
+        solved = next(filter(None, map(_solve_linear, gens)), None)
+        if solved is None:
+            break
+        code, image = solved
+        gens = [h for g in gens if (h := linear_substitute(g, {code: image}))]
         for c in [c for c, earlier in eliminated.items() if earlier]:
-            eliminated[c] = _substitute(eliminated[c], code, image)
+            eliminated[c] = linear_substitute(eliminated[c], {code: image})
         eliminated[code] = image
     return Presolve(Ideal(gens), eliminated)
 
 
-def _substitute(p: Polynomial, code: int, image: Polynomial) -> Polynomial:
-    """p with the variable code replaced by image; only the terms that
-    contain it change."""
-    hit = {mono: c for mono, c in p.items() if any(v == code for v, _ in mono)}
-    if not hit:
-        return p
-    rest = Polynomial({mono: c for mono, c in p.items() if mono not in hit})
-    if not image:
-        return rest
-    return rest + linear_substitute(Polynomial(hit), {code: image})
+def _zero_variables(gens) -> tuple[list[int], list[Polynomial]]:
+    """The zero pivots in the order linear_presolve takes them, and the
+    nonzero generators left after them, in their order."""
+    heap = [i for i, g in enumerate(gens) if g.is_variable()]
+    if not heap:
+        return [], gens
+    live = [dict(g.items()) for g in gens]
+    index: dict[int, list] = {}
+    for i, terms in enumerate(live):
+        for mono in terms:
+            for v, _ in mono:
+                index.setdefault(v, []).append((i, mono))
+    zeros = []
+    while heap:
+        last = next(iter(live[heappop(heap)]), ())
+        if len(last) != 1 or last[0][1] != 1:
+            continue  # dropped, or a single term of another shape
+        zeros.append(last[0][0])
+        for i, mono in index.pop(last[0][0]):
+            terms = live[i]
+            if terms.pop(mono, None) is not None and len(terms) == 1:
+                heappush(heap, i)
+    return zeros, [g if len(g) == len(t) else Polynomial(t) for g, t in zip(gens, live) if t]
 
 
 def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
     """Image of p after setting the eliminated coordinates to zero: the terms
     of p that contain none of them.  A frozenset of codes is used as given."""
     gone = frozenset(eliminated)
-    return Polynomial(
-        {mono: c for mono, c in p.items() if not any(v in gone for v, _ in mono)}
-    )
+    return Polynomial({mono: c for mono, c in p.items() if gone.isdisjoint(map(_first, mono))})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ package because no command runs them:
 * the two presentations of an A-series fiber component, checked to
   generate one ideal (``component_ideal``);
 * the engine cross-check of the index containment criterion
-  (``verify_containment_criterion``).
+  (``verify_containment_criterion``);
+* the linear presolve as a one-pivot-at-a-time loop that rescans every
+  generator per pivot (``plain_presolve``), which the tests hold
+  ``groebner.linear_presolve``'s pick order and output to.
 """
 
 from __future__ import annotations
@@ -23,7 +26,16 @@ from functools import lru_cache
 from jetfibers import groebner as gb
 from jetfibers.an import Ladder, _fk, containment, pair_ideal
 from jetfibers.jets import _compositions, an_surface, jet_coeffs
-from jetfibers.poly import Polynomial, var_code, var_family, var_index, X, Y, Z
+from jetfibers.poly import (
+    Polynomial,
+    linear_substitute,
+    var_code,
+    var_family,
+    var_index,
+    X,
+    Y,
+    Z,
+)
 
 # ---------------------------------------------------------------------------
 # the closed formula for the shifted coefficients
@@ -169,3 +181,45 @@ def verify_containment_criterion(n: int, m: int) -> gb.VerificationReport:
                 )
             )
     return gb.merge_reports(f"containment criterion n{n} m{m}", reports)
+
+
+# ---------------------------------------------------------------------------
+# the linear presolve, one pivot at a time
+
+
+def plain_presolve(ideal: gb.Ideal) -> gb.Presolve:
+    """The linear presolve by rescanning: before each pivot, the first
+    generator that is a single variable sets that coordinate to zero, and
+    when there is none the first other degree-one generator is solved for
+    its highest code; every generator and earlier image is then rewritten
+    by that one pivot."""
+    gens = list(ideal.generators)
+    eliminated: dict[int, Polynomial] = {}
+    while True:
+        for g in gens:
+            if g.is_variable():
+                ((mono, _),) = g.items()
+                code, image = mono[0][0], Polynomial.zero()
+                break
+        else:
+            solved = next(filter(None, map(gb._solve_linear, gens)), None)
+            if solved is None:
+                break
+            code, image = solved
+        gens = [h for g in gens if (h := _substitute(g, code, image))]
+        for c in [c for c, earlier in eliminated.items() if earlier]:
+            eliminated[c] = _substitute(eliminated[c], code, image)
+        eliminated[code] = image
+    return gb.Presolve(gb.Ideal(gens), eliminated)
+
+
+def _substitute(p: Polynomial, code: int, image: Polynomial) -> Polynomial:
+    """p with the variable code replaced by image; only the terms that
+    contain it change."""
+    hit = {mono: c for mono, c in p.items() if any(v == code for v, _ in mono)}
+    if not hit:
+        return p
+    rest = Polynomial({mono: c for mono, c in p.items() if mono not in hit})
+    if not image:
+        return rest
+    return rest + linear_substitute(Polynomial(hit), {code: image})

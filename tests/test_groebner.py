@@ -31,8 +31,10 @@ from jetfibers.groebner import (
     session,
 )
 from jetfibers import groebner as engine
+from jetfibers.cli import main
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
+from references import plain_presolve
 
 W0 = var_code("w", 0)
 
@@ -1206,6 +1208,84 @@ def test_presolve_cascades():
     presolved = linear_presolve(ideal("x0", "y0 + x0*z0"))
     assert len(presolved.eliminated) == 2
     assert presolved.residual.generators == ()
+
+
+def _pivots(presolved) -> tuple:
+    """What a presolve decides, in order: the residual's generators and the
+    pivots with their images, as taken."""
+    return presolved.residual.generators, list(presolved.eliminated.items())
+
+
+# z0 (position 1) goes first; x0 (position 0) is a variable only then, and
+# precedes y1 (position 2), a variable from the start; then x1
+_LATE_VARIABLE = ("x0 + y0*z0", "z0", "y1", "x1 + y1*x0", "x1^2 + z1^2")
+
+
+def test_presolve_takes_the_first_generator_that_is_now_a_variable():
+    presolved = linear_presolve(ideal(*_LATE_VARIABLE))
+    order = [("z", 0), ("x", 0), ("y", 1), ("x", 1)]
+    assert list(presolved.eliminated) == [var_code(f, k) for f, k in order]
+    assert [str(g) for g in presolved.residual.generators] == ["z1^2"]
+    assert _pivots(presolved) == _pivots(plain_presolve(ideal(*_LATE_VARIABLE)))
+
+
+def test_zero_variables_keeps_an_untouched_generator():
+    # the last generator holds no zeroed code and is passed on as the same
+    # object, so its cached hash is kept
+    gens = [P("x0 + y0*z0"), P("z0"), P("y1"), P("x2^2 + z1^2"), P("y1*z1 - 3*x1")]
+    zeros, left = engine._zero_variables(gens)
+    order = [("z", 0), ("x", 0), ("y", 1), ("x", 1)]
+    assert zeros == [var_code(f, k) for f, k in order]
+    assert left == [P("x2^2 + z1^2")] and left[0] is gens[3]
+    assert engine._zero_variables(left) == ([], left)
+
+
+_PRESOLVE_CODES = [var_code(f, i) for f in "xyz" for i in range(2)]
+_presolve_gens = st.lists(
+    st.one_of(
+        st.sampled_from(_PRESOLVE_CODES).map(Polynomial.variable),
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from(_PRESOLVE_CODES), st.integers(1, 2)), max_size=2
+                ),
+                st.integers(-2, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        ).map(Polynomial.from_terms),
+        st.tuples(
+            st.sampled_from(_PRESOLVE_CODES),
+            st.sampled_from(_PRESOLVE_CODES),
+            st.sampled_from([-2, -1, 1, 2]),
+        ).map(lambda row: Polynomial.variable(row[0]) + row[2] * Polynomial.variable(row[1])),
+    ),
+    max_size=8,
+)
+
+
+@given(_presolve_gens)
+@example([P(t) for t in _LATE_VARIABLE])
+@example([P("x1 + y0*z1"), P("y0 - z1"), P("z1"), P("y0 + x0")])
+def test_presolve_matches_the_one_pivot_at_a_time_scan(gens):
+    i = Ideal(gens)
+    assert _pivots(linear_presolve(i)) == _pivots(plain_presolve(i))
+
+
+@pytest.mark.parametrize(
+    "argv", [["an", "verify", "--n", "4", "--m", "9"], ["d4", "verify", "--m", "6"]]
+)
+def test_presolves_of_the_commands_match_the_scan(monkeypatch, capsys, argv):
+    # every ideal the command presolves, presolved again by the scan: the
+    # pivots must come in the same order, which case d of an verify prints
+    seen = []
+    presolve = engine.linear_presolve
+    monkeypatch.setattr(engine, "linear_presolve", lambda i: seen.append(i) or presolve(i))
+    assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert max(len(linear_presolve(i).eliminated) for i in seen) > 2
+    for i in seen:
+        assert _pivots(linear_presolve(i)) == _pivots(plain_presolve(i))
 
 
 def test_presolve_soundness_random():
