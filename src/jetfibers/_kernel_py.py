@@ -1,20 +1,17 @@
 """Pure-Python kernels on packed monomials.
 
-These functions are the hot loops of the whole package: truncated series
-products, and complete reduction of a polynomial against a basis.  Both
-encode a monomial as one int with a fixed-width field per ring slot, slot 0
-in the lowest field, so a monomial product is one int addition.  A "terms"
-value is a dict mapping packed monomials to nonzero coefficients.  A field
-is field_bits(bound) wide, the narrowest of 8, 16, 32 and 64 bits that
-holds bound, and exponent_reader unpacks a monomial with int.to_bytes and
-memoryview.cast (Monagan & Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).
+These functions are the hot loops of the Groebner engine: complete
+reduction of a polynomial against a basis, and the S-polynomials and
+monomial arithmetic of the pair loop.  They encode a monomial as one int
+with a fixed-width field per ring slot, slot 0 in the lowest field, so a
+monomial product is one int addition.  A "terms" value is a dict mapping
+packed monomials to nonzero coefficients.  A field is field_bits(bound)
+wide, the narrowest of 8, 16, 32 and 64 bits that holds bound, and
+exponent_reader unpacks a monomial with int.to_bytes and memoryview.cast
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).
 
-The series product mul_terms keeps the power of t in the lowest field and
-takes its width from an exponent no field of any product can exceed, so no
-field ever carries; its coefficients may be ints.
-
-The Groebner kernel (normal_form, s_polynomial, mono_lcm) works in a
+The kernel (normal_form, s_polynomial, mono_lcm) works in a
 Packing: a field width, a slot count and one of the two orders the engine
 uses, grevlex with slot 0 the highest-ranked variable, or grevlex after the
 eliminated slot 0, whose exponent decides first.  The order is one additive
@@ -23,7 +20,7 @@ of slots 0, 0..1, 0..2 and so on, which order exactly as grevlex does; the
 elimination key puts slot 0's exponent above the grevlex key of the other
 slots.  The packed monomial itself sits below the key, so a key determines
 its monomial (key & low), and heaps push bare ints: the descending key is
--key.  mono_cmp is the 3-way comparison of two keys.
+-key.
 
 A Packing keeps every exponent and every partial sum below half its field,
 the headroom.  Divisibility is then (a - b) & guards == 0, with one guard
@@ -55,7 +52,12 @@ instead of scanning for it, skips heap entries whose monomial has
 cancelled, and pushes only the monomials a reduction newly creates.  Given
 a list of quotient dicts, it also records the cofactor of every step, so
 the same loop is the textbook division algorithm (Cox, Little & O'Shea,
-"Ideals, Varieties, and Algorithms", section 2.3).
+"Ideals, Varieties, and Algorithms", section 2.3).  Its result comes in
+descending order, lead first, and so does primitive's of it: the engine
+takes each lead as the first term, with no scan.
+
+mul_terms, mono_div and mono_cmp have no caller in the package; they stay
+because the benchmark harness binds them.
 """
 
 import sys
@@ -144,33 +146,6 @@ def mono_cmp(a, b, packing):
     ka = packing.key(a)
     kb = packing.key(b)
     return (ka > kb) - (ka < kb)
-
-
-def lead_term(terms, packing):
-    """(monomial, coefficient) of the order-largest term, (None, None) if empty."""
-    best = None
-    coeff = None
-    for m, c in terms.items():
-        if best is None or mono_cmp(m, best, packing) > 0:
-            best = m
-            coeff = c
-    return best, coeff
-
-
-def add_scaled(a, b, c):
-    """a + c*b in canonical form (no zero coefficients).  c must be nonzero."""
-    out = dict(a)
-    for m, cb in b.items():
-        v = out.get(m)
-        if v is None:
-            out[m] = c * cb
-        else:
-            v = v + c * cb
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-    return out
 
 
 def mul_terms(a, b, mask, cap):

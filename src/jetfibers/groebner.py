@@ -491,7 +491,7 @@ class GroebnerBasis:
             basis, leads = self._basis, self._leads
             if ring is not home:
                 basis = [ring.pack(g) for g in self.polys]
-                leads = [_K.lead_term(g, ring.packing)[0] for g in basis]
+                leads = [next(iter(g)) for g in basis]  # each in descending order
             cofactors = None if quotients is None else [{} for _ in basis]
             tail = _K.normal_form(ring.pack(p), basis, leads, ring.packing, cofactors)
             if cofactors is not None:
@@ -542,7 +542,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBa
         def add_poly(h: dict):
             """Add a nonzero normal form, made primitive."""
             h = _K.primitive(h)
-            lm, lc = _K.lead_term(h, packing)
+            lm, lc = next(iter(h.items()))  # a normal form comes lead first
             j = len(basis)
             for i in range(j):
                 lcm = _K.mono_lcm(leads[i], lm, packing)

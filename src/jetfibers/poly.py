@@ -9,13 +9,13 @@ A point, such as a witness jet or a monomial arc, is a dict from variable
 code to rational, absent codes zero; ``evaluate`` reads a polynomial there.
 
 ``substitute_series`` is the general truncated series substitution: any
-polynomial coefficients in the x, y and z series.  It multiplies series on
-packed monomials, with ``int`` coefficients wherever the inputs are whole
-numbers (a non-integral coefficient stays a Fraction, and mixed arithmetic
-is exact), and converts back to Fraction when it builds the Polynomials it
-returns.  The jet equations themselves, f at the generic jet, do not go
-through it: ``jets.expand_ambient`` writes them down by the multinomial
-theorem, and the tests hold the two against each other.
+polynomial coefficients in the x, y and z series.  It is plain Polynomial
+arithmetic with t as the reserved top-ranked variable, so t leads every
+monomial that holds it and each product drops the terms past t^m.  Packed
+monomials belong to the Groebner kernel alone.  The jet equations
+themselves, f at the generic jet, do not go through it:
+``jets.expand_ambient`` writes them down by the multinomial theorem, and the
+tests hold the two against each other.
 
 Variables
 ---------
@@ -47,8 +47,6 @@ from __future__ import annotations
 import string
 from fractions import Fraction
 from math import lcm
-
-from .kernel import impl as _K
 
 # ---------------------------------------------------------------------------
 # variable codes
@@ -613,7 +611,8 @@ def _int_product(a: dict, b: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation and the packed series expansion
+# point evaluation and truncated-series substitution (general series; the
+# jet equations come from jets.expand_ambient)
 
 
 def _check_ambient(f: Polynomial):
@@ -622,35 +621,6 @@ def _check_ambient(f: Polynomial):
     if bad:
         names = ", ".join(sorted(var_name(c) for c in bad))
         raise ValueError(f"not an ambient polynomial (uses {names})")
-
-
-def _integral(c):
-    """c as an int when it is a whole number, else unchanged: the series
-    expansion multiplies ints wherever it can and Fractions only where it must."""
-    return c.numerator if c.denominator == 1 else c
-
-
-def _expand_packed(f: Polynomial, series: dict, mask: int, m: int) -> dict:
-    """Packed terms of f(X(t), Y(t), Z(t)) modulo t^(m+1).
-
-    series maps each ambient family to its series on packed monomials whose
-    lowest field, selected by mask, holds the power of t.  Powers of a
-    series are built once and reused; every product drops t powers above m
-    before it forms them.  Each coefficient of f is applied once, when its
-    term is added to the sum.
-    """
-    powers = {family: [s] for family, s in series.items()}  # [k] is s^(k+1)
-    acc: dict = {}
-    for mono, coeff in f.items():
-        cur = {0: 1}  # the monomial 1
-        for code, exp in mono:
-            family = var_family(code)
-            known = powers[family]
-            while len(known) < exp:
-                known.append(_K.mul_terms(known[-1], series[family], mask, m))
-            cur = _K.mul_terms(cur, known[exp - 1], mask, m)
-        acc = _K.add_scaled(acc, cur, _integral(coeff))
-    return acc
 
 
 def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
@@ -670,24 +640,21 @@ def evaluate(p: Polynomial, values: dict[int, Fraction]) -> Fraction:
     return Fraction(total)
 
 
-# ---------------------------------------------------------------------------
-# symbolic truncated-series substitution (general series; the jet equations
-# come from jets.expand_ambient)
-
-
 def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
     """Expand f(X(t), Y(t), Z(t)) modulo t^(m+1).
 
     f must be ambient (variables x0, y0, z0 only); each series argument is a
-    sequence of m+1 coefficient polynomials.  Returns the list of the m+1
-    coefficient polynomials of t^0..t^m.  Work happens on packed monomials
-    with an explicit t field so products can drop unneeded high t powers
-    before they form them, and on int coefficients wherever the inputs are
-    whole numbers; the results are Fraction-valued Polynomials as usual.
+    sequence of m+1 coefficient polynomials, none of them in t.  Returns the
+    list of the m+1 coefficient polynomials of t^0..t^m.  Each series is one
+    Polynomial in t, the T_CODE slot, which ranks above every variable and so
+    leads every monomial that holds it: a product keeps the monomials that
+    sort below t^(m+1), and the power of t is read off each monomial's first
+    pair.  Powers of a series are built once and reused.
     """
     if m < 0:
         raise ValueError("series order must be nonnegative")
     _check_ambient(f)
+    t = Polynomial.variable(T_CODE)
     series = {}
     for family, coeffs in ((X, x_coeffs), (Y, y_coeffs), (Z, z_coeffs)):
         lifted = [_coerce(c) for c in coeffs]
@@ -695,49 +662,27 @@ def substitute_series(f: Polynomial, x_coeffs, y_coeffs, z_coeffs, m: int):
             raise TypeError("series coefficients must be polynomials or rationals")
         if len(lifted) != m + 1:
             raise ValueError(f"{family} series needs exactly {m + 1} coefficients")
-        series[family] = lifted
+        if any(T_CODE in c.variables() for c in lifted):
+            raise ValueError("series coefficients may not use the reserved t slot")
+        series[var_code(family, 0)] = sum((c * t**i for i, c in enumerate(lifted)), _ZERO)
+    cap = ((T_CODE, m + 1),)
 
-    codes: set[int] = set()
-    top = 0  # the largest exponent in any series coefficient
-    for lifted in series.values():
-        for c in lifted:
-            codes.update(c.variables())
-            top = max(top, max((e for mono, _ in c.items() for _, e in mono), default=0))
-    if T_CODE in codes:
-        raise ValueError("series coefficients may not use the reserved t slot")
-    # field 0 holds t, field k the k-th code in descending order.  No field
-    # of a product carries: t stops at m, and a variable's exponent in a
-    # product of at most deg f series terms is at most deg f * top.
-    ring = tuple(sorted(codes, reverse=True))
-    bits = _K.field_bits(max(m, f.total_degree() * top))
-    mask = (1 << bits) - 1
-    shift = {code: bits * k for k, code in enumerate(ring, 1)}
+    def product(a: Polynomial, b: Polynomial) -> Polynomial:
+        return Polynomial({mono: c for mono, c in (a * b).items() if mono < cap})
 
-    packed_series = {}
-    for family, lifted in series.items():
-        packed_series[family] = {
-            sum(e << shift[code] for code, e in mono) + i: _integral(coeff)
-            for i, c in enumerate(lifted)
-            for mono, coeff in c.items()
-        }
+    powers = {code: [s] for code, s in series.items()}  # [k] is s^(k+1)
+    acc = _ZERO
+    for mono, coeff in f.items():
+        cur = _ONE
+        for code, exp in mono:
+            known = powers[code]
+            while len(known) < exp:
+                known.append(product(known[-1], known[0]))
+            cur = product(cur, known[exp - 1])
+        acc = acc + cur * coeff
 
-    acc = _expand_packed(f, packed_series, mask, m)
-
-    # read each term's set fields only, lowest slot (highest code) first, so
-    # the monomial comes out in descending code order
     buckets: list[dict] = [{} for _ in range(m + 1)]
-    for mono, coeff in acc.items():
-        pairs = []
-        rest = mono >> bits
-        slot = 0
-        while rest:
-            skip = ((rest & -rest).bit_length() - 1) // bits
-            rest >>= skip * bits
-            slot += skip
-            pairs.append((ring[slot], rest & mask))
-            rest >>= bits
-            slot += 1
-        buckets[mono & mask][tuple(pairs)] = (
-            coeff if type(coeff) is Fraction else Fraction(coeff)
-        )
+    for mono, c in acc.items():
+        i = mono[0][1] if mono and mono[0][0] == T_CODE else 0
+        buckets[i][mono[1:] if i else mono] = c
     return [Polynomial(terms) for terms in buckets]

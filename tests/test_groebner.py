@@ -247,6 +247,24 @@ def test_packed_key_is_additive_within_the_headroom(case):
             key(pa + pb)
 
 
+def _lead_term(terms, packing):
+    """(monomial, coefficient) of the term with the largest packed key."""
+    lm = max(terms, key=packing.key)
+    return lm, terms[lm]
+
+
+def _add_scaled(a, b, c):
+    """a + c*b on packed terms, dropping what cancels."""
+    out = dict(a)
+    for m, cb in b.items():
+        v = out.get(m, 0) + c * cb
+        if v:
+            out[m] = v
+        else:
+            del out[m]
+    return out
+
+
 def _linear_scan_normal_form(p, gens, leads, lcs, packing):
     """Reference reduction, the kernel's before its heap: rescan for the lead
     term at every step and divide by the generator's lead coefficient."""
@@ -254,7 +272,7 @@ def _linear_scan_normal_form(p, gens, leads, lcs, packing):
     tail = {}
     ngens = len(gens)
     while work:
-        lm, lc = _K.lead_term(work, packing)
+        lm, lc = _lead_term(work, packing)
         reduced = False
         for i in range(ngens):
             q = _K.mono_div(lm, leads[i], packing)
@@ -302,7 +320,7 @@ def _reduction_case(draw):
     gens, leads = [], []
     for _ in range(draw(st.integers(0, 3))):
         g = terms(4)
-        lm, lc = _K.lead_term(g, packing)
+        lm, lc = _lead_term(g, packing)
         gens.append({m: c / lc for m, c in g.items()})  # monic
         leads.append(lm)
     return terms(8), gens, leads, ring
@@ -346,12 +364,12 @@ def _reference_division(p, gens, leads, packing):
     tail: dict = {}
     quotients: list[dict] = [dict() for _ in gens]
     while work:
-        lm, lc = _K.lead_term(work, packing)
+        lm, lc = _lead_term(work, packing)
         for i, lead in enumerate(leads):
             q = _K.mono_div(lm, lead, packing)
             if q is not None:
-                quotients[i] = _K.add_scaled(quotients[i], {q: lc}, Fraction(1))
-                work = _K.add_scaled(work, _term_mul(lc, q, gens[i]), Fraction(-1))
+                quotients[i] = _add_scaled(quotients[i], {q: lc}, Fraction(1))
+                work = _add_scaled(work, _term_mul(lc, q, gens[i]), Fraction(-1))
                 break
         else:
             tail[lm] = lc
@@ -370,7 +388,7 @@ def _packed_groebner(gens, ring):
     except BudgetExhausted:
         reject()
     packed = [ring.pack(g) for g in basis.polys]
-    return packed, [_K.lead_term(g, ring.packing)[0] for g in packed]
+    return packed, [_lead_term(g, ring.packing)[0] for g in packed]
 
 
 @given(_reduction_case(), st.booleans())
@@ -388,7 +406,7 @@ def test_kernel_division_matches_reference(case, groebner):
     total = dict(tail)
     for q, g in zip(quotients, gens):
         for mono, c in q.items():
-            total = _K.add_scaled(total, _term_mul(c, mono, g), Fraction(1))
+            total = _add_scaled(total, _term_mul(c, mono, g), Fraction(1))
     assert total == p
 
 
@@ -454,6 +472,11 @@ def test_primitive_int_reduction_is_a_multiple_of_the_monic_one(case):
         reject()
     assert all(type(c) is Fraction for g in gb._basis for c in g.values())
     assert all(g[lead] == 1 for g, lead in zip(gb._basis, gb._leads))
+    # each stored lead is its element's first term and its largest by the key
+    key = gb._ring.packing.key
+    assert all(
+        lead == next(iter(g)) == max(g, key=key) for g, lead in zip(gb._basis, gb._leads)
+    )
     basis = [_descending(ring.pack(g), packing) for g in gb.polys]
     # leads other than 1 take the scaling path, on the basis and on the
     # drawn generators alike

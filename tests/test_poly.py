@@ -433,6 +433,24 @@ def test_substitute_series_rejects_non_ambient():
         substitute_series(var("w", 0), *_generic_series(1), 1)
 
 
+@pytest.mark.parametrize(
+    "m, xs, error, match",
+    [
+        (-1, [], ValueError, "nonnegative"),
+        (1, [var("x", 0), 1.5], TypeError, "polynomials or rationals"),
+        (1, [var("x", 0)], ValueError, "exactly 2 coefficients"),
+        # t in a coefficient would fold into the series' own powers of t
+        (1, [Polynomial.variable(T_CODE), var("x", 1)], ValueError, "reserved t slot"),
+    ],
+    ids=["negative-order", "not-a-polynomial", "wrong-length", "uses-t"],
+)
+def test_substitute_series_checks_its_inputs(m, xs, error, match):
+    f = parse_polynomial("x*y - z^2", ambient=True)
+    _, ys, zs = _generic_series(max(m, 0))
+    with pytest.raises(error, match=match):
+        substitute_series(f, xs, ys, zs, m)
+
+
 def test_coefficient_uses_bounded_jet_indices():
     f = parse_polynomial("x*y - z^2", ambient=True)
     coeffs = substitute_series(f, *_generic_series(5), 5)

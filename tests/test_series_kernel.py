@@ -1,13 +1,14 @@
-"""The packed series expansion against a dense-tuple reference.
+"""The series expansion against a dense-tuple reference.
 
-substitute_series expands on packed monomials (one int per monomial, the t
-power in the lowest field) with int coefficients wherever the inputs are
-whole numbers.  The reference below is the straightforward
-expansion on dense exponent tuples with Fraction coefficients: every
-product is formed and the ones past t^m are skipped.  Both must give the
-same Polynomials, with Fraction coefficients, on random inputs and at the
-edges of the packing: a field filled to its last value, a t power past one
-byte, and a product landing exactly on t^m.
+substitute_series expands by Polynomial arithmetic, with t the reserved
+variable that ranks above every other.  The reference below is the
+straightforward expansion on dense exponent tuples with Fraction
+coefficients: every product is formed and the ones past t^m are skipped.
+Both must give the same Polynomials, with Fraction coefficients, on random
+inputs and on the edges of the packed expansion that substitute_series
+once ran, kept as regression inputs: an exponent that filled an 8-bit
+field to its last value, a t power past one byte, and a product landing
+exactly on t^m.
 
 expand_ambient, the closed formula that expands along the generic jet
 without any series product, is held to both: the reference and
@@ -234,7 +235,7 @@ def test_t_order_matches_dense_reference(point_m, g):
 
 
 # ---------------------------------------------------------------------------
-# edges of the packing
+# edges of the former packed expansion
 
 
 def _zeros(m):
@@ -242,8 +243,8 @@ def _zeros(m):
 
 
 def test_field_width_edge_exponent_255_and_256():
-    # z^3 at z = z1^e*t: the product z1^(3e) fills an 8-bit field at e = 85
-    # and needs 16 bits at e = 86
+    # z^3 at z = z1^e*t: the product z1^(3e) filled an 8-bit packed field
+    # at e = 85 and needed 16 bits at e = 86
     assert (_K.field_bits(255), _K.field_bits(256)) == (8, 16)
     f = Polynomial.variable(AMBIENT[2]) ** 3
     for e in (85, 86):
@@ -253,9 +254,9 @@ def test_field_width_edge_exponent_255_and_256():
 
 
 def test_decoding_full_fields_of_multi_variable_coefficients():
-    # the ring is x2 > y1 > z0, so z0 holds the highest slot; cubing
-    # y1^85*z0^85 fills two adjacent 8-bit fields with 255 each, and the
-    # cross terms leave gaps between the set fields
+    # packed, the ring was x2 > y1 > z0, so z0 held the highest slot;
+    # cubing y1^85*z0^85 filled two adjacent 8-bit fields with 255 each,
+    # and the cross terms left gaps between the set fields
     assert _K.field_bits(3 * 85) == 8
     x2, y1, z0 = var("x", 2), var("y", 1), var("z", 0)
     x, z = (Polynomial.variable(c) for c in (AMBIENT[0], AMBIENT[2]))
