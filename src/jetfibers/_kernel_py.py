@@ -238,7 +238,8 @@ def normal_form(p, gens, leads, packing, quotients=None):
     quotients, when given, is a list of dicts parallel to gens, whose lead
     coefficients must then all be 1 (ValueError otherwise).  A step that
     reduces the term lc*x^lm by gens[i] stores lc at x^(lm - leads[i]) in
-    quotients[i], so that p = sum(quotients[i] * gens[i]) + result.
+    quotients[i], so that p = sum(quotients[i] * gens[i]) + result.  A step
+    that creates a monomial above the one it reduces raises ValueError.
     """
     key, guards, low = packing.key, packing.guards, packing.low
     if quotients is None:
@@ -252,7 +253,7 @@ def normal_form(p, gens, leads, packing, quotients=None):
     heapify(heap)
     tail = {}
     while heap:
-        lm = -heappop(heap) & low
+        lm = (top := -heappop(heap)) & low
         lc = work.get(lm)
         if lc is None:  # cancelled since it was pushed
             continue
@@ -273,13 +274,15 @@ def normal_form(p, gens, leads, packing, quotients=None):
                         for m in tail:
                             tail[m] *= scale
                     lc //= d
-                # the lead term cancels lm itself; the rest are smaller
+                # the lead term cancels lm itself; the rest must be smaller
                 for mg, cg in g.items():
                     m = q + mg
                     v = work.get(m)
                     if v is None:
+                        if (k := key(m)) >= top:
+                            raise ValueError("a generator's lead is not its largest term")
                         work[m] = -lc * cg
-                        heappush(heap, -key(m))
+                        heappush(heap, -k)
                     else:
                         v = v - lc * cg
                         if v:

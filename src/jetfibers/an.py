@@ -10,21 +10,24 @@ the dimension bookkeeping behind the summary table, and drives the engine
 checks that certify every claim at small parameters.
 
 The listed components C_u of a pair ideal J cover its zero set, and this is
-certified on the ladders alone.  Every monomial generator of the meet of the
-ladders L_u lies in sqrt J, so V(J) lies in the union of the V(L_u).  Every
-generator of C_u is a variable of L_u or a jet equation f^(k), which is a
-generator of J, so C_u lies in J + L_u.  Hence V(J), the union of the
-V(J + L_u), lies in the union of the V(C_u): the meet of the C_u lies in
-sqrt J, with no intersection of the C_u computed.
+certified on the ladders alone, on one split of J as the engine's radical
+queries split: each leaf zeroes every variable of some ladder L_u, so V(J)
+lies in the union of the V(L_u).  Every generator of C_u is a variable of
+L_u or a jet equation f^(k), which is a generator of J, so C_u lies in
+J + L_u.  Hence V(J), the union of the V(J + L_u), lies in the union of the
+V(C_u): the meet of the C_u lies in sqrt J, with no intersection computed.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from . import groebner as gb
 from .jets import an_surface, jet_coeffs
-from .poly import Polynomial, evaluate, var_code, var_family, var_index, var_name, X, Y, Z
+from .poly import Polynomial, var_code, var_family, var_index, var_name, X, Y, Z
 
 # ---------------------------------------------------------------------------
 # ladders
@@ -252,15 +255,52 @@ def _case_guard(dec: IntersectionDecomposition) -> gb.VerificationReport:
     )
 
 
-def _meet_claim(dec: IntersectionDecomposition, J: gb.Ideal) -> gb.VerificationReport:
-    """The listed components cover V(J): every monomial generator of the
-    meet of their ladders lies in the radical of J (see verify_decomposition
-    for why that suffices)."""
-    ladders = [d.ladder.ideal() for d in dec.components]
-    meet = gb.monomial_ideal_intersect(ladders)
-    label = "(" + " ^ ".join(lad.label for lad in ladders) + ")"
-    subs = gb.generators_in(label, meet.generators, J, radical=True)
-    return gb.merge_reports(f"{dec.meet_label} subset sqrt {J.label}", subs)
+def _cover_claim(dec: IntersectionDecomposition, J: gb.Ideal) -> gb.VerificationReport:
+    """The listed components cover V(J), on one split of J (the module
+    docstring).  A node whose path's presolves zeroed a whole ladder L_u is
+    a leaf named u; any other branches on its residual's split, the session
+    clock read before each branch.  The certificate is {"kind": "cover",
+    "tree": T}, T a component index or {branch variable: T}.  A leaf that
+    zeroes no ladder and keeps no monomial needs each product g of one free
+    variable per ladder, which lies in every L_u, in sqrt(J + the path's
+    variables); one outside refutes the claim, one out of budget leaves it
+    undecided."""
+    claim = f"{dec.meet_label} subset sqrt {J.label}"
+    ladders = [frozenset(d.ladder.codes()) for d in dec.components]
+    start, sess, queries = time.monotonic(), gb.current_session(), []
+
+    def walk(presolved, zeroed, path):
+        """(True, subtree) when the node is covered, else (False, refutation)."""
+        zeroed |= presolved.zeros
+        u = next((u for u, codes in enumerate(ladders) if codes <= zeroed), None)
+        if u is not None:
+            return True, u
+        branches = presolved.residual.split()
+        if branches is None:
+            at = gb.Ideal(J.generators + tuple(map(Polynomial.variable, path)))
+            leaf = []
+            for picks in product(*[sorted(codes - zeroed) for codes in ladders]):
+                g = prod(map(Polynomial.variable, picks), start=Polynomial.one())
+                queries.append(rep := gb.radical_member(g, at))
+                leaf.append({"product": str(g), "query": rep.certificate})
+                if rep.outcome == gb.REFUTED:
+                    return False, {"path": [var_name(c) for c in path], **leaf[-1]}
+            return True, leaf
+        tree = {}
+        for code, branch in branches:
+            sess.check_clock("cover split", sum(q.spairs_processed for q in queries))
+            ok, tree[var_name(code)] = walk(branch.presolved(), zeroed, path + (code,))
+            if not ok:
+                return ok, tree[var_name(code)]
+        return True, tree
+
+    try:
+        ok, found = walk(J.presolved(), frozenset(), ())
+    except gb.BudgetExhausted as exc:
+        return gb.exhausted(claim, exc, time.monotonic() - start)
+    cert = {"kind": "cover", "tree": found} if ok else {"kind": "cover", **found}
+    spairs = sum(q.spairs_processed for q in queries)
+    return gb.check(claim, ok, cert, spairs, time.monotonic() - start, premises=queries)
 
 
 def arc_values(m: int, a: int, b: int, c: int) -> dict:
@@ -271,25 +311,25 @@ def arc_values(m: int, a: int, b: int, c: int) -> dict:
 
 
 def _avoids_on_arc(
-    n: int, m: int, v: Polynomial, comp: gb.Ideal, claim: str
+    n: int, m: int, v: Polynomial, desc: ComponentDescriptor, comp: gb.Ideal, claim: str
 ) -> gb.VerificationReport:
-    """The witness variable v (x_k or y_k) is not in the component.  Along a
-    monomial arc with a + b = (n+1)c the surface equation, and with it every
-    jet equation, vanishes identically, and v is 1 on the arc whose x (or y)
-    exponent is k.  The arcs are searched by increasing c from 0 to m+1 (by
-    then the arc is x = t^k or y = t^k alone), and the first on which every
-    generator of the component vanishes is the witness, certificate
-    {"arc": [a, b, c]}; the engine decides when there is none."""
+    """The witness variable v (x_k or y_k) is not in comp, the component
+    desc.  Along a monomial arc with a + b = (n+1)c the surface equation,
+    and with it every jet equation, vanishes identically, and v is 1 on the
+    arc whose x (or y) exponent is k.  The arcs are searched by increasing c
+    from 0 to m+1 (by then the arc is x = t^k or y = t^k alone) for the
+    first that sets no coordinate of desc's ladder, and avoids_at evaluates
+    comp once, on it, certificate {"arc": [a, b, c]}; the engine decides
+    when there is none."""
     ((mono, _),) = v.items()
     ((code, _),) = mono
     k = var_index(code)
-    for c in range(m + 2):
+    ladder = frozenset(desc.ladder.codes())
+    for c in range(-(-k // (n + 1)), m + 2):  # from the least c with (n+1)c >= k
         other = (n + 1) * c - k
-        if other < 0:
-            continue
         a, b = (k, other) if var_family(code) == X else (other, k)
         values = arc_values(m, a, b, c)
-        if not any(evaluate(g, values) for g in comp.generators):
+        if ladder.isdisjoint(values):
             return gb.avoids_at(
                 v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
             )
@@ -300,20 +340,15 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
     """Engine certification of the decomposition of one pairwise intersection.
 
     Checks, after the coordinate presolve: the pair ideal J sits inside every
-    listed component; the generators of the meet of the components' ladders
-    sit in the radical of J; the components are separated pairwise by the
-    witness variables x_w and y_w, each a variable of one component's ladder
-    and outside the other by a point check at a monomial arc
-    (_avoids_on_arc), so no basis is built; in the tail regime the residual
-    generators are exactly f^(2n+2..m) at the jet shifted past the ladder
-    (x from t^p, y from t^(2n+2-p), z from t^2), on variables disjoint from
-    the ladder (the structural fact the cited primality rests on).
-
-    The ladder meet certifies the meet of the components: V(J) lies in the
-    union of the ladders' zero sets V(L_u), each component C_u is generated
-    by variables of L_u and generators of J, so C_u lies in J + L_u, and
-    hence V(J) lies in the union of the V(C_u).
-    """
+    listed component; the components cover V(J), on one split of J whose
+    every leaf zeroes some component's ladder (_cover_claim); the components
+    are separated pairwise by the witness variables x_w and y_w, each a
+    variable of one component's ladder and outside the other by a point
+    check at a monomial arc (_avoids_on_arc), so no basis is built; in the
+    tail regime the residual generators are exactly f^(2n+2..m) at the jet
+    shifted past the ladder (x from t^p, y from t^(2n+2-p), z from t^2), on
+    variables disjoint from the ladder (the structural fact the cited
+    primality rests on)."""
     dec = decompose_intersection(n, m, i, j)
     J = pair_ideal(n, m, i, j)
     comps = [d.ideal(n, m) for d in dec.components]
@@ -325,7 +360,7 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
         subs = gb.generators_in(J.label, J.generators, comp)
         reports.append(gb.merge_reports(f"{J.label} subset {comp.label}", subs))
 
-    reports.append(_meet_claim(dec, J))
+    reports.append(_cover_claim(dec, J))
 
     for u1 in range(dec.count):
         for u2 in range(u1 + 1, dec.count):
@@ -334,15 +369,12 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
                 y_w = Polynomial.variable(var_code(Y, 2 * n + 1 - j - u1))
             else:
                 y_w = Polynomial.variable(var_code(Y, m - j - u1))
+            d1, d2 = dec.components[u1], dec.components[u2]
             pieces = [
-                gb.member(x_w, comps[u2], claim=f"{x_w} in {dec.components[u2].label}"),
-                _avoids_on_arc(
-                    n, m, x_w, comps[u1], f"{x_w} not in {dec.components[u1].label}"
-                ),
-                gb.member(y_w, comps[u1], claim=f"{y_w} in {dec.components[u1].label}"),
-                _avoids_on_arc(
-                    n, m, y_w, comps[u2], f"{y_w} not in {dec.components[u2].label}"
-                ),
+                gb.member(x_w, comps[u2], claim=f"{x_w} in {d2.label}"),
+                _avoids_on_arc(n, m, x_w, d1, comps[u1], f"{x_w} not in {d1.label}"),
+                gb.member(y_w, comps[u1], claim=f"{y_w} in {d1.label}"),
+                _avoids_on_arc(n, m, y_w, d2, comps[u2], f"{y_w} not in {d2.label}"),
             ]
             reports.append(
                 gb.merge_reports(f"witnesses separate u={u1} and u={u2}", pieces)

@@ -2,10 +2,10 @@
 
 A small, deterministic Groebner engine over the rationals: reduced bases by
 Buchberger's algorithm with the normal selection strategy and both classical
-pair criteria, normal forms, (radical) membership, monomial-ideal and
-elimination-based intersections, saturation, and a linear presolve that
-collapses the very sparse ideals showing up in jet-space computations down
-to a handful of effective variables.
+pair criteria, normal forms, (radical) membership, an elimination-based
+intersection, saturation, and a linear presolve that collapses the very
+sparse ideals showing up in jet-space computations down to a handful of
+effective variables.
 
 The linear presolve (linear_presolve) eliminates every degree-one generator
 by exact Gaussian elimination.  A generator that is a single variable sets
@@ -30,11 +30,10 @@ codes as an argument.
 Monomial orders live in one place, the kernel, and there are two: grevlex
 and grevlex after one fresh auxiliary variable w.  A _Ring packs monomials
 into ints, one field per variable, and its kernel Packing gives the one
-additive int key that the pair heap, normal_form, the sorting of a basis
-and the monomial-ideal intersection all order by.  The field width comes
-from the inputs' degrees; a computation that outgrows it runs again at
-twice the width.  Divisibility tests are one subtraction and one AND and
-build no quotient.
+additive int key that the pair heap, normal_form and the sorting of a
+basis all order by.  The field width comes from the inputs' degrees; a
+computation that outgrows it runs again at twice the width.  Divisibility
+tests are one subtraction and one AND and build no quotient.
 
 Buchberger's pair loop is fraction-free: each input is cleared of
 denominators once, on entry, and every basis element is a primitive int
@@ -58,10 +57,10 @@ Nothing below session() takes a budget or keeps a clock: each pop in
 buchberger counts against the session's S-pair bound, and the session's
 clock is read on buchberger's first pop, before each S-polynomial is
 reduced, before each branch of a radical split and, through
-current_session(), before each pair of an A_n pair loop.  Exceeding
-either raises BudgetExhausted rather than returning anything partial; an
-exhausted run stores nothing and is charged for its pairs.  A session
-opened inside another joins it, and the memo is dropped when the
+current_session(), before each A_n pair and each branch of its cover.
+Exceeding either raises BudgetExhausted rather than returning anything
+partial; an exhausted run stores nothing and is charged for its pairs.  A
+session opened inside another joins it, and the memo is dropped when the
 outermost one exits.  Outside a session each query and each direct
 buchberger call runs in a throwaway session of the default budget, timed
 from its own start.
@@ -124,7 +123,6 @@ from .poly import (
     var_name,
 )
 
-_ONE = Fraction(1)
 _first = itemgetter(0)
 
 
@@ -625,22 +623,22 @@ class Presolve:
     """An ideal split by its linear presolve: the residual ideal, and the
     image of each pivot variable, zero for a coordinate set to zero, in the
     order the pivots were taken.  No image mentions a pivot, and the ideal
-    is the residual plus the linear generators pivot - image.  The zero set
-    and the linear map that restrict applies are built once, here."""
+    is the residual plus the linear generators pivot - image.  The set
+    zeros and the linear map that restrict applies are built once, here."""
 
-    __slots__ = ("residual", "eliminated", "_zeros", "_linear")
+    __slots__ = ("residual", "eliminated", "zeros", "_linear")
 
     def __init__(self, residual: Ideal, eliminated: dict[int, Polynomial]):
         self.residual = residual
         self.eliminated = eliminated
-        self._zeros = frozenset(c for c, image in eliminated.items() if not image)
+        self.zeros = frozenset(c for c, image in eliminated.items() if not image)
         self._linear = {c: image for c, image in eliminated.items() if image}
 
     def restrict(self, p: Polynomial) -> Polynomial:
         """The image of p in the residual ring: one zero-restriction for the
         coordinates, then one linear substitution for the other pivots."""
-        if self._zeros:
-            p = restrict_to_residual(p, self._zeros)
+        if self.zeros:
+            p = restrict_to_residual(p, self.zeros)
         return linear_substitute(p, self._linear) if self._linear else p
 
 
@@ -903,39 +901,6 @@ def avoids_at(
 # intersections and saturation
 
 
-def monomial_ideal_intersect(ideals) -> Ideal:
-    """Intersection of monomial ideals via pairwise lcms, minimalized.  The
-    generators come out in descending grevlex order."""
-    ideals = list(ideals)
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    gens = [g for i in ideals for g in i.generators]
-    for g in gens:
-        if len(g) != 1:
-            raise ValueError(f"non-monomial generator: {g}")
-
-    def meet(ring: _Ring) -> Ideal:
-        packing = ring.packing
-
-        def minimalize(monos) -> list[int]:
-            kept: list[int] = []
-            for m in sorted(set(monos), key=packing.key):  # divisors come first
-                if all((m - k) & packing.guards for k in kept):
-                    kept.append(m)
-            return kept
-
-        def monomials(ideal: Ideal) -> list[int]:
-            return minimalize(m for g in ideal.generators for m in ring.pack(g))
-
-        current = monomials(ideals[0])
-        for nxt in ideals[1:]:
-            gens = monomials(nxt)
-            current = minimalize([_K.mono_lcm(a, b, packing) for a in current for b in gens])
-        return Ideal([ring.unpack({m: _ONE}) for m in reversed(current)])
-
-    return _widening(_make_ring(gens, GREVLEX_ORDER), meet)
-
-
 def _eliminate_aux(gens, w: int) -> Ideal:
     gb = Ideal(gens).groebner(elimination_order(w))
     return Ideal(g for g in gb.polys if w not in g.variables())
@@ -943,8 +908,7 @@ def _eliminate_aux(gens, w: int) -> Ideal:
 
 def ideal_intersect_elim(a: Ideal, b: Ideal) -> Ideal:
     """a ^ b computed from <w*a, (1-w)*b> by eliminating the fresh slot w.
-    No package code calls it: the A_n meet claims stand on the ladders'
-    monomial meet, and the tests keep this as the exact reference."""
+    No package code calls it; the tests keep it as the exact reference."""
     w = _fresh_aux(*a.generators, *b.generators)
     wp = Polynomial.variable(w)
     one_minus = Polynomial.one() - wp

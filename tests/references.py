@@ -14,20 +14,29 @@ package because no command runs them:
   (``verify_containment_criterion``);
 * the linear presolve as a one-pivot-at-a-time loop that rescans every
   generator per pivot (``plain_presolve``), which the tests hold
-  ``groebner.linear_presolve``'s pick order and output to.
+  ``groebner.linear_presolve``'s pick order and output to;
+* the intersection of monomial ideals by pairwise lcms
+  (``monomial_ideal_intersect``), the ladder meet whose generators the tests
+  hold the A_n cover claim to;
+* the witness arc search that evaluates every generator of the component
+  (``avoids_on_arc_all_generators``), which the tests hold the ladder-only
+  search of ``an._avoids_on_arc`` to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from jetfibers import groebner as gb
-from jetfibers.an import Ladder, _fk, containment, pair_ideal
+from jetfibers.an import Ladder, _fk, arc_values, containment, pair_ideal
 from jetfibers.jets import _compositions, an_surface, jet_coeffs
+from jetfibers.kernel import impl as _K
 from jetfibers.poly import (
     Polynomial,
+    evaluate,
     linear_substitute,
     var_code,
     var_family,
@@ -223,3 +232,67 @@ def _substitute(p: Polynomial, code: int, image: Polynomial) -> Polynomial:
     if not image:
         return rest
     return rest + linear_substitute(Polynomial(hit), {code: image})
+
+
+# ---------------------------------------------------------------------------
+# the ladder meet
+
+
+def monomial_ideal_intersect(ideals) -> gb.Ideal:
+    """Intersection of monomial ideals via pairwise lcms, minimalized.  The
+    generators come out in descending grevlex order."""
+    ideals = list(ideals)
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    gens = [g for i in ideals for g in i.generators]
+    for g in gens:
+        if len(g) != 1:
+            raise ValueError(f"non-monomial generator: {g}")
+
+    def meet(ring) -> gb.Ideal:
+        packing = ring.packing
+
+        def minimalize(monos) -> list[int]:
+            kept: list[int] = []
+            for m in sorted(set(monos), key=packing.key):  # divisors come first
+                if all((m - k) & packing.guards for k in kept):
+                    kept.append(m)
+            return kept
+
+        def monomials(ideal: gb.Ideal) -> list[int]:
+            return minimalize(m for g in ideal.generators for m in ring.pack(g))
+
+        current = monomials(ideals[0])
+        for nxt in ideals[1:]:
+            gens = monomials(nxt)
+            current = minimalize([_K.mono_lcm(a, b, packing) for a in current for b in gens])
+        return gb.Ideal([ring.unpack({m: Fraction(1)}) for m in reversed(current)])
+
+    return gb._widening(gb._make_ring(gens, gb.GREVLEX_ORDER), meet)
+
+
+# ---------------------------------------------------------------------------
+# the witness arc search on every generator
+
+
+def avoids_on_arc_all_generators(
+    n: int, m: int, v: Polynomial, comp: gb.Ideal, claim: str
+) -> gb.VerificationReport:
+    """The arc search as it stood before it read only the ladder: the first
+    arc, by increasing c, on which every generator of the component
+    vanishes, then the point check of avoids_at, which evaluates them all
+    again; the engine decides when there is none."""
+    ((mono, _),) = v.items()
+    ((code, _),) = mono
+    k = var_index(code)
+    for c in range(m + 2):
+        other = (n + 1) * c - k
+        if other < 0:
+            continue
+        a, b = (k, other) if var_family(code) == X else (other, k)
+        values = arc_values(m, a, b, c)
+        if not any(evaluate(g, values) for g in comp.generators):
+            return gb.avoids_at(
+                v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
+            )
+    return gb.expect_refuted(gb.member(v, comp, claim=claim))

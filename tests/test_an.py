@@ -8,7 +8,7 @@ from jetfibers.an import (
     Ladder,
     _avoids_on_arc,
     _case_guard,
-    _meet_claim,
+    _cover_claim,
     an_table,
     arc_values,
     component_dimension,
@@ -25,7 +25,12 @@ from jetfibers.an import (
 )
 from jetfibers import groebner as gb
 from jetfibers.poly import Polynomial, parse_polynomial, var_code
-from references import component_ideal, verify_containment_criterion
+from references import (
+    avoids_on_arc_all_generators,
+    component_ideal,
+    monomial_ideal_intersect,
+    verify_containment_criterion,
+)
 
 
 def P(text):
@@ -341,7 +346,25 @@ def test_witness_refutations_stand_on_monomial_arcs(n, m, count):
 
 def _first_two_components(n, m, i, j):
     dec = decompose_intersection(n, m, i, j)
-    return dec.components[0].ideal(n, m), dec.components[1].ideal(n, m)
+    return [(d, d.ideal(n, m)) for d in dec.components[:2]]
+
+
+@pytest.mark.parametrize("n, m", [(2, 7), (3, 6), (3, 9), (4, 7), (4, 11)])
+def test_ladder_arc_search_finds_the_all_generator_arc(n, m):
+    # the jet equations vanish on every arc searched, so the ladder alone
+    # picks the same arc, or the same engine fallback, as every generator
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            dec = decompose_intersection(n, m, i, j)
+            for desc in dec.components:
+                comp = desc.ideal(n, m)
+                for family in "xy":
+                    for k in range(m + 1):
+                        v = Polynomial.variable(var_code(family, k))
+                        claim = f"{v} not in {desc.label}"
+                        got = _avoids_on_arc(n, m, v, desc, comp, claim)
+                        ref = avoids_on_arc_all_generators(n, m, v, comp, claim)
+                        assert (got.outcome, got.certificate) == (ref.outcome, ref.certificate)
 
 
 def test_an_arc_off_the_component_falls_back_to_the_engine():
@@ -349,10 +372,10 @@ def test_an_arc_off_the_component_falls_back_to_the_engine():
     # Setting x0 = 1 as well moves the point off the component: the point
     # check fails and names x0, and the engine decides with the outcome the
     # claim had when it stood on the engine alone
-    comp, _ = _first_two_components(2, 7, 1, 2)
+    (desc, comp), _ = _first_two_components(2, 7, 1, 2)
     x2 = P("x2")
     claim = "x2 not in L(2,4,2)+f[6..7]"
-    found = _avoids_on_arc(2, 7, x2, comp, claim)
+    found = _avoids_on_arc(2, 7, x2, desc, comp, claim)
     assert found.certificate == {"arc": [2, 4, 2], "value": "1"}
 
     moved = {**arc_values(7, 2, 4, 2), var_code("x", 0): 1}
@@ -369,13 +392,13 @@ def test_an_zero_of_the_witness_never_verifies():
     # (3,3,2) lies on that component and x2 vanishes there: the point says
     # nothing, and the engine refutes the claim.  The arc search finds no
     # arc at all, since x2 = 1 leaves the ladder, and the engine decides.
-    _, comp = _first_two_components(2, 7, 1, 2)
+    _, (desc, comp) = _first_two_components(2, 7, 1, 2)
     x2 = P("x2")
     claim = "x2 not in L(3,3,2)+f[6..7]"
     rep = gb.avoids_at(x2, comp, arc_values(7, 3, 3, 2), claim=claim, radical=False)
     assert rep.certificate["point check"]["value"] == "0"
     assert rep.outcome == gb.REFUTED
-    searched = _avoids_on_arc(2, 7, x2, comp, claim)
+    searched = _avoids_on_arc(2, 7, x2, desc, comp, claim)
     assert searched.outcome == gb.REFUTED
     assert searched.certificate == gb.member(x2, comp).certificate
 
@@ -412,7 +435,7 @@ def test_case_guard_refutes_a_repeated_component():
 
 
 def test_every_component_generator_is_a_ladder_variable_or_a_pair_generator():
-    # the premise of the meet claim: C_u lies in J + L_u, so covering V(J)
+    # the premise of the cover claim: C_u lies in J + L_u, so covering V(J)
     # by the ladders covers it by the components
     for n in range(2, 6):
         for m in range(n, 2 * n + 7):
@@ -433,16 +456,109 @@ DROPPED = [
 ]
 
 
+def _tree_leaves(tree):
+    """The leaves of a cover tree: component indices, or a fallback leaf's
+    list of product certificates."""
+    if isinstance(tree, dict):
+        return [leaf for sub in tree.values() for leaf in _tree_leaves(sub)]
+    return [tree]
+
+
+def _without(dec, u):
+    return dataclasses.replace(dec, components=dec.components[:u] + dec.components[u + 1:])
+
+
 @pytest.mark.parametrize("n, m, i, j", DROPPED)
 def test_dropping_a_component_refutes_the_meet_claim(n, m, i, j):
+    # the cover walk of the meet claim reaches a leaf that zeroes only the
+    # dropped ladder; there a product of one surviving variable from each
+    # remaining ladder lies in all of them and outside sqrt J, which the
+    # engine confirms on J itself
     dec = decompose_intersection(n, m, i, j)
     assert dec.case in "cd" and dec.count >= 2
     J = pair_ideal(n, m, i, j)
-    assert _meet_claim(dec, J).outcome == gb.VERIFIED
+    rep = _cover_claim(dec, J)
+    assert rep.outcome == gb.VERIFIED
+    assert rep.certificate["kind"] == "cover"
+    assert set(_tree_leaves(rep.certificate["tree"])) == set(range(dec.count))
     for u in range(dec.count):
-        rest = dec.components[:u] + dec.components[u + 1:]
-        rep = _meet_claim(dataclasses.replace(dec, components=rest), J)
+        rest = _without(dec, u)
+        rep = _cover_claim(rest, J)
         assert rep.outcome == gb.REFUTED, (n, m, i, j, u)
+        cert = rep.certificate
+        assert cert["kind"] == "cover" and cert["query"]["kind"] in ("radical-trick", "split")
+        g = P(cert["product"])
+        for desc in rest.components:
+            assert g.variables() & set(desc.ladder.codes()), (desc.label, cert["product"])
+        assert gb.radical_member(g, J).outcome == gb.REFUTED
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (3, 9), (4, 9), (4, 11)])
+def test_cover_agrees_with_the_reference_meet(n, m):
+    # the cover holds exactly when every generator of the ladders' meet lies
+    # in sqrt J: on every pair, and on every pair with one component dropped
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            dec = decompose_intersection(n, m, i, j)
+            J = pair_ideal(n, m, i, j)
+            drops = [_without(dec, u) for u in range(dec.count)] if dec.count > 1 else []
+            for listed in [dec] + drops:
+                meet = monomial_ideal_intersect(d.ladder.ideal() for d in listed.components)
+                in_radical = all(gb.radical_member(g, J).verified for g in meet.generators)
+                rep = _cover_claim(listed, J)
+                assert rep.verified == in_radical, (n, m, i, j, listed.meet_label)
+                assert rep.outcome in (gb.VERIFIED, gb.REFUTED)
+                if listed is dec:  # every leaf zeroes a ladder: no fallback
+                    leaves = _tree_leaves(rep.certificate["tree"])
+                    assert all(isinstance(leaf, int) for leaf in leaves)
+
+
+def _x0_and_y0():
+    """A one-pair decomposition whose components are the ladders (x0) and
+    (y0), to hold the cover claim to an ideal of one's own."""
+    dec = decompose_intersection(2, 2, 1, 2)
+    comps = (ComponentDescriptor(Ladder(1, 0, 0)), ComponentDescriptor(Ladder(0, 1, 0)))
+    return dataclasses.replace(dec, components=comps)
+
+
+def test_a_leaf_with_no_monomial_generator_checks_the_products():
+    # J has no monomial and no linear generator, so its presolve is the
+    # whole leaf; x0*y0 = (g1 + g2)/2 lies in J, so the one product of the
+    # ladders (x0) and (y0) lies in sqrt J, and x0 alone does not
+    J = gb.Ideal([P("x0*y0 + z0^2"), P("x0*y0 - z0^2")], label="J")
+    rep = _cover_claim(_x0_and_y0(), J)
+    assert rep.outcome == gb.VERIFIED
+    (product,) = rep.certificate["tree"]
+    assert product["product"] == "x0*y0"
+    assert product["query"]["kind"] == "radical-trick"
+    assert rep.spairs_processed > 0
+
+    rep = _cover_claim(_without(_x0_and_y0(), 1), J)
+    assert rep.outcome == gb.REFUTED
+    assert rep.certificate["path"] == [] and rep.certificate["product"] == "x0"
+    assert rep.certificate["query"]["witness"] == "normal form of 1 is 1"
+    assert gb.radical_member(P("x0"), J).outcome == gb.REFUTED
+
+
+def test_a_fallback_leaf_below_a_split_names_its_path():
+    # x0*y1 splits J: on x0 = 0 the ladder (x0) is zeroed, and on y1 = 0
+    # the leaf x0*y0 + z0^2 keeps no monomial, where the product x0*y0 is
+    # not in the radical: the point x0 = y0 = 1, z0 = i is a zero of J
+    J = gb.Ideal([P("x0*y1"), P("x0*y0 + z0^2")], label="J")
+    rep = _cover_claim(_x0_and_y0(), J)
+    assert rep.outcome == gb.REFUTED
+    assert rep.certificate["path"] == ["y1"]
+    assert rep.certificate["product"] == "x0*y0"
+    assert gb.radical_member(P("x0*y0"), J).outcome == gb.REFUTED
+
+
+def test_a_product_query_out_of_budget_leaves_the_cover_undecided():
+    J = gb.Ideal([P("x0*y0 + z0^2"), P("x0*y0 - z0^2")], label="J")
+    with gb.session(gb.Budget(max_spairs=0)):
+        rep = _cover_claim(_x0_and_y0(), J)
+    assert rep.outcome == gb.BUDGET_EXHAUSTED
+    (product,) = rep.certificate["tree"]
+    assert product["query"] == {"kind": "budget", "context": "buchberger"}
 
 
 def _exact_meet(dec) -> gb.Ideal:
@@ -463,7 +579,7 @@ def _exact_meet(dec) -> gb.Ideal:
 
 @pytest.mark.parametrize("n, m", [(2, 6), (2, 7), (3, 8)])
 def test_exact_meet_of_the_components_lies_in_the_radical(n, m):
-    # the reference the ladder meet replaces: the exact intersection of the
+    # the reference the ladder cover replaces: the exact intersection of the
     # tail-regime components, computed by elimination, lies in sqrt J too
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -8,8 +8,9 @@ the S-pairs popped so far, and no function below it keeps a budget or a
 clock of its own.  The S-pair bound is exact on every pop and applies to
 the session's total; the time since the session opened is read on
 buchberger's first pop, before each reduction, before each branch of
-radical_member's split and before each pair of an.verify_all_pairs, so two
-queries that each fit the limit exhaust it together.  None takes an
+radical_member's split and of an A_n cover walk, and before each pair of
+an.verify_all_pairs, so two queries that each fit the limit exhaust it
+together.  None takes an
 ambient variable set.
 """
 
@@ -197,10 +198,37 @@ def test_two_queries_share_the_session_clock(monkeypatch):
     assert second.certificate == {"kind": "budget", "context": "radical split"}
 
 
+def test_a_cover_walk_crossing_the_limit_is_exhausted_not_refuted(monkeypatch):
+    # a clock that moves one second per read: the session opens at 1, the
+    # cover claim reads it at its start, before each of the seven branches
+    # of the split of J(n3,m6;1,2) and at its end; a 4 s limit is crossed
+    # at the fourth branch, inside the tree
+    dec = an.decompose_intersection(3, 6, 1, 2)
+    J = an.pair_ideal(3, 6, 1, 2)
+    reads = []
+
+    def monotonic():
+        reads.append(1)
+        return float(len(reads))
+
+    monkeypatch.setattr(gb.time, "monotonic", monotonic)
+    with gb.session(gb.Budget(max_seconds=100)):
+        whole = an._cover_claim(dec, J)
+    assert whole.outcome == gb.VERIFIED
+    assert len(reads) == 3 + 7
+    reads.clear()
+    with gb.session(gb.Budget(max_seconds=4)):
+        rep = an._cover_claim(dec, J)
+    assert rep.outcome == gb.BUDGET_EXHAUSTED
+    assert rep.claim == whole.claim
+    assert rep.certificate == {"kind": "budget", "context": "cover split"}
+    assert len(reads) == 1 + 1 + 4 + 1  # open, start, four branches, the report
+
+
 def test_pairs_past_the_deadline_are_exhausted_and_never_presolved(monkeypatch):
     # the clock reads 0 until the first pair is decided and 1e6 after it:
     # the pair loop reads the clock before each pair, so the two later pairs
-    # start past the limit and run no presolve, no meet and no query
+    # start past the limit and run no presolve, no cover walk and no query
     now = [0.0]
     monkeypatch.setattr(gb.time, "monotonic", lambda: now[0])
     decided, presolved = [], []

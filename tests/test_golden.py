@@ -84,20 +84,20 @@ PINS = [
     (["an", "verify", "--n", "3", "--m", "6", "--i", "1", "--j", "3"], 0,
      "e3e94bd4e86503d611a32d9e7ec8958f9228bc12505a3bbc6a0632cdc134cb1e", 99),
     # budgets these commands never reach: they pop no S-pair, since the
-    # radical queries split on monomial generators, the meet claims stand on
-    # the ladders and the witness refutations on monomial arcs
+    # radical queries split on monomial generators, the cover claims stand on
+    # one split of J and the witness refutations on monomial arcs
     (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "5"], 0,
      "b22063612ff3f8d04eb41ce04040d1c4643fd94a83a18e4228102fb95e491fc3", 163),
     (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 0,
-     "0aa2500947f89e592e4bae61b4eed54801bd565029bd7412fcf58e903fbe7a66", 25249),
+     "c446b83a5464efc8ee9289153a710953e5a5f0e65ff64052f5533ab83e6238bc", 20422),
     (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "20", "--format", "json"], 0,
-     "4dce750bbb43ba5f1b1ad9ebce7047e8cc9fb6c140ecc8e88fa3566412ca5709", 26273),
+     "dd57315ec8e286197a47ee6cf4a8e8e6d6319db586052b76698582331786d793", 21446),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 0,
      "7cd0160c0e68b10c4b24114a30a4f993ea35330c914139754e4bc0d55839ce8e", 259),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 0,
-     "2c7c2318679dee6decaa489337b8498de3976cc7268039fe2f3f42b264b02967", 114277),
+     "dd02741be2ed04eca610b32a88f8becd8aef348abc4c75308b32977116c8c86a", 87963),
     (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 0,
-     "120890de45a4b10fa9284fd2cb3189fcb3f307635da82f30e40fab7eae9b887e", 348821),
+     "963ce07e319919127a2ccd58838760a068258cd5b981ee211ad586ede0632720", 253063),
     # budgeted runs that still build bases: the coordinate lemmas and the
     # z2/x3/y2 chain queries of D4
     (["d4", "verify", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
@@ -110,17 +110,17 @@ PINS = [
      "212cef20ecb75952d1f1ec67eab9d884e3e0929bf6b85230b9fc2ba6de34bf46", 680),
     # the old A_n frontier, under 0.2 s each
     (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
-     "0401ec22986de15f755254607e745ccdd7e6d50d6501ace78e89442def796aa1", 26275),
+     "a237803fec25de56c711fd7875d80de7e1e49257306a1454817772f55a1f2cba", 21448),
     (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
-     "5a60e174db938a6d80cae548cdab8b9ba9de0f0192a7aed79a5a17c0f72d1def", 319375),
+     "3dd20ef89aee965c186e5828ba31084d9393929491257880aa854b4f4c278278", 223714),
     (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
-     "7a3ec21f4d6db46b185a3fbd3c577434fc230151d856daa448de6291f074dd70", 28625),
+     "bed5551a1e6271ee54b44ebe35adeecc2c86dade0763bbe5dad0735fda7879ce", 23789),
     # case-d tails of several components each, below the CI frontier
     (["an", "verify", "--n", "3", "--m", "9", "--format", "json"], 0,
-     "fc31348026780624655f60618e3f098e21ab2220de8013d27ebfea8addf2c264", 117811),
+     "4cce09762b2538990005016203cea71466cce6da1ea6549e0c92beb0a757741a", 91497),
     # 27 s while its six witness refutations built radical-trick bases
     (["an", "verify", "--n", "2", "--m", "12", "--format", "json"], 0,
-     "dcf307b58fa144f323ca5e0b3fccb4830b00d8969cbd579810a742998a17387c", 31141),
+     "6e21056d537482787de8a1f207297c020cedaadc95f09a338c93309404b18785", 26305),
     (["d4", "ideals", "--m", "5"], 0,
      "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
     (["d4", "ideals", "--m", "5", "--format", "json"], 0,

@@ -24,7 +24,6 @@ from jetfibers.groebner import (
     linear_presolve,
     member,
     merge_reports,
-    monomial_ideal_intersect,
     radical_member,
     restrict_to_residual,
     saturate,
@@ -34,7 +33,7 @@ from jetfibers import groebner as engine
 from jetfibers.cli import main
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import Polynomial, mono_from_pairs, parse_polynomial, var_code
-from references import plain_presolve
+from references import monomial_ideal_intersect, plain_presolve
 
 W0 = var_code("w", 0)
 
@@ -159,8 +158,9 @@ def test_order_antisymmetry_on_samples():
 
 
 def test_order_ignores_unused_ring_variables():
-    # monomial_ideal_intersect packs over the union of all variables; slots
-    # that are zero in both monomials must not change a comparison
+    # the reference monomial_ideal_intersect packs over the union of all
+    # variables; slots that are zero in both monomials must not change a
+    # comparison
     codes = {c for m in _SAMPLE_MONOS for c, _ in m}
     for order in _SAMPLE_ORDERS:
         ring = _Ring(codes, order, 8)
@@ -418,6 +418,20 @@ def test_division_with_quotients_refuses_a_lead_coefficient_other_than_one():
         _K.normal_form(p, gens, leads, packing, [{}, {}])
     # without quotients the step scales the remainder: 2*(3xy + 1 - 3/2*(2xy + y))
     assert _K.normal_form(p, gens, leads, packing) == {_Y: -3, _ONE_MONO: 2}
+
+
+@pytest.mark.parametrize("quotients", [None, [{}]])
+@pytest.mark.parametrize(
+    "g", [{_Y: Fraction(1), _Y2: Fraction(-1)}, {_Y: Fraction(1), _X2: Fraction(1)}],
+    ids=["y-y^2", "y+x^2"],
+)
+def test_a_lead_that_is_not_the_largest_term_raises(g, quotients):
+    # y declared the lead of y - y^2 would rewrite y to y^2, y^2 to y^3 and
+    # so on; each step must lower the monomial it reduces, so the first
+    # step that raises it stops the call
+    packing = _small_ring(2, False).packing
+    with pytest.raises(ValueError, match="not its largest term"):
+        _K.normal_form({_Y: Fraction(1)}, [g], [_Y], packing, quotients)
 
 
 def _descending(terms, packing) -> dict:
