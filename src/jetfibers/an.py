@@ -28,6 +28,7 @@ from math import prod
 from . import groebner as gb
 from .jets import an_surface, jet_coeffs
 from .poly import Polynomial, var_code, var_family, var_index, var_name, X, Y, Z
+from .witnesses import avoids_at
 
 # ---------------------------------------------------------------------------
 # ladders
@@ -330,7 +331,7 @@ def _avoids_on_arc(
         a, b = (k, other) if var_family(code) == X else (other, k)
         values = arc_values(m, a, b, c)
         if ladder.isdisjoint(values):
-            return gb.avoids_at(
+            return avoids_at(
                 v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
             )
     return gb.expect_refuted(gb.member(v, comp, claim=claim))
@@ -357,8 +358,7 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
     reports.append(_case_guard(dec))
 
     for comp in comps:
-        subs = gb.generators_in(J.label, J.generators, comp)
-        reports.append(gb.merge_reports(f"{J.label} subset {comp.label}", subs))
+        reports.append(gb.generators_in(f"{J.label} subset {comp.label}", J.generators, comp))
 
     reports.append(_cover_claim(dec, J))
 

@@ -35,6 +35,7 @@ from .poly import (
     Y,
     Z,
 )
+from .witnesses import avoids_at, vanishes_at
 
 M_MIN = 5
 
@@ -301,11 +302,10 @@ def verify_chart_transport(m: int = M_MIN) -> gb.VerificationReport:
         for src in (1, 2, 3):
             dst = expect[(auto.name, src)]
             mapped = auto.on_ideal(fam.charts[src]).generators
-            subs = gb.generators_in(f"{auto.name}(L{src})", mapped, fam.charts[dst])
-            reports.append(gb.merge_reports(f"{auto.name}(L{src}) subset L{dst}", subs))
+            claim = f"{auto.name}(L{src}) subset L{dst}"
+            reports.append(gb.generators_in(claim, mapped, fam.charts[dst]))
         mapped = auto.on_ideal(fam.i0).generators
-        subs = gb.generators_in(f"{auto.name}(I0)", mapped, fam.i0)
-        reports.append(gb.merge_reports(f"{auto.name}(I0) subset {fam.i0.label}", subs))
+        reports.append(gb.generators_in(f"{auto.name}(I0) subset {fam.i0.label}", mapped, fam.i0))
     return gb.merge_reports(f"symmetries permute the charts (m{m})", reports)
 
 
@@ -318,8 +318,9 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     the distinguished ideal sits inside it: the pairwise intersections of the
     contracted components land in the distinguished component.  Reported as
     the congruence x2^2 = f^(4) modulo L(2,2,2), which puts x2 in the radical
-    of I0, and one radical query per generator of I0; y1 and z1 are its
-    generators #4 and #6."""
+    of I0, and one containment report, I0 inside sqrt(Ji+Jj), that decides a
+    radical query on each generator of I0 (y1 and z1 are its generators #4
+    and #6, x2 its generator #2)."""
     if i == j or i not in (1, 2, 3) or j not in (1, 2, 3):
         raise ValueError("need two distinct chart indices")
     fam = d4_ideals(m)
@@ -331,7 +332,8 @@ def verify_coordinate_lemma(m: int, i: int, j: int) -> gb.VerificationReport:
     reports = [
         gb.check("x2^2 matches f^(4) modulo L(2,2,2)", congruence, {"modulus": l222.label})
     ]
-    reports += gb.generators_in("I0", fam.i0.generators, pair, radical=True)
+    claim = f"{fam.i0.label} subset sqrt {pair.label}"
+    reports.append(gb.generators_in(claim, fam.i0.generators, pair, radical=True))
     return gb.merge_reports(f"distinguished ideal inside sqrt(J{i}+J{j}) at m{m}", reports)
 
 
@@ -399,13 +401,13 @@ def witness_checks(m: int) -> gb.VerificationReport:
         )
     else:
         name, base, moved = "P", point_p(), point_p_prime
-    reports.append(gb.vanishes_at(f"I0 vanishes at {name}", fam.i0, base))
+    reports.append(vanishes_at(f"I0 vanishes at {name}", fam.i0, base))
     if m > 5:
         y2val = base.get(var_code(Y, 2), 0)
         reports.append(gb.check("y2 equals 1 at P", y2val == 1, {"y2": str(y2val)}))
     for s in WITNESS_SCALES:
         pt = moved(s)
-        reports.append(gb.vanishes_at(f"J1 vanishes at {name}'({s})", fam.j[1], pt))
+        reports.append(vanishes_at(f"J1 vanishes at {name}'({s})", fam.j[1], pt))
         y1val = pt.get(var_code(Y, 1), 0)
         reports.append(
             gb.check(
@@ -466,7 +468,7 @@ def witness_checks(m: int) -> gb.VerificationReport:
             ]
         # the strictness itself stands at every order on P, where I0+J1+(g1)
         # vanishes and y2 = 1
-        reports.append(gb.avoids_at(y2, u1, base, claim=f"y2 avoids sqrt {u1.label}"))
+        reports.append(avoids_at(y2, u1, base, claim=f"y2 avoids sqrt {u1.label}"))
     return gb.merge_reports(f"strictness witnesses at m{m}", reports)
 
 
@@ -492,11 +494,13 @@ def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
     y1 = Polynomial.variable(var_code(Y, 1))
     for i, ideal in ((1, i1), (2, i2), (3, i3)):
         reports.append(
-            gb.avoids_at(y1, ideal, chart_point(i), claim=f"y1 avoids sqrt {ideal.label}")
+            avoids_at(y1, ideal, chart_point(i), claim=f"y1 avoids sqrt {ideal.label}")
         )
-    subs = gb.generators_in("phi1(I2)", PHI1.on_ideal(i2).generators, i3, target="I3")
-    subs += gb.generators_in("phi1(I3)", PHI1.on_ideal(i3).generators, i2, target="I2")
-    reports.append(gb.merge_reports(f"y-flip swaps components 2 and 3 (m{m})", subs))
+    flips = [
+        gb.generators_in(f"phi1(I2) subset {i3.label}", PHI1.on_ideal(i2).generators, i3),
+        gb.generators_in(f"phi1(I3) subset {i2.label}", PHI1.on_ideal(i3).generators, i2),
+    ]
+    reports.append(gb.merge_reports(f"y-flip swaps components 2 and 3 (m{m})", flips))
 
     ambient = jet_variables(m)
     dims = {"I0": gb.krull_dim(fam.i0, ambient), "I1": gb.krull_dim(i1, ambient)}

@@ -75,7 +75,11 @@ certificate, and otherwise one of the ideal's own generators by the
 generator certificate, which names its index (a generator lies in the ideal
 and so in its radical); both take 0 S-pairs and no basis.  Only the rest is
 decided against a reduced basis.  A containment claim, each generator of
-one ideal in another or in its radical, is one generators_in call.
+one ideal in another or in its radical, is one generators_in call and one
+report: its certificate groups the generator indices by how each was
+decided (restricted to zero, named as a generator, or decided with its own
+certificate), and keeps each generator that is not verified, with its
+outcome and witness, under "failed".
 
 A radical query first splits the residual on its monomial generators, the
 monomial case of the factorizing Buchberger algorithm (Czapor, JSC 1989;
@@ -93,11 +97,8 @@ leaf with no monomial generator left, the only place a basis is built.  A
 failed branch refutes the query at once, and the session's time budget is
 checked before each branch.
 
-A non-membership is decided at a rational point first (avoids_at): when
-every generator of I vanishes there and p does not, p lies outside sqrt(I)
-and so outside I.  The certificate is the point and p's value there, found
-by evaluation with no basis.  A point that fails, off V(I) or on a zero of
-p, says nothing about the claim; the engine query then decides it alone.
+A non-membership is decided at a rational point first, with these queries
+as the fallback (witnesses.avoids_at).
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ from .kernel import impl as _K
 from .poly import (
     AUX,
     Polynomial,
-    evaluate,
     linear_substitute,
     var_code,
     var_family,
@@ -289,20 +289,26 @@ def exhausted(claim: str, exc: BudgetExhausted, seconds: float) -> VerificationR
     )
 
 
+def _folded(claim: str, reports, certificate) -> VerificationReport:
+    """One report standing on reports: the worst outcome wins, and their
+    S-pairs and seconds add up."""
+    return VerificationReport(
+        claim,
+        _worst(r.outcome for r in reports),
+        certificate,
+        sum(r.spairs_processed for r in reports),
+        sum(r.seconds for r in reports),
+    )
+
+
 def merge_reports(claim: str, reports) -> VerificationReport:
-    """Fold sub-reports into one; the worst sub-outcome wins."""
+    """Fold sub-reports into one, each kept as a subcheck."""
     reports = list(reports)
     subchecks = [
         {"claim": r.claim, "outcome": r.outcome, "certificate": r.certificate}
         for r in reports
     ]
-    return VerificationReport(
-        claim,
-        _worst(r.outcome for r in reports),
-        {"subchecks": subchecks},
-        sum(r.spairs_processed for r in reports),
-        sum(r.seconds for r in reports),
-    )
+    return _folded(claim, reports, {"subchecks": subchecks})
 
 
 def expect_refuted(report: VerificationReport) -> VerificationReport:
@@ -727,6 +733,12 @@ def restrict_to_residual(p: Polynomial, eliminated) -> Polynomial:
 # membership
 
 
+# The certificates of a polynomial that restricts to zero on the residual:
+# _query returns these very objects, so generators_in tells them by identity.
+_TRIVIAL_MEMBER = {"kind": "normal-form", "remainder": "0", "basis_size": 0}
+_TRIVIAL_RADICAL = {"kind": "radical-trick", "trivial": True}
+
+
 def _divide_for_member(gb: GroebnerBasis, p: Polynomial):
     """(remainder, certificate) from one division of p.  A small enough
     basis and p divide with quotients, which the certificate of a member
@@ -775,8 +787,7 @@ def member(p: Polynomial, ideal: Ideal, *, claim: str | None = None) -> Verifica
         return not remainder, cert, gb.spairs_processed
 
     return _query(
-        claim or f"member: {p} in {ideal.label or 'ideal'}", p, ideal,
-        {"kind": "normal-form", "remainder": "0", "basis_size": 0}, decide,
+        claim or f"member: {p} in {ideal.label or 'ideal'}", p, ideal, _TRIVIAL_MEMBER, decide
     )
 
 
@@ -802,7 +813,6 @@ def radical_member(
     adjoin 1 - w*p for a fresh auxiliary variable w and test whether the
     ideal becomes the unit ideal.  The session's clock is checked before
     each branch, and each basis is counted in the session's S-pairs."""
-    trivial = {"kind": "radical-trick", "trivial": True}
 
     def decide(sess, residual, p0):
         spairs = 0
@@ -828,7 +838,7 @@ def radical_member(
                 presolved = branch.presolved()
                 q_branch = presolved.restrict(q)
                 ok, certs[var_name(code)] = (
-                    walk(presolved.residual, q_branch) if q_branch else (True, trivial)
+                    walk(presolved.residual, q_branch) if q_branch else (True, _TRIVIAL_RADICAL)
                 )
                 if not ok:
                     break
@@ -838,63 +848,38 @@ def radical_member(
         return ok, cert, spairs
 
     return _query(
-        claim or f"radical-member: {p} in sqrt {ideal.label or 'ideal'}", p, ideal, trivial, decide
+        claim or f"radical-member: {p} in sqrt {ideal.label or 'ideal'}", p, ideal,
+        _TRIVIAL_RADICAL, decide,
     )
 
 
-def generators_in(name: str, gens, ideal: Ideal, *, radical=False, target=None):
-    """member, or radical_member when radical is set, on each of gens, with
-    the k-th claim "<name> gen#k in [sqrt ]<target or the ideal's label>"."""
-    query = radical_member if radical else member
-    into = ("sqrt " if radical else "") + (target or ideal.label)
-    return [query(g, ideal, claim=f"{name} gen#{k} in {into}") for k, g in enumerate(gens)]
-
-
-# ---------------------------------------------------------------------------
-# point witnesses
-
-
-def vanishes_at(claim: str, ideal: Ideal, values: dict) -> VerificationReport:
-    """Does every generator of the ideal vanish at the point?  The point is
-    variable code -> rational, absent codes zero.  A refutation lists the
-    generators that do not vanish."""
-    bad = [str(g) for g in ideal.generators if evaluate(g, values)]
-    return check(
-        claim,
-        not bad,
-        {"nonvanishing": bad} if bad else {"generators": len(ideal.generators)},
-    )
-
-
-def avoids_at(
-    p: Polynomial,
-    ideal: Ideal,
-    values: dict,
-    *,
-    claim: str,
-    witness: dict | None = None,
-    radical: bool = True,
-) -> VerificationReport:
-    """Is p outside the radical of the ideal (outside the ideal itself when
-    radical is off)?  Decided first at the point: when every generator
-    vanishes there and p does not, p is not in sqrt(I), which holds I, and
-    the claim is verified with the certificate witness (by default the
-    point's nonzero coordinates by name) plus p's value, in 0 S-pairs and
-    with no basis.  Otherwise the point says nothing about the claim, and
-    the engine query, radical_member or member, decides it alone: its report
-    is inverted by expect_refuted and its certificate is kept under
-    "engine", next to the failed point check under "point check"."""
-    on = vanishes_at(claim, ideal, values)
-    value = evaluate(p, values)
-    if witness is None:
-        witness = {"point": {var_name(c): str(v) for c, v in values.items() if v}}
-    cert = {**witness, "value": str(value)}
-    if on.verified and value:
-        return check(claim, True, cert)
-    query = radical_member if radical else member
-    engine = expect_refuted(query(p, ideal, claim=claim))
-    failed = {**cert, **on.certificate}
-    return replace(engine, certificate={"point check": failed, "engine": engine.certificate})
+def generators_in(claim: str, gens, ideal: Ideal, *, radical=False) -> VerificationReport:
+    """The one report of the claim that every generator in gens lies in the
+    ideal, or in its radical when radical is set: member or radical_member
+    decides each generator in order, the outcome is the worst of theirs and
+    the S-pairs and seconds are their sums.  The certificate groups the
+    indices k into gens by how each was verified: "restricts_to_zero" (the
+    query's trivial certificate), "generator" ([k, index] when gens[k] is
+    the ideal's generator #index) and "decided" ([k, certificate] for the
+    rest); a generator that is not verified is listed under "failed" as
+    [k, outcome, certificate], so a refutation names k and keeps its
+    witness."""
+    query, trivial = (radical_member, _TRIVIAL_RADICAL) if radical else (member, _TRIVIAL_MEMBER)
+    reports = [query(g, ideal, claim=claim) for g in gens]
+    cert: dict = {"kind": "generators", "restricts_to_zero": [], "generator": [], "decided": []}
+    failed = []
+    for k, r in enumerate(reports):
+        if not r.verified:
+            failed.append([k, r.outcome, r.certificate])
+        elif r.certificate is trivial:
+            cert["restricts_to_zero"].append(k)
+        elif r.certificate["kind"] == "generator":
+            cert["generator"].append([k, r.certificate["index"]])
+        else:
+            cert["decided"].append([k, r.certificate])
+    if failed:
+        cert["failed"] = failed
+    return _folded(claim, reports, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from jetfibers.poly import (
     Y,
     Z,
 )
+from jetfibers.witnesses import avoids_at
 
 # ---------------------------------------------------------------------------
 # the closed formula for the shifted coefficients
@@ -292,7 +293,7 @@ def avoids_on_arc_all_generators(
         a, b = (k, other) if var_family(code) == X else (other, k)
         values = arc_values(m, a, b, c)
         if not any(evaluate(g, values) for g in comp.generators):
-            return gb.avoids_at(
+            return avoids_at(
                 v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
             )
     return gb.expect_refuted(gb.member(v, comp, claim=claim))

@@ -25,6 +25,7 @@ from jetfibers.an import (
 )
 from jetfibers import groebner as gb
 from jetfibers.poly import Polynomial, parse_polynomial, var_code
+from jetfibers.witnesses import avoids_at
 from references import (
     avoids_on_arc_all_generators,
     component_ideal,
@@ -379,7 +380,7 @@ def test_an_arc_off_the_component_falls_back_to_the_engine():
     assert found.certificate == {"arc": [2, 4, 2], "value": "1"}
 
     moved = {**arc_values(7, 2, 4, 2), var_code("x", 0): 1}
-    rep = gb.avoids_at(x2, comp, moved, claim=claim, witness={"arc": [2, 4, 2]}, radical=False)
+    rep = avoids_at(x2, comp, moved, claim=claim, witness={"arc": [2, 4, 2]}, radical=False)
     engine = gb.expect_refuted(gb.member(x2, comp, claim=claim))
     assert rep.certificate["point check"]["nonvanishing"] == ["x0"]
     assert rep.certificate["engine"] == engine.certificate
@@ -395,7 +396,7 @@ def test_an_zero_of_the_witness_never_verifies():
     _, (desc, comp) = _first_two_components(2, 7, 1, 2)
     x2 = P("x2")
     claim = "x2 not in L(3,3,2)+f[6..7]"
-    rep = gb.avoids_at(x2, comp, arc_values(7, 3, 3, 2), claim=claim, radical=False)
+    rep = avoids_at(x2, comp, arc_values(7, 3, 3, 2), claim=claim, radical=False)
     assert rep.certificate["point check"]["value"] == "0"
     assert rep.outcome == gb.REFUTED
     searched = _avoids_on_arc(2, 7, x2, desc, comp, claim)

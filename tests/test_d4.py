@@ -40,6 +40,7 @@ from jetfibers.poly import (
     var_family,
     var_index,
 )
+from jetfibers.witnesses import avoids_at, vanishes_at
 
 
 def P(text):
@@ -303,19 +304,23 @@ def test_coordinate_lemma_is_radical_queries_and_the_congruence(monkeypatch):
     monkeypatch.setattr(d4.gb, "member", no_member)
     rep = verify_coordinate_lemma(8, 2, 3)
     assert rep.outcome == gb.VERIFIED
-    subchecks = rep.certificate["subchecks"]
-    assert [s["claim"] for s in subchecks] == [
-        "x2^2 matches f^(4) modulo L(2,2,2)"
-    ] + queries
-    assert queries == [
-        f"I0 gen#{k} in sqrt J2+J3(m8)" for k in range(len(d4_ideals(8).i0.generators))
-    ]
-    assert {s["outcome"] for s in subchecks} == {gb.VERIFIED}
+    congruence, containment = rep.certificate["subchecks"]
+    assert congruence["claim"] == "x2^2 matches f^(4) modulo L(2,2,2)"
+    assert containment["claim"] == "I0(m8) subset sqrt J2+J3(m8)"
+    # one radical query per generator of I0, in order, under the one claim
+    gens = d4_ideals(8).i0.generators
+    assert queries == [containment["claim"]] * len(gens)
+    assert congruence["outcome"] == containment["outcome"] == gb.VERIFIED
     # x2, generator #2, is the one query the presolve leaves: the residual's
     # first generator is x2^2, so the split has the one branch x2 = 0, on
     # which x2 restricts to zero, and no basis is built
     trivial = {"kind": "radical-trick", "trivial": True}
-    assert subchecks[3]["certificate"] == {"kind": "split", "branches": {"x2": trivial}}
+    cert = containment["certificate"]
+    assert cert["decided"] == [[2, {"kind": "split", "branches": {"x2": trivial}}]]
+    assert "failed" not in cert
+    assert sorted(cert["restricts_to_zero"] + [k for k, _ in cert["generator"]] + [2]) == list(
+        range(len(gens))
+    )
     assert rep.spairs_processed == 0
 
 
@@ -412,7 +417,7 @@ def test_a_point_off_the_variety_falls_back_to_the_engine():
     u1 = _chain_ideal(6)
     y2 = P("y2")
     moved = {var_code("x", 2): Fraction(1), var_code("y", 2): Fraction(1)}
-    rep = gb.avoids_at(y2, u1, moved, claim="y2 avoids sqrt u1")
+    rep = avoids_at(y2, u1, moved, claim="y2 avoids sqrt u1")
     engine = gb.expect_refuted(gb.radical_member(y2, u1, claim="y2 avoids sqrt u1"))
     failed = rep.certificate["point check"]
     assert failed["point"] == {"x2": "1", "y2": "1"}
@@ -437,8 +442,8 @@ def test_a_point_off_the_variety_falls_back_to_the_engine():
 def test_a_zero_of_p_never_verifies(text, point, outcome):
     u1 = _chain_ideal(6)
     p = P(text)
-    assert gb.vanishes_at("on V", u1, point).verified and not evaluate(p, point)
-    rep = gb.avoids_at(p, u1, point, claim=f"{text} avoids sqrt u1")
+    assert vanishes_at("on V", u1, point).verified and not evaluate(p, point)
+    rep = avoids_at(p, u1, point, claim=f"{text} avoids sqrt u1")
     engine = gb.expect_refuted(gb.radical_member(p, u1, claim=f"{text} avoids sqrt u1"))
     assert rep.certificate["point check"]["value"] == "0"
     assert rep.outcome == engine.outcome == outcome
@@ -471,7 +476,7 @@ def test_y1_avoids_component_radicals_at_the_chart_points(m):
     fam = d4_ideals(m)
     for i in (1, 2, 3):
         comp = fam.component_ideal(i)
-        rep = gb.avoids_at(P("y1"), comp, chart_point(i), claim=f"y1 avoids sqrt I{i}")
+        rep = avoids_at(P("y1"), comp, chart_point(i), claim=f"y1 avoids sqrt I{i}")
         assert rep.outcome == gb.VERIFIED and rep.spairs_processed == 0
         assert "point" in rep.certificate and rep.certificate["value"] != "0"
     # the saturation-level report takes the same points
@@ -488,6 +493,18 @@ def test_flip_swaps_saturated_components():
         assert gb.member(g, i3).verified
     for g in PHI1.on_ideal(i3).generators:
         assert gb.member(g, i2).verified
+    # the saturation-level report holds one containment report per direction,
+    # whose groups list every generator index once
+    subs = verify_component_ideals(5).certificate["subchecks"]
+    (flip,) = [s for s in subs if s["claim"] == "y-flip swaps components 2 and 3 (m5)"]
+    parts = flip["certificate"]["subchecks"]
+    assert [p["claim"] for p in parts] == ["phi1(I2) subset I3(m5)", "phi1(I3) subset I2(m5)"]
+    for part, src in zip(parts, (i2, i3)):
+        cert = part["certificate"]
+        assert part["outcome"] == gb.VERIFIED and cert["kind"] == "generators"
+        assert "failed" not in cert
+        listed = cert["restricts_to_zero"] + [k for k, _ in cert["generator"] + cert["decided"]]
+        assert sorted(listed) == list(range(len(src.generators)))
 
 
 def test_component_dimensions():

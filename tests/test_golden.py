@@ -89,38 +89,38 @@ PINS = [
     (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "5"], 0,
      "b22063612ff3f8d04eb41ce04040d1c4643fd94a83a18e4228102fb95e491fc3", 163),
     (["an", "verify", "--n", "2", "--m", "7", "--budget-spairs", "0", "--format", "json"], 0,
-     "c446b83a5464efc8ee9289153a710953e5a5f0e65ff64052f5533ab83e6238bc", 20422),
+     "b493fea7884145706fb59fe3be978a7d6c53cc4a3910993f6e915974507a980b", 9700),
     (["an", "verify", "--n", "2", "--m", "8", "--budget-spairs", "20", "--format", "json"], 0,
-     "dd57315ec8e286197a47ee6cf4a8e8e6d6319db586052b76698582331786d793", 21446),
+     "3bc325ef91f9dd554f7a9c281b6bda02471ff9cdcf758220fe8c8146d5304a04", 10136),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 0,
      "7cd0160c0e68b10c4b24114a30a4f993ea35330c914139754e4bc0d55839ce8e", 259),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 0,
-     "dd02741be2ed04eca610b32a88f8becd8aef348abc4c75308b32977116c8c86a", 87963),
+     "86a1ca369a9d010abed72bb19be19ee55d23b04d4e3bd1ccdf2a123c458d7434", 40005),
     (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 0,
-     "963ce07e319919127a2ccd58838760a068258cd5b981ee211ad586ede0632720", 253063),
+     "ca0b70ea04a2301964c07526a085429640f85125a925b21698f6a5a58e66924b", 112789),
     # budgeted runs that still build bases: the coordinate lemmas and the
     # z2/x3/y2 chain queries of D4
     (["d4", "verify", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
-     "9783350bd89316651cf179fe0e12c827b08ae7eedfd7e1b1c5155bcdf615e57c", 35955),
+     "a80896643fbfd80d8f64a3311639bb6e23272d1fd153ab84654a5c45aebacbcb", 14165),
     # the budget bounds the whole command: the largest basis at m6 pops 276
     # pairs, but the command pops 419 in all
     (["d4", "verify", "--m", "6", "--budget-spairs", "300", "--format", "json"], 3,
-     "30211566d0c94d6f5eba49215d99d88dc2c2c505ae24817910f091a440c30d1b", 36116),
+     "3aca17314f898b8db0f5043842dfc6494084e7a84109a22c65af2a67452a40ff", 14326),
     (["d4", "verify", "--m", "7", "--budget-spairs", "100"], 3,
      "212cef20ecb75952d1f1ec67eab9d884e3e0929bf6b85230b9fc2ba6de34bf46", 680),
     # the old A_n frontier, under 0.2 s each
     (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
-     "a237803fec25de56c711fd7875d80de7e1e49257306a1454817772f55a1f2cba", 21448),
+     "0c685d8862de1f04e2b2b95aba8f8fe8d7481c104fe2c5d9527adfa96761fe25", 10138),
     (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
-     "3dd20ef89aee965c186e5828ba31084d9393929491257880aa854b4f4c278278", 223714),
+     "99f1b45c77090f2fbf3e39eb1e6582510d1ae8cd25b90e08e2e2e86ca39c82cd", 93266),
     (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
-     "bed5551a1e6271ee54b44ebe35adeecc2c86dade0763bbe5dad0735fda7879ce", 23789),
+     "a0777b47f1a5563d29c2668ad0a8e39f4b027e52dced53da16a7c67cc26ef2cd", 11207),
     # case-d tails of several components each, below the CI frontier
     (["an", "verify", "--n", "3", "--m", "9", "--format", "json"], 0,
-     "4cce09762b2538990005016203cea71466cce6da1ea6549e0c92beb0a757741a", 91497),
+     "8b464ea817cdec3f9066c5c7e6e5980ee70858425cc677b2daec18f19838551c", 41383),
     # 27 s while its six witness refutations built radical-trick bases
     (["an", "verify", "--n", "2", "--m", "12", "--format", "json"], 0,
-     "6e21056d537482787de8a1f207297c020cedaadc95f09a338c93309404b18785", 26305),
+     "8407f1100186b281dd1a03618807762d6adc461c4197fefe2e98ad6e3ce12cef", 12535),
     (["d4", "ideals", "--m", "5"], 0,
      "ff6eb77fd96370c429052bb04b3a4c7b82e78642bffe1dcaf55542e1c4dcd3b5", 3106),
     (["d4", "ideals", "--m", "5", "--format", "json"], 0,
@@ -132,16 +132,16 @@ PINS = [
     (["d4", "verify", "--m", "8"], 0,
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
-     "2fe96f06cd496b28bb15380c50a4ea426e8206d5cb8a2fda726a95f238f92bc6", 36081),
+     "1b246c84bd55f258073674897a5f6d397d3bd855c89cca1a84aa1bf93203099e", 14291),
     # the saturation-level checks at m != 5, the one run of the chart points
     # carried by phi2 and its inverse past m = 5
     (["d4", "verify", "--m", "6", "--saturate", "--format", "json"], 0,
-     "ac5e77963c767e0523f01ea8286ab303f9ec39a49237e9743fcba4666842196e", 49673),
+     "3ac14d64613c3364060553ad2f91c58898c3d4d605c13667291b0cddb4e8d754", 23399),
     # longer jet tails through the presolve's linear substitution
     (["d4", "verify", "--m", "10", "--format", "json"], 0,
-     "3cc5c19e3d66385a881f1dbdea74101e23885372ae512a07eb5b01a9a09dc254", 40214),
+     "331473c9128b9a0c86384235c8713eb628295569a9a7c2fdfe6811e280a27bd4", 15252),
     (["d4", "verify", "--m", "12", "--format", "json"], 0,
-     "adbf8244d6510ed0026c1aa79cdd9a5fef913aadda55588a7d77f7435c72af2d", 42568),
+     "ade5b56b3e17e52405756b90acec16a4aa5dafa0fbaacc738a2e0c454208012b", 16052),
     (["d4", "graph", "--m", "6"], 0,
      "10903e28f6564cd89806664d7e0828c3e6d3740198a9571e367882eb36d02ade", 90),
     (["d4", "graph", "--m", "5", "--format", "json"], 0,

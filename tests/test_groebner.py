@@ -854,26 +854,71 @@ def test_member_cofactor_certificate():
 _MEMBERS = (P("x0^2 - y0*z0"), P("x0^3 - x0*y0*z0"), P("y0^4"))
 
 
+def _grouped_indices(cert) -> list[int]:
+    """Every generator index a grouped containment certificate lists."""
+    return (
+        cert["restricts_to_zero"]
+        + [k for k, _ in cert["generator"]]
+        + [k for k, _ in cert["decided"]]
+        + [k for k, *_ in cert.get("failed", ())]
+    )
+
+
+def test_generators_in_groups_each_generator_by_how_it_was_decided():
+    # z1 is a coordinate of B, so x1*z1 restricts to zero on its presolve
+    gens = (P("y0^3"), P("x0^2 - y0*z0"), P("x0^3 - x0*y0*z0"), P("x1*z1"))
+    i = ideal("x0^2 - y0*z0", "y0^3", "z1", label="B")
+    rep = engine.generators_in("A subset B", gens, i)
+    assert (rep.claim, rep.outcome) == ("A subset B", VERIFIED)
+    # only the decided generator builds a basis, and its S-pairs are the sum's
+    assert rep.spairs_processed == sum(member(g, i).spairs_processed for g in gens) > 0
+    cert = rep.certificate
+    assert cert["kind"] == "generators" and "failed" not in cert
+    assert cert["restricts_to_zero"] == [3]
+    assert cert["generator"] == [[0, 1], [1, 0]]
+    assert [k for k, _ in cert["decided"]] == [2]
+    assert cert["decided"][0][1]["kind"] == "normal-form"
+    assert sorted(_grouped_indices(cert)) == list(range(len(gens)))
+
+
 @pytest.mark.parametrize("k", range(len(_MEMBERS)))
 def test_generators_in_refutes_only_the_swapped_generator(k):
     gens = list(_MEMBERS)
     gens[k] = P("z0")  # not in the ideal, nor in its radical
-    reps = engine.generators_in("A", gens, ideal("x0^2 - y0*z0", "y0^3", label="B"))
-    assert [r.claim for r in reps] == [f"A gen#{t} in B" for t in range(len(gens))]
-    assert [r.claim for r in reps if r.outcome == engine.REFUTED] == [f"A gen#{k} in B"]
-    assert sum(r.verified for r in reps) == len(gens) - 1
+    rep = engine.generators_in("A subset B", gens, ideal("x0^2 - y0*z0", "y0^3", label="B"))
+    assert (rep.claim, rep.outcome) == ("A subset B", engine.REFUTED)
+    cert = rep.certificate
+    (failed,) = cert["failed"]
+    assert failed[:2] == [k, engine.REFUTED]
+    assert failed[2]["kind"] == "normal-form" and failed[2]["remainder"] == "z0"
+    # every other generator is still decided, once, in its own group
+    assert sorted(_grouped_indices(cert)) == list(range(len(gens)))
 
 
-def test_generators_in_wording_under_radical_and_target():
+def test_generators_in_wording_under_radical():
     i = ideal("x0^2 - y0*z0", "y0^3", label="B")
-    reps = engine.generators_in("A", (P("x0"), P("y0")), i, radical=True)
-    assert [(r.claim, r.outcome) for r in reps] == [
-        ("A gen#0 in sqrt B", VERIFIED),
-        ("A gen#1 in sqrt B", VERIFIED),
-    ]
-    # y0 lies in the radical but not in the ideal; target renames the ideal
-    reps = engine.generators_in("A", (P("y0"),), i, target="I")
-    assert [(r.claim, r.outcome) for r in reps] == [("A gen#0 in I", engine.REFUTED)]
+    rep = engine.generators_in("A subset sqrt B", (P("x0"), P("y0")), i, radical=True)
+    assert (rep.claim, rep.outcome) == ("A subset sqrt B", VERIFIED)
+    assert [k for k, _ in rep.certificate["decided"]] == [0, 1]
+    # y0 lies in the radical but not in the ideal
+    rep = engine.generators_in("A subset I", (P("y0"),), i)
+    assert (rep.claim, rep.outcome) == ("A subset I", engine.REFUTED)
+    assert [k for k, *_ in rep.certificate["failed"]] == [0]
+
+
+def test_generators_in_budget_exhausted_names_the_generator():
+    # generator #0 is the ideal's own and generator #1 restricts to zero,
+    # so neither needs a basis; generator #2 does, and the budget allows no
+    # S-pair, so the claim is undecided, not refuted
+    i = ideal("x0^2 - y0*z0", "x0*y0 - z0^2", "x1", label="B")
+    gens = (P("x0^2 - y0*z0"), P("x1"), P("x0^3 - x0*y0*z0"))
+    with session(Budget(max_spairs=0)):
+        rep = engine.generators_in("A subset B", gens, i)
+    assert (rep.claim, rep.outcome) == ("A subset B", BUDGET_EXHAUSTED)
+    cert = rep.certificate
+    assert cert["generator"] == [[0, 0]] and cert["restricts_to_zero"] == [1]
+    (failed,) = cert["failed"]
+    assert failed[:2] == [2, BUDGET_EXHAUSTED] and failed[2]["kind"] == "budget"
 
 
 def test_radical_member_examples():
