@@ -221,13 +221,15 @@ def _encode(obj, indent: int, write) -> None:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit_result(args, fields: dict, text: str, **config) -> None:
-    """With --format json, emit {schema, config, **fields} through _encode,
-    straight to the open stream, otherwise text."""
+def _emit_result(args, fields, text, **config) -> None:
+    """With --format json, emit {schema, config, **fields()} through
+    _encode, straight to the open stream, otherwise text().  Both are
+    zero-argument callables, so a run builds only the output its format
+    asks for."""
     if args.format != "json":
-        args.stream.write(text)
+        args.stream.write(text())
         return
-    payload = {"schema": SCHEMA, "config": _config(args, **config), **fields}
+    payload = {"schema": SCHEMA, "config": _config(args, **config), **fields()}
     _encode(payload, 0, args.stream.write)
     args.stream.write("\n")
 
@@ -265,8 +267,8 @@ def _emit_reports(args, reports: list[VerificationReport], **config) -> int:
     """Emit the reports as JSON or one line each; return the exit code."""
     _emit_result(
         args,
-        {"reports": [r.to_json_dict(args.timings) for r in reports]},
-        _report_lines(reports),
+        lambda: {"reports": [r.to_json_dict(args.timings) for r in reports]},
+        lambda: _report_lines(reports),
         **config,
     )
     return _verify_exit(reports)
@@ -292,8 +294,8 @@ def _cmd_expand(args) -> int:
     coeffs = jets.expand_text(f, args.m)
     _emit_result(
         args,
-        {"coefficients": coeffs},
-        "".join(f"f^({j}) = {c}\n" for j, c in enumerate(coeffs)),
+        lambda: {"coefficients": coeffs},
+        lambda: "".join(f"f^({j}) = {c}\n" for j, c in enumerate(coeffs)),
         f=args.f,
         m=args.m,
     )
@@ -302,12 +304,16 @@ def _cmd_expand(args) -> int:
 
 def _cmd_an_decompose(args) -> int:
     dec = an_mod.decompose_intersection(args.n, args.m, args.i, args.j)
-    lines = [f"case {dec.case}: {dec.count} component(s), dimension {dec.dimension}"]
-    lines += [f"  {d.label}" for d in dec.components]
+
+    def text():
+        lines = [f"case {dec.case}: {dec.count} component(s), dimension {dec.dimension}"]
+        lines += [f"  {d.label}" for d in dec.components]
+        return "\n".join(lines) + "\n"
+
     _emit_result(
         args,
-        {"decomposition": dec.to_json_dict()},
-        "\n".join(lines) + "\n",
+        lambda: {"decomposition": dec.to_json_dict()},
+        text,
         n=args.n, m=args.m, i=args.i, j=args.j,
     )
     return 0
@@ -321,18 +327,18 @@ def _cmd_an_table(args) -> int:
     table = an_mod.table_csv if args.format == "csv" else an_mod.table_text
     _emit_result(
         args,
-        {
+        lambda: {
             "header": list(an_mod.table_header(args.n)),
             "rows": [list(r) for r in rows],
         },
-        table(args.n, rows),
+        lambda: table(args.n, rows),
         n=args.n, m=args.m,
     )
     return 0
 
 
 def _emit_graph(args, g, **config) -> int:
-    _emit_result(args, {"graph": g.to_json_dict()}, graphs.to_dot(g), **config)
+    _emit_result(args, lambda: {"graph": g.to_json_dict()}, lambda: graphs.to_dot(g), **config)
     return 0
 
 
@@ -373,14 +379,18 @@ def _cmd_d4_ideals(args) -> int:
     named = [fam.l322, fam.charts[1], fam.charts[2], fam.charts[3], fam.i0] + [
         fam.j[i] for i in (1, 2, 3)
     ]
-    lines = []
-    for ideal in named:
-        lines.append(f"{ideal.label}:")
-        lines += [f"  {g}" for g in ideal.generators]
+
+    def text():
+        lines = []
+        for ideal in named:
+            lines.append(f"{ideal.label}:")
+            lines += [f"  {g}" for g in ideal.generators]
+        return "\n".join(lines) + "\n"
+
     _emit_result(
         args,
-        {"ideals": {ideal.label: [str(g) for g in ideal.generators] for ideal in named}},
-        "\n".join(lines) + "\n",
+        lambda: {"ideals": {ideal.label: [str(g) for g in ideal.generators] for ideal in named}},
+        text,
         m=args.m,
     )
     return 0

@@ -14,14 +14,18 @@ Every coefficient is written down by the multinomial theorem, with no
 series product: each term of f^(j) is one choice of a weighted composition
 per variable family, times its multinomials.  One descent,
 ``_compositions``, lists those compositions by weight, each with its
-factors as monomial pairs, its printed text and its multinomial.  Two
-readers share it: ``expand_ambient`` builds the coefficient polynomials
-from the pairs, and ``expand_text``, the ``expand`` command's path, writes
-each coefficient's text from the texts, placing every term by its pairs,
-with no Polynomial and no per-term factor sort in between.  The paper's
-closed formula for the shifted coefficients, with its index sets, and the
-shift lemma's reindexed coefficients live with the tests
-(``tests/references.py``), which hold ``jet_coeffs`` to both.
+factors as monomial pairs, its printed text and its multinomial, and each
+weight's list comes in display order (ascending pairs, the order of a
+family's block in ``poly._display_place``).  Two readers share it:
+``expand_ambient`` builds the coefficient polynomials from the pairs, and
+``expand_text``, the ``expand`` command's path, writes each coefficient's
+text from the texts, placing every term by its pairs, with no Polynomial
+and no per-term factor sort in between.  Because the z compositions come
+presorted, each coefficient's rows arrive in sorted runs, and its one sort
+merges them.  The paper's closed formula for the shifted coefficients,
+with its index sets, and the shift lemma's reindexed coefficients live
+with the tests (``tests/references.py``), which hold ``jet_coeffs`` to
+both.
 ``poly.substitute_series``, the general series substitution, stays
 bound here as well because the benchmark harness's self-test looks the
 name up on this module.
@@ -115,11 +119,17 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
 def expand_text(f: Polynomial, m: int) -> list[str]:
     """format_polynomial of each coefficient of expand_ambient(f, m), byte
     for byte, with no Polynomial built: a term of f^(j) is written
-    magnitude*x*y*z from its compositions' texts and placed by its key
-    (z pairs, y pairs, x pairs), the first three blocks of its display place
-    (poly._display_place), whose w and t blocks are empty.  Each
-    coefficient's rows are sorted and joined before the next coefficient's
-    are built."""
+    magnitude*x*y*z from its compositions' texts and placed by its row's
+    first three fields (z pairs, y pairs, x pairs), the first three blocks
+    of its display place (poly._display_place), whose w and t blocks are
+    empty; they stand in the row itself, not in a tuple of their own, which
+    saves a tuple per term.  Each coefficient's rows are sorted and joined
+    before the next coefficient's are built.
+
+    For each x and y composition the rows of one z bucket follow in that
+    bucket's order, which _compositions makes ascending, so the rows come
+    as sorted runs, one per (x, y) choice; the sort stays as the guarantee
+    of the order, and on presorted runs Timsort only merges them."""
     terms = _term_buckets(f, m, (0, 0, 0))
     out = []
     for j in range(m + 1):
@@ -142,9 +152,9 @@ def expand_text(f: Polynomial, m: int) -> list[str]:
                                 # texts start with "*"; a lone constant 1 has none
                                 text = txy + tz
                                 rows.append(
-                                    ((pz, py, px), n < 0, prefix + text if prefix else text[1:] or "1")
+                                    (pz, py, px, n < 0, prefix + text if prefix else text[1:] or "1")
                                 )
-        # keys differ between monomials, so the sort never compares past them
+        # the pairs differ between monomials, so the sort never compares past them
         rows.sort()
         out.append(_join_terms(rows))
     return out
@@ -220,13 +230,18 @@ def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list
     written only above 1; the multinomial degree! / (d_1! ... d_l!) is
     carried down the recursion as a product of binomials.  Degree 0 has the
     one empty composition, of weight 0.
+
+    Each bucket lists its records in ascending pairs, which is the order of
+    a family's block in poly._display_place: _descend fixes the highest
+    index first and takes every choice in ascending order, so the whole
+    enumeration ascends in pairs and so does each bucket it fills.
     """
     if m < 0:
         raise ValueError("weight bound must be nonnegative")
     buckets: list[list] = [[] for _ in range(m + 1)]
     if degree == 0:
         buckets[0].append(((), "", 1))
-    else:
+    elif start * degree <= m:
         # pieces[i][d]: v_i^d as a one-pair tuple and as text, made once per
         # call so that the compositions share their pair tuples
         pieces = [
@@ -237,26 +252,38 @@ def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list
             ]
             for i in range(m + 1)
         ]
-        _descend(buckets, (), "", pieces, start, degree, m, 1)
+        _descend(buckets, (), "", pieces, start, m, degree, m, 1)
     return buckets
 
 
-def _descend(buckets, pairs, text, pieces, i_min, deg_left, weight_left, mult):
-    """Extend the composition (pairs, text) by each index i >= i_min and
-    part d that leave room for the rest: i * deg_left <= weight_left bounds
-    i, and the deg_left - d parts still to come sit on indices above i, so
-    (i + 1) * (deg_left - d) <= weight_left - i * d bounds d from below.
-    A finished composition of weight w = m - weight_left goes to buckets[w],
-    that is buckets[-1 - weight_left]."""
-    for i in range(i_min, weight_left // deg_left + 1):
+def _descend(buckets, pairs, text, pieces, start, top, deg_left, weight_left, mult):
+    """Extend the composition (pairs, text), whose indices all exceed top,
+    by deg_left more parts on the indices start..top, in ascending pairs
+    order: first every part on start, then each highest index i > start
+    with each part d ascending, followed by the rest below i.  The rest
+    needs weight start * rest at least, so spare = weight_left - start *
+    deg_left bounds (i - start) * d.  A rest of 1 is one index k below i,
+    listed here; a longer rest recurses with top i - 1.  A finished
+    composition of weight w = m - left goes to buckets[w], that is
+    buckets[-1 - left]."""
+    spare = weight_left - start * deg_left
+    factor, suffix = pieces[start][deg_left]
+    buckets[-1 - spare].append((pairs + factor, suffix + text, mult))
+    for i in range(start + 1, min(top, start + spare) + 1):
         at_i = pieces[i]
-        for d in range(max(1, (i + 1) * deg_left - weight_left), deg_left + 1):
+        for d in range(1, min(deg_left, spare // (i - start)) + 1):
             factor, suffix = at_i[d]
+            rest = deg_left - d
             left = weight_left - i * d
             part = mult * math.comb(deg_left, d)
-            if d == deg_left:
-                buckets[-1 - left].append((factor + pairs, text + suffix, part))
+            if rest == 0:
+                buckets[-1 - left].append((pairs + factor, suffix + text, part))
+            elif rest == 1:
+                head, tail = pairs + factor, suffix + text
+                for k in range(start, min(i - 1, left) + 1):
+                    last, first = pieces[k][1]
+                    buckets[k - 1 - left].append((head + last, first + tail, part))
             else:
                 _descend(
-                    buckets, factor + pairs, text + suffix, pieces, i + 1, deg_left - d, left, part
+                    buckets, pairs + factor, suffix + text, pieces, start, i - 1, rest, left, part
                 )

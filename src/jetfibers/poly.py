@@ -380,15 +380,17 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def _join_terms(rows: list) -> str:
-    """The text of a polynomial from its terms' rows (place, negative,
-    unsigned text) in display order, joined by their signs; "0" when there
-    is none."""
+    """The text of a polynomial from its terms' rows in display order, each
+    row ending in (negative, unsigned text), joined by their signs; "0"
+    when there is none.  Signs and texts are joined as they stand, with no
+    string made per term."""
     if not rows:
         return "0"
-    _, negative, text = rows[0]
-    chunks = ["-" + text if negative else text]
-    for _, negative, text in rows[1:]:
-        chunks.append((" - " if negative else " + ") + text)
+    chunks = []
+    for row in rows:
+        chunks.append(" - " if row[-2] else " + ")
+        chunks.append(row[-1])
+    chunks[0] = "-" if rows[0][-2] else ""  # no spaces around the leading sign
     return "".join(chunks)
 
 

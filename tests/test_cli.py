@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from jetfibers import cli, poly
+from jetfibers import cli, jets, poly
 from jetfibers.cli import build_parser, main
+from jetfibers.groebner import VerificationReport
 
 
 def run(capsys, *argv):
@@ -50,6 +51,45 @@ def test_expand_writes_text_without_the_general_formatter(capsys, monkeypatch, f
 
     monkeypatch.setattr(poly, "format_polynomial", refuse)
     assert run(capsys, *argv) == (0, expected, "")
+
+
+class _TextOnlyInJson(str):
+    """A coefficient text that the JSON encoder reads as a plain string but
+    that refuses to be formatted into expand's text output."""
+
+    def __format__(self, spec):
+        raise AssertionError("a JSON run built the text output")
+
+
+def test_json_runs_build_no_text(capsys, monkeypatch):
+    # each command builds only the output its format asks for: expand's
+    # text would format every coefficient, an verify's would call
+    # _report_lines
+    runs = [
+        ["expand", "x*y-z^5", "--m", "12", "--format", "json"],
+        ["an", "verify", "--n", "2", "--m", "5", "--format", "json"],
+    ]
+    expected = [run(capsys, *argv) for argv in runs]
+    plain = jets.expand_text
+    monkeypatch.setattr(jets, "expand_text", lambda f, m: list(map(_TextOnlyInJson, plain(f, m))))
+
+    def refuse(reports):
+        raise AssertionError("a JSON run called _report_lines")
+
+    monkeypatch.setattr(cli, "_report_lines", refuse)
+    assert [run(capsys, *argv) for argv in runs] == expected
+
+
+def test_text_runs_build_no_json(capsys, monkeypatch):
+    argv = ["an", "verify", "--n", "2", "--m", "5"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(self, include_timings=False):
+        raise AssertionError("a text run called VerificationReport.to_json_dict")
+
+    monkeypatch.setattr(VerificationReport, "to_json_dict", refuse)
+    assert run(capsys, *argv) == expected
 
 
 def test_expand_rejects_malformed_input(capsys):

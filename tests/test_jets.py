@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -131,27 +132,30 @@ def test_lambda_z_examples():
     assert lambda_z(2, 3, 1) == ()
 
 
-def _lambda_z_bruteforce(r, j, n):
-    total = n + 1
+@cache
+def _compositions_bruteforce(start, degree, w):
+    """Every weighted composition of degree over the indices >= start with
+    weight w, as (support, parts), found by trying each support and each cut
+    of degree into as many parts, with no use of _compositions."""
+    if degree == 0:
+        return frozenset({((), ())}) if w == 0 else frozenset()
     found = set()
-    indices = range(r, j + 1)
-    for size in range(1, total + 1):
+    indices = range(start, w + 1)
+    for size in range(1, degree + 1):
         for support in itertools.combinations(indices, size):
-            for cuts in itertools.combinations(range(1, total), size - 1):
+            for cuts in itertools.combinations(range(1, degree), size - 1):
                 parts = tuple(
-                    b - a for a, b in zip((0,) + cuts, cuts + (total,))
+                    b - a for a, b in zip((0,) + cuts, cuts + (degree,))
                 )
-                if all(d > 0 for d in parts) and sum(
-                    i * d for i, d in zip(support, parts)
-                ) == j:
+                if sum(i * d for i, d in zip(support, parts)) == w:
                     found.add((support, parts))
-    return found
+    return frozenset(found)
 
 
 def test_lambda_z_against_bruteforce():
     for r, j, n in itertools.product(range(3), range(7), (1, 2, 3)):
         got = set(lambda_z(r, j, n))
-        assert got == _lambda_z_bruteforce(r, j, n), (r, j, n)
+        assert got == _compositions_bruteforce(r, n + 1, j), (r, j, n)
 
 
 def test_lambda_z_entry_constraints():
@@ -170,8 +174,9 @@ def test_lambda_z_empty_iff_threshold():
 
 def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
     # one enumerator for every weight up to m: bucket j is lambda_z's entry
-    # list at j, in the same order, each with its multinomial, its factors
-    # highest index first and its text lowest index first
+    # list at j, each with its multinomial, its factors highest index first
+    # and its text lowest index first (lambda_z reads _compositions, so the
+    # order is held to an independent enumeration in the test below)
     for r, n, m in itertools.product(range(3), (1, 2, 3), range(8)):
         buckets = _compositions(r, n + 1, m, var_code(Z, 0))
         assert len(buckets) == m + 1
@@ -190,6 +195,32 @@ def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
     assert _compositions(3, 1, 2) == [[], [], []]
     # a degree above m still has its weight-0 compositions at index 0
     assert _compositions(0, 4, 2, var_code(X, 0))[0] == [(((var_code(X, 0), 4),), "*x0^4", 1)]
+
+
+def test_compositions_buckets_come_in_display_order():
+    # bucket w holds exactly the brute-force compositions of weight w, in
+    # ascending pairs, the order of a family's block in poly._display_place,
+    # so that expand_text's rows come in sorted runs
+    for start, degree, m in itertools.product(range(4), range(7), range(15)):
+        for family in (X, Y, Z):
+            offset = var_code(family, 0)
+            buckets = _compositions(start, degree, m, offset)
+            assert len(buckets) == m + 1
+            for w, bucket in enumerate(buckets):
+                expected = sorted(
+                    tuple((offset + i, d) for i, d in zip(reversed(support), reversed(parts)))
+                    for support, parts in _compositions_bruteforce(start, degree, w)
+                )
+                assert [pairs for pairs, _, _ in bucket] == expected, (start, degree, m, w)
+                assert [mult for _, _, mult in bucket] == [
+                    multinomial(tuple(d for _, d in pairs)) for pairs in expected
+                ]
+                assert [text for _, text, _ in bucket] == [
+                    "".join(
+                        f"*{var_name(c)}" + (f"^{d}" if d > 1 else "") for c, d in reversed(pairs)
+                    )
+                    for pairs in expected
+                ]
 
 
 def test_multinomial():
