@@ -126,7 +126,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--saturate",
         action="store_true",
-        help="force the saturation-level component checks at any order",
+        help="force the component checks at any order",
     )
     _add_budget_flags(p)
     _add_output_flags(p, ("text", "json"), "text")

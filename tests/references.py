@@ -20,7 +20,10 @@ package because no command runs them:
   hold the A_n cover claim to;
 * the witness arc search that evaluates every generator of the component
   (``avoids_on_arc_all_generators``), which the tests hold the ladder-only
-  search of ``an._avoids_on_arc`` to.
+  search of ``an._avoids_on_arc`` to;
+* the contracted D4 component ideals I^i = J^i : y1^inf by saturation
+  (``d4_component_ideal``), which the tests hold the chart-level
+  certificates of ``d4.verify_component_ideals`` to.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from functools import lru_cache
 
 from jetfibers import groebner as gb
 from jetfibers.an import Ladder, _fk, arc_values, containment, pair_ideal
+from jetfibers.d4 import d4_ideals
 from jetfibers.jets import _compositions, an_surface, jet_coeffs
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import (
@@ -297,3 +301,18 @@ def avoids_on_arc_all_generators(
                 v, comp, values, claim=claim, witness={"arc": [a, b, c]}, radical=False
             )
     return gb.expect_refuted(gb.member(v, comp, claim=claim))
+
+
+# ---------------------------------------------------------------------------
+# the D4 component ideals by saturation
+
+
+def d4_component_ideal(m: int, i: int) -> gb.Ideal:
+    """I^i = J^i : y1^inf, the contraction of the i-th D4 chart ideal at
+    order m, by elimination (groebner.saturate); its elimination basis is
+    served from the open session's memo."""
+    if i not in (1, 2, 3):
+        raise ValueError("chart index must be 1, 2 or 3")
+    got = gb.saturate(d4_ideals(m).j[i], Polynomial.variable(var_code(Y, 1)))
+    got.label = f"I{i}(m{m})"
+    return got

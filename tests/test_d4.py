@@ -41,6 +41,7 @@ from jetfibers.poly import (
     var_index,
 )
 from jetfibers.witnesses import avoids_at, vanishes_at
+from references import d4_component_ideal
 
 
 def P(text):
@@ -96,7 +97,7 @@ def test_checks_below_the_minimum_order_raise(run):
 
 
 def test_a_repeated_chart_transport_presolves_nothing(monkeypatch):
-    # every d4_ideals(m) builds a fresh family, but the presolves of its
+    # d4_ideals(m) builds one family per order, and the presolves of its
     # ideals are served from the session memo by their generators: inside
     # one session a second chart transport presolves nothing
     calls = []
@@ -107,7 +108,7 @@ def test_a_repeated_chart_transport_presolves_nothing(monkeypatch):
     with gb.session():
         assert verify_chart_transport(6).verified
         first = len(calls)
-        assert d4_ideals(6) is not d4_ideals(6)
+        assert d4_ideals(6) is d4_ideals(6)
         assert verify_chart_transport(6).verified
     # the three charts and I0, each presolved once
     assert first == len(set(calls)) == 4
@@ -450,22 +451,23 @@ def test_a_zero_of_p_never_verifies(text, point, outcome):
 
 
 # ---------------------------------------------------------------------------
-# component ideals (saturation level)
+# component ideals: the chart-level certificates against the saturated
+# ideals I^i = J^i : y1^inf of references.d4_component_ideal
 
 
 def test_g1_lands_in_first_component():
-    i1 = d4_ideals(5).component_ideal(1)
+    i1 = d4_component_ideal(5, 1)
     assert gb.member(g1(), i1).verified
 
 
 def test_g2_lands_in_second_component():
-    i2 = d4_ideals(5).component_ideal(2)
+    i2 = d4_component_ideal(5, 2)
     assert gb.member(g2(), i2).verified
 
 
 def test_y1_avoids_component_radicals():
     for i in (1, 2, 3):
-        comp = d4_ideals(5).component_ideal(i)
+        comp = d4_component_ideal(5, i)
         assert gb.radical_member(P("y1"), comp).outcome == gb.REFUTED
 
 
@@ -473,33 +475,33 @@ def test_y1_avoids_component_radicals():
 def test_y1_avoids_component_radicals_at_the_chart_points(m):
     # P'(1) on the first component, phi2(P'(1)) on the second and
     # phi2_inv(P'(1)) on the third: each ideal vanishes and y1 does not
-    fam = d4_ideals(m)
     for i in (1, 2, 3):
-        comp = fam.component_ideal(i)
+        comp = d4_component_ideal(m, i)
         rep = avoids_at(P("y1"), comp, chart_point(i), claim=f"y1 avoids sqrt I{i}")
         assert rep.outcome == gb.VERIFIED and rep.spairs_processed == 0
         assert "point" in rep.certificate and rep.certificate["value"] != "0"
-    # the saturation-level report takes the same points
-    subs = verify_component_ideals(m).certificate["subchecks"]
-    claims = {s["claim"]: s["certificate"] for s in subs}
+    # the component report takes the same points, on the chart ideals J^i
+    subs = _component_subchecks(m)
     for i in (1, 2, 3):
-        assert "point" in claims[f"y1 avoids sqrt I{i}(m{m})"]
+        sub = subs[f"y1 avoids sqrt I{i}(m{m})"]
+        assert sub["certificate"]["stands on"] == f"y1 avoids sqrt J{i}(m{m})"
+        assert "point" in sub["certificate"]["certificate"]
 
 
 def test_flip_swaps_saturated_components():
-    i2 = d4_ideals(5).component_ideal(2)
-    i3 = d4_ideals(5).component_ideal(3)
+    i2 = d4_component_ideal(5, 2)
+    i3 = d4_component_ideal(5, 3)
     for g in PHI1.on_ideal(i2).generators:
         assert gb.member(g, i3).verified
     for g in PHI1.on_ideal(i3).generators:
         assert gb.member(g, i2).verified
-    # the saturation-level report holds one containment report per direction,
-    # whose groups list every generator index once
-    subs = verify_component_ideals(5).certificate["subchecks"]
-    (flip,) = [s for s in subs if s["claim"] == "y-flip swaps components 2 and 3 (m5)"]
+    # the component report holds one containment report per direction, of
+    # the chart ideals, whose groups list every generator index once
+    fam = d4_ideals(5)
+    flip = _component_subchecks(5)["y-flip swaps components 2 and 3 (m5)"]
     parts = flip["certificate"]["subchecks"]
-    assert [p["claim"] for p in parts] == ["phi1(I2) subset I3(m5)", "phi1(I3) subset I2(m5)"]
-    for part, src in zip(parts, (i2, i3)):
+    assert [p["claim"] for p in parts] == ["phi1(J2) subset J3(m5)", "phi1(J3) subset J2(m5)"]
+    for part, src in zip(parts, (fam.j[2], fam.j[3])):
         cert = part["certificate"]
         assert part["outcome"] == gb.VERIFIED and cert["kind"] == "generators"
         assert "failed" not in cert
@@ -511,25 +513,114 @@ def test_component_dimensions():
     fam = d4_ideals(5)
     ambient = jet_variables(5)
     assert gb.krull_dim(fam.i0, ambient) == 11
-    assert gb.krull_dim(fam.component_ideal(1), ambient) == 11
+    assert gb.krull_dim(d4_component_ideal(5, 1), ambient) == 11
 
 
 def test_saturation_puts_back_the_linear_chart_generator():
     # the presolve solves y1 - z1 for y1; the saturated ideal must hold that
     # generator itself, not only the coordinates set to zero
     fam = d4_ideals(5)
-    i2 = fam.component_ideal(2)
+    i2 = d4_component_ideal(5, 2)
     assert P("y1 - z1") in i2.generators
     assert gb.member(P("y1 - z1"), i2).verified
-    assert verify_component_ideals(5).outcome == gb.VERIFIED
     # the pivot counts against the dimension once, as a coordinate does
     ambient = jet_variables(5)
-    for ideal in (fam.i0, fam.component_ideal(1), i2, fam.component_ideal(3)):
+    for ideal in (fam.i0, d4_component_ideal(5, 1), i2, d4_component_ideal(5, 3)):
         assert gb.krull_dim(ideal, ambient) == 2 * 5 + 1
 
 
 def test_component_report():
     assert verify_component_ideals(5).outcome == gb.VERIFIED
+
+
+def _component_subchecks(m):
+    """claim -> subcheck of the component report at order m."""
+    subs = verify_component_ideals(m).certificate["subchecks"]
+    return {s["claim"]: s for s in subs}
+
+
+def _off_y1(m):
+    """J1 + (1 - w0*y1) at order m, with its ambient ring."""
+    w = var_code("w", 0)
+    ideal = d4_ideals(m).j[1] + gb.Ideal([Polynomial.one() - Polynomial.variable(w) * P("y1")])
+    return ideal, jet_variables(m) + (w,)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_chart_certificates_agree_with_the_saturated_components(m):
+    fam = d4_ideals(m)
+    comps = {i: d4_component_ideal(m, i) for i in (1, 2, 3)}
+    subs = _component_subchecks(m)
+    assert all(s["outcome"] == gb.VERIFIED for s in subs.values())
+    # g_i in I^i, as the chart certificate y1^2*g_i in L^i+(f4,f5) says
+    for i, g in ((1, g1()), (2, g2())):
+        assert gb.member(g, comps[i]).verified
+        assert subs[f"g{i} in I{i}(m{m})"]["certificate"]["stands on"] == (
+            f"y1^2*g{i} in L{i}+(f4,f5)(m{m})"
+        )
+    # y1 outside sqrt I^i, as outside sqrt J^i
+    for i in (1, 2, 3):
+        assert gb.radical_member(P("y1"), comps[i]).outcome == gb.REFUTED
+        assert gb.radical_member(P("y1"), fam.j[i]).outcome == gb.REFUTED
+    # phi1 swaps I2 and I3, as it swaps J2 and J3
+    for src, dst in ((2, 3), (3, 2)):
+        assert gb.generators_in("flip", PHI1.on_ideal(comps[src]).generators, comps[dst]).verified
+    # dim I1 = dim J1+(1-w0*y1) = 2m+1
+    off_y1, ambient = _off_y1(m)
+    dim = gb.krull_dim(comps[1], jet_variables(m))
+    assert dim == gb.krull_dim(off_y1, ambient) == 2 * m + 1
+    dims = subs[f"component dimensions equal {2 * m + 1} at m{m}"]["certificate"]
+    assert dims == {"I0": 2 * m + 1, f"J1(m{m})+(1-w0*y1)": dim}
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_y1_times_g2_is_not_in_the_second_chart_ideal(m):
+    # the power 2 of the g2 certificate is needed
+    assert gb.member(P("y1") * g2(), d4_ideals(m).j[2]).outcome == gb.REFUTED
+
+
+def test_the_power_one_refutes_g2_in_i2(monkeypatch):
+    monkeypatch.setattr(d4, "Y1_POWER", 1)
+    sub = _component_subchecks(5)["g2 in I2(m5)"]
+    assert sub["outcome"] == gb.REFUTED
+    assert sub["certificate"]["stands on"] == "y1^1*g2 in L2+(f4,f5)(m5)"
+    assert sub["certificate"]["certificate"]["remainder"] != "0"
+    assert verify_component_ideals(5).outcome == gb.REFUTED
+
+
+def test_a_chart_point_off_the_chart_falls_back_to_the_engine(monkeypatch):
+    # x0 = 1 puts each chart point off V(J^i), where x0 is a generator: the
+    # point decides nothing, and the engine's radical query decides alone
+    moved = {i: {**chart_point(i), var_code("x", 0): Fraction(1)} for i in (1, 2, 3)}
+    monkeypatch.setattr(d4, "chart_point", moved.__getitem__)
+    subs = _component_subchecks(5)
+    for i in (1, 2, 3):
+        sub = subs[f"y1 avoids sqrt I{i}(m5)"]
+        cert = sub["certificate"]["certificate"]
+        assert set(cert) == {"point check", "engine"}
+        assert "x0" in cert["point check"]["nonvanishing"]
+        assert cert["engine"]["kind"] in ("split", "radical-trick")
+        assert sub["outcome"] == gb.VERIFIED
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_wrong_dimension_refutes(monkeypatch, shift):
+    krull_dim = gb.krull_dim
+    monkeypatch.setattr(gb, "krull_dim", lambda ideal, ambient: krull_dim(ideal, ambient) + shift)
+    report = verify_component_ideals(5)
+    sub = _component_subchecks(5)["component dimensions equal 11 at m5"]
+    assert sub["outcome"] == gb.REFUTED and sub["certificate"]["I0"] == 11 + shift
+    assert report.outcome == gb.REFUTED
+
+
+def test_a_dimension_out_of_budget_is_undecided(monkeypatch):
+    def exhausted(ideal, ambient):
+        raise gb.BudgetExhausted("buchberger", 0, 0.0)
+
+    monkeypatch.setattr(gb, "krull_dim", exhausted)
+    sub = _component_subchecks(5)["component dimensions equal 11 at m5"]
+    assert sub["outcome"] == gb.BUDGET_EXHAUSTED
+    assert sub["certificate"] == {"kind": "budget", "context": "buchberger"}
 
 
 def test_flip_fixes_distinguished_generators_up_to_sign():

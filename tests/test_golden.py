@@ -133,10 +133,10 @@ PINS = [
      "340d3cfd33ef3082c408b9f99179df550384ef7888c1236f023bd15f45ca5234", 681),
     (["d4", "verify", "--m", "6", "--budget-spairs", "50000", "--format", "json"], 0,
      "1b246c84bd55f258073674897a5f6d397d3bd855c89cca1a84aa1bf93203099e", 14291),
-    # the saturation-level checks at m != 5, the one run of the chart points
+    # the component checks at m != 5, the one run of the chart points
     # carried by phi2 and its inverse past m = 5
     (["d4", "verify", "--m", "6", "--saturate", "--format", "json"], 0,
-     "3ac14d64613c3364060553ad2f91c58898c3d4d605c13667291b0cddb4e8d754", 23399),
+     "18b0fe61ea160bed499e67de1f29a62b6272bac56607ca46fd6574d87d2d294e", 19437),
     # longer jet tails through the presolve's linear substitution
     (["d4", "verify", "--m", "10", "--format", "json"], 0,
      "331473c9128b9a0c86384235c8713eb628295569a9a7c2fdfe6811e280a27bd4", 15252),

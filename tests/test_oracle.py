@@ -24,6 +24,7 @@ from jetfibers.groebner import (
     elimination_order,
 )
 from jetfibers.poly import AUX, X, Polynomial, var_code, var_family, var_name
+from references import d4_component_ideal
 
 sympy = pytest.importorskip("sympy")
 
@@ -92,8 +93,9 @@ def test_buchberger_matches_sympy_groebner(order, sympy_order):
 
 
 def test_elimination_inputs_of_d4_components_match_sympy(monkeypatch):
-    # every input the engine eliminates w from while it builds the D4
-    # component ideals at m=5 by saturation, and intersects them pairwise
+    # every input the engine eliminates w from while the reference builds
+    # the D4 component ideals at m=5 by saturation, and intersects them
+    # pairwise
     inputs = []
     eliminate = gb._eliminate_aux
 
@@ -102,8 +104,7 @@ def test_elimination_inputs_of_d4_components_match_sympy(monkeypatch):
         return eliminate(gens, w)
 
     monkeypatch.setattr(gb, "_eliminate_aux", recorded)
-    fam = d4.d4_ideals(5)
-    components = [fam.component_ideal(i) for i in (1, 2, 3)]
+    components = [d4_component_ideal(5, i) for i in (1, 2, 3)]
     for a, b in zip(components, components[1:]):
         gb.ideal_intersect_elim(a, b)
     assert len(inputs) == 5

@@ -31,6 +31,7 @@ ALLOWED = {
     ("poly", "substitute_series"): "perfbench traces it as the jets.substitute_series span, "
     "and its self-test looks the name up on jets",
     ("groebner", "ideal_intersect_elim"): "perfbench traces it as a groebner span",
+    ("groebner", "saturate"): "perfbench traces it as a groebner span",
     ("_kernel_py", "mono_div"): "perfbench counts its calls as kernel.mono_div",
     ("_kernel_py", "mono_cmp"): "perfbench counts its calls as kernel.mono_cmp",
     ("_kernel_py", "mul_terms"): "perfbench traces it as the kernel.mul_terms span",

@@ -39,7 +39,7 @@ _AN = re.compile(r"J\(n(\d+),m(\d+);(\d+),(\d+)\) subset (\S+)")
 _D4_CHART = re.compile(r"(phi[12])\(L(\d)\) subset L(\d)")
 _D4_I0 = re.compile(r"(phi[12])\(I0\) subset I0\(m\d+\)")
 _D4_LEMMA = re.compile(r"I0\(m\d+\) subset sqrt J(\d)\+J(\d)\(m\d+\)")
-_D4_FLIP = re.compile(r"phi1\(I(\d)\) subset I(\d)\(m\d+\)")
+_D4_FLIP = re.compile(r"phi1\(J(\d)\) subset J(\d)\(m\d+\)")
 
 
 def _grouped(node):
@@ -82,7 +82,7 @@ def _d4_containment(claim, m):
         i, j = map(int, hit.groups())
         gens, ideal = fam.i0.generators, fam.j[i] + fam.j[j]
     elif hit := _D4_FLIP.fullmatch(claim):
-        src, dst = (fam.component_ideal(int(i)) for i in hit.groups())
+        src, dst = (fam.j[int(i)] for i in hit.groups())
         gens, ideal = PHI1.on_ideal(src).generators, dst
     else:
         raise AssertionError(f"no replay for the containment claim {claim!r}")
