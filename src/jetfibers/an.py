@@ -21,7 +21,7 @@ V(C_u): the meet of the C_u lies in sqrt J, with no intersection computed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from math import prod
 
@@ -34,17 +34,15 @@ from .witnesses import avoids_at
 # ladders
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(namedtuple("Ladder", "p q r")):
     """The ideal of the first p x-, q y- and r z-coordinates."""
 
-    p: int
-    q: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.p, self.q, self.r) < 0:
+    def __new__(cls, p, q, r):
+        if min(p, q, r) < 0:
             raise ValueError("ladder heights must be nonnegative")
+        return super().__new__(cls, p, q, r)
 
     @property
     def label(self) -> str:
@@ -79,13 +77,11 @@ def pair_ideal(n: int, m: int, i: int, j: int) -> gb.Ideal:
 # intersection decompositions
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(namedtuple("ComponentDescriptor", "ladder f_tail", defaults=(None,))):
     """One irreducible piece of a pairwise intersection: a ladder, plus the
-    jet-equation tail f^(first..last) in the thick regime."""
+    jet-equation tail f^(first..last) in the thick regime, or None."""
 
-    ladder: Ladder
-    f_tail: tuple[int, int] | None = None
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -109,15 +105,14 @@ class ComponentDescriptor:
         return dim
 
 
-@dataclass(frozen=True)
-class IntersectionDecomposition:
-    n: int
-    m: int
-    i: int
-    j: int
-    case: str
-    components: tuple[ComponentDescriptor, ...]
-    dimension: int
+class IntersectionDecomposition(
+    namedtuple("IntersectionDecomposition", "n m i j case components dimension")
+):
+    """The components of the (i, j) intersection at (n, m), a tuple of
+    ComponentDescriptor, the parameter regime that selects them and the
+    intersection's dimension."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:

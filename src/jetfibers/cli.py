@@ -75,66 +75,85 @@ def _add_output_flags(p, formats, default):
 
 
 @functools.cache
-def build_parser() -> _Parser:
-    # built on the first command and shared by the rest of the process: a
-    # parse keeps no state in the parser
+def build_parser(path: tuple[str, ...] = ()) -> _Parser:
+    """The parser of the commands on path, the leading words of a command
+    line that name a handler, such as ("an", "verify") or ("expand",); the
+    empty path gives the full parser, with every command.  A command parses
+    the same on either, up to arguments left over, which main hands to the
+    full parser so that its usage line reports them.  Each parser is built
+    on the first command that needs it and shared by the rest of the
+    process: a parse keeps no state in the parser."""
+
+    def wanted(*names):
+        return names[: len(path)] == path[: len(names)]
+
     parser = _Parser(prog="jetfibers", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("expand", help="expand an ambient polynomial along a generic jet")
-    p.add_argument("f", metavar="POLY")
-    p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p, ("text", "json"), "text")
+    if wanted("expand"):
+        p = sub.add_parser("expand", help="expand an ambient polynomial along a generic jet")
+        p.add_argument("f", metavar="POLY")
+        p.add_argument("--m", type=int, required=True)
+        _add_output_flags(p, ("text", "json"), "text")
 
-    pan = sub.add_parser("an", help="A-series surface commands")
-    an_sub = pan.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    if wanted("an"):
+        pan = sub.add_parser("an", help="A-series surface commands")
+        an_sub = pan.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = an_sub.add_parser("decompose", help="decompose one pairwise intersection")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    _add_output_flags(p, ("text", "json"), "text")
+    if wanted("an", "decompose"):
+        p = an_sub.add_parser("decompose", help="decompose one pairwise intersection")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--j", type=int, required=True)
+        _add_output_flags(p, ("text", "json"), "text")
 
-    p = an_sub.add_parser("table", help="dimension/component-count summary table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", required=True, metavar="M|A..B")
-    _add_output_flags(p, ("text", "csv", "json"), "text")
+    if wanted("an", "table"):
+        p = an_sub.add_parser("table", help="dimension/component-count summary table")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", required=True, metavar="M|A..B")
+        _add_output_flags(p, ("text", "csv", "json"), "text")
 
-    p = an_sub.add_parser("graph", help="fiber intersection graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    _add_output_flags(p, ("dot", "json"), "dot")
+    if wanted("an", "graph"):
+        p = an_sub.add_parser("graph", help="fiber intersection graph")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, default=None)
+        _add_output_flags(p, ("dot", "json"), "dot")
 
-    p = an_sub.add_parser("verify", help="engine verification of the decompositions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    _add_budget_flags(p)
-    _add_output_flags(p, ("text", "json"), "text")
+    if wanted("an", "verify"):
+        p = an_sub.add_parser("verify", help="engine verification of the decompositions")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--i", type=int, default=None)
+        p.add_argument("--j", type=int, default=None)
+        _add_budget_flags(p)
+        _add_output_flags(p, ("text", "json"), "text")
 
-    pd4 = sub.add_parser("d4", help="D4 surface commands")
-    d4_sub = pd4.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    if wanted("d4"):
+        pd4 = sub.add_parser("d4", help="D4 surface commands")
+        d4_sub = pd4.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = d4_sub.add_parser("ideals", help="list the chart and component ideals")
-    p.add_argument("--m", type=int, required=True)
-    _add_output_flags(p, ("text", "json"), "text")
+    if wanted("d4", "ideals"):
+        p = d4_sub.add_parser("ideals", help="list the chart and component ideals")
+        p.add_argument("--m", type=int, required=True)
+        _add_output_flags(p, ("text", "json"), "text")
 
-    p = d4_sub.add_parser("verify", help="run the certificate suite")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--saturate",
-        action="store_true",
-        help="force the component checks at any order",
-    )
-    _add_budget_flags(p)
-    _add_output_flags(p, ("text", "json"), "text")
+    if wanted("d4", "verify"):
+        p = d4_sub.add_parser("verify", help="run the certificate suite")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument(
+            "--saturate",
+            action="store_true",
+            help="force the component checks at any order",
+        )
+        _add_budget_flags(p)
+        _add_output_flags(p, ("text", "json"), "text")
 
-    p = d4_sub.add_parser("graph", help="fiber intersection graph")
-    p.add_argument("--m", type=int, required=True)
-    _add_budget_flags(p)
-    _add_output_flags(p, ("dot", "json"), "dot")
+    if wanted("d4", "graph"):
+        p = d4_sub.add_parser("graph", help="fiber intersection graph")
+        p.add_argument("--m", type=int, required=True)
+        _add_budget_flags(p)
+        _add_output_flags(p, ("dot", "json"), "dot")
 
     return parser
 
@@ -440,10 +459,22 @@ _HANDLERS = {
 }
 
 
+def _command_path(argv) -> tuple[str, ...]:
+    """The leading words of argv that name a handler, or () when they name
+    none: a help flag or an unknown word in their place, or no words."""
+    for command, subcommand in _HANDLERS:
+        path = (command,) if subcommand is None else (command, subcommand)
+        if tuple(argv[: len(path)]) == path:
+            return path
+    return ()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(_command_path(argv)).parse_known_args(argv)
+        if extra:  # the full parser rejects them under its usage line
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]

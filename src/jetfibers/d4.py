@@ -19,7 +19,7 @@ of ``verify_suite`` are that report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -53,18 +53,14 @@ def _fk(m: int, k: int) -> Polynomial:
 # the ideal family
 
 
-@dataclass(frozen=True)
-class D4IdealFamily:
+class D4IdealFamily(namedtuple("D4IdealFamily", "m l322 charts i0 j")):
     """The ladder L(3,2,2), the charts L^i, the distinguished ideal I0 and
-    the chart ideals J^i at one jet order.  One family per order serves
+    the chart ideals J^i at one jet order; charts and j map i = 1, 2, 3 to
+    L^i and to J^i = L^i + jet equations.  One family per order serves
     every caller in a process, so no caller may change it; the presolves
     and bases of its ideals live in the open session's memo."""
 
-    m: int
-    l322: gb.Ideal
-    charts: dict[int, gb.Ideal]  # L^1, L^2, L^3
-    i0: gb.Ideal
-    j: dict[int, gb.Ideal]  # J^i = L^i + jet equations
+    __slots__ = ()
 
 
 @cache
@@ -92,16 +88,11 @@ def d4_ideals(m: int) -> D4IdealFamily:
 # automorphisms
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(namedtuple("Automorphism", "name yy yz zy zz")):
     """A surface symmetry acting jet-index-wise: x fixed, (y, z) through an
-    invertible rational 2x2 matrix."""
+    invertible rational 2x2 matrix [[yy, yz], [zy, zz]]."""
 
-    name: str
-    yy: Fraction
-    yz: Fraction
-    zy: Fraction
-    zz: Fraction
+    __slots__ = ()
 
     def _images(self, codes):
         out = {}
@@ -495,8 +486,12 @@ def _on_chart(claim: str, fact: gb.VerificationReport) -> gb.VerificationReport:
     """The report of a claim about a contracted ideal I^i that a fact about
     its chart ideal J^i implies: the fact's outcome, S-pairs and seconds,
     with the fact's claim and certificate under "stands on"."""
-    return replace(
-        fact, claim=claim, certificate={"stands on": fact.claim, "certificate": fact.certificate}
+    return gb.VerificationReport(
+        claim,
+        fact.outcome,
+        {"stands on": fact.claim, "certificate": fact.certificate},
+        fact.spairs_processed,
+        fact.seconds,
     )
 
 

@@ -10,13 +10,14 @@ surface modules, and the commands hand them to ``component_graph``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class IntersectionGraph:
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+class IntersectionGraph(namedtuple("IntersectionGraph", "vertices edges")):
+    """Sorted vertex labels, a tuple, and a frozenset of edges, each an
+    ordered pair of labels."""
+
+    __slots__ = ()
 
     def degree(self, v: str) -> int:
         return sum(1 for e in self.edges if v in e)

@@ -104,9 +104,9 @@ as the fallback (witnesses.avoids_at).
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import compress
@@ -130,18 +130,18 @@ _first = itemgetter(0)
 # monomial orders
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", "eliminate")):
     """grevlex, or with eliminate the elimination order of that auxiliary
     variable: more of it ranks higher, and grevlex on the other variables
     breaks ties.  The variable must rank above every other variable of the
     ring it is used in, as a fresh auxiliary slot does."""
 
-    eliminate: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eliminate is not None and var_family(self.eliminate) != AUX:
+    def __new__(cls, eliminate=None):
+        if eliminate is not None and var_family(eliminate) != AUX:
             raise ValueError("only an auxiliary variable can be eliminated")
+        return super().__new__(cls, eliminate)
 
 
 GREVLEX_ORDER = MonomialOrder()
@@ -155,15 +155,13 @@ def elimination_order(w: int) -> MonomialOrder:
 # budgets and reports
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(namedtuple("Budget", "max_spairs max_seconds", defaults=(100_000, 300.0))):
     """Work limits for a whole engine session: max_spairs bounds the S-pairs
     popped by every basis it builds together, and max_seconds the time since
     it opened.  An S-pair counts as processed when it is popped from the
     queue, whether or not a criterion discards it."""
 
-    max_spairs: int = 100_000
-    max_seconds: float = 300.0
+    __slots__ = ()
 
 
 class _Session:
@@ -237,16 +235,18 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 _OUTCOME_RANK = {VERIFIED: 0, BUDGET_EXHAUSTED: 1, REFUTED: 2}
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one checked claim.  A refutation always carries a concrete
     witness in the certificate; timings never affect the canonical JSON."""
 
-    claim: str
-    outcome: str
-    certificate: object = None
-    spairs_processed: int = 0
-    seconds: float = 0.0
+    __slots__ = ("claim", "outcome", "certificate", "spairs_processed", "seconds")
+
+    def __init__(self, claim, outcome, certificate=None, spairs_processed=0, seconds=0.0):
+        self.claim = claim
+        self.outcome = outcome
+        self.certificate = certificate
+        self.spairs_processed = spairs_processed
+        self.seconds = seconds
 
     @property
     def verified(self) -> bool:
@@ -314,7 +314,9 @@ def merge_reports(claim: str, reports) -> VerificationReport:
 def expect_refuted(report: VerificationReport) -> VerificationReport:
     """Invert a membership report: non-membership is the claim here."""
     swapped = {VERIFIED: REFUTED, REFUTED: VERIFIED}.get(report.outcome, report.outcome)
-    return replace(report, outcome=swapped)
+    return VerificationReport(
+        report.claim, swapped, report.certificate, report.spairs_processed, report.seconds
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +537,15 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBa
         packing = ring.packing
         key, guards, low = packing.key, packing.guards, packing.low
 
-        basis: list[dict] = []  # primitive int polynomials
-        leads: list[int] = []
-        lcs: list[int] = []  # their lead coefficients, all positive
+        basis = []  # primitive int polynomials
+        leads = []  # their packed lead monomials
+        lcs = []  # their lead coefficients, all positive
         sess.spairs = charged  # a run begun again wider is not charged twice
 
-        queue: list[tuple] = []  # heap of (lcm degree, order key of the lcm, i, j)
-        pending: set[tuple[int, int]] = set()
+        queue = []  # heap of (lcm degree, order key of the lcm, i, j)
+        pending = set()  # the (i, j) still in the queue
 
-        def add_poly(h: dict):
+        def add_poly(h):
             """Add a nonzero normal form, made primitive."""
             h = _K.primitive(h)
             lm, lc = next(iter(h.items()))  # a normal form comes lead first
@@ -599,12 +601,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX_ORDER) -> GroebnerBa
 
         # minimalize: drop elements whose lead another lead divides
         ordered = sorted(range(len(basis)), key=lambda k: key(leads[k]))
-        kept: list[int] = []
+        kept = []
         for k in ordered:
             if all((leads[k] - leads[t]) & guards for t in kept):
                 kept.append(k)
         # interreduce tails; no lead divides another, so each lead stays
-        final: list[dict] = [basis[k] for k in kept]
+        final = [basis[k] for k in kept]
         final_leads = [leads[k] for k in kept]
         for idx in range(len(final)):
             others = final[:idx] + final[idx + 1 :]
@@ -931,13 +933,9 @@ def _min_hitting(supports: tuple[frozenset, ...], memo: dict) -> int:
     if got is not None:
         return got
     pivot = min(supports, key=lambda s: (len(s), sorted(s)))
-    best = None
-    for v in sorted(pivot):
-        rest = tuple(s for s in supports if v not in s)
-        cand = 1 + _min_hitting(rest, memo)
-        if best is None or cand < best:
-            best = cand
-    memo[supports] = best
+    best = memo[supports] = 1 + min(
+        _min_hitting(tuple(s for s in supports if v not in s), memo) for v in sorted(pivot)
+    )
     return best
 
 

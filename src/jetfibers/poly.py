@@ -44,7 +44,6 @@ each family's pairs as they stand in the monomial.
 
 from __future__ import annotations
 
-import string
 from fractions import Fraction
 from math import lcm
 
@@ -410,8 +409,8 @@ _NUMBER, _NAME, _OP, _END = "number", "name", "op", "end"
 
 
 # ASCII only: str.isdigit and str.isalpha take other scripts' digits too
-_DIGITS = frozenset(string.digits)
-_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _tokenize(text: str):

@@ -10,8 +10,6 @@ p, says nothing about the claim; the engine query then decides it alone.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import groebner as gb
 from .poly import Polynomial, evaluate, var_name
 
@@ -56,4 +54,10 @@ def avoids_at(
     query = gb.radical_member if radical else gb.member
     engine = gb.expect_refuted(query(p, ideal, claim=claim))
     failed = {**cert, **on.certificate}
-    return replace(engine, certificate={"point check": failed, "engine": engine.certificate})
+    return gb.VerificationReport(
+        engine.claim,
+        engine.outcome,
+        {"point check": failed, "engine": engine.certificate},
+        engine.spairs_processed,
+        engine.seconds,
+    )

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -429,7 +428,7 @@ def test_case_guard_refutes_a_wrong_dimension(monkeypatch):
 def test_case_guard_refutes_a_repeated_component():
     dec = decompose_intersection(3, 5, 1, 2)
     assert dec.count == 2
-    twice = dataclasses.replace(dec, components=(dec.components[0],) * 2)
+    twice = dec._replace(components=(dec.components[0],) * 2)
     guard = _case_guard(twice)
     assert guard.outcome == gb.REFUTED
     assert guard.certificate["witness"] == f"{dec.components[0].label} listed twice"
@@ -466,7 +465,7 @@ def _tree_leaves(tree):
 
 
 def _without(dec, u):
-    return dataclasses.replace(dec, components=dec.components[:u] + dec.components[u + 1:])
+    return dec._replace(components=dec.components[:u] + dec.components[u + 1:])
 
 
 @pytest.mark.parametrize("n, m, i, j", DROPPED)
@@ -519,7 +518,7 @@ def _x0_and_y0():
     (y0), to hold the cover claim to an ideal of one's own."""
     dec = decompose_intersection(2, 2, 1, 2)
     comps = (ComponentDescriptor(Ladder(1, 0, 0)), ComponentDescriptor(Ladder(0, 1, 0)))
-    return dataclasses.replace(dec, components=comps)
+    return dec._replace(components=comps)
 
 
 def test_a_leaf_with_no_monomial_generator_checks_the_products():

@@ -1,4 +1,5 @@
 import json
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -132,6 +133,84 @@ def test_shared_parser_keeps_no_state_between_commands(capsys):
     assert code == 1 and "invalid choice" in err
     assert run(capsys, "an", "table", "--n", "3", "--m", "3..7") == fresh
     assert build_parser.cache_info().misses == 1
+
+
+# each handler path and flags it runs with; dropping the last flag and its
+# value leaves a required one out
+_LEAVES = {
+    ("expand",): ["x*y - z^2", "--m", "2"],
+    ("an", "decompose"): ["--n", "3", "--m", "4", "--i", "1", "--j", "2"],
+    ("an", "table"): ["--n", "3", "--m", "3..5"],
+    ("an", "graph"): ["--n", "3"],
+    ("an", "verify"): ["--n", "2", "--m", "3"],
+    ("d4", "ideals"): ["--m", "5"],
+    ("d4", "verify"): ["--m", "5"],
+    ("d4", "graph"): ["--m", "5"],
+}
+PARITY = (
+    [[], ["-h"], ["an", "-h"], ["d4", "--help"]]
+    + [["bogus"], ["an", "bogus"], ["d4", "bogus", "--m", "5"], ["an", "--n", "2", "verify"]]
+    + [
+        [*path, *tail]
+        for path, flags in _LEAVES.items()
+        for tail in (
+            flags,
+            ["-h"],
+            flags[:-2],
+            [*flags, "--format", "yaml"],
+            # a usage error on the budgeted leaves, an unrecognized pair on the rest
+            [*flags, "--budget-spairs", "-1"],
+            [*flags, "extra"],
+        )
+    ]
+)
+
+
+class _FullParse:
+    """The full parser, parsing with parse_args: nothing is left over for
+    main to hand on."""
+
+    def __init__(self):
+        self.parser = build_parser(())
+
+    def parse_known_args(self, argv):
+        return self.parser.parse_args(argv), []
+
+
+@pytest.mark.parametrize("argv", PARITY, ids=[" ".join(a) or "<empty>" for a in PARITY])
+def test_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # main parses with the parser of the command's path alone; a parse by
+    # the full parser must give the same exit code, output and error text
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", lambda path=(), full=_FullParse(): full)
+    assert got == run(capsys, *argv)
+
+
+def test_an_expand_run_builds_the_expand_parser_only(capsys):
+    build_parser.cache_clear()
+    assert run(capsys, "expand", "x", "--m", "1")[0] == 0
+    assert build_parser.cache_info().currsize == 1
+    assert build_parser(("expand",)).format_usage() == "usage: jetfibers [-h] {expand} ...\n"
+    assert build_parser.cache_info().misses == 1
+
+
+def test_commands_load_no_introspection_modules():
+    # pytest imports dataclasses itself, so a fresh interpreter runs the
+    # check, and -S keeps the imports of site and its .pth files out of it
+    src = Path(cli.__file__).parents[1]
+    code = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import jetfibers.cli, jetfibers.d4\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert jetfibers.cli.main(['an', 'verify', '--n', '2', '--m', '5']) == 0\n"
+        "print(sorted({'dataclasses', 'inspect', 'string'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_unknown_format_is_usage_error(capsys):
