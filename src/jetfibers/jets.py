@@ -12,17 +12,24 @@ plain and the shifted coefficients alike.
 
 Every coefficient is written down by the multinomial theorem, with no
 series product: each term of f^(j) is one choice of a weighted composition
-per variable family, times its multinomials.  One descent,
-``_compositions``, lists those compositions by weight, each with its
-factors as monomial pairs, its printed text and its multinomial, and each
-weight's list comes in display order (ascending pairs, the order of a
-family's block in ``poly._display_place``).  Two readers share it:
-``expand_ambient`` builds the coefficient polynomials from the pairs, and
-``expand_text``, the ``expand`` command's path, writes each coefficient's
-text from the texts, placing every term by its pairs, with no Polynomial
-and no per-term factor sort in between.  Because the z compositions come
-presorted, each coefficient's rows arrive in sorted runs, and its one sort
-merges them.  The paper's closed formula for the shifted coefficients,
+per variable family, times its multinomials.  Two enumerations list those
+compositions, each for the reader it suits.  The descent,
+``_compositions``, lists every weight up to m at once, each composition as
+its factors' monomial pairs and its multinomial; ``expand_ambient`` builds
+the coefficient polynomials from it, and through ``jet_coeffs`` so does
+every verify command, at the small orders where one pass over all weights
+costs least.  The weight table, ``_WeightTable``, lists one exact weight
+at a time from the weights below it, each composition also with its
+printed text and in display order (ascending pairs, the order of a
+family's block in ``poly._display_place``); ``expand_text``, the
+``expand`` command's path, writes each printed coefficient from it, placing
+every term by its pairs, with no Polynomial and no per-term factor sort in
+between.  It keeps for the whole call only the lists that later
+coefficients read again: a term in one variable family, such as z^(n+1),
+reads its top-degree list at one weight only, so that list is built for
+its coefficient and dropped with it.  Because each list comes presorted,
+each coefficient's rows arrive in sorted runs, and its one sort merges
+them.  The paper's closed formula for the shifted coefficients,
 with its index sets, and the shift lemma's reindexed coefficients live
 with the tests (``tests/references.py``), which hold ``jet_coeffs`` to
 both.
@@ -34,8 +41,10 @@ name up on this module.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import islice
 
 from .poly import (  # noqa: F401  (substitute_series: see the docstring)
     Polynomial,
@@ -93,7 +102,7 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
         num, den = c.numerator, c.denominator
         made: dict = {}  # numerator -> its Fraction, built once per term of f
         xs, ys, zs = (
-            [(w, pairs, mult) for w, bucket in enumerate(b) for pairs, _, mult in bucket]
+            [(w, pairs, mult) for w, bucket in enumerate(b) for pairs, mult in bucket]
             for b in buckets
         )
         # x codes rank above y codes above z codes, so the concatenated
@@ -118,25 +127,78 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
 
 def expand_text(f: Polynomial, m: int) -> list[str]:
     """format_polynomial of each coefficient of expand_ambient(f, m), byte
-    for byte, with no Polynomial built: a term of f^(j) is written
-    magnitude*x*y*z from its compositions' texts and placed by its row's
-    first three fields (z pairs, y pairs, x pairs), the first three blocks
-    of its display place (poly._display_place), whose w and t blocks are
-    empty; they stand in the row itself, not in a tuple of their own, which
-    saves a tuple per term.  Each coefficient's rows are sorted and joined
-    before the next coefficient's are built.
+    for byte, with no Polynomial built, one coefficient at a time: a term of
+    f^(j) is written magnitude*x*y*z from its compositions' texts, read from
+    one _WeightTable per family, and placed by its row's first three fields
+    (z pairs, y pairs, x pairs), the first three blocks of its display place
+    (poly._display_place), whose w and t blocks are empty; they stand in the
+    row itself, not in a tuple of their own, which saves a tuple per term.
+    Each coefficient's rows are sorted and joined before the next
+    coefficient's are built.
 
-    For each x and y composition the rows of one z bucket follow in that
-    bucket's order, which _compositions makes ascending, so the rows come
-    as sorted runs, one per (x, y) choice; the sort stays as the guarantee
-    of the order, and on presorted runs Timsort only merges them."""
-    terms = _term_buckets(f, m, (0, 0, 0))
+    A term of f in one variable family (a constant counts as one in z)
+    reads that family's list at weight j only.  A term in several families
+    reads, at every j, each family's lists at all weights up to j, so those
+    lists are kept as columns indexed by weight.  The tables memoize the
+    columns' lists and every degree below a family's top one, which
+    building the top degree reads; the one list nothing reads again, the top
+    degree of a family when only one-family terms take it, is built for its
+    coefficient and never stored.
+
+    Each list is ascending, so for one x and y composition the rows of a z
+    list come in order, and the rows arrive as sorted runs, one per (x, y)
+    choice; the sort stays as the guarantee of the order, and on presorted
+    runs Timsort only merges them."""
+    if m < 0:
+        raise ValueError("series order must be nonnegative")
+    _check_ambient(f)
+    tables = [_WeightTable(0, var_code(family, 0)) for family in (X, Y, Z)]
+    ones = []  # (c, family, degree) per one-family term
+    several = []  # (c, its x, y and z columns) per several-family term
+    columns: dict = {}  # (family, degree) -> its lists at weights 0, 1, ...
+    for mono, c in f.items():
+        exps = dict(mono)
+        degrees = [exps.get(table.offset, 0) for table in tables]
+        families = [k for k, d in enumerate(degrees) if d]
+        if len(families) > 1:
+            several.append((c, [columns.setdefault((k, d), []) for k, d in enumerate(degrees)]))
+        else:
+            k = families[0] if families else 2
+            ones.append((c, k, degrees[k]))
+    # building a family's list at one degree reads its lists at every degree
+    # below, so only the top degree of a family, when no column reads it,
+    # is read once: built for its coefficient and never stored
+    top = [0, 0, 0]
+    for k, d in [*columns, *((k, d) for _, k, d in ones)]:
+        top[k] = max(top[k], d)
+    singles = [
+        (c, k, d, tables[k].build if d == top[k] and (k, d) not in columns else tables[k].get)
+        for c, k, d in ones
+    ]
     out = []
     for j in range(m + 1):
+        for (k, d), column in columns.items():
+            column.append(tables[k].get(d, j))
         rows = []
-        for c, bx, by, bz in terms:
+        for c, k, d, read in singles:
             num, den = c.numerator, c.denominator
             prefixes = {}  # numerator -> its _magnitude
+            for pairs, text, mult in read(d, j):
+                n = num * mult
+                prefix = prefixes.get(n)
+                if prefix is None:
+                    prefix = prefixes[n] = _magnitude(n, den)
+                # texts start with "*"; a lone constant 1 has none
+                text = prefix + text if prefix else text[1:] or "1"
+                if k == 2:
+                    rows.append((pairs, (), (), n < 0, text))
+                elif k == 1:
+                    rows.append(((), pairs, (), n < 0, text))
+                else:
+                    rows.append(((), (), pairs, n < 0, text))
+        for c, (bx, by, bz) in several:
+            num, den = c.numerator, c.denominator
+            prefixes = {}
             for wx in range(j + 1):
                 for px, tx, mx in bx[wx]:
                     for wy in range(j - wx + 1):
@@ -149,10 +211,9 @@ def expand_text(f: Polynomial, m: int) -> list[str]:
                                 prefix = prefixes.get(n)
                                 if prefix is None:
                                     prefix = prefixes[n] = _magnitude(n, den)
-                                # texts start with "*"; a lone constant 1 has none
-                                text = txy + tz
+                                text = txy + tz  # two families: never empty
                                 rows.append(
-                                    (pz, py, px, n < 0, prefix + text if prefix else text[1:] or "1")
+                                    (pz, py, px, n < 0, prefix + text if prefix else text[1:])
                                 )
         # the pairs differ between monomials, so the sort never compares past them
         rows.sort()
@@ -219,71 +280,127 @@ def t_order(f: Polynomial, point: dict, m: int) -> int | None:
     return None
 
 
+class _WeightTable:
+    """The weighted compositions of one variable family by exact weight.
+
+    get(r, w) lists the compositions of r over the indices start <= i_1 <
+    ... < i_l with positive parts d_k and weight sum(i_k * d_k) = w, as
+    records (pairs, text, multinomial) like _compositions' with the printed
+    text added: text is "*v_1^d_1*...*v_l^d_l", lowest index first as
+    printed, each exponent written only above 1.  Each list is in ascending
+    pairs, the order of a family's block in poly._display_place.  Degree 0
+    has the one empty composition, of weight 0.
+
+    build(r, w) makes the list from lists of lower degree: first every part
+    on start, when start * r = w; then for each highest index i, from the
+    least that can reach w with r parts, and each part d ascending, the
+    piece v_i^d put before the prefix of get(r - d, w - i*d) whose highest
+    index is below i, with the multinomial times C(r, d).  Ascending lists
+    make that prefix a bisection and keep the new list ascending.  get
+    memoizes what build returns, for lists that are read again; a list read
+    once is asked of build and never stored.
+    """
+
+    __slots__ = ("start", "offset", "lists", "pieces")
+
+    def __init__(self, start: int, offset: int):
+        self.start = start
+        self.offset = offset
+        self.lists: dict = {}
+        self.pieces: dict = {}  # (i, d) -> v_i^d as a one-pair tuple and as text
+
+    def get(self, r: int, w: int) -> list:
+        found = self.lists.get((r, w))
+        if found is None:
+            found = self.lists[r, w] = self.build(r, w)
+        return found
+
+    def build(self, r: int, w: int) -> list:
+        start = self.start
+        spare = w - start * r
+        if r == 0 or spare < 0:
+            return [((), "", 1)] if r == w == 0 else []
+        out = [self._piece(start, r) + (1,)] if spare == 0 else []
+        for i in range(max(start + 1, -(-w // r)), start + spare + 1):
+            # a record sorts below ((code of v_i,),) exactly when its
+            # highest index is below i (the empty composition included)
+            cut = (((self.offset + i,),),)
+            for d in range(1, min(r, spare // (i - start)) + 1):
+                rest = self.get(r - d, w - i * d)
+                below = bisect_left(rest, cut)
+                if below:
+                    head, name = self._piece(i, d)
+                    part = math.comb(r, d)
+                    out += [
+                        (head + pairs, text + name, mult * part)
+                        for pairs, text, mult in islice(rest, below)
+                    ]
+        return out
+
+    def _piece(self, i: int, d: int) -> tuple:
+        piece = self.pieces.get((i, d))
+        if piece is None:
+            code = self.offset + i
+            piece = self.pieces[i, d] = (
+                ((code, d),),
+                f"*{var_name(code)}" + (f"^{d}" if d > 1 else ""),
+            )
+        return piece
+
+
 def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list]:
     """Weighted compositions of degree, bucketed by weight up to m.
 
     buckets[w] lists, for each choice of indices start <= i_1 < ... < i_l
     with positive parts d_k summing to degree and weight sum(i_k * d_k) = w,
-    the record (pairs, text, multinomial): pairs is ((offset + i_l, d_l),
-    ..., (offset + i_1, d_1)), highest index first as in a monomial; text is
-    "*v_1^d_1*...*v_l^d_l", lowest index first as printed, each exponent
-    written only above 1; the multinomial degree! / (d_1! ... d_l!) is
-    carried down the recursion as a product of binomials.  Degree 0 has the
-    one empty composition, of weight 0.
+    the record (pairs, multinomial): pairs is ((offset + i_l, d_l), ...,
+    (offset + i_1, d_1)), highest index first as in a monomial; the
+    multinomial degree! / (d_1! ... d_l!) is carried down the recursion as
+    a product of binomials.  Degree 0 has the one empty composition, of
+    weight 0.
 
-    Each bucket lists its records in ascending pairs, which is the order of
-    a family's block in poly._display_place: _descend fixes the highest
-    index first and takes every choice in ascending order, so the whole
-    enumeration ascends in pairs and so does each bucket it fills.
+    One pass over every weight up to m: at the small orders the verify
+    commands expand at, it costs less than building each weight from the
+    weights below it, as _WeightTable does for expand_text.
     """
     if m < 0:
         raise ValueError("weight bound must be nonnegative")
     buckets: list[list] = [[] for _ in range(m + 1)]
     if degree == 0:
-        buckets[0].append(((), "", 1))
+        buckets[0].append(((), 1))
     elif start * degree <= m:
-        # pieces[i][d]: v_i^d as a one-pair tuple and as text, made once per
-        # call so that the compositions share their pair tuples
+        # pieces[i][d]: v_i^d as a one-pair tuple, made once per call so
+        # that the compositions share their pair tuples
         pieces = [
-            [None] + [
-                (((offset + i, d),), f"*{var_name(offset + i)}" + (f"^{d}" if d > 1 else ""))
-                for d in range(1, degree + 1)
-                if i * d <= m
-            ]
+            [None] + [((offset + i, d),) for d in range(1, degree + 1) if i * d <= m]
             for i in range(m + 1)
         ]
-        _descend(buckets, (), "", pieces, start, m, degree, m, 1)
+        _descend(buckets, (), pieces, start, m, degree, m, 1)
     return buckets
 
 
-def _descend(buckets, pairs, text, pieces, start, top, deg_left, weight_left, mult):
-    """Extend the composition (pairs, text), whose indices all exceed top,
-    by deg_left more parts on the indices start..top, in ascending pairs
-    order: first every part on start, then each highest index i > start
-    with each part d ascending, followed by the rest below i.  The rest
-    needs weight start * rest at least, so spare = weight_left - start *
-    deg_left bounds (i - start) * d.  A rest of 1 is one index k below i,
-    listed here; a longer rest recurses with top i - 1.  A finished
-    composition of weight w = m - left goes to buckets[w], that is
-    buckets[-1 - left]."""
+def _descend(buckets, pairs, pieces, start, top, deg_left, weight_left, mult):
+    """Extend the composition pairs, whose indices all exceed top, by
+    deg_left more parts on the indices start..top: first every part on
+    start, then each highest index i > start with each part d ascending,
+    followed by the rest below i.  The rest needs weight start * rest at
+    least, so spare = weight_left - start * deg_left bounds (i - start) * d.
+    A rest of 1 is one index k below i, listed here; a longer rest recurses
+    with top i - 1.  A finished composition of weight w = m - left goes to
+    buckets[w], that is buckets[-1 - left]."""
     spare = weight_left - start * deg_left
-    factor, suffix = pieces[start][deg_left]
-    buckets[-1 - spare].append((pairs + factor, suffix + text, mult))
+    buckets[-1 - spare].append((pairs + pieces[start][deg_left], mult))
     for i in range(start + 1, min(top, start + spare) + 1):
         at_i = pieces[i]
         for d in range(1, min(deg_left, spare // (i - start)) + 1):
-            factor, suffix = at_i[d]
+            head = pairs + at_i[d]
             rest = deg_left - d
             left = weight_left - i * d
             part = mult * math.comb(deg_left, d)
             if rest == 0:
-                buckets[-1 - left].append((pairs + factor, suffix + text, part))
+                buckets[-1 - left].append((head, part))
             elif rest == 1:
-                head, tail = pairs + factor, suffix + text
                 for k in range(start, min(i - 1, left) + 1):
-                    last, first = pieces[k][1]
-                    buckets[k - 1 - left].append((head + last, first + tail, part))
+                    buckets[k - 1 - left].append((head + pieces[k][1], part))
             else:
-                _descend(
-                    buckets, pairs + factor, suffix + text, pieces, start, i - 1, rest, left, part
-                )
+                _descend(buckets, head, pieces, start, i - 1, rest, left, part)

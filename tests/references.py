@@ -66,7 +66,7 @@ def lambda_z(r: int, j: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, 
     sum(i_k * d_k) = j."""
     return tuple(
         (tuple(i for i, _ in reversed(pairs)), tuple(d for _, d in reversed(pairs)))
-        for pairs, _, _ in _compositions(r, n + 1, j)[j]
+        for pairs, _ in _compositions(r, n + 1, j)[j]
     )
 
 
@@ -87,7 +87,7 @@ def fpqr_closed(n: int, p: int, q: int, r: int, j: int) -> Polynomial:
     terms = []
     for l1, l2 in lambda_xy(p, q, j):
         terms.append((((var_code(X, l1), 1), (var_code(Y, l2), 1)), 1))
-    for mono, _, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
+    for mono, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
         terms.append((mono, -mult))
     return Polynomial.from_terms(terms)
 

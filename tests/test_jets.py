@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from jetfibers.jets import (
+    _WeightTable,
     _compositions,
     an_surface,
     d4_surface,
@@ -135,20 +137,14 @@ def test_lambda_z_examples():
 @cache
 def _compositions_bruteforce(start, degree, w):
     """Every weighted composition of degree over the indices >= start with
-    weight w, as (support, parts), found by trying each support and each cut
-    of degree into as many parts, with no use of _compositions."""
-    if degree == 0:
-        return frozenset({((), ())}) if w == 0 else frozenset()
+    weight w, as (support, parts), found by trying each multiset of degree
+    indices from start..w and keeping those that sum to w, with no use of
+    _compositions or _WeightTable."""
     found = set()
-    indices = range(start, w + 1)
-    for size in range(1, degree + 1):
-        for support in itertools.combinations(indices, size):
-            for cuts in itertools.combinations(range(1, degree), size - 1):
-                parts = tuple(
-                    b - a for a, b in zip((0,) + cuts, cuts + (degree,))
-                )
-                if sum(i * d for i, d in zip(support, parts)) == w:
-                    found.add((support, parts))
+    for multiset in itertools.combinations_with_replacement(range(start, w + 1), degree):
+        if sum(multiset) == w:
+            support = tuple(sorted(set(multiset)))
+            found.add((support, tuple(multiset.count(i) for i in support)))
     return frozenset(found)
 
 
@@ -174,9 +170,9 @@ def test_lambda_z_empty_iff_threshold():
 
 def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
     # one enumerator for every weight up to m: bucket j is lambda_z's entry
-    # list at j, each with its multinomial, its factors highest index first
-    # and its text lowest index first (lambda_z reads _compositions, so the
-    # order is held to an independent enumeration in the test below)
+    # list at j, each with its multinomial and its factors highest index
+    # first (lambda_z reads _compositions, so the entries are held to an
+    # independent enumeration in the test below)
     for r, n, m in itertools.product(range(3), (1, 2, 3), range(8)):
         buckets = _compositions(r, n + 1, m, var_code(Z, 0))
         assert len(buckets) == m + 1
@@ -184,43 +180,67 @@ def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
             entries = lambda_z(r, j, n)
             assert [
                 (tuple(var_index(c) for c, _ in reversed(mono)), tuple(d for _, d in reversed(mono)))
-                for mono, _, _ in bucket
+                for mono, _ in bucket
             ] == list(entries), (r, n, m, j)
-            assert [mult for _, _, mult in bucket] == [multinomial(parts) for _, parts in entries]
-            assert [text for _, text, _ in bucket] == [
-                "".join(f"*{var_name(c)}" + (f"^{d}" if d > 1 else "") for c, d in reversed(mono))
-                for mono, _, _ in bucket
-            ]
-    assert _compositions(3, 0, 2) == [[((), "", 1)], [], []]
+            assert [mult for _, mult in bucket] == [multinomial(parts) for _, parts in entries]
+    assert _compositions(3, 0, 2) == [[((), 1)], [], []]
     assert _compositions(3, 1, 2) == [[], [], []]
     # a degree above m still has its weight-0 compositions at index 0
-    assert _compositions(0, 4, 2, var_code(X, 0))[0] == [(((var_code(X, 0), 4),), "*x0^4", 1)]
+    assert _compositions(0, 4, 2, var_code(X, 0))[0] == [(((var_code(X, 0), 4),), 1)]
 
 
-def test_compositions_buckets_come_in_display_order():
-    # bucket w holds exactly the brute-force compositions of weight w, in
-    # ascending pairs, the order of a family's block in poly._display_place,
-    # so that expand_text's rows come in sorted runs
+def _expected_compositions(start, degree, w, offset):
+    """The brute-force compositions of weight w as (pairs, multinomial),
+    their factors highest index first, in ascending pairs."""
+    return [
+        (pairs, multinomial(tuple(d for _, d in pairs)))
+        for pairs in sorted(
+            tuple((offset + i, d) for i, d in zip(reversed(support), reversed(parts)))
+            for support, parts in _compositions_bruteforce(start, degree, w)
+        )
+    ]
+
+
+def test_compositions_buckets_hold_the_bruteforce_compositions():
+    # bucket w holds exactly the brute-force compositions of weight w, each
+    # with its multinomial; expand_ambient fills dicts, so any order will do
     for start, degree, m in itertools.product(range(4), range(7), range(15)):
         for family in (X, Y, Z):
             offset = var_code(family, 0)
             buckets = _compositions(start, degree, m, offset)
             assert len(buckets) == m + 1
             for w, bucket in enumerate(buckets):
-                expected = sorted(
-                    tuple((offset + i, d) for i, d in zip(reversed(support), reversed(parts)))
-                    for support, parts in _compositions_bruteforce(start, degree, w)
+                assert sorted(bucket) == _expected_compositions(start, degree, w, offset), (
+                    start, degree, m, w,
                 )
-                assert [pairs for pairs, _, _ in bucket] == expected, (start, degree, m, w)
-                assert [mult for _, _, mult in bucket] == [
-                    multinomial(tuple(d for _, d in pairs)) for pairs in expected
-                ]
-                assert [text for _, text, _ in bucket] == [
+
+
+def test_compositions_buckets_come_in_display_order():
+    # the weight table's list at (degree, w) holds exactly the brute-force
+    # compositions of weight w, in ascending pairs, the order of a family's
+    # block in poly._display_place, so that expand_text's rows come in
+    # sorted runs; each with its multinomial and its text lowest index
+    # first, each exponent written only above 1
+    cases = [*itertools.product(range(4), range(7), range(15)), (0, 5, 40)]
+    for family in (X, Y, Z):
+        offset = var_code(family, 0)
+        tables = {start: _WeightTable(start, offset) for start in range(4)}
+        for start, degree, w in cases:
+            table = tables[start]
+            expected = [
+                (
+                    pairs,
                     "".join(
                         f"*{var_name(c)}" + (f"^{d}" if d > 1 else "") for c, d in reversed(pairs)
-                    )
-                    for pairs in expected
-                ]
+                    ),
+                    mult,
+                )
+                for pairs, mult in _expected_compositions(start, degree, w, offset)
+            ]
+            # build makes the list that get stores, from the stored lower degrees
+            assert table.build(degree, w) == expected, (family, start, degree, w)
+            assert table.get(degree, w) == expected, (family, start, degree, w)
+    assert len(_compositions_bruteforce(0, 5, 40)) == 1747
 
 
 def test_multinomial():
@@ -376,6 +396,50 @@ def test_expand_text_is_the_formatted_expansion(f, m):
     # the text path writes what the general formatter writes, term for term:
     # negative and reducing coefficients, constants, mixed families, zero
     assert expand_text(f, m) == [format_polynomial(c) for c in expand_ambient(f, m)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z^7+x",
+        "x^3-2*y^4+5/3*z^2",
+        "x*y*z-7",
+        "1",
+        "-2/3",
+        # a family's top degree also read by a several-family term, below
+        # one, and above a lower one-family degree: the table must keep the
+        # lists it reads again
+        "z^2+y*z^2",
+        "z+x*z^3-y^2",
+        "z^3+z^4-x*z",
+        "x*y*z+x^2+y^3",
+    ],
+)
+def test_expand_text_is_the_formatted_expansion_to_order_30(text):
+    # one-family terms in each of x, y and z, several-family terms,
+    # rationals and constants, at every order up to 30; f^(j) does not
+    # depend on the order, so the expansion at order m is the first m + 1
+    # coefficients of the one at order 30
+    f = parse_polynomial(text, ambient=True)
+    expected = [format_polynomial(c) for c in expand_ambient(f, 30)]
+    for m in range(31):
+        assert expand_text(f, m) == expected[: m + 1], m
+
+
+def test_expand_text_peak_memory():
+    # one coefficient at a time: the top-degree z lists of z^5 are built for
+    # their coefficient and never stored, so the traced peak stays near the
+    # output (1.4 MB); keeping every weight's lists for the call takes 3.9 MB
+    f = parse_polynomial("x*y-z^5", ambient=True)
+    expand_text(f, 40)  # warm-up, so that first-use caches are not counted
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        expand_text(f, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6, peak
 
 
 def test_expand_ambient_rejects_bad_input():
