@@ -7,18 +7,27 @@ Subcommands wire the modules into reproducible runs:
   an-series decompositions, the summary table, the fiber graph, engine checks
   d4 ideals|verify|graph      the D4 ideal family, certificate suite, graph
 
+The command tree is written down once, in _HANDLERS: one row per command,
+in help order, with its handler, help text, arguments, formats (the first
+the default) and whether it takes the budget flags.  build_parser adds the
+rows on a command's path, main dispatches from the row it parsed, and the
+config of a JSON output is the parsed arguments themselves, so a flag
+declared in a row reaches the config with nothing else to edit.
+
 Exit codes: 0 all good, 1 usage or parse error, 2 at least one claim
 refuted, 3 budget exhausted on a required check.  Runs with identical
 configuration produce byte-identical output; wall-clock timings only enter
-reports behind --timings.
+reports behind --timings.  An --out file is replaced only when the command
+writes its output, so a command that fails leaves an existing file as it
+was.
 """
-
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -69,9 +78,7 @@ def _add_budget_flags(p):
     p.add_argument("--timings", action="store_true", help="include wall-clock times in reports")
 
 
-def _add_output_flags(p, formats, default):
-    p.add_argument("--format", choices=formats, default=default)
-    p.add_argument("--out", default=None, metavar="FILE")
+_GROUPS = {"an": "A-series surface commands", "d4": "D4 surface commands"}
 
 
 @functools.cache
@@ -83,78 +90,27 @@ def build_parser(path: tuple[str, ...] = ()) -> _Parser:
     full parser so that its usage line reports them.  Each parser is built
     on the first command that needs it and shared by the rest of the
     process: a parse keeps no state in the parser."""
-
-    def wanted(*names):
-        return names[: len(path)] == path[: len(names)]
-
     parser = _Parser(prog="jetfibers", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    if wanted("expand"):
-        p = sub.add_parser("expand", help="expand an ambient polynomial along a generic jet")
-        p.add_argument("f", metavar="POLY")
-        p.add_argument("--m", type=int, required=True)
-        _add_output_flags(p, ("text", "json"), "text")
-
-    if wanted("an"):
-        pan = sub.add_parser("an", help="A-series surface commands")
-        an_sub = pan.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    if wanted("an", "decompose"):
-        p = an_sub.add_parser("decompose", help="decompose one pairwise intersection")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--i", type=int, required=True)
-        p.add_argument("--j", type=int, required=True)
-        _add_output_flags(p, ("text", "json"), "text")
-
-    if wanted("an", "table"):
-        p = an_sub.add_parser("table", help="dimension/component-count summary table")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", required=True, metavar="M|A..B")
-        _add_output_flags(p, ("text", "csv", "json"), "text")
-
-    if wanted("an", "graph"):
-        p = an_sub.add_parser("graph", help="fiber intersection graph")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, default=None)
-        _add_output_flags(p, ("dot", "json"), "dot")
-
-    if wanted("an", "verify"):
-        p = an_sub.add_parser("verify", help="engine verification of the decompositions")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--i", type=int, default=None)
-        p.add_argument("--j", type=int, default=None)
-        _add_budget_flags(p)
-        _add_output_flags(p, ("text", "json"), "text")
-
-    if wanted("d4"):
-        pd4 = sub.add_parser("d4", help="D4 surface commands")
-        d4_sub = pd4.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    if wanted("d4", "ideals"):
-        p = d4_sub.add_parser("ideals", help="list the chart and component ideals")
-        p.add_argument("--m", type=int, required=True)
-        _add_output_flags(p, ("text", "json"), "text")
-
-    if wanted("d4", "verify"):
-        p = d4_sub.add_parser("verify", help="run the certificate suite")
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument(
-            "--saturate",
-            action="store_true",
-            help="force the component checks at any order",
-        )
-        _add_budget_flags(p)
-        _add_output_flags(p, ("text", "json"), "text")
-
-    if wanted("d4", "graph"):
-        p = d4_sub.add_parser("graph", help="fiber intersection graph")
-        p.add_argument("--m", type=int, required=True)
-        _add_budget_flags(p)
-        _add_output_flags(p, ("dot", "json"), "dot")
-
+    groups = {}
+    for key, (_, text, arguments, formats, budgeted) in _HANDLERS.items():
+        if key[: len(path)] != path:
+            continue
+        command, subcommand = key
+        if subcommand is None:
+            p = sub.add_parser(command, help=text)
+        else:
+            if command not in groups:
+                groups[command] = sub.add_parser(command, help=_GROUPS[command]).add_subparsers(
+                    dest="subcommand", required=True, parser_class=_Parser
+                )
+            p = groups[command].add_parser(subcommand, help=text)
+        for name, options in arguments:
+            p.add_argument(name, **options)
+        if budgeted:
+            _add_budget_flags(p)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", default=None, metavar="FILE")
     return parser
 
 
@@ -173,16 +129,16 @@ def _budget(args) -> Budget | None:
     return Budget(**limits) if limits else None
 
 
-def _config(args, **extra) -> dict:
-    return {
-        "command": args.command,
-        "subcommand": getattr(args, "subcommand", None),
-        "format": getattr(args, "format", None),
-        "budget_spairs": getattr(args, "budget_spairs", None),
-        "budget_seconds": getattr(args, "budget_seconds", None),
-        "timings": getattr(args, "timings", False),
-        **extra,
-    }
+# the config keys every command's JSON holds, at their defaults where the
+# command takes no such argument
+_SHARED = {"subcommand": None, "budget_spairs": None, "budget_seconds": None, "timings": False}
+
+
+def _config(args) -> dict:
+    """The parsed arguments, less where the output goes."""
+    config = {**_SHARED, **vars(args)}
+    del config["out"], config["stream"]
+    return config
 
 
 _quote = json.encoder.encode_basestring_ascii  # the C escaper of ensure_ascii=True
@@ -240,15 +196,18 @@ def _encode(obj, indent: int, write) -> None:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _emit_result(args, fields, text, **config) -> None:
+def _emit_result(args, fields, text) -> None:
     """With --format json, emit {schema, config, **fields()} through
     _encode, straight to the open stream, otherwise text().  Both are
     zero-argument callables, so a run builds only the output its format
-    asks for."""
+    asks for.  main opens an --out file for appending; a regular file is
+    emptied here, where the command first writes."""
+    if args.out and os.path.isfile(args.out):
+        args.stream.truncate(0)
     if args.format != "json":
         args.stream.write(text())
         return
-    payload = {"schema": SCHEMA, "config": _config(args, **config), **fields()}
+    payload = {"schema": SCHEMA, "config": _config(args), **fields()}
     _encode(payload, 0, args.stream.write)
     args.stream.write("\n")
 
@@ -282,13 +241,12 @@ def _verify_exit(reports: list[VerificationReport]) -> int:
     return 0
 
 
-def _emit_reports(args, reports: list[VerificationReport], **config) -> int:
+def _emit_reports(args, reports: list[VerificationReport]) -> int:
     """Emit the reports as JSON or one line each; return the exit code."""
     _emit_result(
         args,
         lambda: {"reports": [r.to_json_dict(args.timings) for r in reports]},
         lambda: _report_lines(reports),
-        **config,
     )
     return _verify_exit(reports)
 
@@ -315,8 +273,6 @@ def _cmd_expand(args) -> int:
         args,
         lambda: {"coefficients": coeffs},
         lambda: "".join(f"f^({j}) = {c}\n" for j, c in enumerate(coeffs)),
-        f=args.f,
-        m=args.m,
     )
     return 0
 
@@ -329,12 +285,7 @@ def _cmd_an_decompose(args) -> int:
         lines += [f"  {d.label}" for d in dec.components]
         return "\n".join(lines) + "\n"
 
-    _emit_result(
-        args,
-        lambda: {"decomposition": dec.to_json_dict()},
-        text,
-        n=args.n, m=args.m, i=args.i, j=args.j,
-    )
+    _emit_result(args, lambda: {"decomposition": dec.to_json_dict()}, text)
     return 0
 
 
@@ -351,13 +302,12 @@ def _cmd_an_table(args) -> int:
             "rows": [list(r) for r in rows],
         },
         lambda: table(args.n, rows),
-        n=args.n, m=args.m,
     )
     return 0
 
 
-def _emit_graph(args, g, **config) -> int:
-    _emit_result(args, lambda: {"graph": g.to_json_dict()}, lambda: graphs.to_dot(g), **config)
+def _emit_graph(args, g) -> int:
+    _emit_result(args, lambda: {"graph": g.to_json_dict()}, lambda: graphs.to_dot(g))
     return 0
 
 
@@ -371,7 +321,7 @@ def _an_graph(n: int, m: int | None):
 
 
 def _cmd_an_graph(args) -> int:
-    return _emit_graph(args, _an_graph(args.n, args.m), n=args.n, m=args.m)
+    return _emit_graph(args, _an_graph(args.n, args.m))
 
 
 def _cmd_an_verify(args) -> int:
@@ -388,7 +338,7 @@ def _cmd_an_verify(args) -> int:
                 graphs.resolution_graph("An", args.n),
             )
         )
-    return _emit_reports(args, reports, n=args.n, m=args.m, i=args.i, j=args.j)
+    return _emit_reports(args, reports)
 
 
 def _cmd_d4_ideals(args) -> int:
@@ -410,7 +360,6 @@ def _cmd_d4_ideals(args) -> int:
         args,
         lambda: {"ideals": {ideal.label: [str(g) for g in ideal.generators] for ideal in named}},
         text,
-        m=args.m,
     )
     return 0
 
@@ -431,7 +380,7 @@ def _cmd_d4_verify(args) -> int:
             premises=[theorem],
         )
     )
-    return _emit_reports(args, reports, m=args.m, saturate=args.saturate)
+    return _emit_reports(args, reports)
 
 
 def _cmd_d4_graph(args) -> int:
@@ -444,18 +393,58 @@ def _cmd_d4_graph(args) -> int:
             file=sys.stderr,
         )
         return _verify_exit([theorem])
-    return _emit_graph(args, graphs.component_graph(range(4), pairs), m=args.m)
+    return _emit_graph(args, graphs.component_graph(range(4), pairs))
 
 
+_REQUIRED = {"type": int, "required": True}
+_OPTIONAL = {"type": int}
+
+# the command tree, in help order: (command, subcommand) -> (handler, help,
+# arguments as (name, add_argument keywords), formats with the default
+# first, whether the budget flags apply)
 _HANDLERS = {
-    ("expand", None): _cmd_expand,
-    ("an", "decompose"): _cmd_an_decompose,
-    ("an", "table"): _cmd_an_table,
-    ("an", "graph"): _cmd_an_graph,
-    ("an", "verify"): _cmd_an_verify,
-    ("d4", "ideals"): _cmd_d4_ideals,
-    ("d4", "verify"): _cmd_d4_verify,
-    ("d4", "graph"): _cmd_d4_graph,
+    ("expand", None): (
+        _cmd_expand, "expand an ambient polynomial along a generic jet",
+        [("f", {"metavar": "POLY"}), ("--m", _REQUIRED)], ("text", "json"), False,
+    ),
+    ("an", "decompose"): (
+        _cmd_an_decompose, "decompose one pairwise intersection",
+        [("--n", _REQUIRED), ("--m", _REQUIRED), ("--i", _REQUIRED), ("--j", _REQUIRED)],
+        ("text", "json"), False,
+    ),
+    ("an", "table"): (
+        _cmd_an_table, "dimension/component-count summary table",
+        [("--n", _REQUIRED), ("--m", {"required": True, "metavar": "M|A..B"})],
+        ("text", "csv", "json"), False,
+    ),
+    ("an", "graph"): (
+        _cmd_an_graph, "fiber intersection graph",
+        [("--n", _REQUIRED), ("--m", _OPTIONAL)], ("dot", "json"), False,
+    ),
+    ("an", "verify"): (
+        _cmd_an_verify, "engine verification of the decompositions",
+        [("--n", _REQUIRED), ("--m", _REQUIRED), ("--i", _OPTIONAL), ("--j", _OPTIONAL)],
+        ("text", "json"), True,
+    ),
+    ("d4", "ideals"): (
+        _cmd_d4_ideals, "list the chart and component ideals",
+        [("--m", _REQUIRED)], ("text", "json"), False,
+    ),
+    ("d4", "verify"): (
+        _cmd_d4_verify, "run the certificate suite",
+        [
+            ("--m", _REQUIRED),
+            ("--saturate", {
+                "action": "store_true",
+                "help": "force the component checks at any order: they finish in under a"
+                " second up to m = 7 and exceed the default 300 s budget from m = 8",
+            }),
+        ],
+        ("text", "json"), True,
+    ),
+    ("d4", "graph"): (
+        _cmd_d4_graph, "fiber intersection graph", [("--m", _REQUIRED)], ("dot", "json"), True,
+    ),
 }
 
 
@@ -477,12 +466,14 @@ def main(argv=None) -> int:
             build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
+    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))][0]
     try:
         # --out is opened before any work, so a path that cannot be written
-        # fails at once; one engine session per command: its budget flags
-        # bound the whole command, and a basis or presolve is computed once
-        out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else None
+        # fails at once, and for appending, so that a command that fails
+        # leaves the file as it was; one engine session per command: its
+        # budget flags bound the whole command, and a basis or presolve is
+        # computed once
+        out = open(args.out, "a", encoding="utf-8", newline="\n") if args.out else None
         with out or contextlib.nullcontext(sys.stdout) as args.stream, session(_budget(args)):
             return handler(args)
     except PolynomialParseError as exc:

@@ -486,13 +486,7 @@ def _on_chart(claim: str, fact: gb.VerificationReport) -> gb.VerificationReport:
     """The report of a claim about a contracted ideal I^i that a fact about
     its chart ideal J^i implies: the fact's outcome, S-pairs and seconds,
     with the fact's claim and certificate under "stands on"."""
-    return gb.VerificationReport(
-        claim,
-        fact.outcome,
-        {"stands on": fact.claim, "certificate": fact.certificate},
-        fact.spairs_processed,
-        fact.seconds,
-    )
+    return gb.fold(claim, [fact], {"stands on": fact.claim, "certificate": fact.certificate})
 
 
 def verify_component_ideals(m: int = 5) -> gb.VerificationReport:
@@ -584,16 +578,9 @@ def _theorem_facts(m: int):
 
 
 def _maximal_theorem(m: int, facts) -> gb.VerificationReport:
-    """The maximal-pair theorem at order m: certificate the pairs, outcome
-    the worst of the facts it stands on, and their S-pairs and seconds."""
-    return gb.check(
-        f"maximal pairs at m{m}",
-        True,
-        {"pairs": [list(p) for p in MAXIMAL_PAIRS]},
-        sum(r.spairs_processed for r in facts),
-        sum(r.seconds for r in facts),
-        premises=facts,
-    )
+    """The maximal-pair theorem at order m: the pairs, folded from the facts
+    it stands on."""
+    return gb.fold(f"maximal pairs at m{m}", facts, {"pairs": [list(p) for p in MAXIMAL_PAIRS]})
 
 
 def d4_maximal_intersections(m: int):

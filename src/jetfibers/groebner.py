@@ -65,11 +65,17 @@ outermost one exits.  Outside a session each query and each direct
 buchberger call runs in a throwaway session of the default budget, timed
 from its own start.
 
-check is the one rule that turns a decided claim into an outcome: verified
-when the check held, refuted when it failed, and never better than the
-reports the claim stands on.  member and radical_member decide through one
-query wrapper (_query) that owns the presolve, the certificate-first rule,
-the timing and the budget-exhausted report; exhausted builds that report.
+Only this module builds a VerificationReport, by three rules, and
+expect_refuted inverts one for a claim of non-membership.  check turns a
+decided claim into an outcome: verified when the check held, refuted when
+it failed, and never better than the reports the claim stands on.  fold
+makes one report of a claim that stands on reports alone: the worst of
+their outcomes, their S-pairs and seconds summed, under the caller's
+certificate; merge_reports and generators_in fold their subreports, and
+d4 and witnesses the facts a claim stands on.  exhausted builds the report
+of a check that ran out of budget.  member and radical_member decide
+through one query wrapper (_query) that owns the presolve, the
+certificate-first rule, the timing and the budget-exhausted report.
 The rule: a polynomial that restricts to zero is verified by the trivial
 certificate, and otherwise one of the ideal's own generators by the
 generator certificate, which names its index (a generator lies in the ideal
@@ -289,9 +295,10 @@ def exhausted(claim: str, exc: BudgetExhausted, seconds: float) -> VerificationR
     )
 
 
-def _folded(claim: str, reports, certificate) -> VerificationReport:
-    """One report standing on reports: the worst outcome wins, and their
-    S-pairs and seconds add up."""
+def fold(claim: str, reports, certificate) -> VerificationReport:
+    """The report of a claim that stands on reports alone, with the given
+    certificate: the worst of their outcomes wins, and their S-pairs and
+    seconds add up."""
     return VerificationReport(
         claim,
         _worst(r.outcome for r in reports),
@@ -308,7 +315,7 @@ def merge_reports(claim: str, reports) -> VerificationReport:
         {"claim": r.claim, "outcome": r.outcome, "certificate": r.certificate}
         for r in reports
     ]
-    return _folded(claim, reports, {"subchecks": subchecks})
+    return fold(claim, reports, {"subchecks": subchecks})
 
 
 def expect_refuted(report: VerificationReport) -> VerificationReport:
@@ -881,7 +888,7 @@ def generators_in(claim: str, gens, ideal: Ideal, *, radical=False) -> Verificat
             cert["decided"].append([k, r.certificate])
     if failed:
         cert["failed"] = failed
-    return _folded(claim, reports, cert)
+    return fold(claim, reports, cert)
 
 
 # ---------------------------------------------------------------------------

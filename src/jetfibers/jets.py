@@ -271,10 +271,10 @@ def jet_coeffs(
 
 def t_order(f: Polynomial, point: dict, m: int) -> int | None:
     """The t-adic order of f along the jet point (jet-variable code ->
-    value): the first j at which f^(j) of expand_ambient(f, m) is nonzero
-    at the point, or None when f^(0..m) all vanish there, which with
-    truncated data says only "at least m+1"."""
-    for j, c in enumerate(expand_ambient(f, m)):
+    value): the first j at which f^(j) of jet_coeffs(f, m) is nonzero at
+    the point, or None when f^(0..m) all vanish there, which with truncated
+    data says only "at least m+1"."""
+    for j, c in enumerate(jet_coeffs(f, m)):
         if evaluate(c, point):
             return j
     return None

@@ -54,10 +54,4 @@ def avoids_at(
     query = gb.radical_member if radical else gb.member
     engine = gb.expect_refuted(query(p, ideal, claim=claim))
     failed = {**cert, **on.certificate}
-    return gb.VerificationReport(
-        engine.claim,
-        engine.outcome,
-        {"point check": failed, "engine": engine.certificate},
-        engine.spairs_processed,
-        engine.seconds,
-    )
+    return gb.fold(engine.claim, [engine], {"point check": failed, "engine": engine.certificate})

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -400,13 +401,57 @@ def test_unwritable_out_fails_before_the_command_runs(tmp_path, capsys, monkeypa
     def never(args):
         raise AssertionError("the handler ran")
 
-    monkeypatch.setitem(cli._HANDLERS, ("an", "verify"), never)
+    row = cli._HANDLERS["an", "verify"]
+    monkeypatch.setitem(cli._HANDLERS, ("an", "verify"), (never, *row[1:]))
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(
         capsys, "an", "verify", "--n", "6", "--m", "14", "--format", "json", "--out", str(target)
     )
     assert code == 1 and out == ""
     assert err.startswith("jetfibers: error: ") and str(target) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["an", "verify", "--n", "3", "--m", "1", "--format", "json"],
+        ["an", "table", "--n", "3", "--m", "5..2"],
+        ["expand", "x*y-z^", "--m", "1"],
+    ],
+    ids=["verify-m-below-n", "table-empty-range", "expand-parse-error"],
+)
+def test_a_failing_command_leaves_an_existing_out_file_as_it_was(tmp_path, capsys, argv):
+    target = tmp_path / "keep.json"
+    target.write_bytes(b"previous\n")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == "" and err.startswith("jetfibers: ")
+    assert target.read_bytes() == b"previous\n"
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    # the file is opened for appending; the first write must still drop
+    # every byte it held
+    target = tmp_path / "graph.dot"
+    target.write_text("x" * 4096, encoding="utf-8")
+    assert run(capsys, "an", "graph", "--n", "2", "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == 'graph {\n  "Z1";\n  "Z2";\n  "Z1" -- "Z2";\n}\n'
+
+
+def test_out_to_a_device_that_cannot_be_truncated(capsys):
+    assert run(capsys, "an", "graph", "--n", "2", "--out", os.devnull) == (0, "", "")
+
+
+@pytest.mark.parametrize("path", list(_LEAVES), ids=[" ".join(p) for p in _LEAVES])
+def test_every_flag_reaches_the_config(capsys, path):
+    # the config is exactly the parsed arguments less --out, with the
+    # shared keys at their defaults where the command has no such flag
+    argv = [*path, *_LEAVES[path], "--format", "json"]
+    parsed = vars(build_parser(path).parse_args(argv))
+    del parsed["out"]
+    shared = {"subcommand": None, "budget_spairs": None, "budget_seconds": None, "timings": False}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == {**shared, **parsed}
 
 
 def test_timings_flag_fills_seconds(capsys):

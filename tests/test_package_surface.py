@@ -198,3 +198,41 @@ def test_an_unread_parameter_is_reported(tmp_path):
         ("m", "g", "e"),
         ("m", "<lambda>", "y"),
     ]
+
+
+def report_constructions(src=SRC):
+    """(module, line) of every call of VerificationReport, by its bare name
+    or as a module attribute (``gb.VerificationReport(...)``), in a module
+    other than groebner."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "groebner":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "VerificationReport":
+                out.append((path.stem, node.lineno))
+    return out
+
+
+def test_only_groebner_builds_reports():
+    # every other module derives a report by check, fold, exhausted or
+    # expect_refuted, so one rule decides each outcome and its sums
+    built = [f"{mod}:{line}" for mod, line in report_constructions()]
+    assert built == [], "VerificationReport built outside groebner: " + ", ".join(built)
+
+
+def test_a_report_built_outside_groebner_is_reported(tmp_path):
+    (tmp_path / "groebner.py").write_text("r = VerificationReport('c', 'verified')\n")
+    (tmp_path / "m.py").write_text(
+        "from . import groebner as gb\n"
+        "from .groebner import VerificationReport\n"
+        "a = gb.VerificationReport('c', 'verified')\n"
+        "b = VerificationReport('c', 'refuted')\n"
+        "c: VerificationReport = gb.check('c', True)\n",
+        encoding="utf-8",
+    )
+    assert report_constructions(tmp_path) == [("m", 3), ("m", 4)]
