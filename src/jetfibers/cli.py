@@ -266,8 +266,6 @@ def _graph_claim(tag: str, fiber, resolution, premises=()) -> VerificationReport
 
 def _cmd_expand(args) -> int:
     f = parse_polynomial(args.f, ambient=True)
-    if args.m < 0:
-        raise ValueError("--m must be nonnegative")
     coeffs = jets.expand_text(f, args.m)
     _emit_result(
         args,
@@ -405,7 +403,8 @@ _OPTIONAL = {"type": int}
 _HANDLERS = {
     ("expand", None): (
         _cmd_expand, "expand an ambient polynomial along a generic jet",
-        [("f", {"metavar": "POLY"}), ("--m", _REQUIRED)], ("text", "json"), False,
+        [("f", {"metavar": "POLY"}), ("--m", {"type": _nonnegative(int), "required": True})],
+        ("text", "json"), False,
     ),
     ("an", "decompose"): (
         _cmd_an_decompose, "decompose one pairwise intersection",

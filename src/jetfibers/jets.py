@@ -12,27 +12,24 @@ plain and the shifted coefficients alike.
 
 Every coefficient is written down by the multinomial theorem, with no
 series product: each term of f^(j) is one choice of a weighted composition
-per variable family, times its multinomials.  Two enumerations list those
-compositions, each for the reader it suits.  The descent,
-``_compositions``, lists every weight up to m at once, each composition as
-its factors' monomial pairs and its multinomial; ``expand_ambient`` builds
-the coefficient polynomials from it, and through ``jet_coeffs`` so does
-every verify command, at the small orders where one pass over all weights
-costs least.  The weight table, ``_WeightTable``, lists one exact weight
-at a time from the weights below it, each composition also with its
-printed text and in display order (ascending pairs, the order of a
-family's block in ``poly._display_place``); ``expand_text``, the
-``expand`` command's path, writes each printed coefficient from it, placing
-every term by its pairs, with no Polynomial and no per-term factor sort in
-between.  It keeps for the whole call only the lists that later
-coefficients read again: a term in one variable family, such as z^(n+1),
-reads its top-degree list at one weight only, so that list is built for
-its coefficient and dropped with it.  Because each list comes presorted,
-each coefficient's rows arrive in sorted runs, and its one sort merges
-them.  The paper's closed formula for the shifted coefficients,
-with its index sets, and the shift lemma's reindexed coefficients live
-with the tests (``tests/references.py``), which hold ``jet_coeffs`` to
-both.
+per variable family, times its multinomials.  One enumerator lists those
+compositions: the weight table, ``_WeightTable``, builds each exact weight
+from the lists of lower degree, each composition with its monomial pairs,
+its printed text and its multinomial, in ascending pairs (the order of a
+family's block in ``poly._display_place``).  ``expand_ambient`` reads one
+table per family, started at the family's shift, for the coefficient
+polynomials, and through ``jet_coeffs`` so does every verify command.
+``expand_text``, the ``expand`` command's path, writes each printed
+coefficient from the texts, placing every term by its pairs, with no
+Polynomial and no per-term factor sort in between.  It keeps for the whole
+call only the lists that later coefficients read again: a term in one
+variable family, such as z^(n+1), reads its top-degree list at one weight
+only, so that list is built for its coefficient and dropped with it.
+Because each list comes presorted, each coefficient's rows arrive in
+sorted runs, and its one sort merges them.  The paper's closed formula
+for the shifted coefficients, with its index sets, and the shift lemma's
+reindexed coefficients live with the tests (``tests/references.py``),
+which hold ``jet_coeffs`` to both.
 ``poly.substitute_series``, the general series substitution, stays
 bound here as well because the benchmark harness's self-test looks the
 name up on this module.
@@ -95,15 +92,27 @@ def expand_ambient(f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 
     chosen variables.  The family degrees (a, b, d) determine the term of f
     a monomial comes from, so every term is formed exactly once and each
     coefficient is filled by plain assignment.
+
+    The terms of f share one _WeightTable per family, started at its shift;
+    the records' texts go unread.
     """
-    terms = _term_buckets(f, m, shifts)
+    if m < 0:
+        raise ValueError("series order must be nonnegative")
+    if min(shifts) < 0:
+        raise ValueError("shifts must be nonnegative")
+    _check_ambient(f)
+    tables = [
+        _WeightTable(start, var_code(family, 0))
+        for family, start in zip((X, Y, Z), shifts, strict=True)
+    ]
     coefficients: list[dict] = [{} for _ in range(m + 1)]
-    for c, *buckets in terms:
+    for mono, c in f.items():
+        exps = dict(mono)
         num, den = c.numerator, c.denominator
         made: dict = {}  # numerator -> its Fraction, built once per term of f
         xs, ys, zs = (
-            [(w, pairs, mult) for w, bucket in enumerate(b) for pairs, mult in bucket]
-            for b in buckets
+            [(w, p, mult) for w in range(m + 1) for p, _, mult in t.get(exps.get(t.offset, 0), w)]
+            for t in tables
         )
         # x codes rank above y codes above z codes, so the concatenated
         # factors are in descending code order
@@ -231,31 +240,6 @@ def _magnitude(n: int, den: int) -> str:
     return "" if n == 1 else str(n)
 
 
-def _term_buckets(f: Polynomial, m: int, shifts: tuple[int, int, int]) -> list:
-    """Each term of f as [coefficient, x buckets, y buckets, z buckets]: per
-    family, the _compositions of the term's degree in it over the indices
-    from the family's shift, listed once per (family, degree)."""
-    if m < 0:
-        raise ValueError("series order must be nonnegative")
-    if min(shifts) < 0:
-        raise ValueError("shifts must be nonnegative")
-    _check_ambient(f)
-    listed: dict = {}
-    terms = []
-    for mono, c in f.items():
-        exps = dict(mono)
-        row = [c]
-        for family, start in zip((X, Y, Z), shifts, strict=True):
-            offset = var_code(family, 0)
-            degree = exps.get(offset, 0)
-            buckets = listed.get((family, degree))
-            if buckets is None:
-                buckets = listed[family, degree] = _compositions(start, degree, m, offset)
-            row.append(buckets)
-        terms.append(row)
-    return terms
-
-
 @lru_cache(maxsize=None)
 def jet_coeffs(
     f: Polynomial, m: int, shifts: tuple[int, int, int] = (0, 0, 0)
@@ -285,11 +269,13 @@ class _WeightTable:
 
     get(r, w) lists the compositions of r over the indices start <= i_1 <
     ... < i_l with positive parts d_k and weight sum(i_k * d_k) = w, as
-    records (pairs, text, multinomial) like _compositions' with the printed
-    text added: text is "*v_1^d_1*...*v_l^d_l", lowest index first as
-    printed, each exponent written only above 1.  Each list is in ascending
-    pairs, the order of a family's block in poly._display_place.  Degree 0
-    has the one empty composition, of weight 0.
+    records (pairs, text, multinomial): pairs is ((offset + i_l, d_l), ...,
+    (offset + i_1, d_1)), highest index first as in a monomial; text is
+    "*v_1^d_1*...*v_l^d_l", lowest index first as printed, each exponent
+    written only above 1; the multinomial is r! / (d_1! ... d_l!).  Each
+    list is in ascending pairs, the order of a family's block in
+    poly._display_place.  Degree 0 has the one empty composition, of
+    weight 0.
 
     build(r, w) makes the list from lists of lower degree: first every part
     on start, when start * r = w; then for each highest index i, from the
@@ -346,61 +332,3 @@ class _WeightTable:
                 f"*{var_name(code)}" + (f"^{d}" if d > 1 else ""),
             )
         return piece
-
-
-def _compositions(start: int, degree: int, m: int, offset: int = 0) -> list[list]:
-    """Weighted compositions of degree, bucketed by weight up to m.
-
-    buckets[w] lists, for each choice of indices start <= i_1 < ... < i_l
-    with positive parts d_k summing to degree and weight sum(i_k * d_k) = w,
-    the record (pairs, multinomial): pairs is ((offset + i_l, d_l), ...,
-    (offset + i_1, d_1)), highest index first as in a monomial; the
-    multinomial degree! / (d_1! ... d_l!) is carried down the recursion as
-    a product of binomials.  Degree 0 has the one empty composition, of
-    weight 0.
-
-    One pass over every weight up to m: at the small orders the verify
-    commands expand at, it costs less than building each weight from the
-    weights below it, as _WeightTable does for expand_text.
-    """
-    if m < 0:
-        raise ValueError("weight bound must be nonnegative")
-    buckets: list[list] = [[] for _ in range(m + 1)]
-    if degree == 0:
-        buckets[0].append(((), 1))
-    elif start * degree <= m:
-        # pieces[i][d]: v_i^d as a one-pair tuple, made once per call so
-        # that the compositions share their pair tuples
-        pieces = [
-            [None] + [((offset + i, d),) for d in range(1, degree + 1) if i * d <= m]
-            for i in range(m + 1)
-        ]
-        _descend(buckets, (), pieces, start, m, degree, m, 1)
-    return buckets
-
-
-def _descend(buckets, pairs, pieces, start, top, deg_left, weight_left, mult):
-    """Extend the composition pairs, whose indices all exceed top, by
-    deg_left more parts on the indices start..top: first every part on
-    start, then each highest index i > start with each part d ascending,
-    followed by the rest below i.  The rest needs weight start * rest at
-    least, so spare = weight_left - start * deg_left bounds (i - start) * d.
-    A rest of 1 is one index k below i, listed here; a longer rest recurses
-    with top i - 1.  A finished composition of weight w = m - left goes to
-    buckets[w], that is buckets[-1 - left]."""
-    spare = weight_left - start * deg_left
-    buckets[-1 - spare].append((pairs + pieces[start][deg_left], mult))
-    for i in range(start + 1, min(top, start + spare) + 1):
-        at_i = pieces[i]
-        for d in range(1, min(deg_left, spare // (i - start)) + 1):
-            head = pairs + at_i[d]
-            rest = deg_left - d
-            left = weight_left - i * d
-            part = mult * math.comb(deg_left, d)
-            if rest == 0:
-                buckets[-1 - left].append((head, part))
-            elif rest == 1:
-                for k in range(start, min(i - 1, left) + 1):
-                    buckets[k - 1 - left].append((head + pieces[k][1], part))
-            else:
-                _descend(buckets, head, pieces, start, i - 1, rest, left, part)

@@ -1,9 +1,13 @@
 """References the tests compare the package against, kept out of the
 package because no command runs them:
 
+* the weighted compositions by brute force over multisets of indices
+  (``compositions_bruteforce``), which the tests hold ``jets._WeightTable``
+  to;
 * the closed formula for the shifted jet coefficients of the A-series
   surface, with its index sets Lambda_xy and Lambda_z
-  (``lambda_xy``, ``lambda_z``, ``multinomial``, ``fpqr_closed``), which
+  (``lambda_xy``, ``lambda_z``, ``multinomial``, ``fpqr_closed``), built on
+  the brute-force compositions and so sharing no code with ``jets``, which
   the tests hold the shifted ``jets.jet_coeffs`` to;
 * the shift lemma's side of the same coefficients: the plain coefficient
   f^(j) with its variables moved up the ladder (``g_shift``), which the
@@ -28,15 +32,16 @@ package because no command runs them:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from jetfibers import groebner as gb
 from jetfibers.an import Ladder, _fk, arc_values, containment, pair_ideal
 from jetfibers.d4 import d4_ideals
-from jetfibers.jets import _compositions, an_surface, jet_coeffs
+from jetfibers.jets import an_surface, jet_coeffs
 from jetfibers.kernel import impl as _K
 from jetfibers.poly import (
     Polynomial,
@@ -60,14 +65,24 @@ def lambda_xy(p: int, q: int, j: int) -> tuple[tuple[int, int], ...]:
     return tuple((l1, j - l1) for l1 in range(p, j - q + 1))
 
 
+@cache
+def compositions_bruteforce(start: int, degree: int, w: int) -> frozenset:
+    """Every weighted composition of degree over the indices >= start with
+    weight w, as (support, parts), found by trying each multiset of degree
+    indices from start..w and keeping those that sum to w."""
+    found = set()
+    for multiset in itertools.combinations_with_replacement(range(start, w + 1), degree):
+        if sum(multiset) == w:
+            support = tuple(sorted(set(multiset)))
+            found.add((support, tuple(multiset.count(i) for i in support)))
+    return frozenset(found)
+
+
 def lambda_z(r: int, j: int, n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Weighted compositions (support, parts): supports r <= i_1 < ... < i_l
     <= j with positive parts d_k summing to n+1 and total weight
-    sum(i_k * d_k) = j."""
-    return tuple(
-        (tuple(i for i, _ in reversed(pairs)), tuple(d for _, d in reversed(pairs)))
-        for pairs, _ in _compositions(r, n + 1, j)[j]
-    )
+    sum(i_k * d_k) = j, in ascending order."""
+    return tuple(sorted(compositions_bruteforce(r, n + 1, j)))
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +102,9 @@ def fpqr_closed(n: int, p: int, q: int, r: int, j: int) -> Polynomial:
     terms = []
     for l1, l2 in lambda_xy(p, q, j):
         terms.append((((var_code(X, l1), 1), (var_code(Y, l2), 1)), 1))
-    for mono, mult in _compositions(r, n + 1, j, var_code(Z, 0))[j]:
-        terms.append((mono, -mult))
+    for support, parts in lambda_z(r, j, n):
+        mono = tuple((var_code(Z, i), d) for i, d in zip(support, parts))
+        terms.append((mono, -multinomial(parts)))
     return Polynomial.from_terms(terms)
 
 

@@ -553,9 +553,18 @@ def test_zero_budget_is_a_budget(capsys, flag):
     assert any(r["outcome"] == "budget-exhausted" for r in payload["reports"])
 
 
-@pytest.mark.parametrize("flag", ["--budget-spairs", "--budget-seconds"])
-def test_negative_budget_is_a_usage_error(capsys, flag):
-    code, out, err = run(capsys, "an", "verify", "--n", "2", "--m", "5", flag, "-1")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["an", "verify", "--n", "2", "--m", "5", "--budget-spairs", "-1"],
+        ["an", "verify", "--n", "2", "--m", "5", "--budget-seconds", "-1"],
+        # expand's order is parsed by the budgets' nonnegative type
+        ["expand", "x", "--m", "-1"],
+    ],
+    ids=["--budget-spairs", "--budget-seconds", "expand-m"],
+)
+def test_negative_budget_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert "must be nonnegative" in err

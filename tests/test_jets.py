@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 
 from jetfibers.jets import (
     _WeightTable,
-    _compositions,
     an_surface,
     d4_surface,
     expand_ambient,
@@ -28,7 +27,14 @@ from jetfibers.poly import (
     var_index,
     var_name,
 )
-from references import fpqr_closed, g_shift, lambda_xy, lambda_z, multinomial
+from references import (
+    compositions_bruteforce,
+    fpqr_closed,
+    g_shift,
+    lambda_xy,
+    lambda_z,
+    multinomial,
+)
 
 
 def P(text: str) -> Polynomial:
@@ -135,23 +141,23 @@ def test_lambda_z_examples():
 
 
 @cache
-def _compositions_bruteforce(start, degree, w):
-    """Every weighted composition of degree over the indices >= start with
-    weight w, as (support, parts), found by trying each multiset of degree
-    indices from start..w and keeping those that sum to w, with no use of
-    _compositions or _WeightTable."""
-    found = set()
-    for multiset in itertools.combinations_with_replacement(range(start, w + 1), degree):
-        if sum(multiset) == w:
-            support = tuple(sorted(set(multiset)))
-            found.add((support, tuple(multiset.count(i) for i in support)))
-    return frozenset(found)
+def _partitions(total, parts):
+    """The number of partitions of total into at most parts parts: those
+    with fewer parts, and those with exactly parts parts, less 1 each."""
+    if total <= 0 or parts == 0:
+        return int(total == 0)
+    return _partitions(total, parts - 1) + _partitions(total - parts, parts)
 
 
 def test_lambda_z_against_bruteforce():
+    # lambda_z is the brute force, so it is held to an independent count:
+    # less r from each of its n+1 indices, a composition of weight j is a
+    # partition of j - r(n+1) into at most n+1 parts; and it lists each
+    # composition once, in ascending order
     for r, j, n in itertools.product(range(3), range(7), (1, 2, 3)):
-        got = set(lambda_z(r, j, n))
-        assert got == _compositions_bruteforce(r, n + 1, j), (r, j, n)
+        entries = lambda_z(r, j, n)
+        assert list(entries) == sorted(set(entries)), (r, j, n)
+        assert len(entries) == _partitions(j - r * (n + 1), n + 1), (r, j, n)
 
 
 def test_lambda_z_entry_constraints():
@@ -168,27 +174,6 @@ def test_lambda_z_empty_iff_threshold():
         assert (len(lambda_z(r, j, n)) == 0) == (r * (n + 1) > j)
 
 
-def test_compositions_bucket_lambda_z_and_carry_the_multinomial():
-    # one enumerator for every weight up to m: bucket j is lambda_z's entry
-    # list at j, each with its multinomial and its factors highest index
-    # first (lambda_z reads _compositions, so the entries are held to an
-    # independent enumeration in the test below)
-    for r, n, m in itertools.product(range(3), (1, 2, 3), range(8)):
-        buckets = _compositions(r, n + 1, m, var_code(Z, 0))
-        assert len(buckets) == m + 1
-        for j, bucket in enumerate(buckets):
-            entries = lambda_z(r, j, n)
-            assert [
-                (tuple(var_index(c) for c, _ in reversed(mono)), tuple(d for _, d in reversed(mono)))
-                for mono, _ in bucket
-            ] == list(entries), (r, n, m, j)
-            assert [mult for _, mult in bucket] == [multinomial(parts) for _, parts in entries]
-    assert _compositions(3, 0, 2) == [[((), 1)], [], []]
-    assert _compositions(3, 1, 2) == [[], [], []]
-    # a degree above m still has its weight-0 compositions at index 0
-    assert _compositions(0, 4, 2, var_code(X, 0))[0] == [(((var_code(X, 0), 4),), 1)]
-
-
 def _expected_compositions(start, degree, w, offset):
     """The brute-force compositions of weight w as (pairs, multinomial),
     their factors highest index first, in ascending pairs."""
@@ -196,23 +181,9 @@ def _expected_compositions(start, degree, w, offset):
         (pairs, multinomial(tuple(d for _, d in pairs)))
         for pairs in sorted(
             tuple((offset + i, d) for i, d in zip(reversed(support), reversed(parts)))
-            for support, parts in _compositions_bruteforce(start, degree, w)
+            for support, parts in compositions_bruteforce(start, degree, w)
         )
     ]
-
-
-def test_compositions_buckets_hold_the_bruteforce_compositions():
-    # bucket w holds exactly the brute-force compositions of weight w, each
-    # with its multinomial; expand_ambient fills dicts, so any order will do
-    for start, degree, m in itertools.product(range(4), range(7), range(15)):
-        for family in (X, Y, Z):
-            offset = var_code(family, 0)
-            buckets = _compositions(start, degree, m, offset)
-            assert len(buckets) == m + 1
-            for w, bucket in enumerate(buckets):
-                assert sorted(bucket) == _expected_compositions(start, degree, w, offset), (
-                    start, degree, m, w,
-                )
 
 
 def test_compositions_buckets_come_in_display_order():
@@ -240,7 +211,16 @@ def test_compositions_buckets_come_in_display_order():
             # build makes the list that get stores, from the stored lower degrees
             assert table.build(degree, w) == expected, (family, start, degree, w)
             assert table.get(degree, w) == expected, (family, start, degree, w)
-    assert len(_compositions_bruteforce(0, 5, 40)) == 1747
+    assert len(compositions_bruteforce(0, 5, 40)) == 1747
+    # the edge cases written out: degree 0 has the one empty composition, at
+    # weight 0 only; a degree below its least weight start * degree has
+    # none; a degree above the weight still has its compositions of weight 0
+    table = _WeightTable(3, var_code(Z, 0))
+    assert table.get(0, 0) == [((), "", 1)]
+    assert [table.get(0, w) for w in (1, 2, 3)] == [[], [], []]
+    assert [table.get(1, w) for w in (0, 1, 2)] == [[], [], []]
+    x0 = var_code(X, 0)
+    assert _WeightTable(0, x0).get(4, 0) == [(((x0, 4),), "*x0^4", 1)]
 
 
 def test_multinomial():
@@ -355,12 +335,13 @@ def test_expand_ambient_forms_each_term_once(text, m, terms):
     # the terms of f, are exactly as many as the terms of f^(0..m): no two
     # choices meet at one monomial, so no coefficient is ever merged
     f = parse_polynomial(text, ambient=True)
+    tables = [_WeightTable(0, var_code(fam, 0)) for fam in (X, Y, Z)]
     choices = 0
     for mono, _ in f.items():
         exps = dict(mono)
         sizes = [
-            [len(bucket) for bucket in _compositions(0, exps.get(var_code(fam, 0), 0), m)]
-            for fam in (X, Y, Z)
+            [len(table.get(exps.get(table.offset, 0), w)) for w in range(m + 1)]
+            for table in tables
         ]
         choices += sum(
             nx * ny * nz
