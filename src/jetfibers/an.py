@@ -16,12 +16,20 @@ lies in the union of the V(L_u).  Every generator of C_u is a variable of
 L_u or a jet equation f^(k), which is a generator of J, so C_u lies in
 J + L_u.  Hence V(J), the union of the V(J + L_u), lies in the union of the
 V(C_u): the meet of the C_u lies in sqrt J, with no intersection computed.
+
+The surface is fixed by the swap x_k <-> y_k, which maps the pair (i, j) to
+(n+1-j, n+1-i), the flip i -> n+1-i of the A_n chain.  verify_all_pairs
+runs the engine checks on one pair per orbit, those with i + j <= n+1; each
+other pair stands on its representative's report and on a check with no
+engine, a permutation of variable codes, that the swap maps its pair ideal
+and its listed components onto the representative's, as generator sets.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import cache
 from itertools import product
 from math import prod
 
@@ -398,22 +406,122 @@ def verify_decomposition(n: int, m: int, i: int, j: int) -> gb.VerificationRepor
     return gb.merge_reports(f"decomposition of {J.label}", reports)
 
 
+def _swap_xy(p: Polynomial) -> Polynomial:
+    """p with x_k and y_k exchanged for every k.  The swap permutes variable
+    codes, so each monomial goes to one monomial with the same coefficient,
+    its pairs only re-sorted."""
+
+    def code(c):
+        family = var_family(c)
+        if family == Z:
+            return c
+        return var_code(Y if family == X else X, var_index(c))
+
+    return Polynomial(
+        {
+            tuple(sorted(((code(c), e) for c, e in mono), reverse=True)): coeff
+            for mono, coeff in p.items()
+        }
+    )
+
+
+def _unswapped(src: gb.Ideal, dst: gb.Ideal, swap) -> dict | None:
+    """None when swap maps the generators of src onto those of dst, as sets.
+    Otherwise the witness: the first generator of src whose image is not one
+    of dst's, or else the first of dst whose image is not one of src's (the
+    swap is an involution, so that generator is no image of src's)."""
+    for a, b in ((src, dst), (dst, src)):
+        targets = set(b.generators)
+        for g in a.generators:
+            if swap(g) not in targets:
+                return {"generator": str(g), "of": a.label, "image not in": b.label}
+    return None
+
+
+def _partners(src: list[gb.Ideal], dst: list[gb.Ideal], swap):
+    """(partners, None), partners[u] the index of the ideal of dst that swap
+    maps src[u] onto, as generator sets; or (None, witness) for the first
+    ideal of src that maps onto none, the witness from _unswapped against
+    the ideal of dst that holds most of its images."""
+    where = {frozenset(b.generators): v for v, b in enumerate(dst)}
+    partners = []
+    for a in src:
+        image = frozenset(map(swap, a.generators))
+        v = where.get(image)
+        if v is None:
+            near = max(
+                dst,
+                key=lambda b: len(image.intersection(b.generators)),
+                default=gb.Ideal((), label="no listed component"),
+            )
+            return None, _unswapped(a, near, swap)
+        partners.append(v)
+    return partners, None
+
+
+def _mirror_report(
+    n: int, m: int, i: int, j: int, rep: gb.VerificationReport, swap
+) -> gb.VerificationReport:
+    """The decomposition of J(i, j), i + j > n+1, from rep, the report of its
+    orbit representative (n+1-j, n+1-i), and a check with no engine: the
+    swap x_k <-> y_k maps J(i, j) onto the representative's pair ideal, and
+    the listed components of (i, j) one to one onto the representative's,
+    generator sets to generator sets.  The swap fixes the surface, so it
+    maps V(J') and its cover onto V(J), and every fact rep certifies about
+    the representative's ideals holds of their images.  The swap check's
+    certificate is {"kind": "swap", "components": [v_0, ...]}, component u
+    of (i, j) going to component v_u of the representative, or {"kind":
+    "swap", "witness": w} when it fails, w a generator with no image
+    (_unswapped), or the two component counts.  The report folds rep and
+    the check as d4's chart facts do: the worst outcome, S-pairs summed,
+    and the certificate names rep by its claim only."""
+    rep_pair = (n + 1 - j, n + 1 - i)
+    J, Jr = pair_ideal(n, m, i, j), pair_ideal(n, m, *rep_pair)
+    comps = [d.ideal(n, m) for d in decompose_intersection(n, m, i, j).components]
+    rcomps = [d.ideal(n, m) for d in decompose_intersection(n, m, *rep_pair).components]
+    partners, witness = None, _unswapped(J, Jr, swap)
+    if witness is None:
+        partners, witness = _partners(comps, rcomps, swap)
+    if witness is None:
+        _, witness = _partners(rcomps, comps, swap)
+    if witness is None and len(comps) != len(rcomps):
+        witness = {"components": [len(comps), len(rcomps)]}
+    cert = {"kind": "swap", **({"witness": witness} if witness else {"components": partners})}
+    fact = gb.check(f"x<->y swap maps {J.label} onto {Jr.label}", witness is None, cert)
+    return gb.fold(
+        f"decomposition of {J.label}", [rep, fact], {"stands on": rep.claim, "swap": cert}
+    )
+
+
 def verify_all_pairs(n: int, m: int) -> list[gb.VerificationReport]:
-    """verify_decomposition on every pair.  The session's clock is read
-    before each pair, and a pair that starts past the time limit is reported
-    budget-exhausted with no work done."""
+    """The decomposition of every pair, one verify_decomposition per orbit
+    of the swap x_k <-> y_k.  The surface is fixed by the swap, which maps
+    the pair (i, j) to (n+1-j, n+1-i), the flip i -> n+1-i of the A_n
+    chain.  So the pairs with i + j <= n+1 are verified directly, and each
+    other pair stands on its representative (n+1-j, n+1-i), met earlier in
+    the loop, and the check of _mirror_report.  Each generator is swapped
+    once per call: jet_coeffs shares the jet equations across pairs.  The
+    session's clock is read before each pair, a mirror pair included, and a
+    pair that starts past the time limit is reported budget-exhausted with
+    no work done; a mirror pair whose representative ran out of budget
+    runs out with it."""
     sess = gb.current_session()
-    reports = []
+    reports: dict = {}
+    swap = cache(_swap_xy)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             try:
                 sess.check_clock("pair loop", 0)
             except gb.BudgetExhausted as exc:
                 claim = f"decomposition of {pair_ideal(n, m, i, j).label}"
-                reports.append(gb.exhausted(claim, exc, 0.0))
+                reports[i, j] = gb.exhausted(claim, exc, 0.0)
             else:
-                reports.append(verify_decomposition(n, m, i, j))
-    return reports
+                if i + j <= n + 1:
+                    reports[i, j] = verify_decomposition(n, m, i, j)
+                else:
+                    rep = reports[n + 1 - j, n + 1 - i]
+                    reports[i, j] = _mirror_report(n, m, i, j, rep, swap)
+    return list(reports.values())
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,10 @@ One command runs in one engine session (session()): a ContextVar scope
 holding one session object, which keeps the command's Budget, the clock
 reading taken when it opened, the S-pairs popped so far and one memo of
 what depends only on a generator tuple: reduced bases, keyed on
-(generators, order), and linear presolves, keyed on (generators,
-"presolve").  Ideal.groebner and Ideal.presolved serve a repeated tuple
-from it, whichever Ideal carries it, and a served basis costs nothing.
+(generators, order), linear presolves, keyed on (generators,
+"presolve"), and the point decisions of witnesses.vanishes_at, keyed on
+(generators, point).  Ideal.groebner and Ideal.presolved serve a repeated
+tuple from it, whichever Ideal carries it, and a served basis costs nothing.
 Nothing below session() takes a budget or keeps a clock: each pop in
 buchberger counts against the session's S-pair bound, and the session's
 clock is read on buchberger's first pop, before each S-polynomial is

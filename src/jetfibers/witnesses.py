@@ -17,12 +17,17 @@ from .poly import Polynomial, evaluate, var_name
 def vanishes_at(claim: str, ideal: gb.Ideal, values: dict) -> gb.VerificationReport:
     """Does every generator of the ideal vanish at the point?  The point is
     variable code -> rational, absent codes zero.  A refutation lists the
-    generators that do not vanish."""
-    bad = [str(g) for g in ideal.generators if evaluate(g, values)]
+    generators that do not vanish.  That list is the decision, served from
+    the session memo under (generators, point); the report is built afresh
+    for each caller, with the caller's own claim."""
+    bad = gb.current_session().served(
+        (ideal.generators, frozenset(values.items())),
+        lambda: [str(g) for g in ideal.generators if evaluate(g, values)],
+    )
     return gb.check(
         claim,
         not bad,
-        {"nonvanishing": bad} if bad else {"generators": len(ideal.generators)},
+        {"nonvanishing": list(bad)} if bad else {"generators": len(ideal.generators)},
     )
 
 

@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from jetfibers import an as an_mod
 from jetfibers.an import (
     ComponentDescriptor,
     Ladder,
     _avoids_on_arc,
     _case_guard,
     _cover_claim,
+    _swap_xy,
     an_table,
     arc_values,
     component_dimension,
@@ -23,6 +25,7 @@ from jetfibers.an import (
     verify_decomposition,
 )
 from jetfibers import groebner as gb
+from jetfibers.jets import an_surface, d4_surface, jet_coeffs
 from jetfibers.poly import Polynomial, parse_polynomial, var_code
 from jetfibers.witnesses import avoids_at
 from references import (
@@ -315,10 +318,11 @@ def test_verify_case_d_small():
 
 
 def _refutations(rep):
-    """The "x_w / y_w not in" subchecks of a decomposition report."""
+    """The "x_w / y_w not in" subchecks of a decomposition report; none in a
+    mirror pair's, which names its representative's report."""
     return [
         piece
-        for sub in rep.certificate["subchecks"]
+        for sub in rep.certificate.get("subchecks", ())
         if sub["claim"].startswith("witnesses separate")
         for piece in sub["certificate"]["subchecks"]
         if " not in " in piece["claim"]
@@ -326,7 +330,7 @@ def _refutations(rep):
 
 
 @pytest.mark.parametrize(
-    "n, m, count", [(2, 7, 6), (4, 7, 22), (2, 12, 6), (3, 14, 30)]
+    "n, m, count", [(2, 7, 6), (4, 7, 14), (2, 12, 6), (3, 14, 18)]
 )
 def test_witness_refutations_stand_on_monomial_arcs(n, m, count):
     # every refutation is a point check at an arc x=t^a, y=t^b, z=t^c with
@@ -594,6 +598,125 @@ def test_pair_ideal_shape():
     J = pair_ideal(2, 4, 1, 2)
     assert len(J.generators) == 2 + 2 + 1 + 5
     assert J.label == "J(n2,m4;1,2)"
+
+
+# ---------------------------------------------------------------------------
+# the x<->y mirror
+
+
+def test_swap_exchanges_x_and_y_and_fixes_the_jet_equations():
+    assert _swap_xy(P("3*x1*y0^2 - z2 + x4")) == P("3*y1*x0^2 - z2 + y4")
+    assert _swap_xy(_swap_xy(P("x0*y3*z1 - 1/2*y2"))) == P("x0*y3*z1 - 1/2*y2")
+    # the A_n surface is fixed by the swap, the D4 surface is not
+    assert all(_swap_xy(c) == c for c in jet_coeffs(an_surface(3), 6))
+    assert not all(_swap_xy(c) == c for c in jet_coeffs(d4_surface(), 6))
+
+
+def _mirror_pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if i + j > n + 1]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_each_mirror_report_agrees_with_a_direct_verification(n):
+    for m in range(n, 2 * n + 6):
+        with gb.session():
+            reports = {r.claim: r for r in verify_all_pairs(n, m)}
+            for i, j in _mirror_pairs(n):
+                direct = verify_decomposition(n, m, i, j)
+                mirror = reports[direct.claim]
+                assert mirror.certificate["stands on"] == (
+                    f"decomposition of J(n{n},m{m};{n + 1 - j},{n + 1 - i})"
+                )
+                assert (mirror.outcome, mirror.spairs_processed) == (
+                    direct.outcome, direct.spairs_processed
+                ), (n, m, i, j)
+        assert len(reports) == n * (n - 1) // 2
+        assert all(r.verified for r in reports.values())
+
+
+def _break_mirror(monkeypatch, n, m, i, j, change):
+    """decompose_intersection with its (n, m, i, j) component list passed
+    through change, every other pair's list left as it is."""
+    decompose = decompose_intersection
+
+    def broken(*pair):
+        dec = decompose(*pair)
+        return dec._replace(components=change(dec.components)) if pair == (n, m, i, j) else dec
+
+    monkeypatch.setattr(an_mod, "decompose_intersection", broken)
+
+
+@pytest.mark.parametrize(
+    "change, witness",
+    [
+        # one more z coordinate on the first component, L(3,4,2): its image
+        # of z2 is in no component of (1,2), the nearest being L(4,3,2)
+        (
+            lambda comps: (comps[0]._replace(ladder=comps[0].ladder._replace(r=3)),) + comps[1:],
+            {"generator": "z2", "of": "L(3,4,3)", "image not in": "L(4,3,2)"},
+        ),
+        # the last component, L(5,2,2), dropped: the component L(2,5,2) of
+        # (1,2) is no image, and its y4 maps to x4, outside the nearest
+        # listed component L(4,3,2)
+        (
+            lambda comps: comps[:-1],
+            {"generator": "y4", "of": "L(2,5,2)", "image not in": "L(4,3,2)"},
+        ),
+    ],
+    ids=["thicker", "dropped"],
+)
+def test_a_component_list_broken_for_the_mirror_pair_refutes_it(monkeypatch, change, witness):
+    _break_mirror(monkeypatch, 3, 6, 2, 3, change)
+    with gb.session():
+        reports = verify_all_pairs(3, 6)
+    assert [r.outcome for r in reports] == [gb.VERIFIED, gb.VERIFIED, gb.REFUTED]
+    mirror = reports[2]
+    assert mirror.claim == "decomposition of J(n3,m6;2,3)"
+    assert mirror.certificate == {
+        "stands on": "decomposition of J(n3,m6;1,2)",
+        "swap": {"kind": "swap", "witness": witness},
+    }
+
+
+def test_a_pair_ideal_broken_for_the_mirror_pair_refutes_it(monkeypatch):
+    # J(n3,m6;2,3) given one more x coordinate: x3's image y3 is no
+    # generator of J(n3,m6;1,2), whose ladder stops at y2
+    build = pair_ideal
+
+    def broken(n, m, i, j):
+        J = build(n, m, i, j)
+        if (i, j) == (2, 3):
+            J = gb.Ideal(J.generators + (P("x3"),), label=J.label)
+        return J
+
+    monkeypatch.setattr(an_mod, "pair_ideal", broken)
+    with gb.session():
+        mirror = verify_all_pairs(3, 6)[2]
+    assert mirror.outcome == gb.REFUTED
+    assert mirror.certificate["swap"]["witness"] == {
+        "generator": "x3", "of": "J(n3,m6;2,3)", "image not in": "J(n3,m6;1,2)",
+    }
+
+
+def test_a_representative_out_of_budget_leaves_its_mirror_out_of_budget(monkeypatch):
+    # the clock reads 1e6 only on its second read, the one before the pair
+    # (1,2): that pair starts past the limit; (1,3) and the mirror (2,3)
+    # start in time, and the mirror folds the exhausted report of (1,2)
+    reads = []
+
+    def monotonic():
+        reads.append(1)
+        return 1e6 if len(reads) == 2 else 0.0
+
+    monkeypatch.setattr(gb.time, "monotonic", monotonic)
+    with gb.session(gb.Budget(max_seconds=10)):
+        reports = verify_all_pairs(3, 5)
+    assert [r.outcome for r in reports] == [gb.BUDGET_EXHAUSTED, gb.VERIFIED, gb.BUDGET_EXHAUSTED]
+    assert reports[0].certificate == {"kind": "budget", "context": "pair loop"}
+    assert reports[2].claim == "decomposition of J(n3,m5;2,3)"
+    assert reports[2].certificate["stands on"] == "decomposition of J(n3,m5;1,2)"
+    assert reports[2].certificate["swap"]["kind"] == "swap"
+    assert "witness" not in reports[2].certificate["swap"]
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,9 @@ PINS = [
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5"], 0,
      "7cd0160c0e68b10c4b24114a30a4f993ea35330c914139754e4bc0d55839ce8e", 259),
     (["an", "verify", "--n", "3", "--m", "8", "--budget-spairs", "5", "--format", "json"], 0,
-     "86a1ca369a9d010abed72bb19be19ee55d23b04d4e3bd1ccdf2a123c458d7434", 40005),
+     "acdd0683b571bed20d0e62880a35084331c05b8c3d9ae28b50d5289c4b63e924", 25270),
     (["an", "verify", "--n", "4", "--m", "10", "--budget-spairs", "20", "--format", "json"], 0,
-     "ca0b70ea04a2301964c07526a085429640f85125a925b21698f6a5a58e66924b", 112789),
+     "8c882f70b661a050475834f24c901c82645806276a1356a5a9e60e898be4cc83", 74163),
     # budgeted runs that still build bases: the coordinate lemmas and the
     # z2/x3/y2 chain queries of D4
     (["d4", "verify", "--m", "6", "--budget-spairs", "5", "--format", "json"], 3,
@@ -112,12 +112,12 @@ PINS = [
     (["an", "verify", "--n", "2", "--m", "8", "--format", "json"], 0,
      "0c685d8862de1f04e2b2b95aba8f8fe8d7481c104fe2c5d9527adfa96761fe25", 10138),
     (["an", "verify", "--n", "4", "--m", "9", "--format", "json"], 0,
-     "99f1b45c77090f2fbf3e39eb1e6582510d1ae8cd25b90e08e2e2e86ca39c82cd", 93266),
+     "195c21dbe9fb09681db0b42e67d48b7e4ad683767ea23e566a66f01d333fcdf8", 61411),
     (["an", "verify", "--n", "2", "--m", "10", "--format", "json"], 0,
      "a0777b47f1a5563d29c2668ad0a8e39f4b027e52dced53da16a7c67cc26ef2cd", 11207),
     # case-d tails of several components each, below the CI frontier
     (["an", "verify", "--n", "3", "--m", "9", "--format", "json"], 0,
-     "8b464ea817cdec3f9066c5c7e6e5980ee70858425cc677b2daec18f19838551c", 41383),
+     "5880792026fab4fc9ec5a9b4404be2a44031bf985fdacfd76e7981211df34ca8", 26148),
     # 27 s while its six witness refutations built radical-trick bases
     (["an", "verify", "--n", "2", "--m", "12", "--format", "json"], 0,
      "8407f1100186b281dd1a03618807762d6adc461c4197fefe2e98ad6e3ce12cef", 12535),

@@ -18,6 +18,18 @@ arithmetic and no Groebner basis or engine query:
 
 The "decided" entries stand on a reduced basis and are not replayed here;
 tests/test_oracle.py cross-checks the engine against sympy.
+
+An A_n mirror pair's report names the report it stands on, its orbit
+representative's, and the swap certificate (an._mirror_report).  Its replay
+rebuilds both pairs from the claim texts and applies x_k <-> y_k by
+linear_substitute, not by the package's own swap:
+
+- the named report is a verified report of the same file;
+- the swap maps the pair ideal's generators onto the representative's, as
+  sets;
+- the component map is one to one, and the swap maps the generators of
+  each listed component u onto those of the representative's component it
+  names.
 """
 
 import copy
@@ -29,7 +41,7 @@ import pytest
 
 from jetfibers.an import decompose_intersection, pair_ideal
 from jetfibers.d4 import PHI1, PHI2, d4_ideals
-from jetfibers.poly import linear_substitute
+from jetfibers.poly import Polynomial, X, Y, linear_substitute, var_code
 from references import plain_presolve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,3 +183,86 @@ def test_replay_rejects_a_moved_or_edited_index(name):
             assert replay_problems(mutated, gens, ideal, zero_rule), (claim, mutated)
             tried += 1
     assert tried
+
+
+# ---------------------------------------------------------------------------
+# A_n mirror pairs
+
+MIRROR_GOLDENS = ["an_verify_n3_m6.json", "an_verify_n4_m7.json"]
+_AN_PAIR = re.compile(r"decomposition of J\(n(\d+),m(\d+);(\d+),(\d+)\)")
+
+
+def _pair(claim):
+    """(J, its listed component ideals) of "decomposition of J(...)"."""
+    n, m, i, j = map(int, _AN_PAIR.fullmatch(claim).groups())
+    comps = [d.ideal(n, m) for d in decompose_intersection(n, m, i, j).components]
+    return pair_ideal(n, m, i, j), comps, m
+
+
+def _swapped(ideal, m):
+    """The generators of the ideal under x_k <-> y_k, k <= m, as a set."""
+    swap = {}
+    for k in range(m + 1):
+        x, y = var_code(X, k), var_code(Y, k)
+        swap[x], swap[y] = Polynomial.variable(y), Polynomial.variable(x)
+    return {linear_substitute(g, swap) for g in ideal.generators}
+
+
+def mirror_problems(report, verified) -> list[str]:
+    """What the mirror report gets wrong, verified the set of claims of the
+    file's verified reports: an empty list when it replays."""
+    cert = report["certificate"]
+    J, comps, m = _pair(report["claim"])
+    Jr, rcomps, _ = _pair(cert["stands on"])
+    problems = []
+    if cert["stands on"] not in verified:
+        problems.append("it stands on no verified report")
+    if _swapped(J, m) != set(Jr.generators):
+        problems.append(f"the swap does not map {J.label} onto {Jr.label}")
+    parts = cert["swap"]["components"]
+    if sorted(parts) != list(range(len(rcomps))) or len(parts) != len(comps):
+        return problems + [f"the component map {parts} is not one to one"]
+    for comp, v in zip(comps, parts):
+        if _swapped(comp, m) != set(rcomps[v].generators):
+            problems.append(f"the swap does not map {comp.label} onto {rcomps[v].label}")
+    return problems
+
+
+def _mirror_reports(name):
+    """(mirror reports, claims of every pair, verified claims) of the file."""
+    reports = json.loads((GOLDEN / name).read_text())["reports"]
+    mirrors = [r for r in reports if "stands on" in r["certificate"]]
+    pairs = [r["claim"] for r in reports if _AN_PAIR.fullmatch(r["claim"])]
+    return mirrors, pairs, {r["claim"] for r in reports if r["outcome"] == "verified"}
+
+
+@pytest.mark.parametrize("name", MIRROR_GOLDENS)
+def test_mirror_certificates_replay(name):
+    mirrors, pairs, verified = _mirror_reports(name)
+    n = json.loads((GOLDEN / name).read_text())["config"]["n"]
+    assert len(mirrors) == len(pairs) - (n // 2) * ((n + 1) // 2)  # one per orbit verified
+    for report in mirrors:
+        assert report["outcome"] == "verified"
+        assert mirror_problems(report, verified) == [], report["claim"]
+
+
+@pytest.mark.parametrize("name", MIRROR_GOLDENS)
+def test_mirror_replay_rejects_an_edited_pair_or_component_map(name):
+    mirrors, pairs, verified = _mirror_reports(name)
+    for report in mirrors:
+        cert = report["certificate"]
+        # every other pair of the file named as the representative
+        for claim in pairs:
+            if claim != cert["stands on"]:
+                edited = copy.deepcopy(report)
+                edited["certificate"]["stands on"] = claim
+                assert mirror_problems(edited, verified), (report["claim"], claim)
+        # the map sends component u elsewhere, or a component off the list
+        parts = cert["swap"]["components"]
+        edits = [[p + 1 for p in parts]]
+        if len(parts) > 1:
+            edits.append(parts[1:] + parts[:1])
+        for edit in edits:
+            edited = copy.deepcopy(report)
+            edited["certificate"]["swap"]["components"] = edit
+            assert mirror_problems(edited, verified), (report["claim"], edit)
